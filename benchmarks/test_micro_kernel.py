@@ -151,10 +151,10 @@ def test_hot_loop_has_no_observability_indirection():
     """The event-loop bytecode itself must not reference TRACER/METRICS.
 
     Structural complement to the call-count test: the per-event hot
-    paths (`_drain`, `_drain_budgeted`, `_resume`) may consult neither
-    observability singleton — that decision belongs to `run()`, once.
+    paths (`_drain`, `_resume`) may consult neither observability
+    singleton — that decision belongs to `run()`, once.
     """
-    for fn in (_Engine._drain, _Engine._drain_budgeted, _Engine._resume):
+    for fn in (_Engine._drain, _Engine._resume):
         names = fn.__code__.co_names
         assert "TRACER" not in names, fn.__qualname__
         assert "METRICS" not in names, fn.__qualname__

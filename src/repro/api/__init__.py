@@ -1,14 +1,8 @@
 """``repro.api`` — the typed facade every layer speaks.
 
-See :mod:`repro.api.types` for the contract dataclasses and
-:mod:`repro.api.compat` for the deprecated dict adapters.
+See :mod:`repro.api.types` for the contract dataclasses.
 """
 
-from .compat import (
-    campaign_config_from_dict,
-    run_spec_from_dict,
-    workflow_spec_from_dict,
-)
 from .types import (
     MODES,
     SCHEMA_VERSION,
@@ -31,7 +25,4 @@ __all__ = [
     "RunResult",
     "CampaignRequest",
     "CampaignResult",
-    "run_spec_from_dict",
-    "campaign_config_from_dict",
-    "workflow_spec_from_dict",
 ]

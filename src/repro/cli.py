@@ -293,31 +293,68 @@ def cmd_stg(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .workflow.supervisor import resolve_jobs
+
     program, _ = _resolve(args, nprocs=max(args.procs))
-    jobs = getattr(args, "jobs", 1)
-    # jobs != 1: points run in workers that calibrate for themselves, so
-    # skip the (expensive) eager calibration of the parent's workflow
-    wf = _workflow(args, program, calib_nprocs=args.calib_procs, calibrate=jobs == 1)
+    jobs = resolve_jobs(args.jobs)
+    if jobs > 1:
+        print(format_validation(_validate_cells(args, jobs)))
+        return 0
+    wf = _workflow(args, program, calib_nprocs=args.calib_procs)
     _, default_inputs = APPS[args.app]
     configs = []
     for p in args.procs:
         inputs = default_inputs(p)
         inputs.update(_parse_overrides(args.set))
         configs.append((inputs, p))
-    spec = None
-    if jobs != 1:
-        from .workflow.parallel import WorkflowSpec
-
-        spec = WorkflowSpec(
-            app=args.app, machine=args.machine, calib_nprocs=args.calib_procs,
-            overrides=tuple(sorted(_parse_overrides(args.set).items())),
-            seed=args.seed,
-        )
-    series = validate(
-        wf, configs, name=args.app, include_de=not args.no_de, jobs=jobs, spec=spec
-    )
-    print(format_validation(series))
+    print(format_validation(validate(wf, configs, name=args.app, include_de=not args.no_de)))
     return 0
+
+
+def _validate_cells(args, jobs: int):
+    """``validate --jobs N``: the sweep's estimator runs as campaign cells.
+
+    Point *i* becomes ``am`` and ``de`` cells at ``--seed`` plus a
+    ``measured`` cell at ``seed + 101 + i``, the seeds the sequential
+    sweep uses.  The campaign's grid calibration (``--calib-procs``
+    ranks, the ``--set`` overrides, ``--seed``) is the one
+    :func:`_workflow` measures, so the series is identical to
+    ``--jobs 1``.
+    """
+    from .api import RunRequest
+    from .workflow import ValidationPoint, ValidationSeries
+    from .workflow.campaign import CampaignConfig, CampaignRunner
+
+    overrides = tuple(sorted(_parse_overrides(args.set).items()))
+    modes = ("measured", "am") if args.no_de else ("measured", "de", "am")
+    specs = {
+        (i, mode): RunRequest(
+            app=args.app, mode=mode, nprocs=p, inputs=overrides,
+            seed=args.seed + 101 + i if mode == "measured" else args.seed,
+        )
+        for i, p in enumerate(args.procs) for mode in modes
+    }
+    cells = list(enumerate(specs.values()))
+    config = CampaignConfig(
+        name=f"validate-{args.app}", machine=args.machine,
+        specs=list(specs.values()), calib_procs=args.calib_procs,
+    )
+    records = {}  # the last record of a cell is its outcome
+    CampaignRunner(config, os.devnull).run_cells(
+        cells, jobs, lambda spec, rec: records.__setitem__(rec.index, rec))
+    elapsed = {}
+    for key, (index, spec) in zip(specs, cells):
+        rec = records[index]
+        if rec.outcome != "ok":
+            raise SystemExit(f"error: {spec.describe()} finished {rec.outcome}: {rec.error}")
+        elapsed[key] = rec.elapsed
+    series = ValidationSeries(args.app)
+    for i, p in enumerate(args.procs):
+        series.points.append(ValidationPoint(
+            label=str(p), nprocs=p, measured=elapsed[i, "measured"],
+            de=elapsed.get((i, "de")), am=elapsed[i, "am"],
+        ))
+    return series
 
 
 def cmd_predict(args) -> int:
@@ -634,8 +671,6 @@ def cmd_campaign(args) -> int:
             config.retries = args.retries
         # supervision knobs are execution policy — they never feed the
         # config hash, so overriding them on resume is always safe
-        if args.no_supervise:
-            config.supervise = False
         if args.heartbeat_timeout is not None:
             config.heartbeat_timeout = args.heartbeat_timeout
         if args.poison_threshold is not None:
@@ -687,8 +722,6 @@ def cmd_campaign(args) -> int:
             hint.append(f"--jobs {args.jobs}")
         if args.no_telemetry:
             hint.append("--no-telemetry")
-        if args.no_supervise:
-            hint.append("--no-supervise")
         if args.heartbeat_timeout is not None:
             hint.append(f"--heartbeat-timeout {args.heartbeat_timeout:g}")
         if args.poison_threshold is not None:
@@ -1326,10 +1359,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip per-run telemetry capsules and the merged "
                            "Perfetto timeline (telemetry.jsonl, "
                            "campaign.perfetto.json)")
-    camp.add_argument("--no-supervise", action="store_true",
-                      help="use the bare process pool instead of the "
-                           "supervised runtime (no heartbeats, hang "
-                           "detection, or poison quarantine)")
     camp.add_argument("--heartbeat-timeout", type=_positive_float, default=None,
                       metavar="SECONDS",
                       help="kill a worker whose run has not emitted a "
@@ -1390,8 +1419,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--timeout", type=_positive_float, default=None,
                    metavar="SECONDS",
                    help="watchdog timeout for blocking sends/receives")
-    q.add_argument("--calib-procs", type=_positive_int, default=2,
-                   help="calibration processor count (default 2)")
+    q.add_argument("--calib-procs", type=_positive_int, default=None,
+                   help="calibration processor count (default: the run's "
+                        "nprocs, at most 16)")
     add_budget_args(q)
     add_jobs_arg(q, "worker processes for a --store cache miss (default 1)")
     q.add_argument("--server", metavar="HOST:PORT",

@@ -33,9 +33,11 @@ Endpoints (all JSON, documents from :mod:`repro.api`):
     a full campaign: either a typed ``campaign_request`` document
     (has ``"runs"``) or a declarative grid dict exactly as ``repro
     campaign`` accepts (``apps`` × ``modes`` × ``nprocs`` × ...).
-    Cache hits are answered from the store; misses are batched onto
-    one supervised :class:`~repro.workflow.campaign.CampaignRunner`
-    (``--jobs`` fan-out) and stored as they complete.  Returns a
+    Cache hits are answered from the store; misses run as one batch of
+    cells (:meth:`~repro.workflow.campaign.CampaignRunner.run_cells`,
+    ``--jobs`` fan-out on the supervised pool) and are stored as they
+    complete.  The store is their durable record: no campaign journal
+    or work directory is written.  Returns a
     :class:`~repro.api.CampaignResult`.
 
 Admission control (:class:`TenantGovernor`) applies the budget-
@@ -56,12 +58,12 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
-import shutil
+import os
+import shutil  # noqa: F401 - benchmarks/e2e/tracing.py looks up repro.serve.shutil.rmtree
 import signal
 import threading
 import time
 import urllib.parse
-import uuid
 from pathlib import Path
 
 from .api import (
@@ -75,6 +77,7 @@ from .api import (
 from .obs.logging import get_logger
 from .store import ResultStore
 from .workflow.campaign import CampaignConfig, CampaignRunner, expand_grid
+from .workflow.supervisor import resolve_jobs
 
 __all__ = [
     "TenantGovernor",
@@ -195,7 +198,7 @@ class SimulationService:
     def __init__(self, store: ResultStore, *, jobs: int = 1,
                  governor: TenantGovernor | None = None,
                  resolver=None, default_machine: str = "IBM-SP",
-                 default_calib_procs: int | None = 2,
+                 default_calib_procs: int | None = None,
                  backend: str | None = None):
         self.store = store
         self.jobs = jobs
@@ -288,7 +291,7 @@ class SimulationService:
     def _execute_batch(self, request: CampaignRequest, ctx: str,
                        missing: list[RunRequest],
                        results: dict[str, RunResult]) -> int:
-        """Run the cache-miss cells on one supervised campaign runner."""
+        """Run the cache-miss cells; store each cacheable result as it lands."""
         batch = CampaignConfig.from_request(
             request,
             calib_from_spec=True,  # purity: calibrate from each run's own spec
@@ -296,10 +299,9 @@ class SimulationService:
             backend=self.backend,
         )
         batch.specs = list(missing)
-        workdir = self.store.work_dir / f"batch-{uuid.uuid4().hex[:12]}"
         executed_events = 0
 
-        def on_progress(spec, rec, done, total):
+        def on_record(spec, rec):
             nonlocal executed_events
             res = RunResult.from_record(rec)
             results[spec.run_id] = res
@@ -308,15 +310,9 @@ class SimulationService:
                 self.store.put(ctx, spec.run_id, res.to_json())
 
         with self._exec_lock:
-            workdir.mkdir(parents=True, exist_ok=True)
-            try:
-                runner = CampaignRunner(
-                    batch, out_dir=workdir, resolver=self.resolver,
-                    progress=on_progress,
-                )
-                runner.execute(jobs=self.jobs)
-            finally:
-                shutil.rmtree(workdir, ignore_errors=True)
+            runner = CampaignRunner(batch, out_dir=os.devnull, resolver=self.resolver)
+            runner.run_cells(list(enumerate(batch.specs)), resolve_jobs(self.jobs),
+                             on_record)
         self.executed_runs += len(missing)
         self.executed_events += executed_events
         _log.info(

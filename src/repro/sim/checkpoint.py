@@ -148,9 +148,8 @@ class CheckpointWriter:
     """Per-run checkpoint state machine; use the shared :data:`CHECKPOINT`.
 
     The campaign layer configures it with the run identity, the target
-    path and (on resume) the cursor to verify; the kernel's supervised
-    drain loop binds the stats/rng providers and calls :meth:`tick`
-    once per event.
+    path and (on resume) the cursor to verify; the kernel's drain loop
+    binds the stats/rng providers and calls :meth:`tick` once per event.
     """
 
     def __init__(self):

@@ -432,13 +432,7 @@ class Simulator:
             self._push(0.0, proc.rank, ("resume", None))
         if FLIGHT.enabled:
             FLIGHT.note(mode=self.mode.value, nprocs=self.nprocs, seed=self.seed)
-            self._drain_flight()
-        elif HEARTBEAT.enabled or CHECKPOINT.enabled:
-            self._drain_supervised()
-        elif self._budget is not None:
-            self._drain_budgeted()
-        else:
-            self._drain()
+        self._drain()
         blocked = [p for p in self._procs if not p.done and not p.crashed]
         if blocked:
             report = self._deadlock_report()
@@ -468,7 +462,17 @@ class Simulator:
         return SimResult(self.mode, stats, self.memory.report(), self.trace)
 
     def _drain(self) -> None:
-        """The event loop, no watchdog budget (the hot variant).
+        """The event loop.
+
+        The per-event hooks — heartbeat, checkpoint, watchdog budget and
+        flight recorder — are bound to locals once per run (``None``
+        when unarmed), and with none armed a run pays one boolean test
+        per event.  Armed hooks fire in that order on every popped
+        event, before it is dispatched; the flight ring records every
+        event, a crashed rank's included.  A tripped budget raises
+        :class:`BudgetExceededError` with the partial stats, plus the
+        flight dump when the recorder is armed, so the black box
+        survives the crash it explains.
 
         Events are dispatched by kind with the common case — "resume",
         then "comm" — tested first; "crash"/"timeout" only ever appear
@@ -479,15 +483,45 @@ class Simulator:
         resume = self._resume
         do_send = self._do_send
         do_recv = self._do_recv
+        budget = self._budget
+        if budget is not None:
+            budget.start()
+        hb = HEARTBEAT if HEARTBEAT.enabled else None
+        ck = CHECKPOINT if CHECKPOINT.enabled else None
+        if ck is not None:
+            ck.bind(self._stats_snapshot, self._rng_state)
+        record = FLIGHT.record if FLIGHT.enabled else None
+        armed = not (budget is None and hb is None and ck is None and record is None)
+        events = 0
         while heap:
             t, _, rank, action = heappop(heap)
             kind = action[0]
+            if armed:
+                events += 1
+                if hb is not None:
+                    hb.tick(events, t)
+                if ck is not None:
+                    ck.tick(events, t)
+                if budget is not None:
+                    violation = budget.note_event(t)
+                    if violation is not None:
+                        exc = BudgetExceededError(
+                            *violation, stats=SimStats([p.stats for p in procs])
+                        )
+                        if record is not None:
+                            exc.flight = FLIGHT.dump(
+                                budget=budget.snapshot(virtual_time=t), error=str(exc)
+                            )
+                        raise exc
+                if record is not None:
+                    record(t, rank, type(action[1]).__name__.lower()
+                           if kind == "comm" else kind)
             proc = procs[rank]
             if kind == "resume":
                 if not proc.crashed:
                     resume(proc, t, action[1])
             elif kind == "comm":
-                # _do_comm, dispatched inline (one call saved per event)
+                # dispatched inline (one call saved per event)
                 if not proc.crashed:
                     req = action[1]
                     ty = type(req)
@@ -507,140 +541,6 @@ class Simulator:
                 self._do_crash(proc, t)
             elif not proc.crashed:  # "timeout"
                 self._do_timeout(proc, t, action[1])
-
-    def _drain_budgeted(self) -> None:
-        """The event loop with a per-event watchdog-budget check."""
-        heap = self._heap
-        procs = self._procs
-        budget = self._budget
-        budget.start()
-        while heap:
-            t, _, rank, action = heappop(heap)
-            violation = budget.note_event(t)
-            if violation is not None:
-                kind, limit, observed = violation
-                raise BudgetExceededError(
-                    kind, limit, observed,
-                    stats=SimStats([p.stats for p in procs]),
-                )
-            kind = action[0]
-            proc = procs[rank]
-            if kind == "resume":
-                if not proc.crashed:
-                    self._resume(proc, t, action[1])
-            elif kind == "comm":
-                if not proc.crashed:
-                    self._do_comm(proc, t, action[1])
-            elif kind == "crash":
-                self._do_crash(proc, t)
-            elif not proc.crashed:  # "timeout"
-                self._do_timeout(proc, t, action[1])
-
-    def _drain_supervised(self) -> None:
-        """The event loop with heartbeat / checkpoint ticks (and budgets).
-
-        Only reachable when :data:`HEARTBEAT` or :data:`CHECKPOINT` is
-        enabled (and :data:`FLIGHT` is not — that path carries its own
-        ticks); the bare loops above never pay for the per-event tick.
-        A tick is two integer compares when nothing is due, so
-        supervision stays cheap enough to leave always-on in campaign
-        workers.
-        """
-        heap = self._heap
-        procs = self._procs
-        budget = self._budget
-        if budget is not None:
-            budget.start()
-        hb = HEARTBEAT if HEARTBEAT.enabled else None
-        ck = CHECKPOINT if CHECKPOINT.enabled else None
-        if ck is not None:
-            ck.bind(self._stats_snapshot, self._rng_state)
-        events = 0
-        while heap:
-            t, _, rank, action = heappop(heap)
-            events += 1
-            if budget is not None:
-                violation = budget.note_event(t)
-                if violation is not None:
-                    kind, limit, observed = violation
-                    raise BudgetExceededError(
-                        kind, limit, observed,
-                        stats=SimStats([p.stats for p in procs]),
-                    )
-            if hb is not None:
-                hb.tick(events, t)
-            if ck is not None:
-                ck.tick(events, t)
-            kind = action[0]
-            proc = procs[rank]
-            if kind == "resume":
-                if not proc.crashed:
-                    self._resume(proc, t, action[1])
-            elif kind == "comm":
-                if not proc.crashed:
-                    self._do_comm(proc, t, action[1])
-            elif kind == "crash":
-                self._do_crash(proc, t)
-            elif not proc.crashed:  # "timeout"
-                self._do_timeout(proc, t, action[1])
-
-    def _drain_flight(self) -> None:
-        """The event loop with flight recording (and budgets, if set).
-
-        Only reachable when :data:`FLIGHT` is enabled — the unrecorded
-        loops above never pay for the ring-buffer append.  A tripped
-        budget raises :class:`BudgetExceededError` with the dump
-        attached, so the black box survives the crash it explains.
-        Heartbeat / checkpoint ticks ride along when armed (telemetry
-        campaigns run the flight loop, supervised or not).
-        """
-        heap = self._heap
-        procs = self._procs
-        budget = self._budget
-        if budget is not None:
-            budget.start()
-        hb = HEARTBEAT if HEARTBEAT.enabled else None
-        ck = CHECKPOINT if CHECKPOINT.enabled else None
-        if ck is not None:
-            ck.bind(self._stats_snapshot, self._rng_state)
-        events = 0
-        record = FLIGHT.record
-        while heap:
-            t, _, rank, action = heappop(heap)
-            events += 1
-            if hb is not None:
-                hb.tick(events, t)
-            if ck is not None:
-                ck.tick(events, t)
-            if budget is not None:
-                violation = budget.note_event(t)
-                if violation is not None:
-                    kind, limit, observed = violation
-                    exc = BudgetExceededError(
-                        kind, limit, observed,
-                        stats=SimStats([p.stats for p in procs]),
-                    )
-                    exc.flight = FLIGHT.dump(
-                        budget=budget.snapshot(virtual_time=t), error=str(exc)
-                    )
-                    raise exc
-            kind = action[0]
-            proc = procs[rank]
-            if kind == "resume":
-                record(t, rank, "resume")
-                if not proc.crashed:
-                    self._resume(proc, t, action[1])
-            elif kind == "comm":
-                record(t, rank, type(action[1]).__name__.lower())
-                if not proc.crashed:
-                    self._do_comm(proc, t, action[1])
-            elif kind == "crash":
-                record(t, rank, "crash")
-                self._do_crash(proc, t)
-            else:  # "timeout"
-                record(t, rank, "timeout")
-                if not proc.crashed:
-                    self._do_timeout(proc, t, action[1])
 
     def _budget_snapshot(self) -> dict | None:
         """The budget guard's state for dumps (None without budgets)."""
@@ -753,21 +653,6 @@ class Simulator:
             stats.events += events
 
     # -- communication ----------------------------------------------------------
-    def _do_comm(self, proc: _Proc, t: float, req: Request) -> None:
-        ty = type(req)
-        if ty is Send:
-            self._do_send(proc, t, req)
-        elif ty is Recv:
-            self._do_recv(proc, t, req)
-        elif ty is Isend:
-            self._do_send(proc, t, req, handle=proc.new_handle("send"))
-        elif ty is Irecv:
-            self._do_recv(proc, t, req, handle=proc.new_handle("recv"))
-        elif ty is Wait:
-            self._do_wait(proc, t, req)
-        else:
-            self._do_collective(proc, t, req)
-
     def _do_send(self, proc: _Proc, t: float, req: Send | Isend, handle: _Handle | None = None) -> None:
         if req.dest >= self.nprocs:
             raise ValueError(

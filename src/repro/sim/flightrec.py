@@ -11,9 +11,9 @@ they were doing, and in what virtual-time order.
 Cost contract (the same one the tracer and metrics registry hold to):
 
 * **Disabled (the default), the recorder adds zero hot-loop calls.**
-  :meth:`repro.sim.Simulator.run` tests ``FLIGHT.enabled`` once per run
-  and dispatches to the unrecorded event loop; the recorded variant is
-  a separate drain function that only exists on the enabled path.
+  The drain loop tests ``FLIGHT.enabled`` once per run and binds the
+  hook to ``None``; with no hook armed, a run pays one boolean test per
+  event.
 * **Enabled, the ring is bounded.**  Recording is one ``deque.append``
   of a small tuple per event; memory is ``O(capacity)`` regardless of
   run length, and events evicted from the ring are counted, not kept.

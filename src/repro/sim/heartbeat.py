@@ -7,8 +7,8 @@ module the only defence was the coarse wall-clock budget: the parent
 waited out the full ``max_wall_seconds`` before learning anything.
 
 The :class:`HeartbeatEmitter` gives the kernel a pulse.  While a run
-drains its event heap, the supervised loop calls :meth:`tick` once per
-event; every *interval_events* events (and at most once per
+drains its event heap, the kernel's drain loop calls :meth:`tick` once
+per event; every *interval_events* events (and at most once per
 *min_interval_s* wall seconds) the emitter hands a small **cursor**
 dict — event count, virtual time, wall time, plus a bounded tail of
 the flight-recorder ring when that is armed — to a sink callable.  In
@@ -22,9 +22,9 @@ the wall budget.
 Cost contract (the same one TRACER / METRICS / FLIGHT hold to):
 
 * **Disabled (the default), heartbeats add zero hot-loop calls.**
-  :meth:`repro.sim.Simulator.run` tests ``HEARTBEAT.enabled`` once per
-  run and dispatches to the bare event loop; the ticking variant is a
-  separate drain function that only exists on the enabled path.
+  The drain loop tests ``HEARTBEAT.enabled`` once per run and binds the
+  hook to ``None``; with no hook armed, a run pays one boolean test per
+  event.
 * **Enabled, a tick is two integer compares** in the common case (the
   event-stride gate, then the wall-clock throttle); actually *emitting*
   a cursor is bounded by ``min_interval_s``, so sink traffic is a few
@@ -60,7 +60,7 @@ class HeartbeatEmitter:
     """Throttled liveness-cursor emitter; use the shared :data:`HEARTBEAT`.
 
     The emitter is configured per run (sink, stride, throttle, metadata)
-    and consulted by the kernel's supervised drain loop via
+    and consulted by the kernel's drain loop via
     :meth:`tick`.  Cursors are JSON-safe dicts::
 
         {"format": 1, "run_id": ..., "events": N, "virtual_time": t,

@@ -42,10 +42,6 @@ that function's graph:
     (``repro serve`` and campaign ``--resume`` reuse these); like
     calibrations they are tiny and never evicted.
 
-``<base>/work/``
-    scratch directories for in-flight server batches (not managed
-    here; the server creates and removes them).
-
 Eviction is LRU over a byte budget (``max_bytes``): a put that pushes
 the store over budget evicts least-recently-*used* entries (gets count
 as use) until it fits.  Warm calibrations are tiny and never evicted.
@@ -76,7 +72,6 @@ __all__ = [
     "load_warm_kernel",
     "STORE_DIR_NAME",
     "WARM_DIR_NAME",
-    "WORK_DIR_NAME",
     "INDEX_NAME",
 ]
 
@@ -84,7 +79,6 @@ _log = get_logger("store")
 
 STORE_DIR_NAME = "store"
 WARM_DIR_NAME = "warm"
-WORK_DIR_NAME = "work"
 INDEX_NAME = "index.jsonl"
 
 
@@ -130,7 +124,6 @@ class ResultStore:
         self.base = Path(base_dir)
         self.store_dir = self.base / STORE_DIR_NAME
         self.warm_dir = self.base / WARM_DIR_NAME
-        self.work_dir = self.base / WORK_DIR_NAME
         self.index_path = self.base / INDEX_NAME
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
@@ -139,7 +132,7 @@ class ResultStore:
         self._bytes = 0
         self._journal_ops = 0  # records currently in index.jsonl
         self.counters = StoreStats()
-        for d in (self.store_dir, self.warm_dir, self.work_dir):
+        for d in (self.store_dir, self.warm_dir):
             d.mkdir(parents=True, exist_ok=True)
         self._load()
 

@@ -12,9 +12,8 @@ from .campaign import (
     format_campaign_report,
     load_grid,
 )
-from .parallel import WorkerPoolError, WorkflowSpec, calibrate_many, resolve_jobs
 from .pipeline import ModelingWorkflow
-from .supervisor import minimize_poison, run_supervised
+from .supervisor import minimize_poison, resolve_jobs, run_supervised
 from .reporting import (
     format_bytes,
     format_fault_sweep,
@@ -46,9 +45,6 @@ __all__ = [
     "expand_grid",
     "format_campaign_report",
     "load_grid",
-    "WorkflowSpec",
-    "WorkerPoolError",
-    "calibrate_many",
     "resolve_jobs",
     "run_supervised",
     "minimize_poison",

@@ -160,7 +160,6 @@ class CampaignConfig:
     # excluded from config_hash — it decides how pathological runs are
     # scheduled/killed, never what a healthy run computes, and records
     # are keyed by run_id so non-terminal outcomes simply re-run) -----------
-    supervise: bool = True  # jobs > 1: supervised pool vs bare executor
     heartbeat_timeout: float | None = 30.0  # stale-cursor deadline; None = off
     poison_threshold: int = 2  # worker deaths/hangs before quarantine
     checkpoint_interval: int | None = None  # events between cursors; None = off
@@ -206,8 +205,8 @@ class CampaignConfig:
     def from_request(cls, request: CampaignRequest, **policy) -> CampaignConfig:
         """Build a config from the typed API plus execution policy.
 
-        *policy* takes the execution-side knobs (``supervise``,
-        ``heartbeat_timeout``, ``poison_threshold``,
+        *policy* takes the execution-side knobs (``heartbeat_timeout``,
+        ``poison_threshold``,
         ``checkpoint_interval``, ``calib_from_spec``, ``warm_dir``,
         ``backend``) — everything result-shaping comes from *request*.
         """
@@ -307,8 +306,7 @@ def expand_grid(grid: dict) -> CampaignConfig:
     if not isinstance(sup, dict):
         raise bad("'supervision' must be an object")
     extra = set(sup) - {
-        "supervise", "heartbeat_timeout", "poison_threshold",
-        "checkpoint_interval",
+        "heartbeat_timeout", "poison_threshold", "checkpoint_interval",
     }
     if extra:
         raise bad(f"unknown supervision keys {sorted(extra)}")
@@ -350,7 +348,6 @@ def expand_grid(grid: dict) -> CampaignConfig:
         retries=int(grid.get("retries", 0)),
         backoff=float(grid.get("backoff", 0.1)),
         retry_policy=retry,
-        supervise=bool(sup.get("supervise", True)),
         heartbeat_timeout=(
             float(sup["heartbeat_timeout"])
             if sup.get("heartbeat_timeout") is not None else
@@ -511,8 +508,8 @@ class CampaignRunner:
         self.telemetry = telemetry
         self.progress = progress
         # replay-cursor checkpoints: supervised workers receive the dir
-        # explicitly (their out_dir is the null device); the sequential
-        # parent derives it from out_dir when checkpointing is on
+        # explicitly (their out_dir is the null device); the parent
+        # derives it from out_dir when checkpointing is on
         if checkpoint_dir is not None:
             self.checkpoint_dir: Path | None = Path(checkpoint_dir)
         elif config.checkpoint_interval and str(out_dir) != os.devnull:
@@ -622,11 +619,11 @@ class CampaignRunner:
         runs this invocation executes (smoke tests, incremental fills);
         stopping early is reported like an interruption so ``--resume``
         picks up the rest.  *jobs* > 1 fans pending cells across worker
-        processes; every artifact (journal records, ``results.csv``) is
-        identical to a sequential run because outputs are derived from
-        spec order, never completion order.
+        processes (:meth:`run_cells`); every artifact (journal records,
+        ``results.csv``) is identical to a sequential run because
+        outputs are derived from spec order, never completion order.
         """
-        from .parallel import resolve_jobs
+        from .supervisor import resolve_jobs
 
         jobs = resolve_jobs(jobs)
         journal, done = self._open_journal(resume)
@@ -634,32 +631,26 @@ class CampaignRunner:
             1 for rec in done.values() if rec.outcome in TERMINAL_OUTCOMES
         )
         records: dict[str, RunRecord] = dict(done)
-        executed = 0
+        pending = [
+            (index, spec) for index, spec in enumerate(self.config.specs)
+            if spec.run_id not in done
+            or done[spec.run_id].outcome not in TERMINAL_OUTCOMES
+        ]
+        stopped = max_runs is not None and len(pending) > max_runs
+        if stopped:
+            pending = pending[:max_runs]
+        for _, spec in pending:
+            if spec.run_id in done:
+                _log.info("re-running %s (%s last time)",
+                          spec.describe(), done[spec.run_id].outcome)
         interrupted = False
-        stopped = False
         with TRACER.span("campaign", campaign=self.config.name, runs=len(self.config.specs)):
             try:
                 with _signal_trap(self):
-                    if jobs > 1:
-                        executed, stopped = self._execute_parallel(
-                            journal, records, max_runs, jobs
-                        )
-                    else:
-                        for index, spec in enumerate(self.config.specs):
-                            prior = records.get(spec.run_id)
-                            if prior is not None and prior.outcome in TERMINAL_OUTCOMES:
-                                continue  # journaled terminal: already done
-                            if max_runs is not None and executed >= max_runs:
-                                stopped = True
-                                break
-                            if prior is not None:
-                                _log.info(
-                                    "re-running %s (%s last time)",
-                                    spec.describe(), prior.outcome,
-                                )
-                            rec = self.run_one(spec, index)
-                            self._commit(journal, records, spec, rec)
-                            executed += 1
+                    self.run_cells(
+                        pending, jobs,
+                        lambda spec, rec: self._commit(journal, records, spec, rec),
+                    )
             except CampaignInterrupted as exc:
                 interrupted = True
                 journal.append(
@@ -678,7 +669,8 @@ class CampaignRunner:
         report = CampaignReport(
             config=self.config,
             records=records,
-            executed=executed,
+            # cells that journaled a record this invocation
+            executed=sum(1 for rid, rec in records.items() if done.get(rid) is not rec),
             skipped=skipped,
             interrupted=interrupted,
             stopped=stopped,
@@ -690,6 +682,36 @@ class CampaignRunner:
             if self.telemetry:
                 self._write_merged_telemetry()
         return report
+
+    def run_cells(self, cells: list[tuple[int, RunSpec]], jobs: int,
+                  on_record) -> None:
+        """Execute ``(index, spec)`` *cells*; ``on_record(spec, record)``
+        receives every finished record.
+
+        At *jobs* 1 each cell runs inline through :meth:`run_one`, in
+        order.  Above 1 the cells fan across the supervised pool
+        (:func:`~repro.workflow.supervisor.run_supervised`): records
+        arrive in completion order, including the intermediate ``hung``
+        / ``error`` strike records of cells it retries (the last record
+        for a run is its outcome), and poison specs leave their
+        forensics under ``quarantine/`` in the output directory (none
+        when the output directory is the null device).
+        """
+        if jobs <= 1:
+            for index, spec in cells:
+                on_record(spec, self.run_one(spec, index))
+            return
+        from .supervisor import run_supervised
+
+        run_supervised(
+            self.config, cells, jobs, on_record,
+            resolver=self.resolver, sleep=self.sleep,
+            telemetry=self.telemetry,
+            checkpoint_dir=self.checkpoint_dir,
+            quarantine_dir=(None if str(self.out_dir) == os.devnull
+                            else self.out_dir / QUARANTINE_DIR_NAME),
+            inline_run=self.run_one,
+        )
 
     def _commit(self, journal: AtomicJournal, records: dict[str, RunRecord],
                 spec: RunSpec, rec: RunRecord) -> None:
@@ -729,75 +751,6 @@ class CampaignRunner:
         )
         _log.info("merged telemetry timeline written to %s",
                   self.merged_perfetto_path)
-
-    def _execute_parallel(self, journal: AtomicJournal,
-                          records: dict[str, RunRecord],
-                          max_runs: int | None, jobs: int) -> tuple[int, bool]:
-        """Fan pending cells across worker processes.
-
-        Workers rebuild their own runner from the (picklable) config and
-        execute single cells via :meth:`run_one`; the parent
-        journals records as they complete.  Journal *order* may differ
-        from a sequential run, but the record set — and therefore
-        ``results.csv``, which is rebuilt in spec order — is identical:
-        each cell's outcome depends only on its spec and seed.
-        """
-        pending: list[tuple[int, RunSpec]] = []
-        for index, spec in enumerate(self.config.specs):
-            prior = records.get(spec.run_id)
-            if prior is not None and prior.outcome in TERMINAL_OUTCOMES:
-                continue
-            pending.append((index, spec))
-        stopped = False
-        if max_runs is not None and len(pending) > max_runs:
-            pending = pending[:max_runs]
-            stopped = True
-        if not pending:
-            return 0, stopped
-        for _, spec in pending:
-            prior = records.get(spec.run_id)
-            if prior is not None:
-                _log.info("re-running %s (%s last time)", spec.describe(), prior.outcome)
-
-        def on_record(spec: RunSpec, rec: RunRecord) -> None:
-            self._commit(journal, records, spec, rec)
-            if METRICS.enabled:
-                METRICS.counter(
-                    "campaign_runs_total", "campaign runs by outcome"
-                ).inc(outcome=rec.outcome, app=spec.app, mode=spec.mode)
-
-        if self.config.supervise:
-            from .supervisor import run_supervised
-
-            executed = run_supervised(
-                self.config, pending, jobs, on_record,
-                resolver=self.resolver, sleep=self.sleep,
-                telemetry=self.telemetry,
-                checkpoint_dir=(
-                    self.out_dir / CHECKPOINT_DIR_NAME
-                    if self.config.checkpoint_interval else None
-                ),
-                quarantine_dir=self.out_dir / QUARANTINE_DIR_NAME,
-                inline_run=self.run_one,
-            )
-            return executed, stopped
-
-        from .parallel import WorkerPoolError, run_campaign_cells
-
-        try:
-            executed = run_campaign_cells(
-                self.config, pending, jobs, on_record,
-                resolver=self.resolver, sleep=self.sleep,
-                telemetry=self.telemetry,
-            )
-        except WorkerPoolError as exc:
-            in_flight = ", ".join(exc.run_ids) if exc.run_ids else "unknown"
-            raise CampaignError(
-                f"a campaign worker process died unexpectedly ({exc.cause}); "
-                f"runs in flight: {in_flight}; "
-                f"completed runs are journaled — re-run with --resume"
-            ) from None
-        return executed, stopped
 
     def _execute_one(self, spec: RunSpec, index: int) -> RunRecord:
         """One grid cell, optionally captured into a telemetry capsule.
@@ -1018,10 +971,9 @@ class CampaignRunner:
     def run_one(self, spec: RunSpec, index: int = 0) -> RunRecord:
         """Execute one request inline and return its record.
 
-        The public single-run entry point used by the parallel workers,
-        the serving layer's batch callback path and
-        :func:`execute_request`; applies the same budgets, retries and
-        outcome classification as a full campaign.
+        The public single-run entry point used by :meth:`run_cells`, the
+        supervised workers and :func:`execute_request`; applies the same
+        budgets, retries and outcome classification as a full campaign.
         """
         return self._execute_one(spec, index)
 

@@ -1,14 +1,17 @@
 """Supervised execution runtime: heartbeats, hang kills, poison quarantine.
 
-The bare :class:`~concurrent.futures.ProcessPoolExecutor` fan-out in
-:mod:`repro.workflow.parallel` has three failure modes that each take
-down a whole campaign: a worker that *dies* breaks the pool, a worker
-that *wedges* is only caught by the coarse wall budget (or never), and
-a *poison* spec — one whose run reliably kills or hangs its worker —
-turns every retry into another casualty.  This module replaces the
-executor with an explicitly supervised pool of
-:class:`multiprocessing.Process` workers connected by pipes, and turns
-each failure mode into a journaled, bounded, recoverable event:
+The one process pool behind ``--jobs N``: campaign grid cells,
+``repro validate`` sweep points and ``repro serve`` cache-miss batches
+all fan out here (through
+:meth:`~repro.workflow.campaign.CampaignRunner.run_cells`).  A bare
+process pool has three failure modes that each take down a whole
+campaign: a worker that *dies* breaks the pool, a worker that *wedges*
+is only caught by the coarse wall budget (or never), and a *poison*
+spec — one whose run reliably kills or hangs its worker — turns every
+retry into another casualty.  This module runs an explicitly supervised
+pool of :class:`multiprocessing.Process` workers connected by pipes,
+and turns each failure mode into a journaled, bounded, recoverable
+event:
 
 * **Heartbeats.**  Every worker arms the kernel's
   :data:`~repro.sim.heartbeat.HEARTBEAT` emitter per run; the event
@@ -43,6 +46,12 @@ strike that cell (→ quarantine), deaths while idle strike the pool
 (→ degrade).  Cells with strikes are never run in-process after
 degradation — a poison cell would take the parent down — they are
 quarantined instead.
+
+Determinism is the contract (docs/robustness.md): workers rebuild
+programs and calibrations from the picklable config, every run is
+seeded by its spec rather than by execution order, and the parent
+derives every artifact in spec order, so ``--jobs N`` output is
+byte-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -63,7 +73,7 @@ from ..util.atomic_io import atomic_write
 from ..api import RunRequest as RunSpec
 from .campaign import CampaignConfig, RunRecord
 
-__all__ = ["run_supervised", "minimize_poison"]
+__all__ = ["resolve_jobs", "run_supervised", "minimize_poison"]
 
 _log = get_logger("workflow.supervisor")
 
@@ -88,7 +98,30 @@ MINIMIZE_CHECKS = 12
 PROBE_TIMEOUT = 5.0
 
 
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``--jobs`` value: ``None``/``0`` means all cores."""
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs
+
+
 # -- worker side ---------------------------------------------------------------
+
+
+def _quiet_worker() -> None:
+    """Common worker setup: leave interrupts to the parent, and do not
+    accumulate observability state nobody will ever collect."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    except (ValueError, OSError):  # pragma: no cover - exotic platforms
+        pass
+    from ..obs.metrics import METRICS
+    from ..obs.spans import TRACER
+
+    TRACER.disable()
+    METRICS.disable()
 
 
 def _worker_main(conn, config: CampaignConfig, resolver, sleep, telemetry,
@@ -96,12 +129,10 @@ def _worker_main(conn, config: CampaignConfig, resolver, sleep, telemetry,
     """One supervised worker: receive cells, stream heartbeats, ship records.
 
     SIGINT is masked (the parent owns interruption) and observability
-    is quiet, exactly like the bare pool's initializer.  The runner —
-    and with it the expensive calibration/compile state — is built once
-    and reused across cells.
+    is quiet.  The runner — and with it the expensive calibration/compile
+    state — is built once and reused across cells.
     """
     from .campaign import CampaignRunner
-    from .parallel import _quiet_worker
 
     _quiet_worker()
     runner = CampaignRunner(
@@ -468,8 +499,6 @@ def _probe_main(payload: bytes) -> None:
     this probe exists for — hard process death, a wedge — either
     bypass ``except`` entirely or trip the parent's join timeout.
     """
-    from .parallel import _quiet_worker
-
     _quiet_worker()
     try:
         candidate, inputs, nprocs, machine_name, mode, seed = pickle.loads(payload)

@@ -82,9 +82,9 @@ def _run_point(
     """One configuration through all three estimators.
 
     The measured run's seed derives from the point *index*, never from
-    execution order — this is what lets ``validate(..., jobs=N)`` fan
-    points across worker processes and still reproduce the sequential
-    series exactly.
+    execution order — this is what lets ``repro validate --jobs N`` run
+    the points as campaign cells across worker processes and still
+    reproduce the sequential series exactly.
     """
     measured = workflow.run_measured(inputs, nprocs, seed=workflow.seed + 101 + i)
     de = workflow.run_de(inputs, nprocs) if include_de else None
@@ -104,34 +104,14 @@ def validate(
     name: str = "",
     include_de: bool = True,
     labels: list[str] | None = None,
-    jobs: int = 1,
-    spec=None,
 ) -> ValidationSeries:
     """Run all three estimators over *configs* ``[(inputs, nprocs), ...]``.
 
     ``include_de=False`` skips the direct-execution simulator (used when
     its memory demand would be infeasible, as in the paper's largest
     configurations).
-
-    ``jobs > 1`` fans the sweep points across worker processes.  Live
-    workflows are not picklable, so the parallel path additionally needs
-    *spec* — a :class:`repro.workflow.parallel.WorkflowSpec` recipe each
-    worker rebuilds its own workflow from.  Points come back in config
-    order with index-derived seeds, so the series is identical to the
-    sequential one.
     """
-    from .parallel import resolve_jobs, run_validation_points
-
     series = ValidationSeries(name or workflow.program.name)
-    jobs = resolve_jobs(jobs)
-    if jobs > 1 and len(configs) > 1:
-        if spec is None:
-            raise ValueError(
-                "validate(jobs>1) needs a WorkflowSpec recipe: live "
-                "workflows cannot cross process boundaries"
-            )
-        series.points.extend(run_validation_points(spec, configs, include_de, labels, jobs))
-        return series
     for i, (inputs, nprocs) in enumerate(configs):
         series.points.append(
             _run_point(

@@ -184,3 +184,9 @@ def test_api_error_round_trip():
     again = ApiError.from_json(doc, http_status=429)
     assert (again.code, again.retry_after, again.http_status) == \
         ("quota_events", 2.5, 429)
+
+
+def test_runspec_alias_is_the_api_type():
+    from repro.workflow.campaign import RunSpec
+
+    assert RunSpec is RunRequest

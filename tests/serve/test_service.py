@@ -103,6 +103,36 @@ def test_handle_run_single_query_and_cache(service):
     assert second["result"] == first["result"]
 
 
+def test_miss_batch_leaves_only_store_entries(tmp_path, monkeypatch):
+    """A miss batch runs its cells directly: no work directory, no
+    campaign journal, and one store.put per cacheable miss (an
+    ``error`` outcome is returned but never stored)."""
+    store = ResultStore(tmp_path)
+    puts = []
+    real_put = store.put
+    monkeypatch.setattr(store, "put", lambda *a: puts.append(a) or real_put(*a))
+    request = CampaignRequest(
+        name="mixed", machine="IBM-SP", calib_procs=2,
+        runs=(RunRequest(app=APP, mode="de", nprocs=2),
+              RunRequest(app=APP, mode="de", nprocs=4),
+              RunRequest(app="nas_sp", mode="de", nprocs=2)),  # not square
+    )
+    out = SimulationService(store, jobs=1).serve_campaign(request)
+    assert [r.outcome for r in out.results] == ["ok", "ok", "error"]
+    assert sorted(run_id for _, run_id, _ in puts) == \
+        sorted(r.run_id for r in request.runs[:2])
+    assert not (tmp_path / "work").exists()
+    assert not list(tmp_path.rglob("*journal*"))
+
+
+def test_nas_sp_query_defaults_calibration_to_its_own_nprocs(service):
+    """With no calib_procs pinned, calibration follows the campaign rule
+    min(nprocs, 16), so NAS SP (square rank counts only) is servable."""
+    doc = {"run": RunRequest(app="nas_sp", mode="de", nprocs=4).to_json()}
+    out = service.handle_run(doc)
+    assert out["result"]["outcome"] == "ok", out["result"]["error"]
+
+
 def test_handle_campaign_accepts_raw_grid(service):
     grid = {"app": APP, "modes": ["de"], "nprocs": [2], "calib_procs": 2}
     out = service.handle_campaign(dict(grid))

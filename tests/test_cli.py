@@ -640,11 +640,10 @@ class TestSupervisionCli:
 
     def test_campaign_parser_accepts_supervision_flags(self):
         args = build_parser().parse_args(
-            ["campaign", "--grid", "g.json", "--no-supervise",
+            ["campaign", "--grid", "g.json",
              "--heartbeat-timeout", "5", "--poison-threshold", "3",
              "--checkpoint-interval", "100000"]
         )
-        assert args.no_supervise
         assert args.heartbeat_timeout == 5.0
         assert args.poison_threshold == 3
         assert args.checkpoint_interval == 100000

@@ -1,30 +1,27 @@
-"""Tests for the parallel run executor: determinism, interrupts, recovery.
+"""Tests for ``--jobs N``: determinism, interrupts and resume.
 
 The contract under test (docs/robustness.md): ``--jobs N`` may change
 *when* runs execute and in what order records reach the journal, but
 never *what* is computed — ``results.csv`` is byte-identical to a
 sequential run, resumes interoperate freely between jobs settings, and
-a worker crash degrades to an ordinary resumable interruption.
+``repro validate --jobs N`` prints the sequential table.  Worker deaths
+and hangs are covered by ``test_supervisor.py``.
 """
 
 import json
-import os
 import signal
 
 import pytest
 
+import repro.workflow.supervisor as supervisor
+from repro.cli import main
 from repro.workflow.campaign import (
     CampaignError,
     CampaignInterrupted,
     CampaignRunner,
     expand_grid,
 )
-from repro.workflow.parallel import (
-    WorkflowSpec,
-    calibrate_many,
-    resolve_jobs,
-)
-from repro.workflow.validation import validate
+from repro.workflow.supervisor import resolve_jobs
 
 
 def tiny_grid(**overrides):
@@ -43,16 +40,6 @@ def tiny_grid(**overrides):
 def run_campaign(tmp_path, grid=None, sub="out", **execute_kw):
     runner = CampaignRunner(expand_grid(grid or tiny_grid()), tmp_path / sub)
     return runner, runner.execute(**execute_kw)
-
-
-def _crash_cell(index, spec):  # pragma: no cover - runs inside a worker
-    """Submitted in place of parallel._campaign_cell: kills its worker.
-
-    Must be a named module-level function — the pool pickles submitted
-    callables by qualified name, and an unpicklable stand-in would wedge
-    the executor's feeder thread instead of crashing a worker.
-    """
-    os._exit(1)
 
 
 def journal_runs(runner):
@@ -112,12 +99,10 @@ class TestParallelCampaign:
         assert (tmp_path / "out" / "results.csv").read_bytes() == \
                (tmp_path / "ref" / "results.csv").read_bytes()
 
-    def test_interrupt_mid_parallel_then_resume(self, tmp_path):
+    def test_interrupt_mid_parallel_then_resume(self, tmp_path, monkeypatch):
         """An interrupt that lands between completions journals a marker
         and leaves a prefix any later jobs setting can finish."""
-        import repro.workflow.parallel as parallel
-
-        real = parallel.run_campaign_cells
+        real = supervisor.run_supervised
 
         def interrupting(config, pending, jobs, on_record, **kw):
             def wrapped(spec, rec):
@@ -126,14 +111,12 @@ class TestParallelCampaign:
 
             return real(config, pending, jobs, wrapped, **kw)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(parallel, "run_campaign_cells", interrupting)
-            runner = CampaignRunner(
-                expand_grid(tiny_grid(supervision={"supervise": False})),
-                tmp_path / "out",
-            )
-            report = runner.execute(jobs=4)
+        monkeypatch.setattr(supervisor, "run_supervised", interrupting)
+        runner = CampaignRunner(expand_grid(tiny_grid()), tmp_path / "out")
+        report = runner.execute(jobs=4)
+        monkeypatch.undo()
         assert report.interrupted and not report.complete
+        assert report.executed == 1
         docs = [json.loads(line) for line in
                 runner.journal_path.read_text().splitlines()]
         assert docs[-1]["type"] == "interrupted"
@@ -145,81 +128,45 @@ class TestParallelCampaign:
         assert (tmp_path / "out" / "results.csv").read_bytes() == \
                (tmp_path / "ref" / "results.csv").read_bytes()
 
-    def test_worker_crash_is_resumable_campaign_error(self, tmp_path):
-        """On the unsupervised pool, a dead worker surfaces as a
-        CampaignError advising --resume — naming the in-flight run ids —
-        not a raw BrokenProcessPool traceback; the journal stays usable."""
-        import repro.workflow.parallel as parallel
-
-        config = expand_grid(tiny_grid(supervision={"supervise": False}))
-        runner = CampaignRunner(config, tmp_path / "out")
-        with pytest.MonkeyPatch.context() as mp:
-            # every worker dies before completing a cell
-            mp.setattr(parallel, "_campaign_cell", _crash_cell)
-            with pytest.raises(CampaignError, match="--resume") as exc_info:
-                runner.execute(jobs=2)
-        # the one-line error names the abandoned cells by run id
-        assert "runs in flight" in str(exc_info.value)
-        assert any(s.run_id in str(exc_info.value) for s in config.specs)
-        resumed = runner.execute(resume=True, jobs=2)
-        assert resumed.complete
-        _, ref = run_campaign(tmp_path, sub="ref", jobs=1)
-        assert (tmp_path / "out" / "results.csv").read_bytes() == \
-               (tmp_path / "ref" / "results.csv").read_bytes()
-
     def test_jobs_one_uses_sequential_path(self, tmp_path, monkeypatch):
         """jobs=1 must not pay process-pool overhead (and must keep
         working where multiprocessing is unavailable)."""
-        import repro.workflow.parallel as parallel
 
         def boom(*a, **kw):  # pragma: no cover - failure path
-            raise AssertionError("jobs=1 must not enter the parallel executor")
+            raise AssertionError("jobs=1 must not enter the supervised pool")
 
-        monkeypatch.setattr(parallel, "run_campaign_cells", boom)
+        monkeypatch.setattr(supervisor, "run_supervised", boom)
         _, report = run_campaign(tmp_path, jobs=1)
         assert report.complete
 
+    def test_supervise_key_is_rejected(self):
+        with pytest.raises(CampaignError, match="unknown supervision keys"):
+            expand_grid(tiny_grid(supervision={"supervise": False}))
 
-SPEC = WorkflowSpec(
-    app="sample_nearest_neighbor", machine="testing", calib_nprocs=4,
-    overrides=(("grain", 1000), ("iters", 2), ("msg", 512)), seed=0,
-)
-CONFIGS = [({"grain": 1000, "msg": 512, "iters": 2}, p) for p in (2, 3, 4)]
+
+VALIDATE = ["validate", "sample_nearest_neighbor", "--procs", "2", "3", "4",
+            "--machine", "testing", "--set", "iters=2"]
+
+
+def validate_output(capsys, *flags):
+    assert main(VALIDATE + list(flags)) == 0
+    return capsys.readouterr().out
 
 
 class TestParallelValidation:
-    def test_series_identical_to_sequential(self):
-        seq = validate(SPEC.build(), CONFIGS, name="x")
-        par = validate(SPEC.build(), CONFIGS, name="x", jobs=4, spec=SPEC)
-        assert [(p.label, p.nprocs, p.measured, p.de, p.am) for p in seq.points] == \
-               [(p.label, p.nprocs, p.measured, p.de, p.am) for p in par.points]
+    """``repro validate --jobs N`` runs its points as campaign cells on
+    the supervised pool and prints exactly the sequential table."""
 
-    def test_labels_and_no_de_respected(self):
-        labels = ["a", "b", "c"]
-        par = validate(SPEC.build(), CONFIGS, jobs=4, spec=SPEC,
-                       include_de=False, labels=labels)
-        assert [p.label for p in par.points] == labels
-        assert all(p.de is None for p in par.points)
+    def test_series_identical_to_sequential(self, capsys):
+        seq = validate_output(capsys, "--jobs", "1")
+        par = validate_output(capsys, "--jobs", "2")
+        assert par == seq
+        assert "MPI-SIM-DE" in seq
 
-    def test_parallel_without_spec_rejected(self):
-        with pytest.raises(ValueError, match="WorkflowSpec"):
-            validate(SPEC.build(), CONFIGS, jobs=4)
-
-    def test_unknown_app_in_spec(self):
-        bad = WorkflowSpec(app="nope", machine="testing", calib_nprocs=4)
-        with pytest.raises(ValueError, match="unknown app"):
-            bad.build()
-
-
-class TestCalibrateMany:
-    def test_parallel_matches_sequential(self):
-        seq = calibrate_many(SPEC, seeds=[0, 1, 2], jobs=1)
-        par = calibrate_many(SPEC, seeds=[0, 1, 2], jobs=3)
-        assert seq == par
-        assert [c["seed"] for c in par] == [0, 1, 2]
-
-    def test_seed_zero_is_reference_calibration(self):
-        wf = SPEC.build()
-        wf.calibrate()
-        reps = calibrate_many(SPEC, seeds=[0], jobs=2)  # single seed: inline
-        assert reps[0]["wparams"] == wf.wparams
+    def test_labels_and_no_de_respected(self, capsys):
+        seq = validate_output(capsys, "--jobs", "1", "--no-de")
+        par = validate_output(capsys, "--jobs", "2", "--no-de")
+        assert par == seq
+        rows = [line.split() for line in par.splitlines()[3:6]]
+        assert [row[0] for row in rows] == ["2", "3", "4"]
+        assert all(row[2] == "-" for row in rows)  # no DE column values

@@ -45,9 +45,7 @@ def journal_docs(runner):
 
 def _sigint_probe(conn):  # pragma: no cover - runs in a child process
     """Satellite regression: a quieted worker must survive its own SIGINT."""
-    from repro.workflow.parallel import _quiet_worker
-
-    _quiet_worker()
+    supervisor._quiet_worker()
     os.kill(os.getpid(), signal.SIGINT)
     conn.send("alive")
     conn.close()

@@ -7,7 +7,9 @@ campaign grid twice, and demands:
 * pass 1 executes every cell (all misses);
 * pass 2 is served entirely from the content-addressed store — 100%
   hits, zero simulator events, byte-identical result documents;
-* a single ``repro query`` against the warm server is a cache hit;
+* a single ``repro query`` against the warm server is a cache hit
+  (grid and query both leave ``calib_procs`` at its default, so they
+  share one execution context);
 * SIGTERM produces a clean drain: exit code 0, "shutdown complete" on
   stdout, and no orphan processes holding the store.
 
@@ -30,7 +32,6 @@ GRID = {
     "app": "sample_nearest_neighbor",
     "modes": ["de"],
     "nprocs": [2, 4, 8],
-    "calib_procs": 2,
 }
 
 
