@@ -15,17 +15,20 @@ Sweep3D AM run — on **both** simulation kernels:
   (:mod:`repro.kernel`), measured on IR-built equivalents of the micro
   workloads (the compiled backend lowers IR programs, not raw Python
   generators — which is also the interesting case: ``backend="auto"``
-  falls back to interpreted for raw factories).
+  falls back to interpreted for raw factories);
+* ``compiled_armed`` — the compiled loop again, with the flight recorder
+  and heartbeat armed as a supervised campaign worker arms them: the
+  cost of observability on the path production runs take.
 
 Each backend takes the best of ``--reps`` repetitions (the best is the
 least-noisy estimator of kernel cost on shared CI runners), a fresh
 ``BENCH_kernel.json`` artifact is written, and the check exits non-zero
-when either backend drops more than its tolerance below the committed
+when any backend drops more than its tolerance below the committed
 baseline at the repo root (``--tolerance`` for interpreted,
-``--compiled-tolerance`` for compiled, both default 30%).  Before
-timing, each IR workload is run once on both backends and the per-rank
-statistics must be byte-identical — a perf number for a kernel that
-diverges is meaningless.
+``--compiled-tolerance`` for both compiled columns, default 30%).
+Before timing, each IR workload is run once on both backends and the
+per-rank statistics must be byte-identical — a perf number for a kernel
+that diverges is meaningless.
 
 Every invocation also *appends* one timestamped record per workload and
 backend to ``--history`` (default ``BENCH_history.jsonl``,
@@ -37,7 +40,8 @@ The committed baseline records three generations per workload, so every
 claimed speedup stays auditable: ``pre`` (before the interpreter
 fast-path work), ``post`` (after), and ``compiled`` (the lowered
 backend).  ``compiled_events_per_sec / post_events_per_sec`` is the
-compiled backend's claimed factor.
+compiled backend's claimed factor; ``compiled_armed_events_per_sec /
+compiled_events_per_sec`` is what arming observability leaves of it.
 """
 
 from __future__ import annotations
@@ -58,8 +62,11 @@ from repro.ir import make_factory  # noqa: E402
 from repro.ir.builder import P, ProgramBuilder, myid  # noqa: E402
 from repro.machine import IBM_SP, TESTING_MACHINE  # noqa: E402
 from repro.sim import ExecMode, Simulator  # noqa: E402
+from repro.sim.flightrec import FLIGHT  # noqa: E402
+from repro.sim.heartbeat import HEARTBEAT  # noqa: E402
 from repro.symbolic import Var  # noqa: E402
 from repro.util.atomic_io import append_jsonl  # noqa: E402
+from repro.workflow.supervisor import HB_INTERVAL_EVENTS, HB_MIN_INTERVAL_S  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_kernel.json"
 HISTORY_PATH = REPO_ROOT / "BENCH_history.jsonl"
@@ -183,16 +190,33 @@ def check_identity(label: str) -> None:
         )
 
 
+def _arm() -> None:
+    """Arm the flight recorder and heartbeat as a supervised worker does."""
+    FLIGHT.enable()
+    HEARTBEAT.configure(lambda cursor: None, interval_events=HB_INTERVAL_EVENTS,
+                        min_interval_s=HB_MIN_INTERVAL_S, run_id="perf-smoke")
+    HEARTBEAT.enable()
+
+
 def measure(label: str, backend: str, reps: int) -> dict:
-    """Best-of-*reps* events/sec for one workload on one backend."""
-    make_sim = WORKLOADS[label][backend]()  # one-time setup (lowering etc.) excluded
+    """Best-of-*reps* events/sec for one workload on one backend
+    (``compiled_armed``: the compiled backend with observability armed)."""
+    armed = backend == "compiled_armed"
+    # one-time setup (lowering etc.) excluded
+    make_sim = WORKLOADS[label]["compiled" if armed else backend]()
     best = float("inf")
     events = 0
     for _ in range(reps):
         sim = make_sim()
-        t0 = time.perf_counter()
-        stats = sim.run().stats
-        dt = time.perf_counter() - t0
+        if armed:
+            _arm()
+        try:
+            t0 = time.perf_counter()
+            stats = sim.run().stats
+            dt = time.perf_counter() - t0
+        finally:
+            HEARTBEAT.disable()
+            FLIGHT.disable()
         best = min(best, dt)
         events = stats.total_events
     return {
@@ -219,8 +243,8 @@ def main(argv=None) -> int:
                     help="allowed fractional drop below the interpreted "
                          "baseline (default 0.30)")
     ap.add_argument("--compiled-tolerance", type=float, default=0.30,
-                    help="allowed fractional drop below the compiled "
-                         "baseline (default 0.30)")
+                    help="allowed fractional drop below the compiled and "
+                         "armed-compiled baselines (default 0.30)")
     args = ap.parse_args(argv)
 
     baseline = json.loads(Path(args.baseline).read_text())
@@ -228,8 +252,8 @@ def main(argv=None) -> int:
         check_identity(label)
     results = {
         label: {
-            "interpreted": measure(label, "interpreted", args.reps),
-            "compiled": measure(label, "compiled", args.reps),
+            backend: measure(label, backend, args.reps)
+            for backend in ("interpreted", "compiled", "compiled_armed")
         }
         for label in WORKLOADS
     }
@@ -243,6 +267,7 @@ def main(argv=None) -> int:
                 "events": r["interpreted"]["events"],
                 "events_per_sec": r["interpreted"]["events_per_sec"],
                 "compiled_events_per_sec": r["compiled"]["events_per_sec"],
+                "compiled_armed_events_per_sec": r["compiled_armed"]["events_per_sec"],
                 "compiled_speedup": round(
                     r["compiled"]["events_per_sec"]
                     / r["interpreted"]["events_per_sec"], 2),
@@ -263,12 +288,13 @@ def main(argv=None) -> int:
                 })
 
     failed = False
-    print(f"{'workload':24s} {'backend':12s} {'baseline':>10s} "
+    print(f"{'workload':24s} {'backend':14s} {'baseline':>10s} "
           f"{'measured':>10s} {'ratio':>7s}")
     for label, per_backend in results.items():
         gates = (
             ("interpreted", "post_events_per_sec", args.tolerance),
             ("compiled", "compiled_events_per_sec", args.compiled_tolerance),
+            ("compiled_armed", "compiled_armed_events_per_sec", args.compiled_tolerance),
         )
         for backend, key, tolerance in gates:
             base = baseline["workloads"][label][key]
@@ -278,7 +304,7 @@ def main(argv=None) -> int:
             if ratio < 1.0 - tolerance:
                 flag = "  REGRESSION"
                 failed = True
-            print(f"{label:24s} {backend:12s} {base:>10d} {measured:>10d} "
+            print(f"{label:24s} {backend:14s} {base:>10d} {measured:>10d} "
                   f"{ratio:>6.2f}x{flag}")
     if failed:
         print(

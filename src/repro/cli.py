@@ -1151,9 +1151,9 @@ def cmd_profile(args) -> int:
 
     backend_lines = []
     if args.backend in ("compiled", "auto"):
-        # One untraced run with observability off: the only state the
-        # fast bucket-queue runtime engages in, so its wave/cache
-        # counters (reset first) describe exactly this profile.
+        # One untraced run: trace collection is engine-only, so the
+        # traced run above interpreted; this one takes the compiled
+        # runtime, and its wave/cache counters (reset first) describe it.
         import time as _time
 
         from .kernel import cache_stats, clear_cache

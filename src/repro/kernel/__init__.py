@@ -2,18 +2,21 @@
 
 ``repro.kernel.lower`` turns a validated IR program into a generated
 Python module (content-addressed by the SHA-256 of its printed IR) with
-two entry points: a request-yielding generator byte-compatible with the
-interpreter, and a flat fast-mode state machine consumed by
-``repro.kernel.runtime``'s bucket-queue event loop.
+one entry point, ``fast_gen``: a flat per-rank state machine that
+``repro.kernel.runtime``'s bucket-queue event loop drives, bare or with
+the heartbeat, checkpoint, budget and flight-recorder hooks armed.
 ``repro.kernel.vectorize`` batch-evaluates AM ``delay()`` amounts in
 NumPy — per loop entry, or across all ranks at once for SPMD sites
 fixed at program start.
 
 Select it per run with ``Simulator(..., backend="compiled")`` (or
 ``"auto"``, which falls back per-program on unsupported constructs).
+Runs with a fault plan, a timeout or trace collection interpret the
+program on the engine under either.
 """
 
 from .lower import (
+    KERNEL_FORMAT,
     CompiledKernel,
     UnsupportedConstructError,
     cache_stats,
@@ -29,6 +32,7 @@ from .lower import (
 from .runtime import run_fast
 
 __all__ = [
+    "KERNEL_FORMAT",
     "CompiledKernel",
     "UnsupportedConstructError",
     "cache_stats",

@@ -4,21 +4,23 @@ The interpreted kernel (:mod:`repro.ir.interp`) walks the statement tree
 once per rank per run, paying a generator suspension plus a tree dispatch
 per statement.  This pass walks the tree **once per program** instead and
 emits flat Python source — one module per program, content-addressed by
-the SHA-256 of its printed IR — with two entry points:
-
-``request_gen(rank, size, inputs, wparams)``
-    A drop-in replacement for the interpreter's per-rank generator: it
-    yields the same :mod:`repro.sim.requests` objects in the same order
-    with the same values, so every engine feature (tracing, faults,
-    budgets, supervision, MEASURED mode) works unchanged and the results
-    are byte-identical by construction.
+the SHA-256 of its printed IR — with one entry point:
 
 ``fast_gen(rank, size, inputs, wparams, rt, st, wv)``
-    The perf variant consumed by :mod:`repro.kernel.runtime`: compute,
-    delay and timer requests are folded into inline clock arithmetic and
-    only communication points yield (small tuples, not request objects).
-    Shared-state flushes keep per-rank stats accumulation in exactly the
-    engine's floating-point order.
+    The per-rank state machine :mod:`repro.kernel.runtime` drives.
+    Compute, delay and timer requests fold into inline clock arithmetic
+    and only communication points yield (small tuples, not request
+    objects).  The generator first stops at a bare ``yield``; the
+    runtime's priming resume sends it the start time.  At every yield it
+    flushes its clock, event count, compute time and host cost to ``st``,
+    which keeps per-rank stats in exactly the engine's floating-point
+    order and exact between events (budget trips and checkpoint cursors
+    read them mid-run).
+
+Fault plans, timeouts and event traces are engine-only: a run that
+needs one interprets the program instead (see
+:class:`repro.sim.engine.Simulator`).  The module embeds
+:data:`KERNEL_FORMAT`; a stored module of another format is re-lowered.
 
 Anything the emitter cannot reproduce bit-for-bit raises
 :class:`UnsupportedConstructError`; ``backend="auto"`` catches it and
@@ -78,6 +80,7 @@ from ..symbolic.extended import Cond, Sum
 from . import vectorize
 
 __all__ = [
+    "KERNEL_FORMAT",
     "UnsupportedConstructError",
     "CompiledKernel",
     "program_fingerprint",
@@ -91,6 +94,9 @@ __all__ = [
 ]
 
 log = get_logger("kernel.lower")
+
+#: generated-module format (bump whenever the emitted code changes shape)
+KERNEL_FORMAT = 2
 
 
 class UnsupportedConstructError(Exception):
@@ -127,9 +133,9 @@ def _count(name: str, amount: float = 1) -> None:
 
 
 def record_fallback(program_name: str, reason: str) -> None:
-    """Log and count one auto-mode fallback to the interpreted kernel."""
+    """Log and count one run that falls back to the interpreted kernel."""
     _count("fallbacks")
-    log.info("backend=auto: %s falls back to interpreted kernel: %s", program_name, reason)
+    log.info("%s falls back to the interpreted kernel: %s", program_name, reason)
 
 
 def cache_stats() -> dict:
@@ -158,7 +164,7 @@ def program_fingerprint(program: Program) -> str:
 
 @dataclass
 class CompiledKernel:
-    """A lowered program: generated source plus its executable entry points."""
+    """A lowered program: generated source plus its executable entry point."""
 
     program_name: str
     fingerprint: str
@@ -167,10 +173,6 @@ class CompiledKernel:
     vector_sites: int
     static_sites: int
     _ns: dict = field(repr=False, default_factory=dict)
-
-    @property
-    def request_gen(self):
-        return self._ns["request_gen"]
 
     @property
     def fast_gen(self):
@@ -238,7 +240,9 @@ def load_kernel_source(source: str) -> CompiledKernel:
     """Warm-load a previously generated module (from the result store).
 
     The module carries its own ``PROGRAM``/``FINGERPRINT`` constants, so a
-    warm load skips lowering entirely and seeds the in-process cache.
+    warm load skips lowering entirely and seeds the in-process cache.  A
+    module of another :data:`KERNEL_FORMAT` is refused, so the caller
+    re-lowers it.
     """
     probe: dict = {}
     try:
@@ -247,8 +251,13 @@ def load_kernel_source(source: str) -> CompiledKernel:
         raise UnsupportedConstructError(f"stored kernel module failed to load: {exc}") from exc
     fp = probe.get("FINGERPRINT")
     name = probe.get("PROGRAM")
-    if not isinstance(fp, str) or not isinstance(name, str) or "request_gen" not in probe:
-        raise UnsupportedConstructError("stored kernel module lacks kernel entry points")
+    if not isinstance(fp, str) or not isinstance(name, str) or "fast_gen" not in probe:
+        raise UnsupportedConstructError("stored kernel module lacks its entry point")
+    if probe.get("KERNEL_FORMAT") != KERNEL_FORMAT:
+        raise UnsupportedConstructError(
+            f"stored kernel module has format {probe.get('KERNEL_FORMAT')!r}, "
+            f"not {KERNEL_FORMAT}"
+        )
     kernel = CompiledKernel(
         program_name=name,
         fingerprint=fp,
@@ -378,10 +387,8 @@ from repro.sim.requests import (
     Delay,
     Irecv,
     Isend,
-    Now,
     Recv,
     Send,
-    Wait,
 )
 from repro.symbolic.expr import CeilDiv as _CeilDiv, FloorDiv as _FloorDiv
 
@@ -389,18 +396,15 @@ _fd = _FloorDiv._apply
 _cd = _CeilDiv._apply
 _INF = math.inf
 _UNSET = object()
-_NOW_T = Now(charge_timer=True)
-_R_sum = lambda a, b: a + b
-_R_max = max
-_R_min = min
 
+KERNEL_FORMAT = {format}
 PROGRAM = {name!r}
 FINGERPRINT = "__FINGERPRINT__"
 '''
 
 
 class _Lowerer:
-    """Walks a validated program twice, emitting both generator variants."""
+    """Walks a validated program once, emitting its ``fast_gen``."""
 
     def __init__(self, program: Program):
         self.program = program
@@ -452,9 +456,8 @@ class _Lowerer:
 
     def emit_module(self) -> str:
         prog = self.program
-        req_lines = self._emit_gen("req")
-        fast_lines = self._emit_gen("fast")
-        parts = [_PREAMBLE.format(name=prog.name)]
+        fast_lines = self._emit_gen()
+        parts = [_PREAMBLE.format(name=prog.name, format=KERNEL_FORMAT)]
         parts.append("")
         parts.extend(self.helper_lines)
         parts.append(f"VECTOR_SITES = {self.vector_site_count}")
@@ -466,29 +469,24 @@ class _Lowerer:
         else:
             parts.append("STATIC_SITES = ()")
         parts.append("")
-        parts.append("def request_gen(rank, size, inputs, wparams):")
-        parts.extend(req_lines)
-        parts.append("")
         parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st, _wv):")
         parts.extend(fast_lines)
         parts.append("")
         return "\n".join(parts)
 
-    def _emit_gen(self, mode: str) -> list[str]:
+    def _emit_gen(self) -> list[str]:
         prog = self.program
         w = _Writer()
-        w.line("if False:")
-        w.line("    yield None  # ensures a generator even for yield-free bodies")
-        if mode == "fast":
-            w.line("_tt, _CHF, _EVOH, _DHC, _TIC = _rt")
-            w.line("clock = 0.0")
-            w.line("ev = 0")
-            w.line("ct = 0.0")
-            w.line("hc = 0.0")
-            # handle ids are assigned in program order on both sides, so
-            # the generator mirrors the runtime's per-rank counter and
-            # never needs the id sent back through the resume value
-            w.line("_hid = 0")
+        w.line("_tt, _CHF, _EVOH, _DHC, _TIC = _rt")
+        w.line("ev = 0")
+        w.line("ct = 0.0")
+        w.line("hc = 0.0")
+        # handle ids are assigned in program order on both sides, so the
+        # generator mirrors the runtime's per-rank counter and never
+        # needs the id sent back through the resume value
+        w.line("_hid = 0")
+        # the engine's priming resume: nothing runs before the first event
+        w.line("clock = yield")
         # Interpreter order: env = dict(inputs), then builtins overwrite.
         for name in prog.params:
             w.line(f"{_mangle(name)} = inputs[{name!r}]")
@@ -516,19 +514,10 @@ class _Lowerer:
             )
             w.line(f"_nb = _n * {decl.itemsize!r}")
             w.line(f"_sz[{decl.name!r}] = _nb")
-            if mode == "req":
-                w.line(f"yield Alloc({decl.name!r}, _nb)")
-            else:
-                self._fast_alloc_yield(w, decl.name)
+            self._emit_yield(w, f"(7, clock, {decl.name!r}, _nb)")
         for stmt in prog.body:
-            self._emit_stmt(w, stmt, mode, depth=0)
-        if mode == "fast":
-            w.line("_st[0] = clock")
-            w.line("_st[1] = ev")
-            w.line("_st[2] = ct")
-            w.line("_st[4] = hc")
-        else:
-            w.line("return")
+            self._emit_stmt(w, stmt, depth=0)
+        self._flush(w)
         return w.lines
 
     def _collect_ws_names(self, prog: Program) -> list[str]:
@@ -538,29 +527,33 @@ class _Lowerer:
                 names.append(self._ws_name(stmt.sid))
         return names
 
-    # -- fast-mode plumbing ------------------------------------------------
+    # -- yield plumbing ----------------------------------------------------
 
-    def _fast_flush(self, w: "_Writer") -> None:
-        # Only the cells the runtime reads mid-run: clock (deadlock
-        # diagnosis) and host_cost (shared accumulator — the runtime
-        # adds message costs between yields, so the float order of
-        # engine accumulation survives).  events/compute_time are
-        # generator-only and flush once at body end.
+    def _flush(self, w: "_Writer") -> None:
+        # Every per-rank cell, so stats are exact between any two events
+        # (partial stats of a tripped budget, checkpoint cursors).
+        # host_cost is shared: the runtime adds message costs between
+        # yields, so the float order of engine accumulation survives.
         w.line("_st[0] = clock")
+        w.line("_st[1] = ev")
+        w.line("_st[2] = ct")
         w.line("_st[4] = hc")
 
-    def _fast_alloc_yield(self, w: "_Writer", name: str) -> None:
-        # Engine processes Alloc inline inside _resume; the fast runtime
-        # does the same in its step loop, so this round-trips without an
-        # event-queue hop.  Memory errors surface from the runtime.
+    def _emit_yield(self, w: "_Writer", op: str, target: str = "clock") -> None:
+        """One yield to the runtime: count it, flush, suspend, reload.
+
+        An Alloc (op 7) round-trips without an event-queue hop, as the
+        engine's ``_resume`` handles it inline; memory errors surface
+        from the runtime.
+        """
         w.line("ev += 1")
-        self._fast_flush(w)
-        w.line(f"clock = yield (7, clock, {name!r}, _nb)")
+        self._flush(w)
+        w.line(f"{target} = yield {op}")
         w.line("hc = _st[4]")
 
     # -- statement dispatch ------------------------------------------------
 
-    def _emit_stmt(self, w: "_Writer", stmt, mode: str, depth: int) -> None:
+    def _emit_stmt(self, w: "_Writer", stmt, depth: int) -> None:
         ty = type(stmt)
         if ty is Assign:
             self._check_expr_reads(stmt.expr)
@@ -573,10 +566,10 @@ class _Lowerer:
                     self._known[stmt.var] = "derived"
             return
         if ty is CompBlock:
-            self._emit_comp(w, stmt, mode)
+            self._emit_comp(w, stmt)
             return
         if ty is For:
-            self._emit_for(w, stmt, mode, depth)
+            self._emit_for(w, stmt, depth)
             return
         if ty is If:
             bad = stmt.cond.free_vars() & self.handle_vars
@@ -588,46 +581,37 @@ class _Lowerer:
             if stmt.then:
                 with w.indented():
                     for s in stmt.then:
-                        self._emit_stmt(w, s, mode, depth + 1)
+                        self._emit_stmt(w, s, depth + 1)
             else:
                 w.line("    pass")
             if stmt.orelse:
                 w.line("else:")
                 with w.indented():
                     for s in stmt.orelse:
-                        self._emit_stmt(w, s, mode, depth + 1)
+                        self._emit_stmt(w, s, depth + 1)
             return
-        if ty is SendStmt:
-            self._emit_send(w, stmt, mode, blocking=True)
+        if ty is SendStmt or ty is IsendStmt:
+            self._emit_send(w, stmt, blocking=ty is SendStmt)
             return
-        if ty is RecvStmt:
-            self._emit_recv(w, stmt, mode, blocking=True)
-            return
-        if ty is IsendStmt:
-            self._emit_send(w, stmt, mode, blocking=False)
-            return
-        if ty is IrecvStmt:
-            self._emit_recv(w, stmt, mode, blocking=False)
+        if ty is RecvStmt or ty is IrecvStmt:
+            self._emit_recv(w, stmt, blocking=ty is RecvStmt)
             return
         if ty is WaitAllStmt:
-            self._emit_wait(w, stmt, mode)
+            self._emit_wait(w, stmt)
             return
         if ty is CollectiveStmt:
-            self._emit_collective(w, stmt, mode)
+            self._emit_collective(w, stmt)
             return
         if ty is DelayStmt:
-            self._emit_delay(w, stmt, mode)
+            self._emit_delay(w, stmt)
             return
         if ty is ReadParams:
-            self._emit_read_params(w, stmt, mode, depth)
+            self._emit_read_params(w, stmt, depth)
             return
         if ty is StartTimer:
-            if mode == "req":
-                w.line(f"_tm[{stmt.task!r}] = yield _NOW_T")
-            else:
-                w.line("clock += _TIC")
-                w.line("ev += 1")
-                w.line(f"_tm[{stmt.task!r}] = clock")
+            w.line("clock += _TIC")
+            w.line("ev += 1")
+            w.line(f"_tm[{stmt.task!r}] = clock")
             return
         if ty is StopTimer:
             w.line("try:")
@@ -637,21 +621,15 @@ class _Lowerer:
                 f'    raise InterpreterError("timer_stop({stmt.task!r}) '
                 'without timer_start") from None'
             )
-            if mode == "req":
-                w.line("_t1 = yield _NOW_T")
-            else:
-                w.line("clock += _TIC")
-                w.line("ev += 1")
+            w.line("clock += _TIC")
+            w.line("ev += 1")
             return
         if ty is AllocStmt:
             self._check_expr_reads(stmt.nbytes)
             w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
-            if mode == "req":
-                w.line(f"yield Alloc({stmt.name!r}, _nb)")
-            else:
-                w.line("if _nb < 0:")
-                w.line(f"    Alloc({stmt.name!r}, _nb)")
-                self._fast_alloc_yield(w, stmt.name)
+            w.line("if _nb < 0:")
+            w.line(f"    Alloc({stmt.name!r}, _nb)")
+            self._emit_yield(w, f"(7, clock, {stmt.name!r}, _nb)")
             w.line(f"_sz[{stmt.name!r}] = _nb")
             return
         if ty is ArrayAssign:
@@ -662,7 +640,7 @@ class _Lowerer:
 
     # -- individual statements ---------------------------------------------
 
-    def _emit_comp(self, w: "_Writer", stmt: CompBlock, mode: str) -> None:
+    def _emit_comp(self, w: "_Writer", stmt: CompBlock) -> None:
         if stmt.kernel is not None:
             raise UnsupportedConstructError(
                 f"comp block {stmt.name!r} carries a Python kernel callable"
@@ -687,94 +665,54 @@ class _Lowerer:
                     )
                 else:
                     w.line(f"{ws} = 0.0")
-            if mode == "req":
-                w.line(
-                    f"yield Compute(ops=_w * {stmt.ops_per_iter!r}, "
-                    f"working_set_bytes={ws}, task={stmt.name!r})"
-                )
-            else:
-                w.line(f"_ops = _w * {stmt.ops_per_iter!r}")
-                w.line(f"if 0 <= _ops < _INF and 0 <= {ws} < _INF:")
-                with w.indented():
-                    w.line(f"_dt = _tt(_ops, {ws})")
-                    w.line("clock += _dt")
-                    w.line("ct += _dt")
-                    w.line("hc += _ops * _CHF + _EVOH")
-                    w.line("ev += 1")
-                w.line("else:")
-                w.line(f"    Compute(ops=_ops, working_set_bytes={ws}, task={stmt.name!r})")
+            w.line(f"_ops = _w * {stmt.ops_per_iter!r}")
+            w.line(f"if 0 <= _ops < _INF and 0 <= {ws} < _INF:")
+            with w.indented():
+                w.line(f"_dt = _tt(_ops, {ws})")
+                w.line("clock += _dt")
+                w.line("ct += _dt")
+                w.line("hc += _ops * _CHF + _EVOH")
+                w.line("ev += 1")
+            w.line("else:")
+            w.line(f"    Compute(ops=_ops, working_set_bytes={ws}, task={stmt.name!r})")
 
-    def _emit_send(self, w: "_Writer", stmt, mode: str, blocking: bool) -> None:
+    def _emit_send(self, w: "_Writer", stmt, blocking: bool) -> None:
         self._check_expr_reads(stmt.dest, stmt.nbytes)
         w.line(f"_d = int({_emit_expr(stmt.dest)})")
         w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
         tag = int(stmt.tag)
-        if mode == "req":
-            if blocking:
-                w.line(f"yield Send(dest=_d, nbytes=_nb, tag={tag!r})")
-            else:
-                w.line(
-                    f"{_mangle(stmt.handle_var)} = "
-                    f"yield Isend(dest=_d, nbytes=_nb, tag={tag!r})"
-                )
-            return
         w.line("if _d < 0 or not (0 <= _nb < _INF):")
         cls = "Send" if blocking else "Isend"
         w.line(f"    {cls}(dest=_d, nbytes=_nb, tag={tag!r})")
-        w.line("ev += 1")
-        self._fast_flush(w)
-        if blocking:
-            w.line(f"clock = yield (1, clock, _d, _nb, {tag!r})")
-        else:
+        if not blocking:
             w.line("_hid += 1")
             w.line(f"{_mangle(stmt.handle_var)} = _hid")
-            w.line(f"clock = yield (3, clock, _d, _nb, {tag!r})")
-        w.line("hc = _st[4]")
+        self._emit_yield(w, f"({1 if blocking else 3}, clock, _d, _nb, {tag!r})")
 
-    def _emit_recv(self, w: "_Writer", stmt, mode: str, blocking: bool) -> None:
+    def _emit_recv(self, w: "_Writer", stmt, blocking: bool) -> None:
         self._check_expr_reads(stmt.source, stmt.nbytes)
         w.line(f"_s = int({_emit_expr(stmt.source)})")
         w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
         tag = int(stmt.tag)
-        if mode == "req":
-            if blocking:
-                w.line(f"yield Recv(source=_s, tag={tag!r}, nbytes_hint=_nb)")
-            else:
-                w.line(
-                    f"{_mangle(stmt.handle_var)} = "
-                    f"yield Irecv(source=_s, tag={tag!r}, nbytes_hint=_nb)"
-                )
-            return
         w.line("if _s < 0 and _s != -1:")
         cls = "Recv" if blocking else "Irecv"
         w.line(f"    {cls}(source=_s, tag={tag!r}, nbytes_hint=_nb)")
-        w.line("ev += 1")
-        self._fast_flush(w)
-        if blocking:
-            w.line(f"clock = yield (2, clock, _s, {tag!r})")
-        else:
+        if not blocking:
             w.line("_hid += 1")
             w.line(f"{_mangle(stmt.handle_var)} = _hid")
-            w.line(f"clock = yield (4, clock, _s, {tag!r})")
-        w.line("hc = _st[4]")
+        self._emit_yield(w, f"({2 if blocking else 4}, clock, _s, {tag!r})")
 
-    def _emit_wait(self, w: "_Writer", stmt: WaitAllStmt, mode: str) -> None:
+    def _emit_wait(self, w: "_Writer", stmt: WaitAllStmt) -> None:
         names = ", ".join(_mangle(v) for v in stmt.handle_vars)
         trail = "," if len(stmt.handle_vars) == 1 else ""
         w.line(f"_hl = [_h for _h in ({names}{trail}) if _h is not _UNSET]")
         w.line("if _hl:")
         with w.indented():
-            if mode == "req":
-                w.line("yield Wait(handles=tuple(_hl))")
-            else:
-                w.line("ev += 1")
-                self._fast_flush(w)
-                w.line("clock = yield (5, clock, _hl)")
-                w.line("hc = _st[4]")
+            self._emit_yield(w, "(5, clock, _hl)")
         for v in stmt.handle_vars:
             w.line(f"{_mangle(v)} = _UNSET")
 
-    def _emit_collective(self, w: "_Writer", stmt: CollectiveStmt, mode: str) -> None:
+    def _emit_collective(self, w: "_Writer", stmt: CollectiveStmt) -> None:
         self._check_expr_reads(stmt.nbytes, stmt.root, stmt.contrib)
         w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
         w.line(f"_rt = int({_emit_expr(stmt.root)})")
@@ -783,26 +721,14 @@ class _Lowerer:
         else:
             w.line("_cv = None")
         kind = stmt.reduce_kind if stmt.op in ("reduce", "allreduce") else None
-        if mode == "req":
-            rfn = f"_R_{kind}" if kind is not None else "None"
-            w.line(
-                f"_res = yield Collective(op={stmt.op!r}, nbytes=_nb, root=_rt, "
-                f"data=_cv, reduce_fn={rfn})"
-            )
-            if stmt.result_var is not None:
-                w.line(f"{_mangle(stmt.result_var)} = _res.data")
-            return
         w.line("if not (0 <= _nb < _INF) or _rt < 0:")
         w.line(f"    Collective(op={stmt.op!r}, nbytes=_nb, root=_rt)")
-        w.line("ev += 1")
-        self._fast_flush(w)
-        w.line(f"_tmp = yield (6, clock, {stmt.op!r}, _nb, _rt, _cv, {kind!r})")
+        self._emit_yield(w, f"(6, clock, {stmt.op!r}, _nb, _rt, _cv, {kind!r})", "_tmp")
         w.line("clock = _tmp[0]")
         if stmt.result_var is not None:
             w.line(f"{_mangle(stmt.result_var)} = _tmp[1]")
-        w.line("hc = _st[4]")
 
-    def _emit_read_params(self, w: "_Writer", stmt: ReadParams, mode: str, depth: int) -> None:
+    def _emit_read_params(self, w: "_Writer", stmt: ReadParams, depth: int) -> None:
         names = tuple(stmt.names)
         w.line(f"_ms = [n for n in {names!r} if n not in _wp]")
         w.line("if _ms:")
@@ -812,18 +738,9 @@ class _Lowerer:
         )
         nbytes = 8 * len(names)
         w.line(f"_pl = {{n: _wp[n] for n in {names!r}}} if v_myid == 0 else None")
-        if mode == "req":
-            w.line(
-                f'_res = yield Collective(op="bcast", nbytes={nbytes!r}, root=0, data=_pl)'
-            )
-            w.line("_rd = _res.data")
-        else:
-            w.line("ev += 1")
-            self._fast_flush(w)
-            w.line(f'_tmp = yield (6, clock, "bcast", {nbytes!r}, 0, _pl, None)')
-            w.line("clock = _tmp[0]")
-            w.line("_rd = _tmp[1]")
-            w.line("hc = _st[4]")
+        self._emit_yield(w, f'(6, clock, "bcast", {nbytes!r}, 0, _pl, None)', "_tmp")
+        w.line("clock = _tmp[0]")
+        w.line("_rd = _tmp[1]")
         for n in names:
             w.line(f"{_mangle(n)} = _rd[{n!r}]")
         if depth == 0:
@@ -831,13 +748,8 @@ class _Lowerer:
                 if self._write_counts.get(n, 0) == 1:
                     self._known[n] = "wparam"
 
-    def _emit_delay(self, w: "_Writer", stmt: DelayStmt, mode: str) -> None:
-        self._check_expr_reads(stmt.amount)
-        w.line(f"_a = {_emit_expr(stmt.amount)}")
-        if mode == "req":
-            w.line(f"yield Delay(seconds=max(float(_a), 0.0), task={stmt.task!r})")
-            return
-        w.line("_dy = max(float(_a), 0.0)")
+    def _emit_delay_body(self, w: "_Writer", task: str) -> None:
+        """Charge one delay of ``_dy`` seconds (already clamped at 0)."""
         w.line("if _dy < _INF:")
         with w.indented():
             w.line("clock += _dy")
@@ -845,13 +757,19 @@ class _Lowerer:
             w.line("hc += _DHC")
             w.line("ev += 1")
         w.line("else:")
-        w.line(f"    Delay(seconds=_dy, task={stmt.task!r})")
+        w.line(f"    Delay(seconds=_dy, task={task!r})")
+
+    def _emit_delay(self, w: "_Writer", stmt: DelayStmt) -> None:
+        self._check_expr_reads(stmt.amount)
+        w.line(f"_a = {_emit_expr(stmt.amount)}")
+        w.line("_dy = max(float(_a), 0.0)")
+        self._emit_delay_body(w, stmt.task)
 
     # -- loops and vectorization -------------------------------------------
 
-    def _emit_for(self, w: "_Writer", stmt: For, mode: str, depth: int) -> None:
+    def _emit_for(self, w: "_Writer", stmt: For, depth: int) -> None:
         self._check_expr_reads(stmt.lo, stmt.hi)
-        plan = self._vec_plan(stmt) if mode == "fast" else None
+        plan = self._vec_plan(stmt)
         if plan is None:
             w.line(
                 f"for {_mangle(stmt.var)} in "
@@ -859,7 +777,7 @@ class _Lowerer:
             )
             with w.indented():
                 for s in stmt.body:
-                    self._emit_stmt(w, s, mode, depth + 1)
+                    self._emit_stmt(w, s, depth + 1)
             return
         # Vectorizable delay loop: one NumPy wave per entry (and, when the
         # site is fixed at program start, one 2-D batch across all ranks).
@@ -876,19 +794,12 @@ class _Lowerer:
         with w.indented():
             w.line("for _dy in _dl:")
             with w.indented():
-                w.line("if _dy < _INF:")
-                with w.indented():
-                    w.line("clock += _dy")
-                    w.line("ct += _dy")
-                    w.line("hc += _DHC")
-                    w.line("ev += 1")
-                w.line("else:")
-                w.line(f"    Delay(seconds=_dy, task={delay.task!r})")
+                self._emit_delay_body(w, delay.task)
         w.line("else:")
         with w.indented():
             w.line(f"for {_mangle(stmt.var)} in range(_lo, _hi + 1):")
             with w.indented():
-                self._emit_delay(w, delay, mode)
+                self._emit_delay(w, delay)
 
     def _vec_plan(self, stmt: For) -> vectorize.SitePlan | None:
         """Build (once) and return the wave plan for a delay-only loop."""

@@ -12,12 +12,13 @@ run would otherwise hang the whole fleet.
 * ``max_virtual_time`` — the simulated target clock (seconds);
 * ``max_wall_seconds`` — host wall-clock time spent simulating.
 
-When a limit trips, the engine raises :class:`BudgetExceededError`
+When a limit trips, the event loop raises :class:`BudgetExceededError`
 carrying the **partial** :class:`repro.sim.SimStats` accumulated so far,
 so the caller can classify the outcome and report how far the run got —
-instead of a hung process or a bare traceback.  With no limits set the
-engine pays a single ``is not None`` test per event (the same zero-cost
-guarantee the fault layer holds to).
+instead of a hung process or a bare traceback.  Both event loops consult
+the guard through :class:`repro.sim.engine.RunHooks`: the event limit
+trips exactly, the virtual-time limit is checked on every event, and the
+wall clock on the first event and then at least every 1024 events.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _check_limit(name: str, value: float | None) -> None:
 
 
 class BudgetGuard:
-    """Per-run budget state the kernel consults once per event."""
+    """Per-run budget state the event loops consult (see :class:`RunHooks`)."""
 
     __slots__ = ("max_events", "max_virtual_time", "max_wall_seconds", "events", "_wall_start")
 
@@ -116,14 +117,18 @@ class BudgetGuard:
         }
 
     def note_event(self, t: float) -> tuple[str, float, float] | None:
-        """Account one kernel event at virtual time *t*.
-
-        Returns ``(kind, limit, observed)`` on the first violation, else
-        ``None``.  The virtual clock check exploits the heap's timestamp
-        order: the first popped event past the limit proves every later
-        one is too.
-        """
+        """Account one kernel event at virtual time *t*; see :meth:`violation`."""
         self.events += 1
+        return self.violation(t)
+
+    def violation(self, t: float) -> tuple[str, float, float] | None:
+        """The first budget a run at ``events`` events and virtual time *t*
+        exceeds, as ``(kind, limit, observed)``, else ``None``.
+
+        The virtual clock check exploits the event queue's timestamp
+        order: the first event past the limit proves every later one is
+        too.
+        """
         if self.max_events is not None and self.events > self.max_events:
             return ("events", float(self.max_events), float(self.events))
         if self.max_virtual_time is not None and t > self.max_virtual_time:

@@ -30,10 +30,13 @@ checkpoint and restarts the run from zero rather than trusting a
 divergent replay.
 
 Cost contract: disabled (the default), checkpointing adds zero
-hot-loop calls — :meth:`repro.sim.Simulator.run` tests
-``CHECKPOINT.enabled`` once per run.  Enabled, a tick is two integer
-compares in the common case; an actual write is throttled by both an
-event stride and a wall-clock minimum interval.
+hot-loop calls — each event loop tests ``CHECKPOINT.enabled`` once per
+run (through :class:`repro.sim.engine.RunHooks`).  Enabled, the loop
+ticks only at the event counts :attr:`CheckpointWriter.next_due`
+names (the resume cursor, then the write stride); an actual write is
+throttled by both an event stride and a wall-clock minimum interval.
+Both loops number events identically, so a cursor written on one
+backend verifies on the other.
 """
 
 from __future__ import annotations
@@ -148,8 +151,8 @@ class CheckpointWriter:
     """Per-run checkpoint state machine; use the shared :data:`CHECKPOINT`.
 
     The campaign layer configures it with the run identity, the target
-    path and (on resume) the cursor to verify; the kernel's drain loop
-    binds the stats/rng providers and calls :meth:`tick` once per event.
+    path and (on resume) the cursor to verify; the event loop binds the
+    stats/rng providers and calls :meth:`tick` when :attr:`next_due`.
     """
 
     def __init__(self):
@@ -229,6 +232,11 @@ class CheckpointWriter:
     def verifying(self) -> bool:
         """A resume cursor is still awaiting replay verification."""
         return self._verify_events >= 0
+
+    @property
+    def next_due(self) -> int:
+        """The next event count at which :meth:`tick` does anything."""
+        return self._verify_events if self._verify_events >= 0 else self._next_events
 
     # -- kernel side ---------------------------------------------------------
     def bind(self, stats_fn, rng_state_fn=None) -> None:

@@ -26,6 +26,13 @@ bit-identical to a fault-free build.  When the event queue drains with
 live-but-blocked processes, the deadlock watchdog raises
 :class:`DeadlockError` carrying a :class:`DeadlockReport` — the
 per-rank wait-chain diagnosis — instead of a bare error.
+
+A program the compiled backend lowers runs on
+:func:`repro.kernel.runtime.run_fast` instead of this module's engine,
+unless the run injects faults, sets a timeout or collects a trace (the
+engine-only features).  Both loops bind their per-event hooks through
+:class:`RunHooks` and share the collective payloads and the deadlock
+diagnosis, so results, budgets, cursors and flight rings agree.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import enum
 import json
 import math
 import os
+from functools import reduce
 from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -46,7 +54,7 @@ from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
 from ..obs.spans import TRACER
 from .budget import BudgetExceededError, BudgetGuard
-from .faults import DeadlockReport, FaultPlan, FaultState, RetryPolicy, WaitInfo
+from .faults import DeadlockReport, FaultPlan, FaultState, RetryPolicy, diagnose_deadlock
 from .checkpoint import CHECKPOINT
 from .flightrec import FLIGHT, deadlock_report_to_dict
 from .heartbeat import HEARTBEAT
@@ -77,9 +85,11 @@ __all__ = [
     "ExecMode",
     "Simulator",
     "SimResult",
+    "RunHooks",
     "DeadlockError",
     "CollectiveMismatchError",
     "BudgetExceededError",
+    "collective_results",
 ]
 
 ProgramFactory = Callable[[int, int], Iterator[Request]]
@@ -96,6 +106,12 @@ _BLOCK_NAME = {
     Irecv: "irecv",
     Wait: "wait",
 }
+
+#: event count past any real run: "no hook due"
+_NEVER = 1 << 62
+
+#: events between wall-clock budget checks after the first event
+WALL_STRIDE = 1024
 
 
 class ExecMode(enum.Enum):
@@ -198,6 +214,140 @@ class _CollState:
         self.reduce_fn = None
 
 
+def collective_results(op: str, root: int, arrivals: dict, reduce_fn) -> dict[int, Any]:
+    """Per-rank payloads of a completed collective (both event loops).
+
+    *arrivals* maps each rank to ``(arrival_time, data)``; reductions
+    fold the contributions in rank order.
+    """
+    ranks = sorted(arrivals)
+    datas = [arrivals[r][1] for r in ranks]
+    if op == "bcast":
+        return dict.fromkeys(ranks, arrivals[root][1])
+    if op in ("reduce", "allreduce"):
+        contributions = [d for d in datas if d is not None]
+        acc = None
+        if contributions:
+            if reduce_fn is None:
+                raise CollectiveMismatchError(f"{op} with data requires a reduce_fn")
+            acc = reduce(reduce_fn, contributions)
+        if op == "allreduce":
+            return dict.fromkeys(ranks, acc)
+        return {r: (acc if r == root else None) for r in ranks}
+    if op == "gather":
+        return {r: (datas if r == root else None) for r in ranks}
+    if op == "allgather":
+        return dict.fromkeys(ranks, datas)
+    if op == "scatter":
+        chunks = arrivals[root][1]
+        if chunks is not None and len(chunks) != len(ranks):
+            raise CollectiveMismatchError(
+                f"scatter payload has {len(chunks)} chunks for {len(ranks)} ranks"
+            )
+        return {r: (None if chunks is None else chunks[i]) for i, r in enumerate(ranks)}
+    # barrier, alltoall carry no modelled payload
+    return dict.fromkeys(ranks)
+
+
+class RunHooks:
+    """The per-event hooks of one run, bound once and shared by both loops.
+
+    Heartbeat, checkpoint, watchdog budget and flight recorder are each
+    bound when the run starts (``None`` when unarmed).  With none armed
+    (``armed`` false) a loop pays one boolean test per event.  An armed
+    loop numbers its events from 1, counting the ``nprocs`` priming
+    resumes as events at t=0, and per event pays one increment, the
+    flight-ring append of ``(t, rank, kind)`` (``record``, when armed)
+    and one compare: it calls :meth:`fire` once the count reaches
+    ``due``, the next event any hook must see.  So every event is
+    recorded, then seen by the due hooks in the order heartbeat,
+    checkpoint, budget, then dispatched.  On exit, normal or not, a loop
+    calls :meth:`settle` with its count.
+    """
+
+    def __init__(self, sim: "Simulator", stats: Callable[[], SimStats]):
+        self.stats = stats  # partial stats; valid between events
+        self.budget = budget = sim._budget
+        self.hb = HEARTBEAT if HEARTBEAT.enabled else None
+        self.ck = CHECKPOINT if CHECKPOINT.enabled else None
+        self.record = None
+        if FLIGHT.enabled:
+            self.record, self._settle = FLIGHT.appender()
+            FLIGHT.note(mode=sim.mode.value, nprocs=sim.nprocs, seed=sim.seed)
+        self.armed = not (
+            budget is None and self.hb is None and self.ck is None and self.record is None
+        )
+        self.due = 1  # the first event always fires: a wall budget may trip there
+        if budget is not None:
+            budget.start()
+        if self.ck is not None:
+            self.ck.bind(lambda: stats().to_dict(), sim._rng_state)
+
+    def settle(self, events: int) -> None:
+        """Account the run's *events* flight-ring appends so far."""
+        if self.record is not None:
+            self._settle(events)
+
+    def fire(self, events: int, t: float) -> int:
+        """Consult every armed hook at event *events* (virtual time *t*)
+        and return the next due event count.  A tripped budget raises
+        :class:`BudgetExceededError` with the partial stats and, with the
+        recorder armed, the flight dump."""
+        hb, ck, budget = self.hb, self.ck, self.budget
+        due = _NEVER
+        if hb is not None and hb.enabled:
+            hb.tick(events, t)
+            due = hb.next_due
+        if ck is not None and ck.enabled:
+            ck.tick(events, t)
+            due = min(due, ck.next_due)
+        if budget is not None:
+            budget.events = events
+            violation = budget.violation(t)
+            if violation is not None:
+                exc = BudgetExceededError(*violation, stats=self.stats())
+                exc.flight = self.dump(events, t, error=str(exc))
+                raise exc
+            if budget.max_virtual_time is not None:
+                return events + 1
+            if budget.max_events is not None:
+                due = min(due, budget.max_events + 1)
+            if budget.max_wall_seconds is not None:
+                due = min(due, events + WALL_STRIDE)
+        return due
+
+    def dump(self, events: int, t: float | None = None, **kw) -> dict | None:
+        """The flight dump after *events* events (``None`` when unarmed)."""
+        if self.record is None:
+            return None
+        self.settle(events)
+        budget = self.budget
+        if budget is not None:
+            budget.events = events
+            budget = budget.snapshot(virtual_time=t)
+        return FLIGHT.dump(budget=budget, **kw)
+
+    def deadlock(self, events: int, report: DeadlockReport, gens) -> "DeadlockError":
+        """The error for a drained-but-blocked run; closes *gens*, the
+        blocked ranks' generators."""
+        exc = DeadlockError(report.format(), report=report)
+        exc.flight = self.dump(
+            events, wait_chain=deadlock_report_to_dict(report), error=report.summary()
+        )
+        for gen in gens:
+            try:
+                gen.close()
+            except Exception:
+                pass  # a raising close() must not mask the deadlock itself
+        return exc
+
+    def unconsumed(self, events: int, ranks: list[int]) -> "DeadlockError":
+        """The error for a finished run that left messages queued."""
+        exc = DeadlockError(f"unconsumed messages at ranks {ranks}")
+        exc.flight = self.dump(events, error=str(exc))
+        return exc
+
+
 class Simulator:
     """Simulate *nprocs* target processes of *program_factory* on *machine*.
 
@@ -234,9 +384,11 @@ class Simulator:
         ``"interpreted"`` (default) walks the IR per rank per run;
         ``"compiled"`` lowers the program once via :mod:`repro.kernel`
         and errors if it cannot; ``"auto"`` tries the compiled backend
-        and falls back per-program with a logged reason.  ``None`` reads
-        ``REPRO_BACKEND`` from the environment.  Results are
-        byte-identical across backends.
+        and falls back per-program with a logged reason.  Under either,
+        a run with a fault plan, a default timeout or ``collect_trace``
+        interprets the program (``backend_fallback_reason`` says why).
+        ``None`` reads ``REPRO_BACKEND`` from the environment.  Results
+        are byte-identical across backends.
     """
 
     def __init__(
@@ -315,11 +467,13 @@ class Simulator:
                 f"backend must be 'interpreted', 'compiled' or 'auto', got {backend!r}"
             )
         self._kernel = None
-        self._kernel_args: tuple = ((), ())
         self.backend = "interpreted"
         self.backend_fallback_reason: str | None = None
         if backend != "interpreted":
-            program_factory = self._resolve_backend(program_factory, backend)
+            self._resolve_backend(program_factory, backend)
+        self._ran = False
+        if self._kernel is not None:
+            return  # run_fast keeps its own flat per-rank state
 
         self._procs = [_Proc(r, program_factory(r, nprocs)) for r in range(nprocs)]
         self._queues = [MatchQueues() for _ in range(nprocs)]
@@ -327,13 +481,14 @@ class Simulator:
         self._seq = 0
         self._colls: dict = {}  # (group, call index) -> _CollState
         self._coll_trace_ids = 0
-        self._ran = False
 
-    def _resolve_backend(self, program_factory, requested: str):
-        """Try to swap *program_factory* for its compiled equivalent.
+    def _resolve_backend(self, program_factory, requested: str) -> None:
+        """Bind the compiled kernel of *program_factory* if it can serve this run.
 
-        Returns the factory to use.  ``requested`` is ``"compiled"``
-        (failure raises) or ``"auto"`` (failure logs and falls back).
+        ``requested`` is ``"compiled"`` (a program that does not lower
+        raises) or ``"auto"`` (it falls back with a logged reason).  Under
+        either, a run that needs an engine-only feature — a fault plan, a
+        default timeout or trace collection — falls back as well.
         """
         from ..kernel import lower as _lower
 
@@ -351,23 +506,24 @@ class Simulator:
                 kernel = _lower.kernel_for(program)
             except _lower.UnsupportedConstructError as exc:
                 reason = str(exc)
-        if kernel is None:
-            if requested == "compiled":
-                raise ValueError(
-                    f"backend='compiled' cannot run this program: {reason}"
-                )
+        if kernel is None and requested == "compiled":
+            raise ValueError(f"backend='compiled' cannot run this program: {reason}")
+        if reason is None:
+            if self._fault_state is not None:
+                reason = "a fault plan is injected (engine-only feature)"
+            elif self._default_timeout is not None:
+                reason = "a default timeout is set (engine-only feature)"
+            elif self.trace is not None:
+                reason = "an event trace is collected (engine-only feature)"
+        if reason is not None:
             _lower.record_fallback(
                 program.name if program is not None else "<raw factory>", reason
             )
             self.backend_fallback_reason = reason
-            return program_factory
-        inputs = program_factory._repro_inputs
-        wparams = program_factory._repro_wparams or {}
+            return
         self._kernel = kernel
-        self._kernel_args = (inputs, wparams)
+        self._kernel_args = (program_factory._repro_inputs, program_factory._repro_wparams or {})
         self.backend = "compiled"
-        request_gen = kernel.request_gen
-        return lambda rank, size: request_gen(rank, size, inputs, wparams)
 
     # -- public API ----------------------------------------------------------
     def run(self) -> SimResult:
@@ -377,6 +533,9 @@ class Simulator:
         if the event queue drains while unfinished, uncrashed processes
         remain blocked.
         """
+        if self._ran:
+            raise RuntimeError("a Simulator instance is single-use; build a new one")
+        self._ran = True
         if self.mode is ExecMode.MEASURED:
             # reproducibility breadcrumb: everything needed to replay
             # this ground-truth run (MEASURED is the only noisy mode)
@@ -385,31 +544,12 @@ class Simulator:
                 self.machine.name, self.nprocs, self.seed,
                 "yes" if self._fault_state is not None else "no", self._default_timeout,
             )
-        # observability dispatch, decided once per run: with every layer
-        # disabled (the default) the kernel runs with zero tracing,
-        # metrics, flight-recorder, heartbeat or checkpoint indirection
-        # anywhere — not even no-op span objects or ring-buffer appends
-        if not (TRACER.enabled or METRICS.enabled or FLIGHT.enabled
-                or HEARTBEAT.enabled or CHECKPOINT.enabled):
-            if (
-                self._kernel is not None
-                and self._fault_state is None
-                and self._default_timeout is None
-                and self._budget is None
-                and self.trace is None
-                and self.mode is not ExecMode.MEASURED
-            ):
-                # flat compiled path: no engine feature in play, so the
-                # bucket-queue runtime can drive the fast generators
-                if self._ran:
-                    raise RuntimeError("a Simulator instance is single-use; build a new one")
-                self._ran = True
-                from ..kernel.runtime import run_fast
-
-                return run_fast(self)
-            return self._run()
+        # span and metrics dispatch, decided once per run: with both off
+        # (the default) not even a no-op span object is built
+        if not (TRACER.enabled or METRICS.enabled):
+            return self._execute()
         with TRACER.span("sim.run", mode=self.mode.value, nprocs=self.nprocs) as span:
-            result = self._run()
+            result = self._execute()
             span.set_virtual(0.0, result.stats.elapsed)
             span.set(
                 events=result.stats.total_events,
@@ -420,56 +560,37 @@ class Simulator:
             METRICS.record_run(self.mode.value, result.stats)
         return result
 
-    def _run(self) -> SimResult:
-        if self._ran:
-            raise RuntimeError("a Simulator instance is single-use; build a new one")
-        self._ran = True
+    def _execute(self) -> SimResult:
+        """Run on the loop ``__init__`` picked: the compiled runtime or the engine."""
+        if self._kernel is not None:
+            from ..kernel.runtime import run_fast
+
+            return run_fast(self)
         # crashes first: at equal timestamps a crash preempts the rank's
         # own resume (a rank crashing at t=0 never runs)
         for rank in sorted(self._crash_times):
             self._push(self._crash_times[rank], rank, ("crash", None))
         for proc in self._procs:
             self._push(0.0, proc.rank, ("resume", None))
-        if FLIGHT.enabled:
-            FLIGHT.note(mode=self.mode.value, nprocs=self.nprocs, seed=self.seed)
-        self._drain()
-        blocked = [p for p in self._procs if not p.done and not p.crashed]
+        procs = self._procs
+        hooks = RunHooks(self, lambda: SimStats([p.stats for p in procs]))
+        events = self._drain(hooks)
+        blocked = [p for p in procs if not p.done and not p.crashed]
         if blocked:
-            report = self._deadlock_report()
-            exc = DeadlockError(report.format(), report=report)
-            if FLIGHT.enabled:
-                exc.flight = FLIGHT.dump(
-                    wait_chain=deadlock_report_to_dict(report),
-                    budget=self._budget_snapshot(),
-                    error=report.summary(),
-                )
-            for proc in blocked:
-                try:
-                    proc.gen.close()
-                except Exception:
-                    pass  # a raising close() must not mask the deadlock itself
-            raise exc
+            raise hooks.deadlock(events, self._deadlock_report(), [p.gen for p in blocked])
         if self._fault_state is None and self._timeouts_fired == 0:
             leftover = [r for r, q in enumerate(self._queues) if q.messages]
             if leftover:
-                exc = DeadlockError(f"unconsumed messages at ranks {leftover}")
-                if FLIGHT.enabled:
-                    exc.flight = FLIGHT.dump(
-                        budget=self._budget_snapshot(), error=str(exc)
-                    )
-                raise exc
-        stats = SimStats([p.stats for p in self._procs])
+                raise hooks.unconsumed(events, leftover)
+        stats = SimStats([p.stats for p in procs])
         return SimResult(self.mode, stats, self.memory.report(), self.trace)
 
-    def _drain(self) -> None:
-        """The event loop.
+    def _drain(self, hooks: RunHooks) -> int:
+        """The event loop; returns the events it counted (0 when unarmed).
 
-        The per-event hooks — heartbeat, checkpoint, watchdog budget and
-        flight recorder — are bound to locals once per run (``None``
-        when unarmed), and with none armed a run pays one boolean test
-        per event.  Armed hooks fire in that order on every popped
-        event, before it is dispatched; the flight ring records every
-        event, a crashed rank's included.  A tripped budget raises
+        The per-event hooks are bound once per run by *hooks* (see
+        :class:`RunHooks`); the flight ring records every event, a
+        crashed rank's included.  A tripped budget raises
         :class:`BudgetExceededError` with the partial stats, plus the
         flight dump when the recorder is armed, so the black box
         survives the crash it explains.
@@ -483,74 +604,50 @@ class Simulator:
         resume = self._resume
         do_send = self._do_send
         do_recv = self._do_recv
-        budget = self._budget
-        if budget is not None:
-            budget.start()
-        hb = HEARTBEAT if HEARTBEAT.enabled else None
-        ck = CHECKPOINT if CHECKPOINT.enabled else None
-        if ck is not None:
-            ck.bind(self._stats_snapshot, self._rng_state)
-        record = FLIGHT.record if FLIGHT.enabled else None
-        armed = not (budget is None and hb is None and ck is None and record is None)
+        armed = hooks.armed
+        fire = hooks.fire
+        due = hooks.due
+        record = hooks.record
         events = 0
-        while heap:
-            t, _, rank, action = heappop(heap)
-            kind = action[0]
-            if armed:
-                events += 1
-                if hb is not None:
-                    hb.tick(events, t)
-                if ck is not None:
-                    ck.tick(events, t)
-                if budget is not None:
-                    violation = budget.note_event(t)
-                    if violation is not None:
-                        exc = BudgetExceededError(
-                            *violation, stats=SimStats([p.stats for p in procs])
-                        )
-                        if record is not None:
-                            exc.flight = FLIGHT.dump(
-                                budget=budget.snapshot(virtual_time=t), error=str(exc)
-                            )
-                        raise exc
-                if record is not None:
-                    record(t, rank, type(action[1]).__name__.lower()
-                           if kind == "comm" else kind)
-            proc = procs[rank]
-            if kind == "resume":
-                if not proc.crashed:
-                    resume(proc, t, action[1])
-            elif kind == "comm":
-                # dispatched inline (one call saved per event)
-                if not proc.crashed:
-                    req = action[1]
-                    ty = type(req)
-                    if ty is Send:
-                        do_send(proc, t, req)
-                    elif ty is Recv:
-                        do_recv(proc, t, req)
-                    elif ty is Isend:
-                        do_send(proc, t, req, handle=proc.new_handle("send"))
-                    elif ty is Irecv:
-                        do_recv(proc, t, req, handle=proc.new_handle("recv"))
-                    elif ty is Wait:
-                        self._do_wait(proc, t, req)
-                    else:
-                        self._do_collective(proc, t, req)
-            elif kind == "crash":
-                self._do_crash(proc, t)
-            elif not proc.crashed:  # "timeout"
-                self._do_timeout(proc, t, action[1])
-
-    def _budget_snapshot(self) -> dict | None:
-        """The budget guard's state for dumps (None without budgets)."""
-        return self._budget.snapshot() if self._budget is not None else None
-
-    def _stats_snapshot(self) -> dict:
-        """Mid-run aggregate stats for checkpoint cursors (best effort:
-        per-process counters flush when a process yields, so the snapshot
-        trails the true totals by at most one in-flight resume)."""
-        return SimStats([p.stats for p in self._procs]).to_dict()
+        try:
+            while heap:
+                t, _, rank, action = heappop(heap)
+                kind = action[0]
+                if armed:
+                    events += 1
+                    if record is not None:
+                        record((t, rank, type(action[1]).__name__.lower()
+                                if kind == "comm" else kind))
+                    if events >= due:
+                        due = fire(events, t)
+                proc = procs[rank]
+                if kind == "resume":
+                    if not proc.crashed:
+                        resume(proc, t, action[1])
+                elif kind == "comm":
+                    # dispatched inline (one call saved per event)
+                    if not proc.crashed:
+                        req = action[1]
+                        ty = type(req)
+                        if ty is Send:
+                            do_send(proc, t, req)
+                        elif ty is Recv:
+                            do_recv(proc, t, req)
+                        elif ty is Isend:
+                            do_send(proc, t, req, handle=proc.new_handle("send"))
+                        elif ty is Irecv:
+                            do_recv(proc, t, req, handle=proc.new_handle("recv"))
+                        elif ty is Wait:
+                            self._do_wait(proc, t, req)
+                        else:
+                            self._do_collective(proc, t, req)
+                elif kind == "crash":
+                    self._do_crash(proc, t)
+                elif not proc.crashed:  # "timeout"
+                    self._do_timeout(proc, t, action[1])
+        finally:
+            hooks.settle(events)
+        return events
 
     def _rng_state(self) -> dict | None:
         """The numpy bit-generator state (MEASURED runs only)."""
@@ -1053,7 +1150,7 @@ class Simulator:
         start_max = max(at for at, _ in state.arrivals.values())
         duration = self.net.collective_time(state.op, state.nbytes, len(members))
         completion = start_max + duration
-        results = self._collective_results(state)
+        results = collective_results(state.op, state.root, state.arrivals, state.reduce_fn)
         cost = self._msg_host_base + state.nbytes * self._msg_host_per_byte
         trace = self.trace
         procs = self._procs
@@ -1073,147 +1170,29 @@ class Simulator:
             heappush(heap, (completion, pseq, rank,
                             ("resume", CollectiveResult(results[rank], completion))))
 
-    def _collective_results(self, state: _CollState) -> dict[int, Any]:
-        """Per-rank result payloads for a completed collective."""
-        op = state.op
-        ranks = sorted(state.arrivals)
-        datas = {r: state.arrivals[r][1] for r in ranks}
-        if op == "bcast":
-            return {r: datas[state.root] for r in ranks}
-        if op in ("reduce", "allreduce"):
-            fn = state.reduce_fn
-            contributions = [datas[r] for r in ranks if datas[r] is not None]
-            acc = None
-            if contributions:
-                if fn is None:
-                    raise CollectiveMismatchError(f"{op} with data requires a reduce_fn")
-                acc = contributions[0]
-                for c in contributions[1:]:
-                    acc = fn(acc, c)
-            if op == "allreduce":
-                return {r: acc for r in ranks}
-            return {r: (acc if r == state.root else None) for r in ranks}
-        if op == "gather":
-            gathered = [datas[r] for r in ranks]
-            return {r: (gathered if r == state.root else None) for r in ranks}
-        if op == "allgather":
-            gathered = [datas[r] for r in ranks]
-            return {r: gathered for r in ranks}
-        if op == "scatter":
-            chunks = datas[state.root]
-            if chunks is not None and len(chunks) != len(ranks):
-                raise CollectiveMismatchError(
-                    f"scatter payload has {len(chunks)} chunks for {len(ranks)} ranks"
-                )
-            return {r: (None if chunks is None else chunks[i]) for i, r in enumerate(ranks)}
-        # barrier, alltoall carry no modelled payload
-        return {r: None for r in ranks}
-
     # -- the deadlock watchdog ----------------------------------------------------
     def _deadlock_report(self) -> DeadlockReport:
         """Diagnose a drained-but-blocked simulation: who waits on whom."""
-        unmatched_sends: list[tuple[int, int, int, int, float]] = []
-        unmatched_recvs: list[tuple[int, int, int, float]] = []
-        sends_by_src: dict[int, list[tuple[int, MessageRecord]]] = {}
-        for dst, q in enumerate(self._queues):
-            for m in q.messages:
-                unmatched_sends.append((m.source, dst, m.tag, m.nbytes, m.send_time))
-                sends_by_src.setdefault(m.source, []).append((dst, m))
-            for r in q.recvs:
-                unmatched_recvs.append((r.rank, r.source, r.tag, r.post_time))
-        stragglers: list[tuple] = []
-        coll_waits: dict[int, tuple[str, float, tuple[int, ...]]] = {}
-        for (group, _cidx), state in self._colls.items():
-            members = group if group is not None else tuple(range(self.nprocs))
-            arrived = tuple(sorted(state.arrivals))
-            missing = tuple(r for r in members if r not in state.arrivals)
-            stragglers.append((state.op, state.root, tuple(members), arrived, missing))
-            for r in arrived:
-                coll_waits[r] = (state.op, state.arrivals[r][0], missing)
-        blocked: list[WaitInfo] = []
-        crashed: list[WaitInfo] = []
-        for p in self._procs:
-            if p.done:
-                continue
-            if p.crashed:
-                crashed.append(
-                    WaitInfo(
-                        rank=p.rank, state="crashed", since=p.stats.crash_time,
-                        detail=f"crashed at t={p.stats.crash_time:.6g}",
-                    )
-                )
-                continue
-            blocked.append(self._wait_info(p, sends_by_src, coll_waits))
-        return DeadlockReport(
-            nprocs=self.nprocs,
-            blocked=tuple(blocked),
-            crashed=tuple(crashed),
-            unmatched_sends=tuple(unmatched_sends),
-            unmatched_recvs=tuple(unmatched_recvs),
-            stragglers=tuple(stragglers),
-        )
-
-    def _wait_info(
-        self,
-        p: _Proc,
-        sends_by_src: dict[int, list[tuple[int, MessageRecord]]],
-        coll_waits: dict[int, tuple[str, float, tuple[int, ...]]],
-    ) -> WaitInfo:
-        """One blocked process's wait-chain entry."""
-        state = p.blocked or "unknown"
-        since = p.clock
-        detail = f"blocked in {state}"
-        waiting_on: tuple[int, ...] = ()
-        if state == "recv":
-            mine = [r for r in self._queues[p.rank].recvs if r.handle is None]
-            if mine:
-                r = mine[0]
-                since = r.post_time
-                who = "ANY_SOURCE" if r.source < 0 else str(r.source)
-                tag = "ANY_TAG" if r.tag < 0 else str(r.tag)
-                detail = f"recv(source={who}, tag={tag}) posted at t={r.post_time:.6g}"
-                if r.source >= 0:
-                    waiting_on = (r.source,)
-        elif state == "send":
-            mine = [
-                (dst, m) for dst, m in sends_by_src.get(p.rank, ())
-                if m.sender_handle is None
-            ]
-            if mine:
-                dst, m = mine[0]
-                since = m.send_time
-                detail = (
-                    f"send(dest={dst}, tag={m.tag}, nbytes={m.nbytes}) awaiting a "
-                    f"matching recv since t={m.send_time:.6g}"
-                )
-                waiting_on = (dst,)
-        elif state == "wait":
-            pending = sorted(h for h in (p.waiting or ()) if not p.handles[h].done)
-            parts: list[str] = []
-            on: set[int] = set()
-            for r in self._queues[p.rank].recvs:
-                if r.handle in pending:
-                    who = "ANY_SOURCE" if r.source < 0 else str(r.source)
-                    parts.append(f"irecv(source={who})")
-                    if r.source >= 0:
-                        on.add(r.source)
-            for dst, m in sends_by_src.get(p.rank, ()):
-                if m.sender_handle in pending:
-                    parts.append(f"isend(dest={dst})")
-                    on.add(dst)
-            since = p.wait_time
-            what = ", ".join(parts) if parts else f"{len(pending)} pending handle(s)"
-            detail = f"wait on {what} since t={p.wait_time:.6g}"
-            waiting_on = tuple(sorted(on))
-        elif state == "collective":
-            if p.rank in coll_waits:
-                op, arrival, missing = coll_waits[p.rank]
-                since = arrival
-                detail = (
-                    f"collective {op!r} entered at t={arrival:.6g}, "
-                    f"missing ranks {list(missing)}"
-                )
-                waiting_on = missing
-        return WaitInfo(
-            rank=p.rank, state=state, since=since, detail=detail, waiting_on=waiting_on
+        world = tuple(range(self.nprocs))
+        live = [p for p in self._procs if not p.done]
+        return diagnose_deadlock(
+            self.nprocs,
+            blocked=[
+                (p.rank, p.blocked or "unknown", p.clock, p.wait_time,
+                 sorted(h for h in p.waiting or () if not p.handles[h].done))
+                for p in live if not p.crashed
+            ],
+            sends=[
+                (m.source, dst, m.tag, m.nbytes, m.send_time, m.sender_handle)
+                for dst, q in enumerate(self._queues) for m in q.messages
+            ],
+            recvs=[
+                (r.rank, r.source, r.tag, r.post_time, r.handle)
+                for q in self._queues for r in q.recvs
+            ],
+            colls=[
+                (world if group is None else group, s.op, s.root, s.arrivals)
+                for (group, _), s in self._colls.items()
+            ],
+            crashed=[(p.rank, p.stats.crash_time) for p in live if p.crashed],
         )

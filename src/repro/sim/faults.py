@@ -37,6 +37,7 @@ __all__ = [
     "FaultState",
     "WaitInfo",
     "DeadlockReport",
+    "diagnose_deadlock",
 ]
 
 # Sub-stream tags keeping the per-kind random draws independent.
@@ -436,3 +437,92 @@ class DeadlockReport:
                     f"arrived {list(arrived)}, missing {list(missing)}"
                 )
         return "\n".join(lines)
+
+
+def diagnose_deadlock(nprocs, blocked, sends, recvs, colls, crashed=()) -> DeadlockReport:
+    """Diagnose a drained-but-blocked simulation: who waits on whom.
+
+    Both event loops feed their leftover state in one neutral shape:
+
+    * *blocked*: ``(rank, state, clock, wait_time, pending_handles)`` per
+      unfinished live rank, in rank order;
+    * *sends*: ``(source, dest, tag, nbytes, send_time, sender_handle)``
+      per queued message, by destination then queue order;
+    * *recvs*: ``(rank, source, tag, post_time, handle)`` per posted
+      receive, by rank then queue order;
+    * *colls*: ``(members, op, root, arrivals)`` per incomplete
+      collective, *arrivals* mapping rank to ``(arrival_time, data)``;
+    * *crashed*: ``(rank, crash_time)`` per crashed rank.
+    """
+    sends_by_src: dict[int, list] = {}
+    for s in sends:
+        sends_by_src.setdefault(s[0], []).append(s)
+    recvs_by_rank: dict[int, list] = {}
+    for r in recvs:
+        recvs_by_rank.setdefault(r[0], []).append(r)
+    stragglers = []
+    coll_waits: dict[int, tuple] = {}
+    for members, op, root, arrivals in colls:
+        arrived = tuple(sorted(arrivals))
+        missing = tuple(r for r in members if r not in arrivals)
+        stragglers.append((op, root, tuple(members), arrived, missing))
+        for r in arrived:
+            coll_waits[r] = (op, arrivals[r][0], missing)
+    infos = []
+    for rank, state, clock, wait_time, pending in blocked:
+        since = clock
+        detail = f"blocked in {state}"
+        waiting_on: tuple[int, ...] = ()
+        if state == "recv":
+            mine = [r for r in recvs_by_rank.get(rank, ()) if r[4] is None]
+            if mine:
+                _, source, tag, since, _ = mine[0]
+                who = "ANY_SOURCE" if source < 0 else str(source)
+                tag = "ANY_TAG" if tag < 0 else str(tag)
+                detail = f"recv(source={who}, tag={tag}) posted at t={since:.6g}"
+                if source >= 0:
+                    waiting_on = (source,)
+        elif state == "send":
+            mine = [s for s in sends_by_src.get(rank, ()) if s[5] is None]
+            if mine:
+                _, dest, tag, nbytes, since, _ = mine[0]
+                detail = (
+                    f"send(dest={dest}, tag={tag}, nbytes={nbytes}) awaiting a "
+                    f"matching recv since t={since:.6g}"
+                )
+                waiting_on = (dest,)
+        elif state == "wait":
+            parts: list[str] = []
+            on: set[int] = set()
+            for _, source, _, _, handle in recvs_by_rank.get(rank, ()):
+                if handle in pending:
+                    parts.append(f"irecv(source={'ANY_SOURCE' if source < 0 else source})")
+                    if source >= 0:
+                        on.add(source)
+            for s in sends_by_src.get(rank, ()):
+                if s[5] in pending:
+                    parts.append(f"isend(dest={s[1]})")
+                    on.add(s[1])
+            since = wait_time
+            what = ", ".join(parts) if parts else f"{len(pending)} pending handle(s)"
+            detail = f"wait on {what} since t={wait_time:.6g}"
+            waiting_on = tuple(sorted(on))
+        elif state == "collective" and rank in coll_waits:
+            op, since, waiting_on = coll_waits[rank]
+            detail = (
+                f"collective {op!r} entered at t={since:.6g}, "
+                f"missing ranks {list(waiting_on)}"
+            )
+        infos.append(WaitInfo(rank=rank, state=state, since=since, detail=detail,
+                              waiting_on=waiting_on))
+    return DeadlockReport(
+        nprocs=nprocs,
+        blocked=tuple(infos),
+        crashed=tuple(
+            WaitInfo(rank=rank, state="crashed", since=t, detail=f"crashed at t={t:.6g}")
+            for rank, t in crashed
+        ),
+        unmatched_sends=tuple(s[:5] for s in sends),
+        unmatched_recvs=tuple(r[:4] for r in recvs),
+        stragglers=tuple(stragglers),
+    )

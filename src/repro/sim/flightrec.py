@@ -11,16 +11,20 @@ they were doing, and in what virtual-time order.
 Cost contract (the same one the tracer and metrics registry hold to):
 
 * **Disabled (the default), the recorder adds zero hot-loop calls.**
-  The drain loop tests ``FLIGHT.enabled`` once per run and binds the
-  hook to ``None``; with no hook armed, a run pays one boolean test per
-  event.
+  Both event loops — the engine's drain loop and the compiled runtime —
+  test ``FLIGHT.enabled`` once per run (via
+  :class:`~repro.sim.engine.RunHooks`) and bind the hook to ``None``;
+  with no hook armed, a run pays one boolean test per event.
 * **Enabled, the ring is bounded.**  Recording is one ``deque.append``
-  of a small tuple per event; memory is ``O(capacity)`` regardless of
-  run length, and events evicted from the ring are counted, not kept.
+  of a small tuple per event (:meth:`FlightRecorder.appender`, no method
+  call); memory is ``O(capacity)`` regardless of run length, and events
+  evicted from the ring are counted, not kept.
 
-Dumps are plain dicts (JSON-safe) so they can ride inside campaign
-journal records, fuzz failure reports and telemetry capsules.  The
-engine attaches a dump to :class:`~repro.sim.engine.DeadlockError` and
+Both loops record the same ``(t, rank, kind)`` entries in the same
+order, so a run's ring does not depend on its backend.  Dumps are plain
+dicts (JSON-safe) so they can ride inside campaign journal records, fuzz
+failure reports and telemetry capsules.  The event loops attach a dump
+to :class:`~repro.sim.engine.DeadlockError` and
 :class:`~repro.sim.budget.BudgetExceededError` automatically; for any
 other failure the consumer calls :meth:`FlightRecorder.dump` itself —
 the ring survives until the next ``reset()``.
@@ -85,6 +89,20 @@ class FlightRecorder:
         """Record one kernel event; O(1), bounded by the ring capacity."""
         self._seen += 1
         self._events.append((t, rank, kind))
+
+    def appender(self):
+        """``(append, settle)`` for an event loop's hot path.
+
+        ``append`` is the ring's own append of one ``(t, rank, kind)``
+        tuple, with no method call per event; ``settle(n)`` accounts the
+        *n* tuples appended since this call and must run before a dump.
+        """
+        base = self._seen
+
+        def settle(n: int) -> None:
+            self._seen = base + n
+
+        return self._events.append, settle
 
     # -- the dump -------------------------------------------------------------
     @property

@@ -7,8 +7,9 @@ module the only defence was the coarse wall-clock budget: the parent
 waited out the full ``max_wall_seconds`` before learning anything.
 
 The :class:`HeartbeatEmitter` gives the kernel a pulse.  While a run
-drains its event heap, the kernel's drain loop calls :meth:`tick` once
-per event; every *interval_events* events (and at most once per
+drains its events, the event loop (the engine's or the compiled
+runtime's) calls :meth:`tick` at the event counts :attr:`next_due`
+names; every *interval_events* events (and at most once per
 *min_interval_s* wall seconds) the emitter hands a small **cursor**
 dict — event count, virtual time, wall time, plus a bounded tail of
 the flight-recorder ring when that is armed — to a sink callable.  In
@@ -22,12 +23,12 @@ the wall budget.
 Cost contract (the same one TRACER / METRICS / FLIGHT hold to):
 
 * **Disabled (the default), heartbeats add zero hot-loop calls.**
-  The drain loop tests ``HEARTBEAT.enabled`` once per run and binds the
-  hook to ``None``; with no hook armed, a run pays one boolean test per
-  event.
-* **Enabled, a tick is two integer compares** in the common case (the
-  event-stride gate, then the wall-clock throttle); actually *emitting*
-  a cursor is bounded by ``min_interval_s``, so sink traffic is a few
+  Each event loop tests ``HEARTBEAT.enabled`` once per run (through
+  :class:`repro.sim.engine.RunHooks`) and binds the hook to ``None``;
+  with no hook armed, a run pays one boolean test per event.
+* **Enabled, the loop pays one integer compare per event** against the
+  next due event count and ticks only there; actually *emitting* a
+  cursor is bounded by ``min_interval_s``, so sink traffic is a few
   messages per second regardless of event rate.
 
 A sink that raises (the parent died, the pipe closed) disables the
@@ -60,8 +61,7 @@ class HeartbeatEmitter:
     """Throttled liveness-cursor emitter; use the shared :data:`HEARTBEAT`.
 
     The emitter is configured per run (sink, stride, throttle, metadata)
-    and consulted by the kernel's drain loop via
-    :meth:`tick`.  Cursors are JSON-safe dicts::
+    and consulted by the event loops via :meth:`tick`.  Cursors are JSON-safe dicts::
 
         {"format": 1, "run_id": ..., "events": N, "virtual_time": t,
          "wall_seconds": w, "flight_tail": [[t, rank, kind], ...]}
@@ -116,6 +116,11 @@ class HeartbeatEmitter:
     def emitted(self) -> int:
         """Cursors emitted since :meth:`enable` (test observability)."""
         return self._emitted
+
+    @property
+    def next_due(self) -> int:
+        """The event count below which :meth:`tick` is a no-op."""
+        return self._next_events
 
     # -- the kernel-facing tick (enabled path only) --------------------------
     def tick(self, events: int, t: float) -> None:

@@ -2,7 +2,9 @@
 
 Every assertion here compares the *serialized* per-rank statistics (and,
 where collected, the trace event list) — the compiled backend's contract
-is byte-identity, not approximate agreement.
+is byte-identity, not approximate agreement.  Faults, timeouts and trace
+collection are engine-only: a compiled request for such a run interprets
+the program and says why.
 """
 
 import json
@@ -14,7 +16,7 @@ from repro.ir import make_factory
 from repro.ir.builder import P, ProgramBuilder, myid
 from repro.kernel import clear_cache
 from repro.machine import TESTING_MACHINE
-from repro.sim import ExecMode, Simulator
+from repro.sim import ExecMode, FaultPlan, Simulator
 from repro.symbolic import Var
 
 M = TESTING_MACHINE
@@ -73,17 +75,38 @@ def test_stats_identical(make, mode):
 @pytest.mark.parametrize("make", FACTORIES, ids=lambda f: f.__name__)
 def test_traces_identical(make):
     interp = Simulator(8, make(), M, mode=ExecMode.DE, collect_trace=True).run()
-    compiled = Simulator(
-        8, make(), M, mode=ExecMode.DE, collect_trace=True, backend="compiled"
-    ).run()
+    sim = Simulator(8, make(), M, mode=ExecMode.DE, collect_trace=True, backend="compiled")
+    assert sim.backend == "interpreted"
+    assert "trace" in sim.backend_fallback_reason
+    compiled = sim.run()
     assert repr(interp.trace.events) == repr(compiled.trace.events)
     assert fingerprint(interp) == fingerprint(compiled)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "auto"])
+@pytest.mark.parametrize("feature, kw", [
+    ("fault plan", {"faults": FaultPlan(seed=1, duplication=0.5)}),
+    ("timeout", {"default_timeout": 1.0}),
+    ("trace", {"collect_trace": True}),
+])
+def test_engine_only_features_fall_back(backend, feature, kw):
+    sim = Simulator(4, ring(), M, mode=ExecMode.DE, backend=backend, **kw)
+    assert sim.backend == "interpreted"
+    assert feature in sim.backend_fallback_reason
+    interp = Simulator(4, ring(), M, mode=ExecMode.DE, **kw).run()
+    assert fingerprint(sim.run()) == fingerprint(interp)
 
 
 def test_compiled_sim_reports_backend():
     sim = Simulator(4, ring(), M, mode=ExecMode.DE, backend="compiled")
     assert sim.backend == "compiled"
     assert sim.backend_fallback_reason is None
+
+
+def test_compiled_sim_builds_no_engine_state():
+    sim = Simulator(4, ring(), M, mode=ExecMode.DE, backend="compiled")
+    for attr in ("_procs", "_queues", "_heap", "_colls"):
+        assert not hasattr(sim, attr), attr
 
 
 class TestAuto:

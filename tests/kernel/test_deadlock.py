@@ -3,8 +3,12 @@
 Regression pinned here: when a deadlock is detected, the engine closes
 every still-suspended rank generator — and a generator that *raises*
 inside ``close()`` (a ``finally:`` block blowing up on ``GeneratorExit``)
-must not mask the original :class:`DeadlockError`.
+must not mask the original :class:`DeadlockError`.  Both loops feed one
+diagnosis, so the report and the flight dump are byte-identical.
 """
+
+import json
+
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.ir.builder import P, ProgramBuilder, myid
 from repro.kernel import clear_cache
 from repro.machine import TESTING_MACHINE
 from repro.sim import DeadlockError, ExecMode, Simulator
+from repro.sim.flightrec import FLIGHT
 
 M = TESTING_MACHINE
 
@@ -51,13 +56,15 @@ class TestRaisingClose:
         assert exc_info.value.report is not None
 
     def test_compiled_deadlock_not_masked_by_close(self):
-        # the compiled request_gen path (trace collection disables the
-        # fast loop, so teardown runs through the engine's close loop)
+        # trace collection is engine-only: a compiled request interprets
+        # the program, so teardown runs through the engine's close loop
+        sim = Simulator(
+            4, all_recv_factory(), M, mode=ExecMode.DE,
+            backend="compiled", collect_trace=True,
+        )
+        assert "trace" in sim.backend_fallback_reason
         with pytest.raises(DeadlockError) as exc_info:
-            Simulator(
-                4, all_recv_factory(), M, mode=ExecMode.DE,
-                backend="compiled", collect_trace=True,
-            ).run()
+            sim.run()
         assert exc_info.value.report is not None
 
     def test_compiled_fast_path_deadlock(self):
@@ -71,13 +78,25 @@ class TestRaisingClose:
 
 class TestReportParity:
     def test_report_identical_across_backends(self):
-        with pytest.raises(DeadlockError) as interp:
-            Simulator(4, all_recv_factory(), M, mode=ExecMode.DE).run()
-        with pytest.raises(DeadlockError) as compiled:
-            Simulator(
-                4, all_recv_factory(), M, mode=ExecMode.DE, backend="compiled"
-            ).run()
-        assert str(interp.value) == str(compiled.value)
+        errors = {}
+        for flight in (False, True):
+            for backend in ("interpreted", "compiled"):
+                if flight:
+                    FLIGHT.enable()
+                try:
+                    with pytest.raises(DeadlockError) as exc_info:
+                        Simulator(4, all_recv_factory(), M, mode=ExecMode.DE,
+                                  backend=backend).run()
+                finally:
+                    FLIGHT.disable()
+                    FLIGHT.reset()
+                errors[flight, backend] = exc_info.value
+                assert (exc_info.value.flight is not None) == flight
+        assert len({str(exc) for exc in errors.values()}) == 1
+        # the armed recorder's dump is byte-identical across the loops too
+        dumps = [json.dumps(errors[True, b].flight, sort_keys=True)
+                 for b in ("interpreted", "compiled")]
+        assert dumps[0] == dumps[1]
 
     def test_mismatched_nonblocking_deadlock(self):
         b = ProgramBuilder("deadlock_wait")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.ir.builder import P, ProgramBuilder, myid
 from repro.kernel import (
+    KERNEL_FORMAT,
     UnsupportedConstructError,
     cache_stats,
     cached_kernels,
@@ -56,13 +57,14 @@ class TestFingerprint:
 
 
 class TestLowerProgram:
-    def test_source_has_both_entry_points(self):
+    def test_source_has_one_entry_point(self):
         kernel = lower_program(ring_program())
-        assert "def request_gen" in kernel.source
-        assert "def fast_gen" in kernel.source
+        assert kernel.source.count("\ndef ") == 1
+        assert "\ndef fast_gen(" in kernel.source
+        assert f"\nKERNEL_FORMAT = {KERNEL_FORMAT}\n" in kernel.source
         assert kernel.program_name == "lower_ring"
         assert kernel.fingerprint == program_fingerprint(ring_program())
-        assert callable(kernel.request_gen) and callable(kernel.fast_gen)
+        assert callable(kernel.fast_gen)
 
     def test_materialized_array_rejected(self):
         with pytest.raises(UnsupportedConstructError, match="materialized"):
@@ -111,6 +113,12 @@ class TestLoadKernelSource:
     def test_garbage_rejected(self):
         with pytest.raises(UnsupportedConstructError):
             load_kernel_source("this is not a kernel module")
+
+    def test_other_format_rejected(self):
+        source = lower_program(ring_program()).source
+        stale = source.replace(f"KERNEL_FORMAT = {KERNEL_FORMAT}", "KERNEL_FORMAT = 1")
+        with pytest.raises(UnsupportedConstructError, match="format"):
+            load_kernel_source(stale)
 
 
 class TestWarmStore:
@@ -165,3 +173,20 @@ class TestWarmStore:
         reloaded = kernel_for(ring_program())
         assert reloaded.fingerprint == kernel.fingerprint
         assert cache_stats()["lowered"] == 1  # fell through to a fresh lowering
+
+    def test_stale_format_entry_relowered(self, tmp_path):
+        # a store filled before the module format existed holds modules
+        # without the constant (and with a fast_gen that flushed fewer
+        # stat cells): they are re-lowered and re-saved, never served
+        set_warm_dir(tmp_path)
+        kernel = kernel_for(ring_program())
+        path = tmp_path / f"kernel-{kernel.fingerprint}.json"
+        doc = json.loads(path.read_text())
+        doc["source"] = kernel.source.replace(f"KERNEL_FORMAT = {KERNEL_FORMAT}\n", "")
+        path.write_text(json.dumps(doc))
+        clear_cache()
+        set_warm_dir(tmp_path)
+        reloaded = kernel_for(ring_program())
+        assert reloaded.source == kernel.source
+        assert cache_stats()["lowered"] == 1
+        assert json.loads(path.read_text())["source"] == kernel.source

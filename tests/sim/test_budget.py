@@ -3,6 +3,8 @@
 import pytest
 
 from repro import mpi
+from repro.ir import make_factory
+from repro.ir.builder import P, ProgramBuilder, myid
 from repro.machine import TESTING_MACHINE
 from repro.sim import BudgetExceededError, BudgetGuard, ExecMode, SimStats, Simulator
 
@@ -96,12 +98,20 @@ class TestVirtualTimeBudget:
 
 class TestWallTimeBudget:
     def test_fires_immediately_with_tiny_budget(self):
-        with pytest.raises(BudgetExceededError) as exc_info:
-            run(max_wall_seconds=1e-9)
-        err = exc_info.value
-        assert err.kind == "wall_time"
-        assert err.observed > err.limit
-        assert isinstance(err.stats, SimStats)  # partial stats attached
+        b = ProgramBuilder("budget_ring")
+        with b.loop("i", 1, 20):
+            b.send(dest=(myid + 1) % P, nbytes=256, tag=0)
+            b.recv(source=(myid - 1) % P, nbytes=256, tag=0)
+        ir_ring = make_factory(b.build(), {})
+        # the engine on a raw generator, the compiled loop on an IR program
+        for factory, backend in ((ring(), "interpreted"), (ir_ring, "compiled")):
+            with pytest.raises(BudgetExceededError) as exc_info:
+                run(factory, max_wall_seconds=1e-9, backend=backend)
+            err = exc_info.value
+            assert err.kind == "wall_time"
+            assert err.observed > err.limit
+            assert isinstance(err.stats, SimStats)  # partial stats attached
+            assert err.stats.total_events == 0, backend  # tripped on the first event
 
     def test_generous_wall_budget_passes(self):
         result = run(max_wall_seconds=300.0)

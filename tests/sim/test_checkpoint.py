@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro import mpi
+from repro.ir import make_factory
+from repro.ir.builder import P, ProgramBuilder, myid
 from repro.machine import TESTING_MACHINE
 from repro.sim import ExecMode, Simulator
 from repro.sim.checkpoint import (
@@ -28,6 +30,16 @@ def ring_program(rank, size):
         yield mpi.compute(ops=100)
         yield mpi.send(dest=(rank + 1) % size, nbytes=64, tag=0)
         yield mpi.recv(source=(rank - 1) % size, tag=0)
+
+
+def ir_ring_factory():
+    """``ring_program`` as an IR program, which the compiled backend lowers."""
+    b = ProgramBuilder("ckpt_ring")
+    with b.loop("i", 1, 4):
+        b.compute("work", work=100)
+        b.send(dest=(myid + 1) % P, nbytes=64, tag=0)
+        b.recv(source=(myid - 1) % P, nbytes=64, tag=0)
+    return make_factory(b.build(), {})
 
 
 def make_writer(path, **kw):
@@ -185,26 +197,32 @@ class TestEngineIntegration:
         assert ckpt is not None and ckpt.events > 0
         assert ckpt.stats is not None  # engine binds its stats snapshot
 
-    def test_real_cursor_replays_clean(self, tmp_path):
-        """A cursor harvested from one run verifies on a re-run — the
-        determinism contract that licenses replay-cursor resumption."""
+    @pytest.mark.parametrize("writer", ["interpreted", "compiled"], ids=["interp", "comp"])
+    @pytest.mark.parametrize("reader", ["interpreted", "compiled"], ids=["interp", "comp"])
+    def test_real_cursor_replays_clean(self, tmp_path, writer, reader):
+        """A cursor harvested from one run verifies on a re-run, on either
+        event loop — the determinism contract that licenses replay-cursor
+        resumption across backends."""
+        factory = ir_ring_factory()
         path = tmp_path / "c.json"
         CHECKPOINT.configure(path, run_id="r-1", config_hash="h-1", seed=7,
                              interval_events=5, min_interval_s=0.0)
         CHECKPOINT.enable()
         try:
-            run(3, ring_program, seed=7)
+            written = run(3, factory, seed=7, backend=writer)
         finally:
             CHECKPOINT.disable()
         cursor = load_checkpoint(path)
+        assert cursor is not None and cursor.events > 0
         CHECKPOINT.configure(path, run_id="r-1", config_hash="h-1", seed=7,
                              resume_from=cursor)
         CHECKPOINT.enable()
         try:
-            run(3, ring_program, seed=7)  # raises on divergence
+            replayed = run(3, factory, seed=7, backend=reader)  # raises on divergence
             assert not CHECKPOINT.verifying
         finally:
             CHECKPOINT.disable()
+        assert replayed.stats.to_dict() == written.stats.to_dict()
 
     def test_tampered_cursor_is_caught_on_replay(self, tmp_path):
         path = tmp_path / "c.json"

@@ -1,13 +1,14 @@
-"""One drain loop, every arming: the per-event hooks never change a result.
+"""Two event loops, every arming: the per-event hooks never change a result.
 
-The engine drains every run through one event loop whose heartbeat,
-checkpoint, watchdog-budget and flight-recorder hooks are bound once per
-run.  Over programs drawn from the ``repro.gen`` grammar, arming any of
-them — alone or all together, on the interpreted and on the compiled
-backend — must leave ``SimStats.to_dict()`` byte-identical to a bare
-interpreted run.  A tripping event budget must report the same kind and
-partial stats with and without the flight recorder, and attach a flight
-dump only when the recorder is armed.
+The engine drains interpreted runs, ``repro.kernel.runtime.run_fast``
+compiled ones; both bind the heartbeat, checkpoint, watchdog-budget and
+flight-recorder hooks once per run through ``RunHooks`` and number events
+the same way.  Over programs drawn from the ``repro.gen`` grammar, arming
+any of them — alone or all together, on either backend — must leave
+``SimStats.to_dict()`` byte-identical to a bare interpreted run.  A
+tripping budget must report the same kind, limit, observed value and
+partial stats on both loops, with and without the flight recorder, and
+the flight dumps and heartbeat cursors of the two loops must match.
 """
 
 import json
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from repro.gen import GrammarConfig, generate_program
 from repro.ir import make_factory
 from repro.machine import TESTING_MACHINE
+from repro.obs.metrics import METRICS
+from repro.obs.spans import TRACER
 from repro.sim import ExecMode, Simulator
 from repro.sim.budget import BudgetExceededError
 from repro.sim.checkpoint import CHECKPOINT
@@ -40,6 +43,10 @@ def _disarmed():
     CHECKPOINT.disable()
     FLIGHT.disable()
     FLIGHT.reset()
+    TRACER.disable()
+    TRACER.reset()
+    METRICS.disable()
+    METRICS.reset()
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +54,16 @@ def ck_path(tmp_path_factory):
     return tmp_path_factory.mktemp("drain") / "cursor.json"
 
 
-def arm(arming: str, ck_path) -> dict:
-    """Enable the hooks *arming* names; returns the Simulator kwargs."""
+def arm(arming: str, ck_path, cursors: list | None = None) -> dict:
+    """Enable the hooks *arming* names; returns the Simulator kwargs.
+
+    Heartbeat cursors are appended to *cursors* when given.
+    """
     hooks = {"budget", "heartbeat", "checkpoint", "flight"} if arming == "all" else {arming}
     if "heartbeat" in hooks:
         # emit on every event: the tick's slow path runs, not only its compare
-        HEARTBEAT.configure(lambda cursor: None, interval_events=1, min_interval_s=0)
+        sink = cursors.append if cursors is not None else (lambda cursor: None)
+        HEARTBEAT.configure(sink, interval_events=1, min_interval_s=0)
         HEARTBEAT.enable()
     if "checkpoint" in hooks:
         CHECKPOINT.configure(ck_path, run_id="r", config_hash="c", seed=0,
@@ -78,44 +89,97 @@ def stats_bytes(result) -> str:
     return json.dumps(result.stats.to_dict(include_procs=True), sort_keys=True)
 
 
+def without_wall(doc):
+    """*doc* with every ``wall_seconds`` entry dropped (host timing varies)."""
+    if isinstance(doc, dict):
+        return {k: without_wall(v) for k, v in doc.items() if k != "wall_seconds"}
+    if isinstance(doc, list):
+        return [without_wall(v) for v in doc]
+    return doc
+
+
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), mode=st.sampled_from(MODES))
 def test_stats_identical_under_every_arming(seed, mode, ck_path):
     gen = generate_program(seed, GRAMMAR)
     reference = stats_bytes(simulator(gen, mode, "interpreted").run())
+    cursors = {}  # (backend, arming) -> heartbeat cursors, flight tails included
     for backend in BACKENDS:
         for arming in ARMINGS:
-            kw = arm(arming, ck_path)
+            got_cursors = cursors[backend, arming] = []
+            kw = arm(arming, ck_path, got_cursors)
             try:
                 sim = simulator(gen, mode, backend, **kw)
                 got = stats_bytes(sim.run())
             finally:
                 disarm()
+                FLIGHT.reset()
             assert sim.backend == backend
             assert got == reference, (backend, arming)
+    for arming in ("heartbeat", "all"):
+        assert cursors["interpreted", arming], "interval_events=1 emits on every event"
+        assert (without_wall(cursors["compiled", arming])
+                == without_wall(cursors["interpreted", arming])), arming
+
+
+def tripped(gen, backend, flight, **budget):
+    """The budget error of one DE run (None if it finished in budget)."""
+    if flight:
+        FLIGHT.enable()
+    try:
+        simulator(gen, ExecMode.DE, backend, **budget).run()
+        return None
+    except BudgetExceededError as exc:
+        return exc
+    finally:
+        disarm()
+        FLIGHT.reset()
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), max_events=st.integers(1, 40),
-       backend=st.sampled_from(BACKENDS))
-def test_tripped_budget_same_with_and_without_flight(seed, max_events, backend):
+       vt_share=st.sampled_from((None, 0.25, 0.5, 0.9)))
+def test_tripped_budget_same_with_and_without_flight(seed, max_events, vt_share):
     gen = generate_program(seed, GRAMMAR)
-    outcomes = []
-    for flight in (False, True):
-        if flight:
-            FLIGHT.enable()
-        try:
-            simulator(gen, ExecMode.DE, backend, max_events=max_events).run()
-            outcomes.append(None)
-        except BudgetExceededError as exc:
-            outcomes.append(exc)
-        finally:
-            disarm()
-    bare, flown = outcomes
-    assert (bare is None) == (flown is None)
-    if bare is None:
-        return  # the program finished inside the budget either way
-    assert (bare.kind, bare.limit, bare.observed) == (flown.kind, flown.limit, flown.observed)
-    assert bare.stats.to_dict(include_procs=True) == flown.stats.to_dict(include_procs=True)
-    assert bare.flight is None
-    assert flown.flight is not None and flown.flight["budget"]["max_events"] == max_events
+    if vt_share is None:
+        budget = {"max_events": max_events}
+    else:
+        elapsed = simulator(gen, ExecMode.DE, "interpreted").run().elapsed
+        if elapsed <= 0:
+            return
+        budget = {"max_virtual_time": elapsed * vt_share}
+    outcomes = {(backend, flight): tripped(gen, backend, flight, **budget)
+                for backend in BACKENDS for flight in (False, True)}
+    ref = outcomes["interpreted", False]
+    if ref is None:
+        assert set(outcomes.values()) == {None}
+        return  # the program finished inside the budget everywhere
+    for (backend, flight), exc in outcomes.items():
+        assert exc is not None, (backend, flight)
+        assert (exc.kind, exc.limit, exc.observed) == (ref.kind, ref.limit, ref.observed)
+        assert (exc.stats.to_dict(include_procs=True)
+                == ref.stats.to_dict(include_procs=True)), (backend, flight)
+        assert (exc.flight is not None) == flight
+    dumps = [without_wall(outcomes[backend, True].flight) for backend in BACKENDS]
+    assert dumps[0] == dumps[1]
+    assert all(dumps[0]["budget"][k] == v for k, v in budget.items())
+
+
+@pytest.mark.parametrize("mode", [ExecMode.DE, ExecMode.AM, ExecMode.MEASURED])
+def test_armed_compiled_run_never_enters_the_engine(mode, ck_path, monkeypatch):
+    def refuse(self, hooks):
+        raise AssertionError("a compiled run entered Simulator._drain")
+
+    monkeypatch.setattr(Simulator, "_drain", refuse)
+    gen = generate_program(7, GRAMMAR)
+    kw = arm("all", ck_path)
+    TRACER.enable()
+    METRICS.enable()
+    try:
+        sim = simulator(gen, mode, "compiled", max_virtual_time=1e9,
+                        max_wall_seconds=3600.0, **kw)
+        result = sim.run()
+    finally:
+        disarm()
+    assert sim.backend == "compiled"
+    assert result.stats.total_events > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import build_tomcatv, tomcatv_inputs
+from repro.apps import build_sample, build_sweep3d, build_tomcatv, sweep3d_inputs, tomcatv_inputs
 from repro.machine import IBM_SP
 from repro.sim import ExecMode
 from repro.workflow import (
@@ -12,6 +12,15 @@ from repro.workflow import (
     format_validation,
     validate,
 )
+
+
+#: app -> (program builder, inputs at P ranks): reduced paper configurations
+PAPER_APPS = {
+    "sweep3d": (build_sweep3d, lambda p: sweep3d_inputs(48, 48, 48, p)),
+    "sample_wavefront": (
+        lambda: build_sample("wavefront"), lambda p: {"grain": 20000, "msg": 2048, "iters": 4},
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +57,23 @@ class TestWorkflow:
             am = wf.run_am(inputs, nprocs)
             err = abs(am.elapsed - meas.elapsed) / meas.elapsed
             assert err < 0.17, f"AM error {err:.1%} at P={nprocs} exceeds the paper's 17%"
+
+    @pytest.mark.parametrize("backend", ["interpreted", "auto"])
+    @pytest.mark.parametrize("app", sorted(PAPER_APPS))
+    def test_am_error_structure(self, app, backend):
+        """The paper's error structure on Sweep3D and SAMPLE, calibrated at
+        4 ranks, on both kernels: AM within 17% of measurement, and DE no
+        further from it than AM."""
+        build, inputs = PAPER_APPS[app]
+        flow = ModelingWorkflow(build(), IBM_SP, calib_inputs=inputs(4), calib_nprocs=4,
+                                backend=backend)
+        am_errs, de_errs = [], []
+        for nprocs in (4, 8, 16):
+            measured = flow.run_measured(inputs(nprocs), nprocs).elapsed
+            for errs, run in ((am_errs, flow.run_am), (de_errs, flow.run_de)):
+                errs.append(abs(run(inputs(nprocs), nprocs).elapsed - measured) / measured)
+        assert max(am_errs) < 0.17, f"AM error {max(am_errs):.1%} exceeds the paper's 17%"
+        assert max(de_errs) <= max(am_errs), (max(de_errs), max(am_errs))
 
     def test_am_memory_reduction(self, wf):
         inputs = tomcatv_inputs(256, itmax=1)
