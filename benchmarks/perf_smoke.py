@@ -8,17 +8,17 @@ It runs the same four workloads as ``test_micro_kernel.py`` — blocking
 point-to-point, non-blocking handles, collectives, and an end-to-end
 Sweep3D AM run — on **both** simulation kernels:
 
-* ``interpreted`` — the generator-interpreter engine, measured on the
-  exact factories the original baseline used (raw generators for the
-  micro workloads);
-* ``compiled`` — the per-program lowered event loop
-  (:mod:`repro.kernel`), measured on IR-built equivalents of the micro
+* ``interpreted`` — the Request driver on the event loop
+  (:mod:`repro.sim.loop`), measured on the exact factories the original
+  baseline used (raw generators for the micro workloads);
+* ``compiled`` — the lowered ``fast_gen`` driver (:mod:`repro.kernel`)
+  on the same loop, measured on IR-built equivalents of the micro
   workloads (the compiled backend lowers IR programs, not raw Python
   generators — which is also the interesting case: ``backend="auto"``
   falls back to interpreted for raw factories);
-* ``compiled_armed`` — the compiled loop again, with the flight recorder
-  and heartbeat armed as a supervised campaign worker arms them: the
-  cost of observability on the path production runs take.
+* ``compiled_armed`` — the compiled driver again, with the flight
+  recorder and heartbeat armed as a supervised campaign worker arms
+  them: the cost of observability on the path production runs take.
 
 Each backend takes the best of ``--reps`` repetitions (the best is the
 least-noisy estimator of kernel cost on shared CI runners), a fresh

@@ -20,10 +20,9 @@ from repro import mpi
 from repro.apps import build_sweep3d, sweep3d_inputs
 from repro.codegen import compile_program
 from repro.ir import make_factory
-from repro.kernel.runtime import run_fast
 from repro.machine import IBM_SP, TESTING_MACHINE
 from repro.sim import ExecMode, Simulator
-from repro.sim.engine import Simulator as _Engine
+from repro.sim import loop
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -152,12 +151,12 @@ def test_hot_loop_has_no_observability_indirection():
     """The event-loop bytecode itself must not reference TRACER/METRICS.
 
     Structural complement to the call-count test: the per-event hot
-    paths (the engine's `_drain` and `_resume`, the compiled runtime's
-    `run_fast` and the helpers nested in it) may consult neither
-    observability singleton — that decision belongs to `run()`, once.
+    paths (the event loop `repro.sim.loop.run` with the helpers nested
+    in it, and the Request driver) may consult neither observability
+    singleton — that decision belongs to `Simulator.run()`, once.
     """
-    codes = [_Engine._drain.__code__, _Engine._resume.__code__, run_fast.__code__]
-    codes += [c for c in run_fast.__code__.co_consts if hasattr(c, "co_names")]
+    codes = [loop.run.__code__, loop.request_driver.__code__]
+    codes += [c for c in loop.run.__code__.co_consts if hasattr(c, "co_names")]
     for code in codes:
         assert "TRACER" not in code.co_names, code.co_name
         assert "METRICS" not in code.co_names, code.co_name

@@ -1,4 +1,4 @@
-"""Tomcatv: the SPEC92 vectorized mesh-generation benchmark.
+"""Tomcatv: the SPEC92 mesh-generation benchmark, written for vector machines.
 
 The paper studies "an HPF version of this benchmark compiled to MPI by
 the dhpf compiler [...] where the key arrays of the HPF code are

@@ -1151,9 +1151,9 @@ def cmd_profile(args) -> int:
 
     backend_lines = []
     if args.backend in ("compiled", "auto"):
-        # One untraced run: trace collection is engine-only, so the
-        # traced run above interpreted; this one takes the compiled
-        # runtime, and its wave/cache counters (reset first) describe it.
+        # One untraced run: a traced run always interprets, so the run
+        # above did; this one takes the compiled driver, and its cache
+        # counters (reset first) describe it.
         import time as _time
 
         from .kernel import cache_stats, clear_cache
@@ -1173,8 +1173,6 @@ def cmd_profile(args) -> int:
             f"lowered {ks['lowered']} program(s) in {ks['lowering_seconds'] * 1e3:.1f} ms, "
             f"cache {ks['cache_hits']} hit(s) / {ks['cache_misses']} miss(es), "
             f"{ks['warm_loads']} warm load(s)",
-            f"  vectorized delay waves: {ks['waves']} "
-            f"({ks['vector_delays']} delays batched, {ks['static_batches']} static site(s))",
             f"  fast run: {fast.stats.total_events} events in {fast_wall:.3f} s wall "
             f"({fast.stats.total_events / fast_wall:,.0f} events/s)",
         ]

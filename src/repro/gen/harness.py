@@ -173,8 +173,8 @@ def _backend_divergence(
     Two things count: different statistics bytes, or the compiled path
     crashing on a program the interpreted kernel just completed.  A
     strict ``compiled`` backend refusing a non-lowerable program is not
-    a divergence — ``auto`` covers that program via its fallback.  (An
-    event trace is engine-only, so comparing traces would compare the
+    a divergence — ``auto`` covers that program via its fallback.  (A
+    traced run always interprets, so comparing traces would compare the
     interpreter with itself.)
     """
     try:

@@ -56,7 +56,8 @@ from .nodes import (
 
 __all__ = ["MeasurementCollector", "BranchProfile", "make_factory", "InterpreterError"]
 
-_REDUCE_FNS = {
+#: reduction functions of the IR's reduce kinds (the compiled kernels share them)
+REDUCE_FNS = {
     "sum": lambda a, b: a + b,
     "max": max,
     "min": min,
@@ -363,7 +364,7 @@ def _exec_collective(s: CollectiveStmt, state: _State):
     nbytes = int(_cfn(s.nbytes)(env))
     root = int(_cfn(s.root)(env))
     contrib = _cfn(s.contrib)(env) if s.contrib is not None else None
-    reduce_fn = _REDUCE_FNS[s.reduce_kind] if s.op in ("reduce", "allreduce") else None
+    reduce_fn = REDUCE_FNS[s.reduce_kind] if s.op in ("reduce", "allreduce") else None
     result = yield Collective(
         op=s.op, nbytes=nbytes, root=root, data=contrib, reduce_fn=reduce_fn
     )

@@ -1,18 +1,14 @@
-"""Compiled per-program kernel backend.
+"""Compiled per-program kernel backend: the lowering pass.
 
 ``repro.kernel.lower`` turns a validated IR program into a generated
 Python module (content-addressed by the SHA-256 of its printed IR) with
-one entry point, ``fast_gen``: a flat per-rank state machine that
-``repro.kernel.runtime``'s bucket-queue event loop drives, bare or with
-the heartbeat, checkpoint, budget and flight-recorder hooks armed.
-``repro.kernel.vectorize`` batch-evaluates AM ``delay()`` amounts in
-NumPy — per loop entry, or across all ranks at once for SPMD sites
-fixed at program start.
+one entry point, ``fast_gen``: a flat per-rank driver for the
+simulator's one event loop, :func:`repro.sim.loop.run`, which runs it
+bare or armed, with or without faults and timeouts.
 
 Select it per run with ``Simulator(..., backend="compiled")`` (or
 ``"auto"``, which falls back per-program on unsupported constructs).
-Runs with a fault plan, a timeout or trace collection interpret the
-program on the engine under either.
+Runs that collect a trace interpret the program under either.
 """
 
 from .lower import (
@@ -29,7 +25,6 @@ from .lower import (
     record_fallback,
     set_warm_dir,
 )
-from .runtime import run_fast
 
 __all__ = [
     "KERNEL_FORMAT",
@@ -43,6 +38,5 @@ __all__ = [
     "lower_program",
     "program_fingerprint",
     "record_fallback",
-    "run_fast",
     "set_warm_dir",
 ]

@@ -6,30 +6,25 @@ per statement.  This pass walks the tree **once per program** instead and
 emits flat Python source — one module per program, content-addressed by
 the SHA-256 of its printed IR — with one entry point:
 
-``fast_gen(rank, size, inputs, wparams, rt, st, wv)``
-    The per-rank state machine :mod:`repro.kernel.runtime` drives.
-    Compute, delay and timer requests fold into inline clock arithmetic
-    and only communication points yield (small tuples, not request
-    objects).  The generator first stops at a bare ``yield``; the
-    runtime's priming resume sends it the start time.  At every yield it
-    flushes its clock, event count, compute time and host cost to ``st``,
-    which keeps per-rank stats in exactly the engine's floating-point
-    order and exact between events (budget trips and checkpoint cursors
-    read them mid-run).
+``fast_gen(rank, size, inputs, wparams, rt, st)``
+    The per-rank driver :func:`repro.sim.loop.run` resumes.  Compute,
+    delay, timer and allocation requests fold into inline arithmetic and
+    calls, and only communication points yield, with the op tuples of
+    :mod:`repro.sim.loop` (not request objects).  The generator first
+    stops at a bare ``yield``; the loop's priming resume sends it the
+    start time.  At every yield it flushes its clock, event count,
+    compute time and host cost to ``st``, which keeps per-rank stats in
+    exactly the interpreter's floating-point order and exact between
+    events (budget trips and checkpoint cursors read them mid-run).
 
-Fault plans, timeouts and event traces are engine-only: a run that
-needs one interprets the program instead (see
+Event traces need the interpreter, whose compute and delay requests a
+trace records: a traced run interprets the program instead (see
 :class:`repro.sim.engine.Simulator`).  The module embeds
 :data:`KERNEL_FORMAT`; a stored module of another format is re-lowered.
 
 Anything the emitter cannot reproduce bit-for-bit raises
 :class:`UnsupportedConstructError`; ``backend="auto"`` catches it and
 falls back to the interpreter for that program (with a logged reason).
-
-Delay loops whose amount uses only batch-safe arithmetic additionally get
-a NumPy wave helper (see :mod:`repro.kernel.vectorize`); loops whose
-bounds and amounts are fixed at program start are precomputed for **all
-ranks in one 2-D batch** before the run starts (the SPMD case).
 """
 
 from __future__ import annotations
@@ -77,7 +72,6 @@ from ..symbolic.expr import (
     Var,
 )
 from ..symbolic.extended import Cond, Sum
-from . import vectorize
 
 __all__ = [
     "KERNEL_FORMAT",
@@ -96,7 +90,7 @@ __all__ = [
 log = get_logger("kernel.lower")
 
 #: generated-module format (bump whenever the emitted code changes shape)
-KERNEL_FORMAT = 2
+KERNEL_FORMAT = 3
 
 
 class UnsupportedConstructError(Exception):
@@ -142,7 +136,9 @@ def cache_stats() -> dict:
     """Snapshot of lowering/cache counters (for ``repro profile``)."""
     out = dict(_STATS)
     out["cached_programs"] = len(_CACHE)
-    out.update(vectorize.wave_stats())
+    # always 0 (nothing batches delay waves); benchmarks/e2e/tracing.py
+    # reads the key
+    out["waves"] = 0
     return out
 
 
@@ -150,7 +146,6 @@ def clear_cache() -> None:
     _CACHE.clear()
     for key in _STATS:
         _STATS[key] = 0.0 if key == "lowering_seconds" else 0
-    vectorize.reset_wave_stats()
 
 
 def cached_kernels() -> dict[str, "CompiledKernel"]:
@@ -170,17 +165,11 @@ class CompiledKernel:
     fingerprint: str
     source: str
     lowering_seconds: float
-    vector_sites: int
-    static_sites: int
     _ns: dict = field(repr=False, default_factory=dict)
 
     @property
     def fast_gen(self):
         return self._ns["fast_gen"]
-
-    @property
-    def static_wave_sites(self):
-        return self._ns.get("STATIC_SITES", ())
 
 
 def _execute_source(source: str, name: str, fingerprint: str) -> dict:
@@ -263,8 +252,6 @@ def load_kernel_source(source: str) -> CompiledKernel:
         fingerprint=fp,
         source=source,
         lowering_seconds=0.0,
-        vector_sites=int(probe.get("VECTOR_SITES", 0)),
-        static_sites=len(probe.get("STATIC_SITES", ())),
         _ns=probe,
     )
     _CACHE[fp] = kernel
@@ -279,8 +266,7 @@ def lower_program(program: Program, fingerprint: str | None = None) -> CompiledK
         program.validate()
     except IRValidationError as exc:
         raise UnsupportedConstructError(f"program does not validate: {exc}") from exc
-    lowerer = _Lowerer(program)
-    source = lowerer.emit_module()
+    source = _Lowerer(program).emit_module()
     fp = fingerprint if fingerprint is not None else program_fingerprint(program)
     source = source.replace("__FINGERPRINT__", fp)
     ns = _execute_source(source, program.name, fp)
@@ -294,8 +280,6 @@ def lower_program(program: Program, fingerprint: str | None = None) -> CompiledK
         fingerprint=fp,
         source=source,
         lowering_seconds=dt,
-        vector_sites=lowerer.vector_site_count,
-        static_sites=len(lowerer.static_sites),
         _ns=ns,
     )
 
@@ -378,8 +362,7 @@ Program {name!r}; content address (SHA-256 of printed IR) in FINGERPRINT.
 """
 import math
 
-from repro.ir.interp import InterpreterError
-from repro.kernel import vectorize as _vec
+from repro.ir.interp import REDUCE_FNS as _RF, InterpreterError
 from repro.sim.requests import (
     Alloc,
     Collective,
@@ -408,11 +391,6 @@ class _Lowerer:
 
     def __init__(self, program: Program):
         self.program = program
-        self.vector_site_count = 0
-        self.static_sites: list[str] = []  # emitted STATIC_SITES tuple entries
-        self.helper_lines: list[str] = []
-        self._site_seq = 0
-        self._vec_plans: dict[int, vectorize.SitePlan] = {}  # id(stmt) -> plan
         # Names a handle variable: these must never be read as scalars
         # (the interpreter pops them from env; locals cannot replicate that).
         self.handle_vars: set[str] = set()
@@ -424,13 +402,6 @@ class _Lowerer:
         # Working-set caches are keyed by statement sid in the interpreter;
         # replicate the keying (including collisions on unnumbered trees).
         self._ws_names: dict[int, str] = {}
-        # Names whose values are fixed at rank start (for static wave sites):
-        # params and builtins, extended by top-level ReadParams.
-        self._known: dict[str, str] = {n: "input" for n in program.params}
-        self._write_counts: dict[str, int] = {}
-        for stmt in walk(program.body):
-            for name in stmt.writes():
-                self._write_counts[name] = self._write_counts.get(name, 0) + 1
 
     # -- small helpers -----------------------------------------------------
 
@@ -459,17 +430,7 @@ class _Lowerer:
         fast_lines = self._emit_gen()
         parts = [_PREAMBLE.format(name=prog.name, format=KERNEL_FORMAT)]
         parts.append("")
-        parts.extend(self.helper_lines)
-        parts.append(f"VECTOR_SITES = {self.vector_site_count}")
-        if self.static_sites:
-            parts.append("STATIC_SITES = (")
-            for entry in self.static_sites:
-                parts.append(f"    {entry},")
-            parts.append(")")
-        else:
-            parts.append("STATIC_SITES = ()")
-        parts.append("")
-        parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st, _wv):")
+        parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st):")
         parts.extend(fast_lines)
         parts.append("")
         return "\n".join(parts)
@@ -477,15 +438,15 @@ class _Lowerer:
     def _emit_gen(self) -> list[str]:
         prog = self.program
         w = _Writer()
-        w.line("_tt, _CHF, _EVOH, _DHC, _TIC = _rt")
+        w.line("_tt, _CHF, _EVOH, _DHC, _TIC, _alloc = _rt")
         w.line("ev = 0")
         w.line("ct = 0.0")
         w.line("hc = 0.0")
         # handle ids are assigned in program order on both sides, so the
-        # generator mirrors the runtime's per-rank counter and never
+        # generator mirrors the loop's per-rank counter and never
         # needs the id sent back through the resume value
         w.line("_hid = 0")
-        # the engine's priming resume: nothing runs before the first event
+        # the loop's priming resume: nothing runs before the first event
         w.line("clock = yield")
         # Interpreter order: env = dict(inputs), then builtins overwrite.
         for name in prog.params:
@@ -514,9 +475,9 @@ class _Lowerer:
             )
             w.line(f"_nb = _n * {decl.itemsize!r}")
             w.line(f"_sz[{decl.name!r}] = _nb")
-            self._emit_yield(w, f"(7, clock, {decl.name!r}, _nb)")
+            self._emit_alloc(w, decl.name)
         for stmt in prog.body:
-            self._emit_stmt(w, stmt, depth=0)
+            self._emit_stmt(w, stmt)
         self._flush(w)
         return w.lines
 
@@ -532,20 +493,15 @@ class _Lowerer:
     def _flush(self, w: "_Writer") -> None:
         # Every per-rank cell, so stats are exact between any two events
         # (partial stats of a tripped budget, checkpoint cursors).
-        # host_cost is shared: the runtime adds message costs between
-        # yields, so the float order of engine accumulation survives.
+        # host_cost is shared: the loop adds message costs between yields,
+        # so it accumulates in the interpreter's float order.
         w.line("_st[0] = clock")
         w.line("_st[1] = ev")
         w.line("_st[2] = ct")
         w.line("_st[4] = hc")
 
     def _emit_yield(self, w: "_Writer", op: str, target: str = "clock") -> None:
-        """One yield to the runtime: count it, flush, suspend, reload.
-
-        An Alloc (op 7) round-trips without an event-queue hop, as the
-        engine's ``_resume`` handles it inline; memory errors surface
-        from the runtime.
-        """
+        """One yield to the loop: count it, flush, suspend, reload."""
         w.line("ev += 1")
         self._flush(w)
         w.line(f"{target} = yield {op}")
@@ -553,23 +509,17 @@ class _Lowerer:
 
     # -- statement dispatch ------------------------------------------------
 
-    def _emit_stmt(self, w: "_Writer", stmt, depth: int) -> None:
+    def _emit_stmt(self, w: "_Writer", stmt) -> None:
         ty = type(stmt)
         if ty is Assign:
             self._check_expr_reads(stmt.expr)
             w.line(f"{_mangle(stmt.var)} = {_emit_expr(stmt.expr)}")
-            if depth == 0 and self._write_counts.get(stmt.var, 0) == 1:
-                srcs = self._static_sources(stmt.expr.free_vars())
-                if srcs is not None:
-                    # Single-write top-level assign over fixed names is
-                    # itself fixed; unlocks static waves further down.
-                    self._known[stmt.var] = "derived"
             return
         if ty is CompBlock:
             self._emit_comp(w, stmt)
             return
         if ty is For:
-            self._emit_for(w, stmt, depth)
+            self._emit_for(w, stmt)
             return
         if ty is If:
             bad = stmt.cond.free_vars() & self.handle_vars
@@ -581,14 +531,14 @@ class _Lowerer:
             if stmt.then:
                 with w.indented():
                     for s in stmt.then:
-                        self._emit_stmt(w, s, depth + 1)
+                        self._emit_stmt(w, s)
             else:
                 w.line("    pass")
             if stmt.orelse:
                 w.line("else:")
                 with w.indented():
                     for s in stmt.orelse:
-                        self._emit_stmt(w, s, depth + 1)
+                        self._emit_stmt(w, s)
             return
         if ty is SendStmt or ty is IsendStmt:
             self._emit_send(w, stmt, blocking=ty is SendStmt)
@@ -606,7 +556,7 @@ class _Lowerer:
             self._emit_delay(w, stmt)
             return
         if ty is ReadParams:
-            self._emit_read_params(w, stmt, depth)
+            self._emit_read_params(w, stmt)
             return
         if ty is StartTimer:
             w.line("clock += _TIC")
@@ -629,7 +579,7 @@ class _Lowerer:
             w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
             w.line("if _nb < 0:")
             w.line(f"    Alloc({stmt.name!r}, _nb)")
-            self._emit_yield(w, f"(7, clock, {stmt.name!r}, _nb)")
+            self._emit_alloc(w, stmt.name)
             w.line(f"_sz[{stmt.name!r}] = _nb")
             return
         if ty is ArrayAssign:
@@ -639,6 +589,11 @@ class _Lowerer:
         raise UnsupportedConstructError(f"statement kind {ty.__name__} is not lowerable")
 
     # -- individual statements ---------------------------------------------
+
+    def _emit_alloc(self, w: "_Writer", name: str) -> None:
+        """Account ``_nb`` bytes under *name*: one event, no yield."""
+        w.line("ev += 1")
+        w.line(f"_alloc(rank, {name!r}, _nb)")
 
     def _emit_comp(self, w: "_Writer", stmt: CompBlock) -> None:
         if stmt.kernel is not None:
@@ -687,7 +642,7 @@ class _Lowerer:
         if not blocking:
             w.line("_hid += 1")
             w.line(f"{_mangle(stmt.handle_var)} = _hid")
-        self._emit_yield(w, f"({1 if blocking else 3}, clock, _d, _nb, {tag!r})")
+        self._emit_yield(w, f"({1 if blocking else 3}, clock, _d, _nb, {tag!r}, None, None)")
 
     def _emit_recv(self, w: "_Writer", stmt, blocking: bool) -> None:
         self._check_expr_reads(stmt.source, stmt.nbytes)
@@ -700,7 +655,7 @@ class _Lowerer:
         if not blocking:
             w.line("_hid += 1")
             w.line(f"{_mangle(stmt.handle_var)} = _hid")
-        self._emit_yield(w, f"({2 if blocking else 4}, clock, _s, {tag!r})")
+        self._emit_yield(w, f"({2 if blocking else 4}, clock, _s, {tag!r}, None)")
 
     def _emit_wait(self, w: "_Writer", stmt: WaitAllStmt) -> None:
         names = ", ".join(_mangle(v) for v in stmt.handle_vars)
@@ -720,15 +675,15 @@ class _Lowerer:
             w.line(f"_cv = {_emit_expr(stmt.contrib)}")
         else:
             w.line("_cv = None")
-        kind = stmt.reduce_kind if stmt.op in ("reduce", "allreduce") else None
+        rf = f"_RF[{stmt.reduce_kind!r}]" if stmt.op in ("reduce", "allreduce") else "None"
         w.line("if not (0 <= _nb < _INF) or _rt < 0:")
         w.line(f"    Collective(op={stmt.op!r}, nbytes=_nb, root=_rt)")
-        self._emit_yield(w, f"(6, clock, {stmt.op!r}, _nb, _rt, _cv, {kind!r})", "_tmp")
+        self._emit_yield(w, f"(6, clock, {stmt.op!r}, _nb, _rt, _cv, {rf}, None)", "_tmp")
         w.line("clock = _tmp[0]")
         if stmt.result_var is not None:
             w.line(f"{_mangle(stmt.result_var)} = _tmp[1]")
 
-    def _emit_read_params(self, w: "_Writer", stmt: ReadParams, depth: int) -> None:
+    def _emit_read_params(self, w: "_Writer", stmt: ReadParams) -> None:
         names = tuple(stmt.names)
         w.line(f"_ms = [n for n in {names!r} if n not in _wp]")
         w.line("if _ms:")
@@ -738,18 +693,16 @@ class _Lowerer:
         )
         nbytes = 8 * len(names)
         w.line(f"_pl = {{n: _wp[n] for n in {names!r}}} if v_myid == 0 else None")
-        self._emit_yield(w, f'(6, clock, "bcast", {nbytes!r}, 0, _pl, None)', "_tmp")
+        self._emit_yield(w, f'(6, clock, "bcast", {nbytes!r}, 0, _pl, None, None)', "_tmp")
         w.line("clock = _tmp[0]")
         w.line("_rd = _tmp[1]")
         for n in names:
             w.line(f"{_mangle(n)} = _rd[{n!r}]")
-        if depth == 0:
-            for n in names:
-                if self._write_counts.get(n, 0) == 1:
-                    self._known[n] = "wparam"
 
-    def _emit_delay_body(self, w: "_Writer", task: str) -> None:
-        """Charge one delay of ``_dy`` seconds (already clamped at 0)."""
+    def _emit_delay(self, w: "_Writer", stmt: DelayStmt) -> None:
+        self._check_expr_reads(stmt.amount)
+        w.line(f"_a = {_emit_expr(stmt.amount)}")
+        w.line("_dy = max(float(_a), 0.0)")
         w.line("if _dy < _INF:")
         with w.indented():
             w.line("clock += _dy")
@@ -757,136 +710,17 @@ class _Lowerer:
             w.line("hc += _DHC")
             w.line("ev += 1")
         w.line("else:")
-        w.line(f"    Delay(seconds=_dy, task={task!r})")
+        w.line(f"    Delay(seconds=_dy, task={stmt.task!r})")
 
-    def _emit_delay(self, w: "_Writer", stmt: DelayStmt) -> None:
-        self._check_expr_reads(stmt.amount)
-        w.line(f"_a = {_emit_expr(stmt.amount)}")
-        w.line("_dy = max(float(_a), 0.0)")
-        self._emit_delay_body(w, stmt.task)
-
-    # -- loops and vectorization -------------------------------------------
-
-    def _emit_for(self, w: "_Writer", stmt: For, depth: int) -> None:
+    def _emit_for(self, w: "_Writer", stmt: For) -> None:
         self._check_expr_reads(stmt.lo, stmt.hi)
-        plan = self._vec_plan(stmt)
-        if plan is None:
-            w.line(
-                f"for {_mangle(stmt.var)} in "
-                f"range(int({_emit_expr(stmt.lo)}), int({_emit_expr(stmt.hi)}) + 1):"
-            )
-            with w.indented():
-                for s in stmt.body:
-                    self._emit_stmt(w, s, depth + 1)
-            return
-        # Vectorizable delay loop: one NumPy wave per entry (and, when the
-        # site is fixed at program start, one 2-D batch across all ranks).
-        delay = stmt.body[0]
-        w.line(f"_lo = int({_emit_expr(stmt.lo)})")
-        w.line(f"_hi = int({_emit_expr(stmt.hi)})")
-        if plan.static_id is not None:
-            w.line(f"_dl = _wv.get({plan.static_id})")
-            w.line("if _dl is None:")
-            w.line(f"    _dl = {plan.helper}(_lo, _hi{plan.callargs})")
-        else:
-            w.line(f"_dl = {plan.helper}(_lo, _hi{plan.callargs})")
-        w.line("if _dl is not None:")
+        w.line(
+            f"for {_mangle(stmt.var)} in "
+            f"range(int({_emit_expr(stmt.lo)}), int({_emit_expr(stmt.hi)}) + 1):"
+        )
         with w.indented():
-            w.line("for _dy in _dl:")
-            with w.indented():
-                self._emit_delay_body(w, delay.task)
-        w.line("else:")
-        with w.indented():
-            w.line(f"for {_mangle(stmt.var)} in range(_lo, _hi + 1):")
-            with w.indented():
-                self._emit_delay(w, delay)
-
-    def _vec_plan(self, stmt: For) -> vectorize.SitePlan | None:
-        """Build (once) and return the wave plan for a delay-only loop."""
-        key = id(stmt)
-        if key in self._vec_plans:
-            return self._vec_plans[key]
-        plan = None
-        if (
-            len(stmt.body) == 1
-            and type(stmt.body[0]) is DelayStmt
-            and vectorize.batch_safe(stmt.body[0].amount)
-        ):
-            delay = stmt.body[0]
-            outer = sorted(
-                (delay.amount.free_vars() | stmt.lo.free_vars() | stmt.hi.free_vars())
-                - {stmt.var}
-            )
-            if all(n.isidentifier() for n in outer):
-                self._site_seq += 1
-                n = self._site_seq
-                helper = f"_vd{n}"
-                args = "".join(f", {_mangle(a)}" for a in outer)
-                body_np = vectorize.emit_numpy(delay.amount, stmt.var, set(outer))
-                self.helper_lines.append(f"def _vdf{n}(_np, _i{args}):")
-                self.helper_lines.append(f"    return {body_np}")
-                self.helper_lines.append(f"def {helper}(_lo, _hi{args}):")
-                argtuple = ", ".join(_mangle(a) for a in outer)
-                if outer:
-                    argtuple += ","
-                self.helper_lines.append(
-                    f"    return _vec.delay_wave(_lo, _hi, ({argtuple}), _vdf{n})"
-                )
-                self.helper_lines.append("")
-                static_id = self._maybe_static_site(n, stmt, delay, outer)
-                plan = vectorize.SitePlan(helper=helper, callargs=args, static_id=static_id)
-                self.vector_site_count += 1
-        self._vec_plans[key] = plan
-        return plan
-
-    def _static_sources(self, names) -> list[tuple[str, str]] | None:
-        """Resolve *names* to fixed-at-start sources, or None if any varies."""
-        out = []
-        for n in sorted(names):
-            if n == "myid" or n == "P":
-                out.append((n, "builtin"))
-                continue
-            src = self._known.get(n)
-            if src is None or self._write_counts.get(n, 0) > 1:
-                return None
-            if src == "derived":
-                return None  # conservatively skip derived chains in waves
-            out.append((n, src))
-        return out
-
-    def _maybe_static_site(self, n: int, stmt: For, delay: DelayStmt, outer) -> int | None:
-        """Emit a STATIC_SITES entry if the whole site is fixed at start.
-
-        Bounds must not depend on ``myid`` (rows would go ragged); the
-        amount may (that is the SPMD cross-rank axis).
-        """
-        bound_vars = (stmt.lo.free_vars() | stmt.hi.free_vars()) - {stmt.var}
-        if "myid" in bound_vars:
-            return None
-        srcs = self._static_sources(set(outer))
-        if srcs is None:
-            return None
-        if not (vectorize.batch_safe(stmt.lo) and vectorize.batch_safe(stmt.hi)):
-            return None
-        # ``myid`` is the cross-rank axis (a column vector at precompute
-        # time); everything else arrives as a scalar argument.
-        args = [(a, s) for a, s in srcs if a != "myid"]
-        arg_list = ", ".join(_mangle(a) for a, _ in args)
-        prefix = f", {arg_list}" if arg_list else ""
-        names = {a for a, _ in srcs}
-        lo_np = vectorize.emit_numpy(stmt.lo, None, names)
-        hi_np = vectorize.emit_numpy(stmt.hi, None, names)
-        body_np = vectorize.emit_numpy(delay.amount, stmt.var, names)
-        self.helper_lines.append(f"def _sl{n}(_np{prefix}):")
-        self.helper_lines.append(f"    return {lo_np}")
-        self.helper_lines.append(f"def _sh{n}(_np{prefix}):")
-        self.helper_lines.append(f"    return {hi_np}")
-        self.helper_lines.append(f"def _sb{n}(_np, _i, v_myid{prefix}):")
-        self.helper_lines.append(f"    return {body_np}")
-        self.helper_lines.append("")
-        spec = tuple(args)
-        self.static_sites.append(f"({n}, _sl{n}, _sh{n}, _sb{n}, {spec!r})")
-        return n
+            for s in stmt.body:
+                self._emit_stmt(w, s)
 
 
 class _Writer:

@@ -1,9 +1,10 @@
-"""Virtual MPI runtime: the target-program API and message matching.
+"""Virtual MPI runtime: the target-program API.
 
 This package plays the role of the MPI library in MPI-Sim's
 architecture: target programs issue MPI-like operations, the simulation
-kernel traps them and advances virtual time using the machine's
-communication model.
+kernel (:mod:`repro.sim.loop`, which also does the message matching)
+traps them and advances virtual time using the machine's communication
+model.
 """
 
 from . import api
@@ -29,7 +30,6 @@ from .api import (
     send,
     wtime,
 )
-from .matching import MatchQueues, MessageRecord, PostedRecv
 
 __all__ = [
     "api",
@@ -53,7 +53,4 @@ __all__ = [
     "wtime",
     "ANY_SOURCE",
     "ANY_TAG",
-    "MatchQueues",
-    "MessageRecord",
-    "PostedRecv",
 ]

@@ -15,8 +15,8 @@ run would otherwise hang the whole fleet.
 When a limit trips, the event loop raises :class:`BudgetExceededError`
 carrying the **partial** :class:`repro.sim.SimStats` accumulated so far,
 so the caller can classify the outcome and report how far the run got —
-instead of a hung process or a bare traceback.  Both event loops consult
-the guard through :class:`repro.sim.engine.RunHooks`: the event limit
+instead of a hung process or a bare traceback.  The event loop consults
+the guard through :class:`repro.sim.loop.RunHooks`: the event limit
 trips exactly, the virtual-time limit is checked on every event, and the
 wall clock on the first event and then at least every 1024 events.
 """
@@ -69,7 +69,7 @@ def _check_limit(name: str, value: float | None) -> None:
 
 
 class BudgetGuard:
-    """Per-run budget state the event loops consult (see :class:`RunHooks`)."""
+    """Per-run budget state the event loop consults (see :class:`RunHooks`)."""
 
     __slots__ = ("max_events", "max_virtual_time", "max_wall_seconds", "events", "_wall_start")
 

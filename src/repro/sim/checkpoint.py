@@ -30,13 +30,13 @@ checkpoint and restarts the run from zero rather than trusting a
 divergent replay.
 
 Cost contract: disabled (the default), checkpointing adds zero
-hot-loop calls — each event loop tests ``CHECKPOINT.enabled`` once per
-run (through :class:`repro.sim.engine.RunHooks`).  Enabled, the loop
+hot-loop calls — the event loop tests ``CHECKPOINT.enabled`` once per
+run (through :class:`repro.sim.loop.RunHooks`).  Enabled, the loop
 ticks only at the event counts :attr:`CheckpointWriter.next_due`
 names (the resume cursor, then the write stride); an actual write is
 throttled by both an event stride and a wall-clock minimum interval.
-Both loops number events identically, so a cursor written on one
-backend verifies on the other.
+Events are numbered the same for both drivers, so a cursor written on
+one backend verifies on the other.
 """
 
 from __future__ import annotations

@@ -18,8 +18,11 @@ go wrong" becomes an answerable question:
   graph-based stall diagnosis.
 
 Every random decision is a pure function of ``(plan.seed, fault kind,
-message identity, attempt)``, so a plan replays identically regardless
-of event-queue ordering, and two runs with the same seed agree.
+key, attempt)``, where the event loop's key for a send counts the events
+queued and the sends and receives posted before it.  The same plan,
+program and inputs therefore replay identically; a decision is not
+independent of event ordering, since every event queued earlier shifts
+the key (see :class:`FaultState`).
 """
 
 from __future__ import annotations
@@ -242,8 +245,14 @@ class FaultState:
     """Runtime fault oracle the kernel consults for one simulation.
 
     Wraps a :class:`FaultPlan` plus the optional :class:`RetryPolicy`.
-    All draws are keyed by (kind, message seq, attempt) under the plan
-    seed, so decisions are independent of event ordering.
+    All draws are keyed by (kind, *seq*, attempt) under the plan seed.
+    The event loop passes as *seq* the number of events queued so far
+    plus the sends and receives posted so far, taken when the send is
+    processed.  This guarantees replay: the same plan, program and
+    inputs draw the same decisions.  It does not make a decision
+    independent of event ordering, nor monotone in a probability: at a
+    higher loss rate the events before a send differ, so its key and
+    draw do too.
     """
 
     def __init__(self, plan: FaultPlan, retry: RetryPolicy | None = None):
@@ -279,15 +288,15 @@ class FaultState:
 
     # -- the per-message fault decisions ---------------------------------------
     def injection(self, src: int, dst: int, seq: int) -> tuple[bool, int, float]:
-        """Transient send-failure loop for message *seq* (before injection)."""
+        """Transient send-failure loop for the send keyed *seq* (before injection)."""
         return self._attempt_loop(self.plan.send_failure, _STREAM_SENDFAIL, seq)
 
     def delivery(self, src: int, dst: int, seq: int) -> tuple[bool, int, float]:
-        """Message-loss/retransmission loop for message *seq* (on the wire)."""
+        """Message-loss/retransmission loop for the send keyed *seq* (on the wire)."""
         return self._attempt_loop(self._loss_prob(src, dst), _STREAM_LOSS, seq)
 
     def duplicates(self, src: int, dst: int, seq: int) -> bool:
-        """Is a spurious duplicate of message *seq* delivered too?"""
+        """Is a spurious duplicate of the send keyed *seq* delivered too?"""
         p = self.plan.duplication
         return p > 0.0 and self._draw(_STREAM_DUP, seq, 1) < p
 
@@ -442,7 +451,7 @@ class DeadlockReport:
 def diagnose_deadlock(nprocs, blocked, sends, recvs, colls, crashed=()) -> DeadlockReport:
     """Diagnose a drained-but-blocked simulation: who waits on whom.
 
-    Both event loops feed their leftover state in one neutral shape:
+    The event loop feeds its leftover state in this shape:
 
     * *blocked*: ``(rank, state, clock, wait_time, pending_handles)`` per
       unfinished live rank, in rank order;

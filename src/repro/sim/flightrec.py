@@ -11,19 +11,18 @@ they were doing, and in what virtual-time order.
 Cost contract (the same one the tracer and metrics registry hold to):
 
 * **Disabled (the default), the recorder adds zero hot-loop calls.**
-  Both event loops — the engine's drain loop and the compiled runtime —
-  test ``FLIGHT.enabled`` once per run (via
-  :class:`~repro.sim.engine.RunHooks`) and bind the hook to ``None``;
+  The event loop tests ``FLIGHT.enabled`` once per run (via
+  :class:`~repro.sim.loop.RunHooks`) and binds the hook to ``None``;
   with no hook armed, a run pays one boolean test per event.
 * **Enabled, the ring is bounded.**  Recording is one ``deque.append``
   of a small tuple per event (:meth:`FlightRecorder.appender`, no method
   call); memory is ``O(capacity)`` regardless of run length, and events
   evicted from the ring are counted, not kept.
 
-Both loops record the same ``(t, rank, kind)`` entries in the same
+Both drivers produce the same ``(t, rank, kind)`` entries in the same
 order, so a run's ring does not depend on its backend.  Dumps are plain
 dicts (JSON-safe) so they can ride inside campaign journal records, fuzz
-failure reports and telemetry capsules.  The event loops attach a dump
+failure reports and telemetry capsules.  The event loop attaches a dump
 to :class:`~repro.sim.engine.DeadlockError` and
 :class:`~repro.sim.budget.BudgetExceededError` automatically; for any
 other failure the consumer calls :meth:`FlightRecorder.dump` itself —

@@ -23,8 +23,8 @@ the wall budget.
 Cost contract (the same one TRACER / METRICS / FLIGHT hold to):
 
 * **Disabled (the default), heartbeats add zero hot-loop calls.**
-  Each event loop tests ``HEARTBEAT.enabled`` once per run (through
-  :class:`repro.sim.engine.RunHooks`) and binds the hook to ``None``;
+  The event loop tests ``HEARTBEAT.enabled`` once per run (through
+  :class:`repro.sim.loop.RunHooks`) and binds the hook to ``None``;
   with no hook armed, a run pays one boolean test per event.
 * **Enabled, the loop pays one integer compare per event** against the
   next due event count and ticks only there; actually *emitting* a
@@ -61,7 +61,7 @@ class HeartbeatEmitter:
     """Throttled liveness-cursor emitter; use the shared :data:`HEARTBEAT`.
 
     The emitter is configured per run (sink, stride, throttle, metadata)
-    and consulted by the event loops via :meth:`tick`.  Cursors are JSON-safe dicts::
+    and consulted by the event loop via :meth:`tick`.  Cursors are JSON-safe dicts::
 
         {"format": 1, "run_id": ..., "events": N, "virtual_time": t,
          "wall_seconds": w, "flight_tail": [[t, rank, kind], ...]}

@@ -1,9 +1,9 @@
 """Deadlock surfacing and teardown across both backends.
 
-Regression pinned here: when a deadlock is detected, the engine closes
-every still-suspended rank generator — and a generator that *raises*
-inside ``close()`` (a ``finally:`` block blowing up on ``GeneratorExit``)
-must not mask the original :class:`DeadlockError`.  Both loops feed one
+Regression pinned here: when a deadlock is detected, the loop closes
+every still-suspended rank driver — and a generator that *raises* inside
+``close()`` (a ``finally:`` block blowing up on ``GeneratorExit``) must
+not mask the original :class:`DeadlockError`.  Both drivers feed one
 diagnosis, so the report and the flight dump are byte-identical.
 """
 
@@ -56,8 +56,8 @@ class TestRaisingClose:
         assert exc_info.value.report is not None
 
     def test_compiled_deadlock_not_masked_by_close(self):
-        # trace collection is engine-only: a compiled request interprets
-        # the program, so teardown runs through the engine's close loop
+        # trace collection needs the interpreter: a compiled request
+        # interprets the program, so teardown closes Request drivers
         sim = Simulator(
             4, all_recv_factory(), M, mode=ExecMode.DE,
             backend="compiled", collect_trace=True,
@@ -68,7 +68,7 @@ class TestRaisingClose:
         assert exc_info.value.report is not None
 
     def test_compiled_fast_path_deadlock(self):
-        # the bucket-queue fast loop's own teardown/close path
+        # teardown of the compiled drivers
         with pytest.raises(DeadlockError) as exc_info:
             Simulator(
                 4, all_recv_factory(), M, mode=ExecMode.DE, backend="compiled"

@@ -1,14 +1,16 @@
-"""Two event loops, every arming: the per-event hooks never change a result.
+"""Two drivers on one loop, every arming: results never depend on either.
 
-The engine drains interpreted runs, ``repro.kernel.runtime.run_fast``
-compiled ones; both bind the heartbeat, checkpoint, watchdog-budget and
-flight-recorder hooks once per run through ``RunHooks`` and number events
-the same way.  Over programs drawn from the ``repro.gen`` grammar, arming
-any of them — alone or all together, on either backend — must leave
-``SimStats.to_dict()`` byte-identical to a bare interpreted run.  A
-tripping budget must report the same kind, limit, observed value and
-partial stats on both loops, with and without the flight recorder, and
-the flight dumps and heartbeat cursors of the two loops must match.
+Interpreted runs drive each rank with the Request driver, compiled runs
+with ``fast_gen``; both drain through ``repro.sim.loop.run``, which binds
+the heartbeat, checkpoint, watchdog-budget and flight-recorder hooks once
+per run through ``RunHooks``.  Over programs drawn from the ``repro.gen``
+grammar, arming any of them — alone or all together, on either backend —
+must leave ``SimStats.to_dict()`` byte-identical to a bare interpreted
+run.  A tripping budget must report the same kind, limit, observed value
+and partial stats on both drivers, with and without the flight recorder,
+and their flight dumps and heartbeat cursors must match.  Under random
+fault plans and default timeouts the two drivers must agree on the
+stats, the deadlock report text and the flight dump.
 """
 
 import json
@@ -19,10 +21,18 @@ from hypothesis import strategies as st
 
 from repro.gen import GrammarConfig, generate_program
 from repro.ir import make_factory
-from repro.machine import TESTING_MACHINE
+from repro.machine import IBM_SP, TESTING_MACHINE
 from repro.obs.metrics import METRICS
 from repro.obs.spans import TRACER
-from repro.sim import ExecMode, Simulator
+from repro.sim import (
+    CrashFault,
+    DeadlockError,
+    ExecMode,
+    FaultPlan,
+    LinkDegradation,
+    RetryPolicy,
+    Simulator,
+)
 from repro.sim.budget import BudgetExceededError
 from repro.sim.checkpoint import CHECKPOINT
 from repro.sim.flightrec import FLIGHT
@@ -80,8 +90,8 @@ def disarm() -> None:
     FLIGHT.disable()
 
 
-def simulator(gen, mode, backend, **kw) -> Simulator:
-    return Simulator(NPROCS, make_factory(gen.program, gen.inputs), TESTING_MACHINE,
+def simulator(gen, mode, backend, machine=TESTING_MACHINE, **kw) -> Simulator:
+    return Simulator(NPROCS, make_factory(gen.program, gen.inputs), machine,
                      mode=mode, seed=3, backend=backend, **kw)
 
 
@@ -165,21 +175,66 @@ def test_tripped_budget_same_with_and_without_flight(seed, max_events, vt_share)
     assert all(dumps[0]["budget"][k] == v for k, v in budget.items())
 
 
-@pytest.mark.parametrize("mode", [ExecMode.DE, ExecMode.AM, ExecMode.MEASURED])
-def test_armed_compiled_run_never_enters_the_engine(mode, ck_path, monkeypatch):
-    def refuse(self, hooks):
-        raise AssertionError("a compiled run entered Simulator._drain")
+PROBS = st.sampled_from((0.0, 0.05, 0.2, 0.5))
 
-    monkeypatch.setattr(Simulator, "_drain", refuse)
-    gen = generate_program(7, GRAMMAR)
-    kw = arm("all", ck_path)
-    TRACER.enable()
-    METRICS.enable()
+
+@st.composite
+def fault_kwargs(draw, horizon: float) -> dict:
+    """A random fault plan, retry policy and default timeout, with times
+    scaled to *horizon* (the run's fault-free elapsed time)."""
+    crashes = draw(st.lists(
+        st.builds(lambda rank, at: CrashFault(rank, at * horizon),
+                  st.integers(0, NPROCS - 1), st.floats(0.0, 1.2)),
+        max_size=2, unique_by=lambda c: c.rank))
+    degradations = draw(st.lists(
+        st.builds(lambda start, width, lf, bf, src: LinkDegradation(
+            start * horizon, (start + width) * horizon, lf, bf, src=src),
+            st.floats(0.0, 0.8), st.floats(0.1, 1.0), st.sampled_from((1.0, 4.0)),
+            st.sampled_from((1.0, 0.25)), st.sampled_from((None, 0, 1))),
+        max_size=2))
+    plan = FaultPlan(seed=draw(st.integers(0, 99)), crashes=tuple(crashes),
+                     message_loss=draw(PROBS), duplication=draw(PROBS),
+                     send_failure=draw(PROBS), degradations=tuple(degradations))
+    retry = draw(st.none() | st.builds(RetryPolicy, max_attempts=st.integers(1, 4),
+                                       backoff=st.sampled_from((0.0, 1e-5))))
+    timeout = draw(st.none() | st.floats(0.05, 2.0).map(lambda f: f * horizon))
+    return {"faults": plan, "retry": retry, "default_timeout": timeout}
+
+
+def outcome(sim: Simulator) -> str:
+    """Stats bytes of a finished run, or the text of its deadlock or error."""
     try:
-        sim = simulator(gen, mode, "compiled", max_virtual_time=1e9,
-                        max_wall_seconds=3600.0, **kw)
-        result = sim.run()
+        return stats_bytes(sim.run())
+    except DeadlockError as exc:
+        return "deadlock: " + (exc.report.format() if exc.report is not None else str(exc))
+    except Exception as exc:  # noqa: BLE001 - error parity is the invariant
+        return f"{type(exc).__name__}: {exc}"
+
+
+def flight_dump(sim: Simulator) -> dict:
+    FLIGHT.enable()
+    try:
+        try:
+            sim.run()
+            return without_wall(FLIGHT.dump())
+        except DeadlockError as exc:
+            return without_wall(exc.flight)
     finally:
         disarm()
-    assert sim.backend == "compiled"
-    assert result.stats.total_events > 0
+        FLIGHT.reset()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), mode=st.sampled_from(MODES),
+       machine=st.sampled_from((TESTING_MACHINE, IBM_SP)), data=st.data())
+def test_faults_and_timeouts_same_on_both_drivers(seed, mode, machine, data):
+    gen = generate_program(seed, GRAMMAR)
+    horizon = simulator(gen, ExecMode.DE, "interpreted", machine).run().elapsed or 1e-3
+    kw = data.draw(fault_kwargs(horizon))
+    sims = {backend: simulator(gen, mode, backend, machine, **kw) for backend in BACKENDS}
+    assert sims["compiled"].backend == "compiled"
+    results = {backend: outcome(sim) for backend, sim in sims.items()}
+    assert results["compiled"] == results["interpreted"]
+    dumps = {backend: flight_dump(simulator(gen, mode, backend, machine, **kw))
+             for backend in BACKENDS}
+    assert dumps["compiled"] == dumps["interpreted"]
