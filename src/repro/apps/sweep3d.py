@@ -115,6 +115,7 @@ def build_sweep3d() -> "Program":
                         work=stage_work,
                         ops_per_iter=GRIND_OPS,
                         arrays=("Flux", "Src", "Sigt", "Phiib", "Phijb"),
+                        reads={"myid", "oct", "kb_i", "ab_i", "it_n"},
                         writes={"needfix"},
                         kernel=_fixup_probe,
                     )

@@ -92,7 +92,14 @@ class ProgramBuilder:
         writes=frozenset(),
         kernel=None,
     ) -> Stmt:
-        """Emit a computational task (one STG compute node)."""
+        """Emit a computational task (one STG compute node).
+
+        An optional ``kernel(env, arrays)`` runs under direct execution.
+        With ``reads`` declared it sees exactly those scalars in ``env``
+        and only the names in ``writes`` are copied back, and a top-level
+        kernel function then lowers to the compiled backend (see
+        :class:`~repro.ir.nodes.CompBlock`).
+        """
         return self._emit(
             CompBlock(name, work, ops_per_iter, arrays, reads, writes, kernel)
         )

@@ -257,6 +257,22 @@ def _working_set(state: _State, block: CompBlock) -> float:
     return ws
 
 
+def _call_kernel(block: CompBlock, env: dict, arrays: dict) -> None:
+    """Run *block*'s kernel as the compiled backend does.
+
+    A block that declares its reads hands the kernel a dict of exactly
+    those scalars and copies back exactly its declared writes; one that
+    declares none hands it the whole environment.
+    """
+    if not block.reads_:
+        block.kernel(env, arrays)
+        return
+    kenv = {n: env[n] for n in sorted(block.reads_)}
+    block.kernel(kenv, arrays)
+    for n in sorted(block.writes_):
+        env[n] = kenv[n]
+
+
 def _cfn(expr):
     """The compiled evaluator of *expr* (cached on the expression itself).
 
@@ -281,7 +297,7 @@ def _exec(stmts: list[Stmt], state: _State):
             if work < 0:
                 work = 0
             if s.kernel is not None:
-                s.kernel(env, state.arrays)
+                _call_kernel(s, env, state.arrays)
             if work > 0:
                 yield Compute(
                     ops=work * s.ops_per_iter,

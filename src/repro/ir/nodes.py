@@ -188,6 +188,14 @@ class CompBlock(Stmt):
     ``kernel`` (optional) runs under direct execution and may write the
     scalars named in ``writes_`` (values that feed control flow or
     communication and which slicing may therefore need to retain).
+
+    The kernel contract: ``kernel(env, arrays)`` is called after the work
+    is evaluated and before it is charged.  When ``reads_`` is declared,
+    ``env`` holds exactly those scalars, and exactly the names in
+    ``writes_`` are copied back from it afterwards; such a block lowers
+    to the compiled backend if its kernel is a top-level function.  With
+    no declared reads the kernel gets the whole environment and the
+    block only interprets.
     """
 
     name: str

@@ -1,7 +1,8 @@
 """Compiled per-program kernel backend: the lowering pass.
 
 ``repro.kernel.lower`` turns a validated IR program into a generated
-Python module (content-addressed by the SHA-256 of its printed IR) with
+Python module (content-addressed by the SHA-256 of its printed IR and
+of its comp blocks' kernel identities) with
 one entry point, ``fast_gen``: a flat per-rank driver for the
 simulator's one event loop, :func:`repro.sim.loop.run`, which runs it
 bare or armed, with or without faults and timeouts.

@@ -4,7 +4,7 @@ The interpreted kernel (:mod:`repro.ir.interp`) walks the statement tree
 once per rank per run, paying a generator suspension plus a tree dispatch
 per statement.  This pass walks the tree **once per program** instead and
 emits flat Python source — one module per program, content-addressed by
-the SHA-256 of its printed IR — with one entry point:
+:func:`program_fingerprint` — with one entry point:
 
 ``fast_gen(rank, size, inputs, wparams, rt, st)``
     The per-rank driver :func:`repro.sim.loop.run` resumes.  Compute,
@@ -30,6 +30,7 @@ falls back to the interpreter for that program (with a logged reason).
 from __future__ import annotations
 
 import hashlib
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -90,7 +91,7 @@ __all__ = [
 log = get_logger("kernel.lower")
 
 #: generated-module format (bump whenever the emitted code changes shape)
-KERNEL_FORMAT = 3
+KERNEL_FORMAT = 4
 
 
 class UnsupportedConstructError(Exception):
@@ -102,6 +103,10 @@ _BUILTINS = ("myid", "P")
 
 # In-process content-addressed cache: fingerprint -> CompiledKernel.
 _CACHE: dict[str, "CompiledKernel"] = {}
+
+# Remembered lowering failures: fingerprint -> UnsupportedConstructError
+# message, so a program that cannot lower is walked only once.
+_FAILED: dict[str, str] = {}
 
 # Optional on-disk warm cache (a ResultStore's warm/ directory).  When
 # set, kernel_for consults it on an in-process miss and persists every
@@ -144,6 +149,7 @@ def cache_stats() -> dict:
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _FAILED.clear()
     for key in _STATS:
         _STATS[key] = 0.0 if key == "lowering_seconds" else 0
 
@@ -153,8 +159,22 @@ def cached_kernels() -> dict[str, "CompiledKernel"]:
 
 
 def program_fingerprint(program: Program) -> str:
-    """Content address of a program: SHA-256 of its printed IR."""
-    return hashlib.sha256(format_program(program).encode("utf-8")).hexdigest()
+    """Content address of a program: SHA-256 of its printed IR.
+
+    The printed IR omits comp-block kernel callables, so each kernel
+    block also adds its callable's ``module.qualname`` and its declared
+    reads and writes: programs that differ only there lower differently.
+    """
+    text = format_program(program)
+    for stmt in walk(program.body):
+        if type(stmt) is CompBlock and stmt.kernel is not None:
+            fn = stmt.kernel
+            text += (
+                f"\nkernel {stmt.name} {getattr(fn, '__module__', None)}."
+                f"{getattr(fn, '__qualname__', None)}"
+                f" reads={sorted(stmt.reads_)} writes={sorted(stmt.writes_)}"
+            )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -190,13 +210,19 @@ def kernel_for(program: Program) -> CompiledKernel:
 
     Lookup order: in-process cache, then the warm directory (when
     attached via :func:`set_warm_dir`), then a fresh lowering — which
-    is persisted back to the warm directory, best-effort.
+    is persisted back to the warm directory, best-effort.  A program
+    that failed to lower raises the same :class:`UnsupportedConstructError`
+    again, from memory, until :func:`clear_cache`.
     """
     fp = program_fingerprint(program)
     hit = _CACHE.get(fp)
     if hit is not None:
         _count("cache_hits")
         return hit
+    failed = _FAILED.get(fp)
+    if failed is not None:
+        _count("cache_hits")
+        raise UnsupportedConstructError(failed)
     _count("cache_misses")
     if _WARM_DIR is not None:
         from ..store import load_warm_kernel  # lazy: store pulls in the api layer
@@ -210,7 +236,11 @@ def kernel_for(program: Program) -> CompiledKernel:
                 log.warning("warm kernel %s embeds a different fingerprint; re-lowering", fp[:12])
             except UnsupportedConstructError as exc:
                 log.warning("warm kernel %s unusable, re-lowering: %s", fp[:12], exc)
-    kernel = lower_program(program, fingerprint=fp)
+    try:
+        kernel = lower_program(program, fingerprint=fp)
+    except UnsupportedConstructError as exc:
+        _FAILED[fp] = str(exc)
+        raise
     _CACHE[fp] = kernel
     if _WARM_DIR is not None:
         from ..store import save_warm_kernel
@@ -358,7 +388,7 @@ def _emit_bool(e: BoolExpr) -> str:
 _PREAMBLE = '''\
 """Generated by repro.kernel.lower — do not edit.
 
-Program {name!r}; content address (SHA-256 of printed IR) in FINGERPRINT.
+Program {name!r}; content address (program_fingerprint) in FINGERPRINT.
 """
 import math
 
@@ -394,14 +424,19 @@ class _Lowerer:
         # Names a handle variable: these must never be read as scalars
         # (the interpreter pops them from env; locals cannot replicate that).
         self.handle_vars: set[str] = set()
+        self.has_kernels = False
         for stmt in walk(program.body):
             if isinstance(stmt, (IsendStmt, IrecvStmt)):
                 self.handle_vars.add(stmt.handle_var)
             elif isinstance(stmt, WaitAllStmt):
                 self.handle_vars.update(stmt.handle_vars)
+            elif isinstance(stmt, CompBlock) and stmt.kernel is not None:
+                self.has_kernels = True
         # Working-set caches are keyed by statement sid in the interpreter;
         # replicate the keying (including collisions on unnumbered trees).
         self._ws_names: dict[int, str] = {}
+        # Kernel callables the module imports: (module, name) -> alias.
+        self._kernels: dict[tuple[str, str], str] = {}
 
     # -- small helpers -----------------------------------------------------
 
@@ -429,6 +464,8 @@ class _Lowerer:
         prog = self.program
         fast_lines = self._emit_gen()
         parts = [_PREAMBLE.format(name=prog.name, format=KERNEL_FORMAT)]
+        for (module, name), alias in self._kernels.items():
+            parts.append(f"from {module} import {name} as {alias}")
         parts.append("")
         parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st):")
         parts.extend(fast_lines)
@@ -460,6 +497,10 @@ class _Lowerer:
             w.line(f"{_mangle(name)} = _UNSET")
         for ws in dict.fromkeys(self._collect_ws_names(prog)):
             w.line(f"{ws} = None")
+        if self.has_kernels:
+            # the interpreter's per-rank materialized-array dict, which is
+            # empty here: lowering refuses materialized arrays
+            w.line("_arr = {}")
         # Array declaration prologue (interp order: program.arrays.values()).
         for decl in prog.arrays.values():
             if decl.materialize:
@@ -595,16 +636,50 @@ class _Lowerer:
         w.line("ev += 1")
         w.line(f"_alloc(rank, {name!r}, _nb)")
 
-    def _emit_comp(self, w: "_Writer", stmt: CompBlock) -> None:
-        if stmt.kernel is not None:
+    def _kernel_alias(self, stmt: CompBlock) -> str:
+        """The module-level name the generated code calls *stmt*'s kernel by.
+
+        Only a top-level function (its ``__module__``/``__qualname__``
+        resolve back to it) with declared reads lowers: the module imports
+        it by name, and the call sees exactly the declared scalars.
+        """
+        fn = stmt.kernel
+        module = getattr(fn, "__module__", None)
+        name = getattr(fn, "__qualname__", None)
+        if (
+            not stmt.reads_
+            or not isinstance(name, str)
+            or not name.isidentifier()
+            or getattr(sys.modules.get(module), name, None) is not fn
+        ):
             raise UnsupportedConstructError(
                 f"comp block {stmt.name!r} carries a Python kernel callable"
             )
+        bad = (stmt.reads_ | stmt.writes_) & (self.handle_vars | set(self.program.arrays))
+        if bad:
+            raise UnsupportedConstructError(
+                f"comp block {stmt.name!r} kernel reads or writes "
+                f"handle or array name(s) {sorted(bad)}"
+            )
+        alias = self._kernels.get((module, name))
+        if alias is None:
+            alias = self._kernels[(module, name)] = f"_kf{len(self._kernels)}"
+        return alias
+
+    def _emit_comp(self, w: "_Writer", stmt: CompBlock) -> None:
+        kernel = self._kernel_alias(stmt) if stmt.kernel is not None else None
         self._check_expr_reads(stmt.work)
         ws = self._ws_name(stmt.sid)
         w.line(f"_w = {_emit_expr(stmt.work)}")
         w.line("if _w < 0:")
         w.line("    _w = 0")
+        if kernel is not None:
+            # the interpreter's call: declared reads in, declared writes out
+            items = ", ".join(f"{n!r}: {_mangle(n)}" for n in sorted(stmt.reads_))
+            w.line(f"_kd = {{{items}}}")
+            w.line(f"{kernel}(_kd, _arr)")
+            for n in sorted(stmt.writes_):
+                w.line(f"{_mangle(n)} = _kd[{n!r}]")
         w.line("if _w > 0:")
         with w.indented():
             w.line(f"if {ws} is None:")

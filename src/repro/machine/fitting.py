@@ -8,7 +8,8 @@ fits recover the latency/bandwidth/overhead and CPU parameters of a
 :class:`MachineParams` — so a user can calibrate the simulator against
 their own cluster benchmarks instead of using the built-in presets.
 
-scipy is used for the non-negative least squares / curve fits.
+scipy is used for the bounded least-squares CPU fit; it is imported
+inside :func:`fit_cpu_params`, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy import optimize
 
 from .cpu import CpuModel
 from .network import NetworkModel
@@ -96,6 +96,8 @@ def fit_cpu_params(
 
     def resid(theta):
         return predict(theta) - times
+
+    from scipy import optimize
 
     x0 = np.array([base.time_per_op, base.l2_factor, base.mem_factor])
     result = optimize.least_squares(

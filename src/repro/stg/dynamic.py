@@ -5,14 +5,18 @@ expansion for a concrete configuration.  Here the expansion is obtained
 from the simulator's event trace: program order per process, message
 edges between send/recv events, and collective events fused into
 synchronization cliques.  networkx is used for graph algorithms
-(critical path, reachability), which downstream modeling tools consume.
+(critical path, reachability), which downstream modeling tools consume;
+the functions here import it when called.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..sim.trace import Trace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["trace_to_dag", "critical_path", "critical_path_length"]
 
@@ -28,6 +32,8 @@ def trace_to_dag(trace: Trace, weight: str = "virtual") -> nx.DiGraph:
     """
     if weight not in ("virtual", "host"):
         raise ValueError("weight must be 'virtual' or 'host'")
+    import networkx as nx
+
     g = nx.DiGraph()
     for ev in trace.events:
         w = (ev.end - ev.start) if weight == "virtual" else ev.host_cost
@@ -59,6 +65,8 @@ def trace_to_dag(trace: Trace, weight: str = "virtual") -> nx.DiGraph:
 
 def critical_path(g: nx.DiGraph) -> list:
     """Longest weighted path through the DAG (node weights)."""
+    import networkx as nx
+
     order = list(nx.topological_sort(g))
     dist: dict = {}
     parent: dict = {}

@@ -14,10 +14,12 @@ nodes carry pattern and volume information.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..symbolic import Expr, ProcessSet, RankMapping
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["STGNode", "STGEdge", "STG", "NODE_KINDS"]
 
@@ -103,6 +105,8 @@ class STG:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export for analysis/visualization (POEMS-style tooling hook)."""
+        import networkx as nx
+
         g = nx.MultiDiGraph(name=self.program_name)
         for n in self.nodes:
             g.add_node(n.nid, kind=n.kind, label=n.label, pset=str(n.pset))

@@ -5,6 +5,8 @@ where collected, the trace event list) — the compiled backend's contract
 is byte-identity, not approximate agreement.  Faults and timeouts run on
 the compiled driver too; only trace collection needs the interpreter, so
 a compiled request for a traced run interprets the program and says why.
+Comp blocks with a Python kernel compile when the kernel is a top-level
+function with declared reads; both backends then call it alike.
 """
 
 import json
@@ -12,12 +14,14 @@ import json
 import pytest
 
 from repro import mpi
+from repro.apps import build_sweep3d, sweep3d_inputs
 from repro.ir import make_factory
 from repro.ir.builder import P, ProgramBuilder, myid
-from repro.kernel import clear_cache
-from repro.machine import TESTING_MACHINE
+from repro.ir.printer import format_program
+from repro.kernel import clear_cache, program_fingerprint
+from repro.machine import IBM_SP, TESTING_MACHINE
 from repro.sim import ExecMode, FaultPlan, Simulator
-from repro.symbolic import Var
+from repro.symbolic import Gt, Var
 
 M = TESTING_MACHINE
 
@@ -61,7 +65,35 @@ def collective():
     return make_factory(b.build(), {"iters": 3})
 
 
-FACTORIES = [ring, nonblocking, collective]
+def set_flag(env, arrays):
+    env["flag"] = env["myid"] % 2
+
+
+def set_flag_inverted(env, arrays):
+    env["flag"] = 1 - env["myid"] % 2
+
+
+def reads_undeclared(env, arrays):
+    env["flag"] = env["myid"] + env["P"]
+
+
+def kernel_program(kernel, reads=frozenset({"myid"}), writes=frozenset({"flag"})):
+    """A comp block whose kernel sets ``flag``, which a branch then reads."""
+    b = ProgramBuilder("ident_kernel", params=("iters",))
+    with b.loop("i", 1, Var("iters")):
+        b.compute("probe", work=200, reads=reads, writes=writes, kernel=kernel)
+        with b.if_(Gt(Var("flag"), 0), data_dependent=True):
+            b.compute("fixup", work=50)
+        b.send(dest=(myid + 1) % P, nbytes=64, tag=0)
+        b.recv(source=(myid - 1) % P, nbytes=64, tag=0)
+    return b.build()
+
+
+def kernel_block():
+    return make_factory(kernel_program(set_flag), {"iters": 3})
+
+
+FACTORIES = [ring, nonblocking, collective, kernel_block]
 
 
 @pytest.mark.parametrize("make", FACTORIES, ids=lambda f: f.__name__)
@@ -102,10 +134,75 @@ def test_engine_only_features_fall_back(backend, feature, kw):
     assert fingerprint(sim.run()) == fingerprint(interp)
 
 
+SWEEP_FEATURES = {
+    "plain": {},
+    "fault plan": {"faults": FaultPlan(seed=1, duplication=0.3)},
+    "timeout": {"default_timeout": 1.0},
+}
+
+
+@pytest.mark.parametrize("feature", list(SWEEP_FEATURES))
+@pytest.mark.parametrize("mode", [ExecMode.DE, ExecMode.MEASURED])
+@pytest.mark.parametrize("nprocs", [4, 16])
+def test_sweep3d_full_program_compiles(nprocs, mode, feature):
+    """Sweep3D's flux-fixup probe declares its reads, so the full program
+    lowers in DE and (seeded, noisy) MEASURED mode and matches the
+    interpreter byte for byte."""
+    program = build_sweep3d()
+    inputs = sweep3d_inputs(12, 12, 8, nprocs)
+
+    def stats(backend):
+        sim = Simulator(nprocs, make_factory(program, inputs), IBM_SP, mode=mode,
+                        seed=7, backend=backend, **SWEEP_FEATURES[feature])
+        assert sim.backend == backend
+        assert sim.backend_fallback_reason is None
+        return json.dumps(sim.run().stats.to_dict(include_procs=True), sort_keys=True)
+
+    assert stats("compiled") == stats("interpreted")
+
+
+@pytest.mark.parametrize("change", [
+    {"kernel": set_flag_inverted},
+    {"reads": frozenset({"myid", "P"})},
+    {"writes": frozenset({"flag", "i"})},
+], ids=["kernel", "reads", "writes"])
+def test_fingerprint_covers_kernel_blocks(change):
+    """The printed IR omits a block's kernel, so the fingerprint adds it."""
+    base = {"kernel": set_flag, "reads": frozenset({"myid"}), "writes": frozenset({"flag"})}
+    before, after = kernel_program(**base), kernel_program(**{**base, **change})
+    assert format_program(before) == format_program(after)
+    assert program_fingerprint(before) == program_fingerprint(kernel_program(**base))
+    assert program_fingerprint(before) != program_fingerprint(after)
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+def test_under_declared_kernel_fails_alike(backend):
+    """A kernel sees only its declared reads, on either backend."""
+    factory = make_factory(kernel_program(reads_undeclared), {"iters": 1})
+    sim = Simulator(2, factory, M, mode=ExecMode.DE, backend=backend)
+    assert sim.backend == backend
+    with pytest.raises(KeyError, match="'P'"):
+        sim.run()
+
+
 def test_compiled_sim_reports_backend():
     sim = Simulator(4, ring(), M, mode=ExecMode.DE, backend="compiled")
     assert sim.backend == "compiled"
     assert sim.backend_fallback_reason is None
+
+
+def closure_kernel():
+    bias = 1
+
+    def probe(env, arrays):
+        env["flag"] = (env["myid"] + bias) % 2
+
+    return probe
+
+
+class FlagProbe:
+    def probe(self, env, arrays):
+        set_flag(env, arrays)
 
 
 class TestAuto:
@@ -132,6 +229,21 @@ class TestAuto:
         sim = Simulator(2, factory, M, mode=ExecMode.DE, backend="auto")
         assert sim.backend == "interpreted"
         assert "materialized" in sim.backend_fallback_reason
+        interp = Simulator(2, factory, M, mode=ExecMode.DE).run()
+        assert fingerprint(sim.run()) == fingerprint(interp)
+
+    @pytest.mark.parametrize("kernel, reads", [
+        (lambda env, arrays: set_flag(env, arrays), {"myid"}),
+        (closure_kernel(), {"myid"}),
+        (FlagProbe().probe, {"myid"}),
+        (set_flag, frozenset()),
+    ], ids=["lambda", "closure", "method", "no-declared-reads"])
+    def test_auto_falls_back_for_unlowerable_kernels(self, kernel, reads):
+        """Only a top-level kernel function with declared reads lowers."""
+        factory = make_factory(kernel_program(kernel, reads=reads), {"iters": 2})
+        sim = Simulator(2, factory, M, mode=ExecMode.DE, backend="auto")
+        assert sim.backend == "interpreted"
+        assert "carries a Python kernel callable" in sim.backend_fallback_reason
         interp = Simulator(2, factory, M, mode=ExecMode.DE).run()
         assert fingerprint(sim.run()) == fingerprint(interp)
 

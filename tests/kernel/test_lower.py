@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import repro.kernel.lower as lower_mod
+from repro.apps import build_nas_sp
 from repro.ir.builder import P, ProgramBuilder, myid
 from repro.kernel import (
     KERNEL_FORMAT,
@@ -37,6 +39,10 @@ def ring_program(iters=4):
         b.send(dest=(myid + 1) % P, nbytes=64, tag=0)
         b.recv(source=(myid - 1) % P, nbytes=64, tag=0)
     return b.build()
+
+
+def probe_kernel(env, arrays):
+    env["flag"] = env["myid"] % 2
 
 
 def materialized_program():
@@ -76,6 +82,14 @@ class TestLowerProgram:
         with pytest.raises(UnsupportedConstructError):
             lower_program(b.build())
 
+    def test_kernel_function_imported_once(self):
+        b = ProgramBuilder("lower_kernel_twice")
+        for name in ("a", "b"):
+            b.compute(name, work=10, reads={"myid"}, writes={"flag"}, kernel=probe_kernel)
+        source = lower_program(b.build()).source
+        assert source.count(f"from {__name__} import probe_kernel as _kf0\n") == 1
+        assert source.count("_kf0(_kd, _arr)") == 2
+
 
 class TestCache:
     def test_kernel_for_caches_by_fingerprint(self):
@@ -88,6 +102,29 @@ class TestCache:
         assert stats["lowered"] == 1
         assert stats["cached_programs"] == 1
         assert k1.fingerprint in cached_kernels()
+
+    def test_failed_lowering_remembered(self, monkeypatch):
+        # NAS SP's materialized arrays never lower: the second request
+        # answers from memory, with the same message, until clear_cache
+        lowered = []
+
+        def counting(program, fingerprint=None):
+            lowered.append(program.name)
+            return lower_program(program, fingerprint)
+
+        monkeypatch.setattr(lower_mod, "lower_program", counting)
+        with pytest.raises(UnsupportedConstructError, match="materialized") as first:
+            kernel_for(build_nas_sp())
+        with pytest.raises(UnsupportedConstructError) as again:
+            kernel_for(build_nas_sp())
+        assert str(again.value) == str(first.value)
+        assert lowered == ["nas_sp"]
+        stats = cache_stats()
+        assert (stats["cache_misses"], stats["cache_hits"]) == (1, 1)
+        clear_cache()
+        with pytest.raises(UnsupportedConstructError):
+            kernel_for(build_nas_sp())
+        assert lowered == ["nas_sp", "nas_sp"]
 
     def test_record_fallback_counts(self):
         record_fallback("prog", "because")
