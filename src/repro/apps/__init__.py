@@ -9,7 +9,6 @@ from .common import (
     factor2d,
     grid_coords,
     neighbor_exchange_1d,
-    neighbor_exchange_blocking,
     square_side,
     sweep_guards,
 )
@@ -49,6 +48,5 @@ __all__ = [
     "grid_coords",
     "block_extent",
     "neighbor_exchange_1d",
-    "neighbor_exchange_blocking",
     "sweep_guards",
 ]

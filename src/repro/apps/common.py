@@ -3,9 +3,8 @@
 Helpers for 2-D process grids (rank ↔ (ip, jp) coordinates expressed
 symbolically over ``myid``), block-distribution extents (the
 ``min/max``-clipped per-rank block sizes of Fig. 1), deadlock-free
-nearest-neighbour exchanges (non-blocking post/post/wait as dhpf emits,
-plus an even/odd-phased blocking variant), and numeric grid
-factorization for the experiment harnesses.
+nearest-neighbour exchanges (non-blocking post/post/wait as dhpf
+emits), and numeric grid factorization for the experiment harnesses.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "grid_coords",
     "block_extent",
     "neighbor_exchange_1d",
-    "neighbor_exchange_blocking",
     "sweep_guards",
     "factor2d",
     "square_side",
@@ -81,48 +79,6 @@ def neighbor_exchange_1d(
     with b.if_(right_guard):
         b.isend(dest=myid + stride, nbytes=nbytes, tag=tag, array=array, handle=sr)
     b.waitall(rl, rr, sl, sr)
-
-
-def neighbor_exchange_blocking(
-    b: ProgramBuilder,
-    coord: Expr,
-    extent: Expr,
-    stride: ExprLike,
-    nbytes: ExprLike,
-    tag: int,
-    array: str | None = None,
-) -> None:
-    """Blocking variant of the boundary exchange (even/odd phased).
-
-    Even-coordinate ranks send first then receive; odd ranks receive
-    first then send — the standard phasing that keeps blocking
-    (rendezvous) sends from forming a cycle.  Kept for comparison with
-    the non-blocking form and for codes written against blocking MPI.
-    """
-    from ..symbolic import as_expr
-
-    stride = as_expr(stride)
-    left_guard = Gt(coord, 0)
-    right_guard = Lt(coord, extent - 1)
-    even = Eq(Mod.make(coord, 2), 0)
-    with b.if_(even):
-        with b.if_(left_guard):
-            b.send(dest=myid - stride, nbytes=nbytes, tag=tag, array=array)
-        with b.if_(right_guard):
-            b.send(dest=myid + stride, nbytes=nbytes, tag=tag, array=array)
-        with b.if_(left_guard):
-            b.recv(source=myid - stride, nbytes=nbytes, tag=tag, array=array)
-        with b.if_(right_guard):
-            b.recv(source=myid + stride, nbytes=nbytes, tag=tag, array=array)
-    with b.else_():
-        with b.if_(left_guard):
-            b.recv(source=myid - stride, nbytes=nbytes, tag=tag, array=array)
-        with b.if_(right_guard):
-            b.recv(source=myid + stride, nbytes=nbytes, tag=tag, array=array)
-        with b.if_(left_guard):
-            b.send(dest=myid - stride, nbytes=nbytes, tag=tag, array=array)
-        with b.if_(right_guard):
-            b.send(dest=myid + stride, nbytes=nbytes, tag=tag, array=array)
 
 
 def sweep_guards(sflag: Expr, coord: Expr, extent: Expr):

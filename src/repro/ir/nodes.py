@@ -85,9 +85,6 @@ class ArrayDecl:
     itemsize: int = 8
     materialize: bool = False
 
-    def nbytes_expr(self) -> Expr:
-        return self.size * self.itemsize
-
 
 # ---------------------------------------------------------------------------
 # statements

@@ -19,7 +19,7 @@ non-zero validation errors — see DESIGN.md §5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "CpuParams",
@@ -130,10 +130,6 @@ class MachineParams:
     net: NetworkParams
     truth: PerturbationParams
     host: HostParams
-
-    def with_host(self, **kwargs) -> "MachineParams":
-        """A copy with host parameters overridden (e.g. a memory budget)."""
-        return replace(self, host=replace(self.host, **kwargs))
 
 
 #: Distributed-memory IBM SP (the paper's main validation platform).

@@ -45,9 +45,6 @@ class _Instrument:
         self._registry = registry
         self._series: dict[tuple, object] = {}
 
-    def labelsets(self) -> list[dict]:
-        return [dict(key) for key in self._series]
-
 
 class Counter(_Instrument):
     """Monotonically increasing count (events, messages, retries...)."""

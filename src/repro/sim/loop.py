@@ -33,10 +33,11 @@ that satisfies its (source, tag), wildcards included; a message matches
 the earliest-posted receive that accepts it.  Messages up to the eager
 limit complete locally after the send overhead; larger ones wait for
 their receive (rendezvous).  A receive, or a rendezvous send, still
-unmatched when its timeout fires is withdrawn.  Sends and receives
-take inlined paths unless the run injects faults or collects a trace,
-which the general paths add; a receive completes inline unless it owes
-the program a result object or the trace an event.
+unmatched when its timeout fires is withdrawn.  The loop body has one
+send path and one receive path; a match on either falls through into
+one transfer completion.  Their fault steps run only under a fault plan,
+their trace steps only when a trace is collected, and the completion
+builds a ``ReceivedMessage`` only for the Request driver.
 
 Fault draws are keyed by the count of events queued so far plus sends
 and receives posted so far (``drained + Σ len(live buckets) + mseq``),
@@ -392,10 +393,6 @@ def run(sim) -> SimStats:
     for g in gens:
         next(g)  # to the initial bare yield; the priming resume sends t=0
     steps = [g.send for g in gens]
-    # sends and receives take the general paths only under faults or a
-    # trace; receives complete inline unless a result or trace is due
-    general = fs is not None or trace is not None
-    plain = not payloads and trace is None
 
     finish = [0.0] * nprocs
     msent = [0] * nprocs
@@ -416,15 +413,15 @@ def run(sim) -> SimStats:
     next_hid = [0] * nprocs
     waiting: list = [None] * nprocs
     wait_time = [0.0] * nprocs
-    # q_msgs[dst]: [source, tag, nbytes, eager, send_time, ready, sender_hid, data, x]
-    # with x = None on the plain path, else (wire_delay, send_trace_eid)
+    # q_msgs[dst]: [source, tag, nbytes, eager, send_time, ready, sender_hid, data,
+    # wire_delay, send_trace_eid]
     q_msgs: list[list] = [[] for _ in range(nprocs)]
     # q_recvs[rank]: [source, tag, post_time, hid_or_None]
     q_recvs: list[list] = [[] for _ in range(nprocs)]
     colls: dict = {}  # (group, call index) -> [op, root, nbytes, arrivals, reduce_fn]
     coll_index = [dict() for _ in range(nprocs)]  # group -> next call index
     rare: dict = {}  # (time, rank) -> specs of its crash/timeout events, FIFO
-    mseq = 0  # sends and receives posted so far (general paths only)
+    mseq = 0  # sends and receives posted so far (counted under a fault plan only)
     drained = 0  # events in buckets already drained and dropped
     fired = 0  # timeouts that fired
     coll_ids = 0  # collective trace ids
@@ -482,25 +479,6 @@ def run(sim) -> SimStats:
         else:
             b.append(code)
 
-    def transit(nbytes: int, src: int, dst: int, when: float) -> float:
-        """Wire time of one message, including any link degradation at *when*."""
-        if fs is None:
-            if net_det:
-                key = nbytes if net_flat else (nbytes, src, dst)
-                base = tr_cache.get(key)
-                if base is None:
-                    base = tr_cache[key] = transit_time(nbytes, src, dst, nprocs)
-                return base
-            return transit_time(nbytes, src, dst, nprocs)
-        return transit_time(nbytes, src, dst, nprocs) + fs.degradation_extra(
-            net, nbytes, src, dst, when)
-
-    def new_handle(rank: int) -> int:
-        next_hid[rank] += 1
-        hid = next_hid[rank]
-        handles[rank][hid] = [False, 0.0, None, None]
-        return hid
-
     def complete_handle(rank: int, hid: int, ready_time: float, result) -> None:
         hs = handles[rank]
         h = hs[hid]
@@ -525,161 +503,30 @@ def run(sim) -> SimStats:
         blocked_for = resume_at - since
         if blocked_for > 0:
             st[rank][3] += blocked_for
-        if plain:
-            push(resume_at, rank * 4)
-            return
         if trace is not None:
             trace.add(proc=rank, kind="wait", start=since, end=resume_at, host_cost=EVOH,
                       deps=tuple(h[3] for h in done_handles if h[3] is not None))
         resume(rank, resume_at, [h[2] for h in done_handles] if payloads else None)
 
-    def complete_recv(posted: list, prank: int, msg: list) -> None:
-        """Complete the receive side of a transfer: stats, trace event and
-        the program's result (the inlined paths do this for receives that
-        owe neither)."""
-        nbytes = msg[2]
-        overhead = ov_cache.get(nbytes)
-        if overhead is None:  # recv_overhead == send_overhead
-            overhead = ov_cache[nbytes] = send_overhead(nbytes)
-        post_time = posted[2]
-        ready = msg[5]
-        completion = (post_time if post_time > ready else ready) + overhead
-        mrecv[prank] += 1
-        cost = MHB + nbytes * MHPB
-        st[prank][4] += cost
-        hid = posted[3]
-        if trace is not None:
-            send_eid = msg[8][1]
-            eid = trace.add(proc=prank, kind="recv", start=post_time, end=completion,
-                            host_cost=cost, deps=(send_eid,) if send_eid is not None else (),
-                            nbytes=nbytes, nonblocking=hid is not None)
-            if hid is not None:
-                handles[prank][hid][3] = eid
-        result = ReceivedMessage(msg[7], nbytes, msg[0], msg[1], completion) if payloads else None
-        if hid is not None:
-            complete_handle(prank, hid, completion, result)
-        else:
-            st[prank][3] += completion - post_time
-            resume(prank, completion, result)
-
-    def finish_rendezvous(msg: list, posted: list, prank: int) -> None:
-        """Complete a rendezvous transfer once both sides are present."""
-        src = msg[0]
-        send_time = msg[4]
-        post_time = posted[2]
-        transfer_start = send_time if send_time > post_time else post_time
-        nbytes = msg[2]
-        x = msg[8]
-        if x is None:
-            ready = msg[5] = transfer_start + transit_time(nbytes, src, prank, nprocs)
-        else:
-            ready = msg[5] = transfer_start + x[0] + transit(nbytes, src, prank, transfer_start)
-        if msg[6] is not None:
-            complete_handle(src, msg[6], transfer_start, transfer_start)
-        else:
-            waited = transfer_start - send_time
-            if waited > 0:
-                st[src][3] += waited
-            push(transfer_start, src * 4)
-        if not plain:
-            complete_recv(posted, prank, msg)
-            return
-        # complete_recv, inlined (the hot path)
-        overhead = ov_cache.get(nbytes)
-        if overhead is None:
-            overhead = ov_cache[nbytes] = send_overhead(nbytes)
-        completion = (post_time if post_time > ready else ready) + overhead
-        mrecv[prank] += 1
-        row = st[prank]
-        row[4] += MHB + nbytes * MHPB
-        if posted[3] is not None:
-            complete_handle(prank, posted[3], completion, None)
-        else:
-            row[3] += completion - post_time
-            push(completion, prank * 4)
-
-    def send(rank: int, t: float, op: tuple, drained: int) -> None:
-        """A send or isend under faults or a trace; *drained* counts the
-        events of dropped buckets."""
-        nonlocal mseq
-        o, _, dest, nbytes, tag, data, timeout = op
-        if dest >= nprocs:
-            raise ValueError(
-                f"rank {rank} sends to nonexistent rank {dest} (world size {nprocs})"
-            )
-        hid = new_handle(rank) if o == 3 else None
-        overhead = ov_cache.get(nbytes)
-        if overhead is None:
-            overhead = ov_cache[nbytes] = send_overhead(nbytes)
-        cost = MHB + nbytes * MHPB
-        mseq += 1
+    def send_failed(rank: int, t: float, hid, delay: float, cost: float, nbytes: int,
+                    tries: int) -> None:
+        """Transient send failures exhausted the retry budget: the message
+        never leaves the NIC and the sender learns it failed."""
+        t_fail = t + delay
         row = st[rank]
-        pre_delay = 0.0
-        if fs is not None:
-            key = drained + sum(map(len, buckets.values())) + mseq
-            injected, tries, pre_delay = fs.injection(rank, dest, key)
-            retries[rank] += tries
-            if not injected:
-                # transient send failure exhausted the retry budget: the
-                # message never leaves the NIC; the caller learns it failed
-                delay = overhead + pre_delay
-                t_fail = t + delay
-                row[3] += delay
-                row[4] += cost
-                failed[rank] += 1
-                eid = None
-                if trace is not None:
-                    eid = trace.add(proc=rank, kind="send", start=t, end=t_fail,
-                                    host_cost=cost, nbytes=nbytes)
-                result = SendFailed(now=t_fail, retries=tries) if payloads else None
-                if hid is not None:
-                    handles[rank][hid][:] = [True, t_fail, result, eid]
-                    push(t_fail, rank * 4)
-                else:
-                    resume(rank, t_fail, result)
-                return
-        t_inject = t + pre_delay + overhead
-        row[3] += overhead + pre_delay
-        msent[rank] += 1
-        bsent[rank] += nbytes
+        row[3] += delay
         row[4] += cost
-        eager = nbytes <= EAGER
-        delivered, tries, wire_delay = True, 0, 0.0
-        if fs is not None:
-            delivered, tries, wire_delay = fs.delivery(rank, dest, key)
-            retries[rank] += tries
-        ready = t_inject + wire_delay + transit(nbytes, rank, dest, t_inject) if eager else None
+        failed[rank] += 1
         eid = None
         if trace is not None:
-            eid = trace.add(proc=rank, kind="send", start=t, end=t_inject, host_cost=cost,
+            eid = trace.add(proc=rank, kind="send", start=t, end=t_fail, host_cost=cost,
                             nbytes=nbytes)
-            if hid is not None:
-                handles[rank][hid][3] = eid
-        msg = [rank, tag, nbytes, eager, t_inject, ready, hid, data, (wire_delay, eid)]
-        if not delivered:
-            lose(rank, t_inject, msg, tries)
-            return
-        if fs is not None and fs.duplicates(rank, dest, key):
-            # a spurious duplicate reaches the receiver; matching discards
-            # it, but draining it costs the receiver a message's host work
-            dups[dest] += 1
-            st[dest][4] += cost
-        matched = match_recv(dest, rank, tag)
-        if matched is None:
-            q_msgs[dest].append(msg)
-        if eager:
-            if hid is not None:
-                handles[rank][hid][:3] = [True, t_inject, t_inject]
-            push(t_inject, rank * 4)
-            if matched is not None:
-                complete_recv(matched, dest, msg)
-            return
+        result = SendFailed(now=t_fail, retries=tries) if payloads else None
         if hid is not None:
-            push(t_inject, rank * 4)  # the program continues; the handle completes later
-        if matched is not None:
-            finish_rendezvous(msg, matched, dest)
+            handles[rank][hid][:] = [True, t_fail, result, eid]
+            push(t_fail, rank * 4)
         else:
-            arm_timeout(rank, t_inject, timeout, ("timeout", "send", dest, msg))
+            resume(rank, t_fail, result)
 
     def lose(rank: int, t_inject: float, msg: list, tries: int) -> None:
         """The wire dropped *msg* beyond recovery; settle the sender."""
@@ -694,7 +541,7 @@ def run(sim) -> SimStats:
             return
         # rendezvous: the handshake cannot complete, so the send fails
         # after its retransmission budget (backoff charged to the clock)
-        wire_delay = msg[8][0]
+        wire_delay = msg[8]
         t_fail = t_inject + wire_delay
         st[rank][3] += wire_delay
         failed[rank] += 1
@@ -711,45 +558,6 @@ def run(sim) -> SimStats:
             timeout = default_timeout
         if timeout is not None:
             push_rare(since + timeout, rank, spec)
-
-    def recv(rank: int, t: float, op: tuple) -> None:
-        """A recv or irecv under faults or a trace."""
-        nonlocal mseq
-        o, _, source, tag, timeout = op
-        if source >= nprocs:
-            raise ValueError(
-                f"rank {rank} receives from nonexistent rank {source} (world size {nprocs})"
-            )
-        mseq += 1
-        hid = new_handle(rank) if o == 4 else None
-        posted = [source, tag, t, hid]
-        msg = match_message(rank, source, tag)
-        if msg is None:
-            q_recvs[rank].append(posted)
-        if hid is not None:
-            push(t, rank * 4)  # non-blocking: the handle goes back right away
-        if msg is None:
-            arm_timeout(rank, t, timeout, ("timeout", "recv", posted))
-        elif msg[3]:
-            complete_recv(posted, rank, msg)
-        else:
-            finish_rendezvous(msg, posted, rank)
-
-    def match_recv(dest: int, src: int, tag: int):
-        """Pop the earliest-posted receive at *dest* accepting (src, tag)."""
-        rq = q_recvs[dest]
-        for j, pr in enumerate(rq):
-            if (pr[0] == ANY_SOURCE or pr[0] == src) and (pr[1] == ANY_TAG or pr[1] == tag):
-                return rq.pop(j)
-        return None
-
-    def match_message(rank: int, source: int, tag: int):
-        """Pop the earliest-sent message at *rank* matching (source, tag)."""
-        mq = q_msgs[rank]
-        for j, m in enumerate(mq):
-            if (source == ANY_SOURCE or source == m[0]) and (tag == ANY_TAG or tag == m[1]):
-                return mq.pop(j)
-        return None
 
     def collective(rank: int, t: float, op: tuple) -> None:
         nonlocal coll_ids
@@ -925,50 +733,79 @@ def run(sim) -> SimStats:
                 op = pend[rank]
                 o = op[0]
                 if o == 1 or o == 3:  # send / isend
-                    if general:
-                        send(rank, t, op, drained)
-                        continue
-                    dest = op[2]
+                    dst = op[2]
                     nbytes = op[3]
-                    tag = op[4]
-                    if dest >= nprocs:
+                    if dst >= nprocs:
                         raise ValueError(
-                            f"rank {rank} sends to nonexistent rank {dest} "
+                            f"rank {rank} sends to nonexistent rank {dst} "
                             f"(world size {nprocs})"
                         )
                     overhead = ov_cache.get(nbytes)
                     if overhead is None:
                         overhead = ov_cache[nbytes] = send_overhead(nbytes)
                     cost = MHB + nbytes * MHPB
-                    t_inject = t + overhead
-                    srow = st[rank]
-                    srow[3] += overhead
-                    srow[4] += cost
-                    msent[rank] += 1
-                    bsent[rank] += nbytes
-                    eager = nbytes <= EAGER
-                    if eager:
-                        if net_det:
-                            key = nbytes if net_flat else (nbytes, rank, dest)
-                            transit_ = tr_cache.get(key)
-                            if transit_ is None:
-                                transit_ = tr_cache[key] = transit_time(nbytes, rank, dest, nprocs)
-                        else:
-                            transit_ = transit_time(nbytes, rank, dest, nprocs)
-                        ready = t_inject + transit_
-                    else:
-                        ready = None
                     if o == 3:
                         next_hid[rank] += 1
                         hid = next_hid[rank]
                         handles[rank][hid] = [False, 0.0, None, None]
                     else:
                         hid = None
-                    msg = [rank, tag, nbytes, eager, t_inject, ready, hid, op[5], None]
+                    srow = st[rank]
+                    if fs is not None:
+                        mseq += 1
+                        key = drained + sum(map(len, buckets.values())) + mseq
+                        injected, tries, pre_delay = fs.injection(rank, dst, key)
+                        retries[rank] += tries
+                        if not injected:
+                            send_failed(rank, t, hid, overhead + pre_delay, cost, nbytes, tries)
+                            continue
+                        t_inject = t + pre_delay + overhead
+                        srow[3] += overhead + pre_delay
+                        delivered, tries, wire_delay = fs.delivery(rank, dst, key)
+                        retries[rank] += tries
+                    else:
+                        t_inject = t + overhead
+                        srow[3] += overhead
+                    srow[4] += cost
+                    msent[rank] += 1
+                    bsent[rank] += nbytes
+                    eager = nbytes <= EAGER
+                    if eager:
+                        if net_det:
+                            tkey = nbytes if net_flat else (nbytes, rank, dst)
+                            transit = tr_cache.get(tkey)
+                            if transit is None:
+                                transit = tr_cache[tkey] = transit_time(nbytes, rank, dst, nprocs)
+                        else:
+                            transit = transit_time(nbytes, rank, dst, nprocs)
+                        if fs is None:
+                            ready = t_inject + transit
+                        else:
+                            ready = t_inject + wire_delay + (transit + fs.degradation_extra(
+                                net, nbytes, rank, dst, t_inject))
+                    else:
+                        ready = None
+                    msg = [rank, op[4], nbytes, eager, t_inject, ready, hid, op[5], 0.0, None]
+                    if trace is not None:
+                        msg[9] = eid = trace.add(proc=rank, kind="send", start=t, end=t_inject,
+                                                 host_cost=cost, nbytes=nbytes)
+                        if hid is not None:
+                            handles[rank][hid][3] = eid
+                    if fs is not None:
+                        msg[8] = wire_delay
+                        if not delivered:
+                            lose(rank, t_inject, msg, tries)
+                            continue
+                        if fs.duplicates(rank, dst, key):
+                            # a spurious duplicate reaches the receiver; matching
+                            # discards it, but draining it costs a message's host work
+                            dups[dst] += 1
+                            st[dst][4] += cost
                     # matching: first posted recv in post order that accepts it
                     matched = None
-                    rq = q_recvs[dest]
+                    rq = q_recvs[dst]
                     if rq:
+                        tag = op[4]
                         for j, pr in enumerate(rq):
                             pso = pr[0]
                             if (pso == ANY_SOURCE or pso == rank) and (
@@ -976,8 +813,6 @@ def run(sim) -> SimStats:
                             ):
                                 matched = rq.pop(j)
                                 break
-                    if matched is None:
-                        q_msgs[dest].append(msg)
                     if eager:
                         if hid is not None:
                             h = handles[rank][hid]
@@ -989,38 +824,16 @@ def run(sim) -> SimStats:
                             heappush(timeheap, t_inject)
                         else:
                             b.append(rank * 4)
-                        if matched is None:
-                            continue
-                        if not plain:
-                            complete_recv(matched, dest, msg)
-                            continue
-                        # complete_recv, inlined (hot path: matched eager send)
-                        post_time = matched[2]
-                        completion = (post_time if post_time > ready else ready) + overhead
-                        mrecv[dest] += 1
-                        drow = st[dest]
-                        drow[4] += cost
-                        if matched[3] is not None:
-                            complete_handle(dest, matched[3], completion, None)
-                        else:
-                            drow[3] += completion - post_time
-                            b = bget(completion)
-                            if b is None:
-                                buckets[completion] = [dest * 4]
-                                heappush(timeheap, completion)
-                            else:
-                                b.append(dest * 4)
-                    else:
-                        if hid is not None:
-                            push(t_inject, rank * 4)
-                        if matched is not None:
-                            finish_rendezvous(msg, matched, dest)
-                        elif op[6] is not None or default_timeout is not None:
-                            arm_timeout(rank, t_inject, op[6], ("timeout", "send", dest, msg))
-                elif o == 2 or o == 4:  # recv / irecv
-                    if general:
-                        recv(rank, t, op)
+                    elif hid is not None:
+                        push(t_inject, rank * 4)  # the program goes on; the handle completes later
+                    if matched is None:
+                        q_msgs[dst].append(msg)
+                        if not eager and (op[6] is not None or default_timeout is not None):
+                            arm_timeout(rank, t_inject, op[6], ("timeout", "send", dst, msg))
                         continue
+                    posted_at = matched[2]
+                    rhid = matched[3]
+                elif o == 2 or o == 4:  # recv / irecv
                     source = op[2]
                     tag = op[3]
                     if source >= nprocs:
@@ -1028,12 +841,16 @@ def run(sim) -> SimStats:
                             f"rank {rank} receives from nonexistent rank {source} "
                             f"(world size {nprocs})"
                         )
+                    if fs is not None:
+                        mseq += 1
                     if o == 4:
                         next_hid[rank] += 1
-                        hid = next_hid[rank]
-                        handles[rank][hid] = [False, 0.0, None, None]
+                        rhid = next_hid[rank]
+                        handles[rank][rhid] = [False, 0.0, None, None]
+                        # the handle goes back at once: the live bucket is buckets[t]
+                        bucket.append(rank * 4)
                     else:
-                        hid = None
+                        rhid = None
                     # matching: earliest-sent queued message this recv accepts
                     msg = None
                     mq = q_msgs[rank]
@@ -1045,68 +862,90 @@ def run(sim) -> SimStats:
                                 msg = mq.pop(j)
                                 break
                     if msg is None:
-                        posted = [source, tag, t, hid]
+                        posted = [source, tag, t, rhid]
                         q_recvs[rank].append(posted)
-                    if hid is not None:
-                        # the handle resume lands at this very timestamp: the
-                        # live bucket is buckets[t], append directly
-                        bucket.append(rank * 4)
-                    if msg is None:
                         if op[4] is not None or default_timeout is not None:
                             arm_timeout(rank, t, op[4], ("timeout", "recv", posted))
                         continue
+                    dst = rank
+                    posted_at = t
                     nbytes = msg[2]
-                    if msg[3]:
-                        ready = msg[5]
-                    else:
-                        # rendezvous: the transfer starts now both sides are present
-                        src = msg[0]
-                        send_time = msg[4]
-                        transfer_start = send_time if send_time > t else t
-                        ready = msg[5] = transfer_start + transit_time(nbytes, src, rank, nprocs)
-                        if msg[6] is not None:
-                            complete_handle(src, msg[6], transfer_start, transfer_start)
-                        else:
-                            if transfer_start > send_time:
-                                st[src][3] += transfer_start - send_time
-                            push(transfer_start, src * 4)
-                    if not plain:
-                        complete_recv([source, tag, t, hid], rank, msg)
-                        continue
-                    # complete_recv, inlined (hot path)
-                    overhead = ov_cache.get(nbytes)
+                    overhead = ov_cache.get(nbytes)  # recv_overhead == send_overhead
                     if overhead is None:
                         overhead = ov_cache[nbytes] = send_overhead(nbytes)
-                    completion = (t if t > ready else ready) + overhead
-                    mrecv[rank] += 1
-                    rrow = st[rank]
-                    rrow[4] += MHB + nbytes * MHPB
-                    if hid is not None:
-                        complete_handle(rank, hid, completion, None)
+                    cost = MHB + nbytes * MHPB
+                else:
+                    if o == 5:  # waitall
+                        st[rank][4] += EVOH
+                        hs = handles[rank]
+                        for hid in op[2]:
+                            if hid not in hs:
+                                raise ValueError(
+                                    f"rank {rank} waits on unknown or already-completed "
+                                    f"handle {hid}"
+                                )
+                        waiting[rank] = op[2]  # drivers never reuse the list
+                        wait_time[rank] = t
+                        if all(hs[h][0] for h in op[2]):
+                            release_wait(rank)
+                    elif o == 6:
+                        collective(rank, t, op)
+                    # else: the rank crashed with this op pending
+                    continue
+                # a transfer completes: msg meets the receive that rank dst
+                # posted at posted_at (rhid its handle; None if blocking)
+                if msg[3]:
+                    ready = msg[5]
+                else:
+                    # rendezvous: the transfer starts now both sides are present
+                    src = msg[0]
+                    send_time = msg[4]
+                    start = send_time if send_time > posted_at else posted_at
+                    if net_det:
+                        tkey = nbytes if net_flat else (nbytes, src, dst)
+                        transit = tr_cache.get(tkey)
+                        if transit is None:
+                            transit = tr_cache[tkey] = transit_time(nbytes, src, dst, nprocs)
                     else:
-                        rrow[3] += completion - t
-                        b = bget(completion)
-                        if b is None:
-                            buckets[completion] = [rank * 4]
-                            heappush(timeheap, completion)
-                        else:
-                            b.append(rank * 4)
-                elif o == 5:  # waitall
-                    st[rank][4] += EVOH
-                    hs = handles[rank]
-                    for hid in op[2]:
-                        if hid not in hs:
-                            raise ValueError(
-                                f"rank {rank} waits on unknown or already-completed "
-                                f"handle {hid}"
-                            )
-                    waiting[rank] = op[2]  # drivers never reuse the list
-                    wait_time[rank] = t
-                    if all(hs[h][0] for h in op[2]):
-                        release_wait(rank)
-                elif o == 6:
-                    collective(rank, t, op)
-                # else: the rank crashed with this op pending
+                        transit = transit_time(nbytes, src, dst, nprocs)
+                    if fs is None:
+                        ready = msg[5] = start + transit
+                    else:
+                        ready = msg[5] = start + msg[8] + (transit + fs.degradation_extra(
+                            net, nbytes, src, dst, start))
+                    if msg[6] is not None:
+                        complete_handle(src, msg[6], start, start)
+                    else:
+                        if start > send_time:
+                            st[src][3] += start - send_time
+                        push(start, src * 4)
+                completion = (posted_at if posted_at > ready else ready) + overhead
+                mrecv[dst] += 1
+                drow = st[dst]
+                drow[4] += cost
+                if trace is not None:
+                    send_eid = msg[9]
+                    eid = trace.add(proc=dst, kind="recv", start=posted_at, end=completion,
+                                    host_cost=cost, deps=() if send_eid is None else (send_eid,),
+                                    nbytes=nbytes, nonblocking=rhid is not None)
+                    if rhid is not None:
+                        handles[dst][rhid][3] = eid
+                result = None
+                if payloads:
+                    result = ReceivedMessage(msg[7], nbytes, msg[0], msg[1], completion)
+                if rhid is not None:
+                    complete_handle(dst, rhid, completion, result)
+                    continue
+                drow[3] += completion - posted_at
+                if payloads:
+                    resume(dst, completion, result)
+                    continue
+                b = bget(completion)
+                if b is None:
+                    buckets[completion] = [dst * 4]
+                    heappush(timeheap, completion)
+                else:
+                    b.append(dst * 4)
             del buckets[t]
             drained += len(bucket)
     finally:

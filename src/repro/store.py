@@ -106,6 +106,45 @@ class StoreStats:
         }
 
 
+def _replay_index(index_path: Path) -> tuple[OrderedDict[str, None], StoreStats, int]:
+    """Replay the index journal: ``(entries in LRU order, counters, records)``.
+
+    The last ``counters`` record sets the counters; every ``put``,
+    ``touch`` and ``evict`` after it adds one put, hit or eviction, so a
+    store that was never closed keeps its history.  Misses are not
+    journaled: those since the last ``counters`` record are lost.
+    """
+    order: OrderedDict[str, None] = OrderedDict()
+    counters = StoreStats()
+    records = 0
+    if not index_path.exists():
+        return order, counters, records
+    for rec in read_jsonl(index_path):
+        records += 1
+        op = rec.get("op")
+        rel = rec.get("entry")
+        if op == "counters":
+            counters = StoreStats(
+                hits=int(rec.get("hits", 0)),
+                misses=int(rec.get("misses", 0)),
+                puts=int(rec.get("puts", 0)),
+                evictions=int(rec.get("evictions", 0)),
+            )
+        elif op in ("put", "touch"):
+            if op == "put":
+                counters.puts += 1
+            else:
+                counters.hits += 1
+            if isinstance(rel, str):
+                order.pop(rel, None)
+                order[rel] = None  # most recent use last
+        elif op == "evict":
+            counters.evictions += 1
+            if isinstance(rel, str):
+                order.pop(rel, None)
+    return order, counters, records
+
+
 class ResultStore:
     """Persistent, crash-consistent, LRU-bounded run-result cache.
 
@@ -138,24 +177,7 @@ class ResultStore:
 
     # -- load / reconcile ----------------------------------------------------
     def _load(self) -> None:
-        order: OrderedDict[str, None] = OrderedDict()
-        if self.index_path.exists():
-            for rec in read_jsonl(self.index_path):
-                self._journal_ops += 1
-                op = rec.get("op")
-                rel = rec.get("entry")
-                if op in ("put", "touch") and isinstance(rel, str):
-                    order.pop(rel, None)
-                    order[rel] = None  # most recent use last
-                elif op == "evict" and isinstance(rel, str):
-                    order.pop(rel, None)
-                elif op == "counters":
-                    self.counters = StoreStats(
-                        hits=int(rec.get("hits", 0)),
-                        misses=int(rec.get("misses", 0)),
-                        puts=int(rec.get("puts", 0)),
-                        evictions=int(rec.get("evictions", 0)),
-                    )
+        order, self.counters, self._journal_ops = _replay_index(self.index_path)
         # filesystem is the source of truth for existence and size
         on_disk: dict[str, int] = {}
         for path in sorted(self.store_dir.glob("*/*.json")):
@@ -322,23 +344,7 @@ def scan_store(base_dir: str | Path) -> dict | None:
                 continue
             entries += 1
             contexts.add(path.parent.name)
-    stats = StoreStats()
-    if index_path.exists():
-        for rec in read_jsonl(index_path):
-            op = rec.get("op")
-            if op == "counters":
-                stats = StoreStats(
-                    hits=int(rec.get("hits", 0)),
-                    misses=int(rec.get("misses", 0)),
-                    puts=int(rec.get("puts", 0)),
-                    evictions=int(rec.get("evictions", 0)),
-                )
-            elif op == "evict":
-                stats.evictions += 1
-            elif op == "put":
-                stats.puts += 1
-            elif op == "touch":
-                stats.hits += 1
+    _, stats, _ = _replay_index(index_path)
     warm = base / WARM_DIR_NAME
     return {
         "entries": entries,

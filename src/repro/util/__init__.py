@@ -1,10 +1,9 @@
 """Cross-cutting utilities shared by every layer (no repro imports)."""
 
-from .atomic_io import AtomicJournal, atomic_append_lines, atomic_write, atomic_write_text
+from .atomic_io import AtomicJournal, atomic_write, atomic_write_text
 
 __all__ = [
     "atomic_write",
     "atomic_write_text",
-    "atomic_append_lines",
     "AtomicJournal",
 ]

@@ -38,12 +38,11 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "atomic_write",
     "atomic_write_text",
-    "atomic_append_lines",
     "append_jsonl",
     "read_jsonl",
     "AtomicJournal",
@@ -123,28 +122,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Atomically replace *path*'s contents with *text*."""
     with atomic_write(path) as fh:
         fh.write(text)
-
-
-def atomic_append_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Append *lines* to *path* with full-file atomic replacement.
-
-    Semantically an append, mechanically a rewrite: the existing content
-    (if any) plus the new lines land under a temporary name and are
-    renamed over *path*, so a crash mid-append leaves the previous
-    complete file rather than a torn tail.  Lines must not contain
-    newlines; one is added per line.
-
-    Each call costs O(total file size), so this suits small files
-    appended occasionally; for high-frequency streams where a torn
-    final line is tolerable, a plain ``O_APPEND`` write is the right
-    tool (see :class:`repro.obs.metrics.JsonlSink`).
-    """
-    path = Path(path)
-    existing = path.read_text() if path.exists() else ""
-    with atomic_write(path) as fh:
-        fh.write(existing)
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def append_jsonl(path: str | Path, record: dict, fsync: bool = True) -> None:

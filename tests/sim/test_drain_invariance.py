@@ -10,7 +10,8 @@ run.  A tripping budget must report the same kind, limit, observed value
 and partial stats on both drivers, with and without the flight recorder,
 and their flight dumps and heartbeat cursors must match.  Under random
 fault plans and default timeouts the two drivers must agree on the
-stats, the deadlock report text and the flight dump.
+stats, the deadlock report text and the flight dump, and collecting a
+trace must change none of them.
 """
 
 import json
@@ -231,10 +232,16 @@ def test_faults_and_timeouts_same_on_both_drivers(seed, mode, machine, data):
     gen = generate_program(seed, GRAMMAR)
     horizon = simulator(gen, ExecMode.DE, "interpreted", machine).run().elapsed or 1e-3
     kw = data.draw(fault_kwargs(horizon))
-    sims = {backend: simulator(gen, mode, backend, machine, **kw) for backend in BACKENDS}
-    assert sims["compiled"].backend == "compiled"
-    results = {backend: outcome(sim) for backend, sim in sims.items()}
-    assert results["compiled"] == results["interpreted"]
-    dumps = {backend: flight_dump(simulator(gen, mode, backend, machine, **kw))
-             for backend in BACKENDS}
-    assert dumps["compiled"] == dumps["interpreted"]
+
+    def sims() -> dict:
+        """One run per backend, plus an interpreted run collecting a trace."""
+        runs = {backend: simulator(gen, mode, backend, machine, **kw) for backend in BACKENDS}
+        runs["traced"] = simulator(gen, mode, "interpreted", machine, collect_trace=True, **kw)
+        return runs
+
+    runs = sims()
+    assert runs["compiled"].backend == "compiled"
+    results = {name: outcome(sim) for name, sim in runs.items()}
+    assert results["compiled"] == results["interpreted"] == results["traced"]
+    dumps = {name: flight_dump(sim) for name, sim in sims().items()}
+    assert dumps["compiled"] == dumps["interpreted"] == dumps["traced"]

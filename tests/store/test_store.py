@@ -45,6 +45,29 @@ def test_counters_and_entries_survive_restart(tmp_path):
     assert again.get(CTX, "r0003")["run_id"] == "r0003"
 
 
+def test_counters_survive_an_unclean_stop(tmp_path):
+    """A store that never closed (a killed server) keeps its lifetime
+    counters on reopen, and the reopened store's close() persists them."""
+
+    def counts(stats):
+        return stats["hits"], stats["puts"]
+
+    store = ResultStore(tmp_path)
+    for i in range(2):
+        store.put(CTX, f"r{i:04d}", _doc(i))
+        assert store.get(CTX, f"r{i:04d}") is not None
+    # no close(): the journal holds put and touch records, no counters
+    again = ResultStore(tmp_path)
+    assert counts(again.stats()) == counts(scan_store(tmp_path)) == (2, 2)
+    again.close()
+    assert counts(scan_store(tmp_path)) == (2, 2)
+    # and the records after a counters record add to it
+    third = ResultStore(tmp_path)
+    third.put(CTX, "r0002", _doc(2))
+    assert third.get(CTX, "r0002") is not None
+    assert counts(ResultStore(tmp_path).stats()) == counts(scan_store(tmp_path)) == (3, 3)
+
+
 def test_lru_eviction_respects_byte_budget_and_recency(tmp_path):
     store = ResultStore(tmp_path, max_bytes=600)
     for i in range(4):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.util.atomic_io import (
     AtomicJournal,
-    atomic_append_lines,
     atomic_write,
     atomic_write_text,
 )
@@ -63,32 +62,6 @@ class TestAtomicWrite:
             fh.write("via opener")
         with gzip.open(path, "rt") as fh:
             assert fh.read() == "via opener"
-
-
-class TestAtomicAppend:
-    def test_append_to_missing_file(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        atomic_append_lines(path, ["a", "b"])
-        assert path.read_text() == "a\nb\n"
-
-    def test_append_preserves_existing(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        atomic_append_lines(path, ["a"])
-        atomic_append_lines(path, ["b", "c"])
-        assert path.read_text() == "a\nb\nc\n"
-
-    def test_interrupted_append_keeps_old_content(self, tmp_path, monkeypatch):
-        path = tmp_path / "log.jsonl"
-        atomic_append_lines(path, ["a"])
-        monkeypatch.setattr(os, "replace", _raise_oserror)
-        with pytest.raises(OSError):
-            atomic_append_lines(path, ["b"])
-        monkeypatch.undo()
-        assert path.read_text() == "a\n"  # previous complete file survives
-
-
-def _raise_oserror(*a, **k):
-    raise OSError("simulated crash at rename")
 
 
 class TestAtomicJournal:
