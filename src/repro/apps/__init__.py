@@ -28,7 +28,36 @@ from .sweep3d import (
 )
 from .tomcatv import build_tomcatv, tomcatv_inputs
 
+
+def _sample_builder(pattern):
+    return lambda: build_sample(pattern)
+
+
+def _hpf_tomcatv():
+    from ..hpf import compile_hpf, tomcatv_hpf
+
+    return compile_hpf(tomcatv_hpf())
+
+
+#: name -> (program builder, default inputs for a given nprocs): the
+#: applications the CLI, campaigns and ``repro serve`` resolve by name
+APPS = {
+    "tomcatv": (build_tomcatv, lambda p: tomcatv_inputs(512, itmax=5)),
+    "tomcatv_hpf": (_hpf_tomcatv, lambda p: {"n": 512, "itmax": 5}),
+    "sweep3d": (build_sweep3d, lambda p: sweep3d_inputs(64, 64, 64, p, kb=4, ab=2, niter=2)),
+    "nas_sp": (build_nas_sp, lambda p: sp_inputs("A", p, niter=3)),
+    "sample_wavefront": (
+        _sample_builder("wavefront"),
+        lambda p: {"grain": 100000, "msg": 8192, "iters": 10},
+    ),
+    "sample_nearest_neighbor": (
+        _sample_builder("nearest_neighbor"),
+        lambda p: {"grain": 100000, "msg": 8192, "iters": 10},
+    ),
+}
+
 __all__ = [
+    "APPS",
     "build_sweep3d",
     "sweep3d_inputs",
     "sweep3d_per_proc_inputs",

@@ -37,15 +37,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .apps import (
-    build_nas_sp,
-    build_sample,
-    build_sweep3d,
-    build_tomcatv,
-    sp_inputs,
-    sweep3d_inputs,
-    tomcatv_inputs,
-)
+from .apps import APPS
 from .codegen import compile_program
 from .ir import format_program
 from .machine import get_machine
@@ -54,33 +46,6 @@ from .stg import synthesize_stg
 from .workflow import ModelingWorkflow, format_bytes, format_table, format_validation, validate
 
 __all__ = ["main", "APPS"]
-
-
-def _sample_builder(pattern):
-    return lambda: build_sample(pattern)
-
-
-def _hpf_tomcatv():
-    from .hpf import compile_hpf, tomcatv_hpf
-
-    return compile_hpf(tomcatv_hpf())
-
-
-#: name -> (program builder, default inputs for a given nprocs)
-APPS = {
-    "tomcatv": (build_tomcatv, lambda p: tomcatv_inputs(512, itmax=5)),
-    "tomcatv_hpf": (_hpf_tomcatv, lambda p: {"n": 512, "itmax": 5}),
-    "sweep3d": (build_sweep3d, lambda p: sweep3d_inputs(64, 64, 64, p, kb=4, ab=2, niter=2)),
-    "nas_sp": (build_nas_sp, lambda p: sp_inputs("A", p, niter=3)),
-    "sample_wavefront": (
-        _sample_builder("wavefront"),
-        lambda p: {"grain": 100000, "msg": 8192, "iters": 10},
-    ),
-    "sample_nearest_neighbor": (
-        _sample_builder("nearest_neighbor"),
-        lambda p: {"grain": 100000, "msg": 8192, "iters": 10},
-    ),
-}
 
 
 def _positive_int(text: str) -> int:
@@ -798,8 +763,7 @@ def _inspect_store(path, stats: dict) -> int:
     print(f"Result store: {path}")
     print(f"  {stats['entries']} entries ({stats['bytes']:,} bytes) "
           f"across {stats['contexts']} execution context(s)")
-    print(f"  {stats['warm_calibrations']} warm calibration(s), "
-          f"{stats.get('warm_kernels', 0)} warm compiled kernel(s)")
+    print(f"  {stats['warm_calibrations']} warm calibration(s)")
     print(f"  lifetime: {stats['hits']} hits, {stats['misses']} misses "
           f"(hit rate {rate}), {stats['puts']} puts, "
           f"{stats['evictions']} evictions")
@@ -1171,8 +1135,7 @@ def cmd_profile(args) -> int:
         backend_lines = [
             f"  backend: requested={args.backend} active={active}; "
             f"lowered {ks['lowered']} program(s) in {ks['lowering_seconds'] * 1e3:.1f} ms, "
-            f"cache {ks['cache_hits']} hit(s) / {ks['cache_misses']} miss(es), "
-            f"{ks['warm_loads']} warm load(s)",
+            f"cache {ks['cache_hits']} hit(s) / {ks['cache_misses']} miss(es)",
             f"  fast run: {fast.stats.total_events} events in {fast_wall:.3f} s wall "
             f"({fast.stats.total_events / fast_wall:,.0f} events/s)",
         ]

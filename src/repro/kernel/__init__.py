@@ -13,31 +13,25 @@ Runs that collect a trace interpret the program under either.
 """
 
 from .lower import (
-    KERNEL_FORMAT,
     CompiledKernel,
     UnsupportedConstructError,
     cache_stats,
     cached_kernels,
     clear_cache,
     kernel_for,
-    load_kernel_source,
     lower_program,
     program_fingerprint,
     record_fallback,
-    set_warm_dir,
 )
 
 __all__ = [
-    "KERNEL_FORMAT",
     "CompiledKernel",
     "UnsupportedConstructError",
     "cache_stats",
     "cached_kernels",
     "clear_cache",
     "kernel_for",
-    "load_kernel_source",
     "lower_program",
     "program_fingerprint",
     "record_fallback",
-    "set_warm_dir",
 ]

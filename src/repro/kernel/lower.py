@@ -19,8 +19,9 @@ emits flat Python source — one module per program, content-addressed by
 
 Event traces need the interpreter, whose compute and delay requests a
 trace records: a traced run interprets the program instead (see
-:class:`repro.sim.engine.Simulator`).  The module embeds
-:data:`KERNEL_FORMAT`; a stored module of another format is re-lowered.
+:class:`repro.sim.engine.Simulator`).  A module lives only in the
+process that lowered it: :func:`kernel_for` caches it by fingerprint,
+and nothing writes generated code to disk.
 
 Anything the emitter cannot reproduce bit-for-bit raises
 :class:`UnsupportedConstructError`; ``backend="auto"`` catches it and
@@ -75,23 +76,17 @@ from ..symbolic.expr import (
 from ..symbolic.extended import Cond, Sum
 
 __all__ = [
-    "KERNEL_FORMAT",
     "UnsupportedConstructError",
     "CompiledKernel",
     "program_fingerprint",
     "lower_program",
     "kernel_for",
-    "load_kernel_source",
-    "set_warm_dir",
     "cache_stats",
     "clear_cache",
     "cached_kernels",
 ]
 
 log = get_logger("kernel.lower")
-
-#: generated-module format (bump whenever the emitted code changes shape)
-KERNEL_FORMAT = 4
 
 
 class UnsupportedConstructError(Exception):
@@ -108,18 +103,11 @@ _CACHE: dict[str, "CompiledKernel"] = {}
 # message, so a program that cannot lower is walked only once.
 _FAILED: dict[str, str] = {}
 
-# Optional on-disk warm cache (a ResultStore's warm/ directory).  When
-# set, kernel_for consults it on an in-process miss and persists every
-# fresh lowering — campaign --resume and repro serve skip lowering for
-# programs any earlier process already compiled.
-_WARM_DIR: str | None = None
-
 # Plain aggregate counters (always on; published to METRICS when enabled).
 _STATS = {
     "lowered": 0,
     "cache_hits": 0,
     "cache_misses": 0,
-    "warm_loads": 0,
     "fallbacks": 0,
     "lowering_seconds": 0.0,
 }
@@ -199,20 +187,12 @@ def _execute_source(source: str, name: str, fingerprint: str) -> dict:
     return ns
 
 
-def set_warm_dir(path=None) -> None:
-    """Point the kernel cache at a store's ``warm/`` directory (or detach)."""
-    global _WARM_DIR
-    _WARM_DIR = str(path) if path is not None else None
-
-
 def kernel_for(program: Program) -> CompiledKernel:
-    """Lower *program*, going through the content-addressed caches.
+    """Lower *program* once per process, cached by its fingerprint.
 
-    Lookup order: in-process cache, then the warm directory (when
-    attached via :func:`set_warm_dir`), then a fresh lowering — which
-    is persisted back to the warm directory, best-effort.  A program
-    that failed to lower raises the same :class:`UnsupportedConstructError`
-    again, from memory, until :func:`clear_cache`.
+    A program that failed to lower raises the same
+    :class:`UnsupportedConstructError` again, from memory, until
+    :func:`clear_cache`.
     """
     fp = program_fingerprint(program)
     hit = _CACHE.get(fp)
@@ -224,68 +204,12 @@ def kernel_for(program: Program) -> CompiledKernel:
         _count("cache_hits")
         raise UnsupportedConstructError(failed)
     _count("cache_misses")
-    if _WARM_DIR is not None:
-        from ..store import load_warm_kernel  # lazy: store pulls in the api layer
-
-        source = load_warm_kernel(_WARM_DIR, fp)
-        if source is not None:
-            try:
-                warm = load_kernel_source(source)
-                if warm.fingerprint == fp:  # hand-edited entries must not alias
-                    return warm
-                log.warning("warm kernel %s embeds a different fingerprint; re-lowering", fp[:12])
-            except UnsupportedConstructError as exc:
-                log.warning("warm kernel %s unusable, re-lowering: %s", fp[:12], exc)
     try:
         kernel = lower_program(program, fingerprint=fp)
     except UnsupportedConstructError as exc:
         _FAILED[fp] = str(exc)
         raise
     _CACHE[fp] = kernel
-    if _WARM_DIR is not None:
-        from ..store import save_warm_kernel
-
-        try:
-            save_warm_kernel(
-                _WARM_DIR, program=kernel.program_name,
-                fingerprint=fp, source=kernel.source,
-            )
-        except OSError as exc:  # warm cache is an optimization, never fatal
-            log.warning("cannot save warm kernel %s: %s", fp[:12], exc)
-    return kernel
-
-
-def load_kernel_source(source: str) -> CompiledKernel:
-    """Warm-load a previously generated module (from the result store).
-
-    The module carries its own ``PROGRAM``/``FINGERPRINT`` constants, so a
-    warm load skips lowering entirely and seeds the in-process cache.  A
-    module of another :data:`KERNEL_FORMAT` is refused, so the caller
-    re-lowers it.
-    """
-    probe: dict = {}
-    try:
-        exec(compile(source, "<repro.kernel:warm>", "exec"), probe)
-    except Exception as exc:  # corrupt store entry: refuse, caller re-lowers
-        raise UnsupportedConstructError(f"stored kernel module failed to load: {exc}") from exc
-    fp = probe.get("FINGERPRINT")
-    name = probe.get("PROGRAM")
-    if not isinstance(fp, str) or not isinstance(name, str) or "fast_gen" not in probe:
-        raise UnsupportedConstructError("stored kernel module lacks its entry point")
-    if probe.get("KERNEL_FORMAT") != KERNEL_FORMAT:
-        raise UnsupportedConstructError(
-            f"stored kernel module has format {probe.get('KERNEL_FORMAT')!r}, "
-            f"not {KERNEL_FORMAT}"
-        )
-    kernel = CompiledKernel(
-        program_name=name,
-        fingerprint=fp,
-        source=source,
-        lowering_seconds=0.0,
-        _ns=probe,
-    )
-    _CACHE[fp] = kernel
-    _count("warm_loads")
     return kernel
 
 
@@ -298,7 +222,6 @@ def lower_program(program: Program, fingerprint: str | None = None) -> CompiledK
         raise UnsupportedConstructError(f"program does not validate: {exc}") from exc
     source = _Lowerer(program).emit_module()
     fp = fingerprint if fingerprint is not None else program_fingerprint(program)
-    source = source.replace("__FINGERPRINT__", fp)
     ns = _execute_source(source, program.name, fp)
     dt = time.perf_counter() - t0
     _count("lowered")
@@ -388,7 +311,7 @@ def _emit_bool(e: BoolExpr) -> str:
 _PREAMBLE = '''\
 """Generated by repro.kernel.lower — do not edit.
 
-Program {name!r}; content address (program_fingerprint) in FINGERPRINT.
+Program {name!r}.
 """
 import math
 
@@ -410,9 +333,7 @@ _cd = _CeilDiv._apply
 _INF = math.inf
 _UNSET = object()
 
-KERNEL_FORMAT = {format}
 PROGRAM = {name!r}
-FINGERPRINT = "__FINGERPRINT__"
 '''
 
 
@@ -463,7 +384,7 @@ class _Lowerer:
     def emit_module(self) -> str:
         prog = self.program
         fast_lines = self._emit_gen()
-        parts = [_PREAMBLE.format(name=prog.name, format=KERNEL_FORMAT)]
+        parts = [_PREAMBLE.format(name=prog.name)]
         for (module, name), alias in self._kernels.items():
             parts.append(f"from {module} import {name} as {alias}")
         parts.append("")

@@ -15,12 +15,13 @@ that function's graph:
 
 ``<base>/index.jsonl``
     an append-only operation journal (``put`` / ``touch`` / ``evict``
-    / ``counters`` records).  ``put``s are fsynced; ``touch``es are
-    O_APPEND without fsync — losing recency hints in a crash only
+    / ``counters`` records), appended with
+    :func:`~repro.util.atomic_io.append_jsonl`.  ``put``s are fsynced;
+    ``touch``es are not — losing recency hints in a crash only
     degrades LRU accuracy, never correctness.  On load the journal is
     reconciled against the filesystem: entry files are the source of
     truth, the journal only contributes ordering and counters, and a
-    torn final line is dropped (see :func:`~repro.util.atomic_io.read_jsonl`).
+    torn final line is dropped (and truncated by the next append).
     The journal is *compacted* — atomically rewritten as one ``put``
     record per live entry (in LRU order) plus a trailing ``counters``
     record — on :meth:`ResultStore.close` and whenever it outgrows a
@@ -35,12 +36,9 @@ that function's graph:
     tuple :meth:`repro.workflow.pipeline.ModelingWorkflow.prime`
     demands the caller vouch for.
 
-``<base>/warm/kernel-<fingerprint>.json``
-    warm-start compiled kernels — the generated per-program module
-    source emitted by :mod:`repro.kernel.lower`, content-addressed by
-    the program IR fingerprint.  A warm load skips lowering entirely
-    (``repro serve`` and campaign ``--resume`` reuse these); like
-    calibrations they are tiny and never evicted.
+The store persists data only, never code: a compiled kernel is
+re-lowered in each process that needs it (:mod:`repro.kernel.lower`),
+and the ``warm/kernel-*.json`` files older stores hold are ignored.
 
 Eviction is LRU over a byte budget (``max_bytes``): a put that pushes
 the store over budget evicts least-recently-*used* entries (gets count
@@ -68,8 +66,6 @@ __all__ = [
     "warm_calibration_key",
     "save_warm_calibration",
     "load_warm_calibration",
-    "save_warm_kernel",
-    "load_warm_kernel",
     "STORE_DIR_NAME",
     "WARM_DIR_NAME",
     "INDEX_NAME",
@@ -104,6 +100,11 @@ class StoreStats:
             "puts": self.puts,
             "evictions": self.evictions,
         }
+
+
+def _count_warm_calibrations(warm_dir: Path) -> int:
+    # an older store's warm/kernel-*.json files are not calibrations
+    return sum(1 for p in warm_dir.glob("*.json") if not p.name.startswith("kernel-"))
 
 
 def _replay_index(index_path: Path) -> tuple[OrderedDict[str, None], StoreStats, int]:
@@ -306,10 +307,7 @@ class ResultStore:
                 "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
                 "contexts": len({rel.split("/", 1)[0] for rel in self._entries}),
-                "warm_calibrations": sum(
-                    1 for p in self.warm_dir.glob("*.json")
-                    if not p.name.startswith("kernel-")),
-                "warm_kernels": sum(1 for _ in self.warm_dir.glob("kernel-*.json")),
+                "warm_calibrations": _count_warm_calibrations(self.warm_dir),
             }
             out.update(self.counters.to_dict())
             return out
@@ -345,15 +343,11 @@ def scan_store(base_dir: str | Path) -> dict | None:
             entries += 1
             contexts.add(path.parent.name)
     _, stats, _ = _replay_index(index_path)
-    warm = base / WARM_DIR_NAME
     return {
         "entries": entries,
         "bytes": nbytes,
         "contexts": len(contexts),
-        "warm_calibrations": sum(
-            1 for p in warm.glob("*.json")
-            if not p.name.startswith("kernel-")) if warm.is_dir() else 0,
-        "warm_kernels": sum(1 for _ in warm.glob("kernel-*.json")) if warm.is_dir() else 0,
+        "warm_calibrations": _count_warm_calibrations(base / WARM_DIR_NAME),
         **stats.to_dict(),
     }
 
@@ -449,52 +443,3 @@ def load_warm_calibration(
     except (KeyError, TypeError, ValueError) as exc:
         _log.warning("malformed warm calibration %s: %s", path, exc)
         return None
-
-
-# -- warm-start compiled kernels --------------------------------------------
-
-def save_warm_kernel(
-    warm_dir: str | Path, *, program: str, fingerprint: str, source: str
-) -> Path:
-    """Atomically persist one generated kernel module's source.
-
-    Keyed purely by the program IR *fingerprint*: the generated module
-    is a deterministic function of the IR, so concurrent savers write
-    identical bytes and the last rename winning is harmless.
-    """
-    warm = Path(warm_dir)
-    warm.mkdir(parents=True, exist_ok=True)
-    path = warm / f"kernel-{fingerprint}.json"
-    doc = {
-        "schema_version": 1,
-        "kind": "warm-kernel",
-        "program": program,
-        "fingerprint": fingerprint,
-        "source": source,
-    }
-    with atomic_write(path) as fh:
-        fh.write(canonical_json(doc))
-    return path
-
-
-def load_warm_kernel(warm_dir: str | Path, fingerprint: str) -> str | None:
-    """Load a stored kernel module's source, or ``None`` when absent.
-
-    Returns the raw source text; callers hand it to
-    :func:`repro.kernel.load_kernel_source`, which re-validates the
-    embedded ``FINGERPRINT``/entry points — a corrupt entry degrades to
-    a cold re-lower, never a wrong kernel.
-    """
-    path = Path(warm_dir) / f"kernel-{fingerprint}.json"
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        return None
-    except (OSError, json.JSONDecodeError) as exc:
-        _log.warning("unusable warm kernel %s: %s", path, exc)
-        return None
-    source = doc.get("source")
-    if doc.get("fingerprint") != fingerprint or not isinstance(source, str):
-        _log.warning("warm kernel %s does not match its key; ignoring", path)
-        return None
-    return source

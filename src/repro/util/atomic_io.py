@@ -1,13 +1,13 @@
-"""Crash-consistent file writing: tmp + fsync + rename, everywhere.
+"""Crash-consistent file writing: whole files by rename, logs by append.
 
-Every whole-file artifact the system produces (Perfetto exports, CSV
-reports, trace archives, campaign journals) funnels through this module
-so that a crash — OOM, SIGKILL, power loss — mid-write can never leave
-a truncated artifact under the final name.  (The one deliberate
-exception is the high-frequency metrics JSONL sink, which uses plain
-``O_APPEND`` writes and tolerates a torn final line; see
-:class:`repro.obs.metrics.JsonlSink`.)  The protocol is the classic
-one:
+Every artifact the system produces funnels through this module so that
+a crash — OOM, SIGKILL, power loss — mid-write can never leave a
+truncated artifact that a later reader trusts.  There are two
+protocols.
+
+Whole-file artifacts (Perfetto exports, CSV reports, trace archives,
+checkpoints, store entries) go through :func:`atomic_write`, the
+classic tmp + fsync + rename:
 
 1. write the full content to ``<name>.tmp.<pid>.<counter>`` in the
    *same directory* (rename must not cross filesystems);
@@ -22,12 +22,15 @@ Readers therefore observe either the old complete file or the new
 complete file, never a torn intermediate.  On any exception the
 temporary file is removed and the final name untouched.
 
-:class:`AtomicJournal` builds an append-only JSONL journal on top of the
-same primitive: each appended record rewrites the journal atomically
-(tmp + fsync + rename per record), so the on-disk journal is a complete,
-parseable prefix of the logical one at every instant.  Journals are
-small (one line per experiment run), so the rewrite cost is noise next
-to the simulations they checkpoint.
+Append-only JSONL logs (campaign and fuzz journals, the result store's
+index, telemetry capsules) go through :func:`append_jsonl`: one
+``O_APPEND`` write plus ``fsync`` per record, O(record) however long
+the log.  A crash can tear only the final line; :func:`read_jsonl`
+drops it and the next append truncates it, so every log recovers the
+same way.  :class:`AtomicJournal` is a journal on top of the pair.
+(The one exception is the high-frequency metrics sink,
+:class:`repro.obs.metrics.JsonlSink`, which appends without ``fsync``;
+readers skip its torn final line too.)
 """
 
 from __future__ import annotations
@@ -124,39 +127,78 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def append_jsonl(path: str | Path, record: dict, fsync: bool = True) -> None:
-    """Durably append one JSON record to *path* in O(record).
+def _warn(msg: str, *args) -> None:
+    # local import: atomic_io must stay importable before logging config
+    from ..obs.logging import get_logger
 
-    The record lands in a single ``O_APPEND`` write (one line), followed
-    by an ``fsync`` — so a crash mid-append can tear at most the final
-    line, never an earlier one, and :func:`read_jsonl` drops exactly
-    that torn tail.  This is the right primitive for high-volume
-    streams (telemetry capsules, metrics) where the
-    :class:`AtomicJournal` full-rewrite would cost O(n²) over a
-    campaign; the trade is documented on the reader side.
+    get_logger("util.atomic_io").warning(msg, *args)
+
+
+def _drop_torn_tail(fd: int, path: Path) -> tuple[int, bytes]:
+    """Make the file end on a line boundary before an append.
+
+    Returns ``(committed length, prefix for the next record)``.  An
+    unterminated final line that does not parse is a torn append:
+    truncated.  One that parses lacks only its newline: :func:`read_jsonl`
+    keeps it, so the next record is prefixed with the newline instead.
     """
-    line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-    fd = os.open(Path(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    end = os.fstat(fd).st_size
+    if end == 0 or os.pread(fd, 1, end - 1) == b"\n":
+        return end, b""
+    data = os.pread(fd, end, 0)  # only after a crash mid-append
+    start = data.rfind(b"\n") + 1
     try:
-        os.write(fd, line.encode())
-        if fsync:
-            os.fsync(fd)
+        json.loads(data[start:])
+    except ValueError:
+        _warn("%s: truncating incomplete final line (torn O_APPEND write)", path)
+        os.ftruncate(fd, start)
+        return start, b""
+    return end, b"\n"
+
+
+def append_jsonl(path: str | Path, record: dict, fsync: bool = True) -> None:
+    """Durably append one JSON record to *path* as one line, in O(record).
+
+    The record lands in one ``O_APPEND`` write followed by an ``fsync``,
+    so a crash mid-append can tear only the final line.  That line is
+    dropped by :func:`read_jsonl` and truncated by the next append
+    before it writes, so it never glues onto a later record.  A failed
+    write or ``fsync`` truncates the file back to its committed length
+    before raising.  Creating the file also fsyncs its directory, so
+    the new name survives power loss.  ``fsync=False`` skips both
+    fsyncs, for records whose loss is harmless.
+    """
+    path = Path(path)
+    line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        end, prefix = _drop_torn_tail(fd, path)
+        try:
+            view = memoryview(prefix + line)
+            while view:  # a short write is retried; an error rolls back
+                view = view[os.write(fd, view):]
+            if fsync:
+                os.fsync(fd)
+        except BaseException:
+            os.ftruncate(fd, end)
+            raise
     finally:
         os.close(fd)
+    if fsync and end == 0:
+        _fsync_dir(path.parent)
 
 
-def read_jsonl(path: str | Path, strict: bool = False) -> list[dict]:
+def read_jsonl(path: str | Path) -> list[dict]:
     """Read a JSONL file, tolerating the documented torn-final-line hazard.
 
     ``O_APPEND`` writers (:func:`append_jsonl`,
     :class:`repro.obs.metrics.JsonlSink`) guarantee every line but the
-    last is complete; a crash mid-flush can leave one incomplete tail
+    last is complete; a crash mid-append can leave one incomplete tail
     line.  This reader drops an unparseable *final* line with a logged
     warning and returns everything before it.  Corruption anywhere else
-    — or any corruption at all under ``strict=True`` — still raises
-    :class:`ValueError` with its ``path:line`` location, because a
-    mangled middle means something other than a torn append happened.
-    Non-object records raise in either mode.
+    raises :class:`ValueError` with its ``path:line`` location, because
+    a mangled middle means something other than a torn append happened.
+    Non-object records raise too.
     """
     path = Path(path)
     try:
@@ -174,8 +216,8 @@ def read_jsonl(path: str | Path, strict: bool = False) -> list[dict]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            if lineno == last and not strict:
-                _warn_torn_line(path, lineno)
+            if lineno == last:
+                _warn("%s:%d: skipping incomplete final line (torn O_APPEND write)", path, lineno)
                 break
             raise ValueError(
                 f"{path}:{lineno}: corrupt JSONL record: {exc}"
@@ -186,77 +228,31 @@ def read_jsonl(path: str | Path, strict: bool = False) -> list[dict]:
     return out
 
 
-def _warn_torn_line(path: Path, lineno: int) -> None:
-    # local import: atomic_io must stay importable before logging config
-    from ..obs.logging import get_logger
-
-    get_logger("util.atomic_io").warning(
-        "%s:%d: skipping incomplete final line (torn O_APPEND write)", path, lineno
-    )
-
-
 class AtomicJournal:
-    """Append-only JSONL journal with per-record atomic durability.
+    """Append-only JSONL journal: :func:`read_jsonl` at load,
+    :func:`append_jsonl` per record.
 
-    Each record is one JSON object per line.  :meth:`append` makes the
-    record durable before returning (tmp + fsync + rename of the whole
-    journal), so after a crash the on-disk journal is exactly the
-    sequence of records whose ``append`` calls completed.
-
-    Since every write is a full-file atomic replace, a torn *final*
-    line can only come from outside — an external editor, a copy taken
-    mid-write, a foreign ``O_APPEND`` writer sharing the path.  That
-    one case is recovered, not fatal: the incomplete tail is dropped
-    with a logged warning at load time (so a later :meth:`append` never
-    re-persists it).  Corruption anywhere earlier is still reported by
-    :meth:`records` with its line number — a mangled middle means
-    something worse than a torn append happened.
+    :meth:`append` makes its record durable before returning, so after
+    a crash the loaded journal is exactly the records whose ``append``
+    calls completed.  Corruption before the final line raises
+    :class:`ValueError` with its ``path:line`` at load.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lines: list[str] = []
-        if self.path.exists():
-            self._lines = [
-                line for line in self.path.read_text().splitlines() if line.strip()
-            ]
-            if self._lines:
-                try:
-                    json.loads(self._lines[-1])
-                except json.JSONDecodeError:
-                    _warn_torn_line(self.path, len(self._lines))
-                    self._lines.pop()
+        self._records = read_jsonl(self.path) if self.path.exists() else []
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self._records)
 
     def exists(self) -> bool:
         return self.path.exists()
 
     def append(self, record: dict) -> None:
-        """Durably append one record (atomic rewrite + fsync)."""
-        self._lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        with atomic_write(self.path) as fh:
-            for line in self._lines:
-                fh.write(line + "\n")
+        """Durably append one record (one ``O_APPEND`` write + fsync)."""
+        append_jsonl(self.path, record)
+        self._records.append(record)
 
     def records(self) -> list[dict]:
-        """Parse and return every journal record.
-
-        Raises :class:`ValueError` with ``path:line`` on malformed JSON
-        or a non-object record.
-        """
-        out: list[dict] = []
-        for lineno, line in enumerate(self._lines, start=1):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{self.path}:{lineno}: corrupt journal record: {exc}"
-                ) from None
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{self.path}:{lineno}: journal record is not a JSON object"
-                )
-            out.append(record)
-        return out
+        """Every committed record, in order."""
+        return list(self._records)

@@ -11,9 +11,10 @@ crash-safe:
   a content-hash ``run_id``; the whole configuration has a
   ``config_hash`` so a journal can prove it belongs to this grid.
 * Progress is journaled to an append-only JSONL journal
-  (:class:`repro.util.atomic_io.AtomicJournal`, tmp + fsync + rename
-  per record), so the on-disk journal is a complete prefix of the
-  logical one at every instant.
+  (:class:`repro.util.atomic_io.AtomicJournal`, one ``O_APPEND`` write
+  + fsync per record), so the loaded journal is a complete prefix of
+  the logical one at every instant: a crash can tear only the final
+  line, which loading drops and the next append truncates.
 * ``resume=True`` replays the journal, verifies the config hash, skips
   runs that already completed ``ok`` and re-runs only failed or missing
   ones.  The engine is deterministic under a fixed seed, so a resumed
@@ -38,9 +39,10 @@ crash-safe:
 * With ``telemetry=True`` every run executes inside a
   :class:`~repro.obs.capsule.capture_run` with the flight recorder armed:
   the worker ships a :class:`~repro.obs.capsule.TelemetryCapsule` back to
-  the parent, which journals it to ``telemetry.jsonl`` (O_APPEND +
-  fsync, torn-tail tolerant) and, once the campaign completes, fuses all
-  capsules into ``campaign.perfetto.json`` — one merged timeline with a
+  the parent, which journals it to ``telemetry.jsonl`` through the same
+  append (:func:`~repro.util.atomic_io.append_jsonl`) and, once the
+  campaign completes, fuses all capsules into
+  ``campaign.perfetto.json`` — one merged timeline with a
   track per worker process and per run.  Failed runs additionally attach
   the flight-recorder dump (last-N kernel events, wait chains, budget
   state) to their journal record for ``repro inspect``.
@@ -57,6 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..api import CampaignRequest, RunRequest, canonical_json
+from ..apps import APPS
 from ..machine import get_machine
 from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
@@ -519,13 +522,6 @@ class CampaignRunner:
         self._workflows: dict[tuple, ModelingWorkflow] = {}
         self._warm_pending: dict[tuple, tuple[str, str]] = {}
         self._stop_signal: int | None = None
-        # compiled-backend warm start: point the kernel cache at the
-        # store's warm/ directory so lowering is skipped for programs
-        # any earlier process (or a resumed campaign) already compiled
-        if config.warm_dir and config.backend in ("compiled", "auto"):
-            from ..kernel import set_warm_dir
-
-            set_warm_dir(config.warm_dir)
 
     @property
     def journal_path(self) -> Path:
@@ -547,7 +543,10 @@ class CampaignRunner:
     def _open_journal(self, resume: bool) -> tuple[AtomicJournal, dict[str, RunRecord]]:
         """Load or create the journal; return it plus completed records."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        journal = AtomicJournal(self.journal_path)
+        try:
+            journal = AtomicJournal(self.journal_path)
+        except ValueError as exc:
+            raise CampaignError(f"corrupt journal: {exc}") from None
         if not len(journal):
             if resume and not journal.exists():
                 _log.warning(
@@ -573,10 +572,7 @@ class CampaignRunner:
                 f"journal {self.journal_path} already exists; "
                 f"pass --resume to continue it or choose a new --out directory"
             )
-        try:
-            records = journal.records()
-        except ValueError as exc:
-            raise CampaignError(str(exc)) from None
+        records = journal.records()
         header = records[0]
         if header.get("type") != "campaign" or "config_hash" not in header:
             raise CampaignError(
@@ -1159,9 +1155,7 @@ def execute_request(
 
 
 def _cli_resolver(app: str):
-    """Default application resolver: the CLI registry (lazy import)."""
-    from ..cli import APPS  # deferred: cli imports workflow at module load
-
+    """Default application resolver: the :data:`repro.apps.APPS` registry."""
     try:
         builder, default_inputs = APPS[app]
     except KeyError:

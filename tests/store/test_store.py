@@ -95,6 +95,26 @@ def test_reload_tolerates_torn_index_tail(tmp_path):
     assert again.get(CTX, "r0001") is not None
 
 
+def test_torn_index_tail_is_truncated_by_the_next_append(tmp_path):
+    """A reopened store appends after a torn index tail without gluing
+    onto it: a second reopen still loads every entry and counter."""
+    store = ResultStore(tmp_path)
+    store.put(CTX, "r0000", _doc(0))
+    store.put(CTX, "r0001", _doc(1))
+    with open(store.index_path, "a") as fh:
+        fh.write('{"op": "put", "entry": "truncat')  # torn O_APPEND tail
+    again = ResultStore(tmp_path)
+    again.put(CTX, "r0002", _doc(2))
+    assert again.get(CTX, "r0000") is not None
+    # no close(): the next open replays the appended records
+    third = ResultStore(tmp_path)
+    stats = third.stats()
+    assert stats["entries"] == 3
+    assert (stats["hits"], stats["puts"]) == (1, 3)
+    assert all(third.get(CTX, f"r{i:04d}") is not None for i in range(3))
+    assert "truncat" not in store.index_path.read_text()
+
+
 def test_reload_reconciles_unjournaled_and_deleted_entries(tmp_path):
     store = ResultStore(tmp_path)
     store.put(CTX, "r0000", _doc(0))
@@ -198,6 +218,14 @@ def test_warm_calibration_program_mismatch_degrades_to_cold(tmp_path):
     save_warm_calibration(tmp_path, key, _calibration())
     assert load_warm_calibration(tmp_path, key, program="other") is None
     assert load_warm_calibration(tmp_path, "missing" * 2) is None
+
+
+def test_leftover_kernel_files_are_not_warm_calibrations(tmp_path):
+    store = ResultStore(tmp_path)
+    save_warm_calibration(store.warm_dir, "k" * 8, _calibration())
+    (store.warm_dir / ("kernel-" + "f" * 64 + ".json")).write_text("{}")
+    assert store.stats()["warm_calibrations"] == 1
+    assert scan_store(tmp_path)["warm_calibrations"] == 1
 
 
 def test_campaign_warm_start_skips_calibration(tmp_path):

@@ -449,6 +449,24 @@ class TestCampaign:
         assert main(["campaign", "--grid", grid, "--out", str(out),
                      "--resume"]) == 0
 
+    def test_torn_final_telemetry_line_keeps_telemetry(self, tmp_path, capsys):
+        # a torn capsule append is truncated by the resume's first
+        # append, so the merged timeline and `repro inspect` still read
+        # (three cells: two resumed appends land after the torn line)
+        grid = self.grid_file(tmp_path, nprocs=[2, 3, 4])
+        out = tmp_path / "out"
+        assert main(["campaign", "--grid", grid, "--out", str(out),
+                     "--max-runs", "1"]) == 0
+        telemetry = out / "telemetry.jsonl"
+        telemetry.write_text(telemetry.read_text() + '{"type": "capsule", "run')
+        assert main(["campaign", "--grid", grid, "--out", str(out),
+                     "--resume"]) == 0
+        assert (out / "campaign.perfetto.json").exists()
+        capsys.readouterr()
+        assert main(["inspect", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "unreadable" not in captured.out + captured.err
+
     def test_config_hash_mismatch_one_line_error(self, tmp_path, capsys):
         grid = self.grid_file(tmp_path)
         out = tmp_path / "out"

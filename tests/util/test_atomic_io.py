@@ -1,14 +1,17 @@
-"""Tests for the crash-consistent atomic-write helper."""
+"""Tests for the crash-consistent atomic-write and append helpers."""
 
 import gzip
 import os
 
 import pytest
 
+import repro.util.atomic_io as atomic_io
 from repro.util.atomic_io import (
     AtomicJournal,
+    append_jsonl,
     atomic_write,
     atomic_write_text,
+    read_jsonl,
 )
 
 
@@ -62,6 +65,24 @@ class TestAtomicWrite:
             fh.write("via opener")
         with gzip.open(path, "rt") as fh:
             assert fh.read() == "via opener"
+
+
+class TestAppendJsonl:
+    def test_creating_the_file_fsyncs_its_directory(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(atomic_io, "_fsync_dir", synced.append)
+        path = tmp_path / "log.jsonl"
+        append_jsonl(path, {"n": 1})
+        append_jsonl(path, {"n": 2})
+        assert synced == [tmp_path]  # the new name once, not every append
+
+    def test_unterminated_complete_record_is_kept(self, tmp_path):
+        # read_jsonl accepts a final record that lacks only its newline,
+        # so the next append terminates it instead of truncating it
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"n": 1}')
+        append_jsonl(path, {"n": 2})
+        assert read_jsonl(path) == [{"n": 1}, {"n": 2}]
 
 
 class TestAtomicJournal:

@@ -1,9 +1,10 @@
 """Crash-consistency fault injection around :mod:`repro.util.atomic_io`.
 
-Every durable artifact (journals, checkpoints, results.csv) funnels
-through ``atomic_write``'s tmp + fsync + rename protocol.  These tests
-inject EIO / ENOSPC / torn-write failures at each boundary of that
-protocol and assert the crash-consistency invariant at every one:
+Every whole-file artifact (checkpoints, results.csv) funnels through
+``atomic_write``'s tmp + fsync + rename protocol, and every append-only
+log (journals) through ``append_jsonl``'s write + fsync.  These tests
+inject EIO / ENOSPC / torn-write failures at each boundary of both
+protocols and assert the crash-consistency invariant at every one:
 readers observe either the old complete file or the new complete file
 — never a torn intermediate — and no temporary litter survives.
 """
@@ -23,6 +24,23 @@ def injected(errno_code, message):
         raise OSError(errno_code, message)
 
     return boom
+
+
+_real_write = os.write
+
+
+def half_write_then_enospc(fd, data):
+    """A write that lands half its bytes before the disk fills."""
+    _real_write(fd, bytes(data)[: len(data) // 2])
+    raise OSError(errno.ENOSPC, "no space left on device")
+
+
+#: faults on the append path: the os function replaced, and its stand-in
+APPEND_FAULTS = {
+    "enospc-write": ("write", injected(errno.ENOSPC, "no space left on device")),
+    "half-write-enospc": ("write", half_write_then_enospc),
+    "eio-fsync": ("fsync", injected(errno.EIO, "I/O error")),
+}
 
 
 def assert_clean(tmp_path, path, content):
@@ -113,23 +131,25 @@ class TestAtomicWriteBoundaries:
 
 
 class TestJournalCrashConsistency:
+    @pytest.mark.parametrize("fault", sorted(APPEND_FAULTS))
     def test_failed_append_preserves_the_committed_prefix(self, tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch, fault):
         jpath = tmp_path / "j.jsonl"
         journal = AtomicJournal(jpath)
         journal.append({"n": 1})
         journal.append({"n": 2})
-        before = jpath.read_text()
-        monkeypatch.setattr(os, "replace", injected(errno.ENOSPC, "full"))
+        before = jpath.read_bytes()
+        monkeypatch.setattr(os, *APPEND_FAULTS[fault])
         with pytest.raises(OSError):
             journal.append({"n": 3})
         monkeypatch.undo()
-        assert jpath.read_text() == before
+        assert jpath.read_bytes() == before
+        assert journal.records() == [{"n": 1}, {"n": 2}]
         # a fresh reader sees exactly the committed records and can go on
         reloaded = AtomicJournal(jpath)
         assert reloaded.records() == [{"n": 1}, {"n": 2}]
         reloaded.append({"n": 3})
-        assert reloaded.records() == [{"n": 1}, {"n": 2}, {"n": 3}]
+        assert AtomicJournal(jpath).records() == [{"n": 1}, {"n": 2}, {"n": 3}]
 
     def test_torn_final_line_is_dropped_on_reload(self, tmp_path):
         jpath = tmp_path / "j.jsonl"
