@@ -7,11 +7,11 @@ own content hashes.  This module is the single vocabulary instead:
 
 * :class:`RunRequest` — one simulation to perform (app, mode, nprocs,
   inputs, seed, fault plan, timeout).  Its :meth:`~RunRequest.content_hash`
-  is **the** run identity: journals, checkpoints, quarantine artifacts
-  and store entries are all keyed by it, and it is byte-compatible with
-  the ``RunSpec.run_id`` hashes of earlier releases (same canonical
-  identity document, same sha256 prefix), so existing journals resume
-  under the new types.
+  is **the** run identity: journals, quarantine artifacts and store
+  entries are all keyed by it, and it is byte-compatible with the
+  ``RunSpec.run_id`` hashes of earlier releases (same canonical identity
+  document, same sha256 prefix), so existing journals resume under the
+  new types.
 * :class:`CampaignRequest` — an ordered set of runs plus the execution
   context that shapes their results (machine, budgets, calibration,
   retry policy).  Its :meth:`~CampaignRequest.content_hash` reproduces
@@ -177,7 +177,7 @@ class RunRequest:
 
     This is the type formerly known as ``RunSpec``; the identity
     document and hash are unchanged, so ids in existing journals,
-    checkpoints and quarantine artifacts still name the same runs.
+    quarantine artifacts and store entries still name the same runs.
     """
 
     app: str
@@ -440,6 +440,9 @@ class CampaignRequest:
                 raise _bad(f"{label} must be a positive number, got {value!r}")
         if not isinstance(self.retries, int) or self.retries < 0:
             raise _bad(f"retries must be an integer >= 0, got {self.retries!r}")
+        if not (isinstance(self.backoff, (int, float))
+                and math.isfinite(self.backoff) and self.backoff >= 0):
+            raise _bad(f"backoff must be a finite number >= 0, got {self.backoff!r}")
         return self
 
     # -- serialization -------------------------------------------------------

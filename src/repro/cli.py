@@ -640,8 +640,6 @@ def cmd_campaign(args) -> int:
             config.heartbeat_timeout = args.heartbeat_timeout
         if args.poison_threshold is not None:
             config.poison_threshold = args.poison_threshold
-        if args.checkpoint_interval is not None:
-            config.checkpoint_interval = args.checkpoint_interval
         if args.backend is not None:
             config.backend = args.backend
         runner = CampaignRunner(
@@ -691,8 +689,6 @@ def cmd_campaign(args) -> int:
             hint.append(f"--heartbeat-timeout {args.heartbeat_timeout:g}")
         if args.poison_threshold is not None:
             hint.append(f"--poison-threshold {args.poison_threshold}")
-        if args.checkpoint_interval is not None:
-            hint.append(f"--checkpoint-interval {args.checkpoint_interval}")
         if args.backend is not None:
             hint.append(f"--backend {args.backend}")
         hint.append("--resume")
@@ -745,7 +741,7 @@ def _inspect_file(path, args) -> int:
 
 
 def _format_cursor(cursor, indent="  ") -> str:
-    """One line for a heartbeat/checkpoint replay cursor."""
+    """One line for a heartbeat cursor."""
     parts = [f"last cursor: event {cursor.get('events', '?')}"]
     if cursor.get("virtual_time") is not None:
         parts.append(f"t={cursor['virtual_time']:.6g}s virtual")
@@ -772,18 +768,13 @@ def _inspect_store(path, stats: dict) -> int:
 
 def _inspect_dir(path, args) -> int:
     """Render a campaign output directory: header, per-run timeline,
-    aggregate metrics, checkpoint/heartbeat history, and the flight
-    dumps of failed runs."""
+    aggregate metrics, heartbeat cursors, quarantined runs and the
+    flight dumps of failed runs."""
     from .obs import TableSink, load_capsules
     from .obs.merge import aggregate_metrics, format_campaign_timeline
     from .sim import format_flight_dump
     from .util.atomic_io import read_jsonl
-    from .workflow.campaign import (
-        CHECKPOINT_DIR_NAME,
-        JOURNAL_NAME,
-        QUARANTINE_DIR_NAME,
-        TELEMETRY_NAME,
-    )
+    from .workflow.campaign import JOURNAL_NAME, QUARANTINE_DIR_NAME, TELEMETRY_NAME
 
     journal_path = path / JOURNAL_NAME
     if not journal_path.exists():
@@ -865,27 +856,6 @@ def _inspect_dir(path, args) -> int:
             print(format_flight_dump(doc["flight"], last=args.last))
         else:
             print("  (no flight dump journaled for this run)")
-
-    # live replay cursors: checkpoints of runs that have not finished —
-    # a resume fast-forwards each from its last journaled event
-    ck_dir = path / CHECKPOINT_DIR_NAME
-    if ck_dir.is_dir():
-        from .sim import load_checkpoint
-
-        live = []
-        for ck_path in sorted(ck_dir.glob("*.json")):
-            ck = load_checkpoint(ck_path)
-            if ck is not None and (args.run is None
-                                   or ck.run_id.startswith(args.run)):
-                live.append(ck)
-        if live:
-            print()
-            print(f"Replay checkpoints ({len(live)} in-progress run(s); "
-                  f"--resume fast-forwards from these):")
-            for ck in live:
-                print(f"  {ck.run_id}: event {ck.events}, "
-                      f"t={ck.virtual_time:.6g}s virtual, "
-                      f"{ck.wall_seconds:.2f}s wall credited")
 
     # quarantine artifacts: poison runs with their minimized reproducers
     q_dir = path / QUARANTINE_DIR_NAME
@@ -1329,11 +1299,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="quarantine a run as 'poison' after it kills or "
                            "hangs N workers (default 2)")
-    camp.add_argument("--checkpoint-interval", type=_positive_int, default=None,
-                      metavar="EVENTS",
-                      help="write a replay-cursor checkpoint every EVENTS "
-                           "kernel events; --resume fast-forwards interrupted "
-                           "runs from the last cursor (default off)")
     add_backend_arg(camp)
     camp.set_defaults(fn=cmd_campaign)
 

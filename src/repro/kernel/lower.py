@@ -15,7 +15,7 @@ emits flat Python source — one module per program, content-addressed by
     start time.  At every yield it flushes its clock, event count,
     compute time and host cost to ``st``, which keeps per-rank stats in
     exactly the interpreter's floating-point order and exact between
-    events (budget trips and checkpoint cursors read them mid-run).
+    events (a tripped budget reads them mid-run).
 
 Event traces need the interpreter, whose compute and delay requests a
 trace records: a traced run interprets the program instead (see
@@ -454,7 +454,7 @@ class _Lowerer:
 
     def _flush(self, w: "_Writer") -> None:
         # Every per-rank cell, so stats are exact between any two events
-        # (partial stats of a tripped budget, checkpoint cursors).
+        # (the partial stats of a tripped budget).
         # host_cost is shared: the loop adds message costs between yields,
         # so it accumulates in the interpreter's float order.
         w.line("_st[0] = clock")

@@ -36,7 +36,6 @@ through the one event loop, :func:`repro.sim.loop.run`.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -167,11 +166,9 @@ class Simulator:
             rng = np.random.default_rng(seed)
             self.cpu = CpuModel(machine.cpu, machine.truth.cpu_noise_sigma, rng)
             self.net = NetworkModel(machine.net, machine.truth, rng)
-            self._rng = rng  # checkpoint cursors snapshot the generator state
         else:
             self.cpu = CpuModel(machine.cpu)
             self.net = NetworkModel(machine.net)
-            self._rng = None
         self.memory = MemoryTracker(nprocs, machine.host.thread_overhead_bytes)
         self.trace: Trace | None = Trace(nprocs) if collect_trace else None
 
@@ -277,10 +274,3 @@ class Simulator:
     def _execute(self) -> SimResult:
         stats = loop.run(self)
         return SimResult(self.mode, stats, self.memory.report(), self.trace)
-
-    def _rng_state(self) -> dict | None:
-        """The numpy bit-generator state (MEASURED runs only)."""
-        if self._rng is None:
-            return None
-        state = self._rng.bit_generator.state
-        return json.loads(json.dumps(state)) if state is not None else None

@@ -43,8 +43,8 @@ Fault draws are keyed by the count of events queued so far plus sends
 and receives posted so far (``drained + Σ len(live buckets) + mseq``),
 computed only for a send under a fault plan.  The same plan, program and
 inputs therefore replay identically; a draw depends on everything queued
-before it.  Heartbeat, checkpoint, budget and flight recorder are bound
-once per run by :class:`RunHooks`.
+before it.  Heartbeat, budget and flight recorder are bound once per run
+by :class:`RunHooks`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable
 
 from .budget import BudgetExceededError
-from .checkpoint import CHECKPOINT
 from .faults import DeadlockReport, diagnose_deadlock
 from .flightrec import FLIGHT, deadlock_report_to_dict
 from .heartbeat import HEARTBEAT
@@ -159,36 +158,31 @@ def collective_results(op: str, root: int, arrivals: dict, reduce_fn) -> dict[in
 class RunHooks:
     """The per-event hooks of one run, bound once.
 
-    Heartbeat, checkpoint, watchdog budget and flight recorder are each
-    bound when the run starts (``None`` when unarmed).  With none armed
+    Heartbeat, watchdog budget and flight recorder are each bound when
+    the run starts (``None`` when unarmed).  With none armed
     (``armed`` false) the loop pays one boolean test per event.  An armed
     loop numbers its events from 1, counting the ``nprocs`` priming
     resumes as events at t=0, and per event pays one increment, the
     flight-ring append of ``(t, rank, kind)`` (``record``, when armed)
     and one compare: it calls :meth:`fire` once the count reaches
     ``due``, the next event any hook must see.  So every event is
-    recorded, then seen by the due hooks in the order heartbeat,
-    checkpoint, budget, then dispatched.  On exit, normal or not, the
-    loop calls :meth:`settle` with its count.
+    recorded, then seen by the due hooks in the order heartbeat, budget,
+    then dispatched.  On exit, normal or not, the loop calls
+    :meth:`settle` with its count.
     """
 
     def __init__(self, sim, stats: Callable[[], SimStats]):
         self.stats = stats  # partial stats; valid between events
         self.budget = budget = sim._budget
         self.hb = HEARTBEAT if HEARTBEAT.enabled else None
-        self.ck = CHECKPOINT if CHECKPOINT.enabled else None
         self.record = None
         if FLIGHT.enabled:
             self.record, self._settle = FLIGHT.appender()
             FLIGHT.note(mode=sim.mode.value, nprocs=sim.nprocs, seed=sim.seed)
-        self.armed = not (
-            budget is None and self.hb is None and self.ck is None and self.record is None
-        )
+        self.armed = not (budget is None and self.hb is None and self.record is None)
         self.due = 1  # the first event always fires: a wall budget may trip there
         if budget is not None:
             budget.start()
-        if self.ck is not None:
-            self.ck.bind(lambda: stats().to_dict(), sim._rng_state)
 
     def settle(self, events: int) -> None:
         """Account the run's *events* flight-ring appends so far."""
@@ -200,14 +194,11 @@ class RunHooks:
         and return the next due event count.  A tripped budget raises
         :class:`BudgetExceededError` with the partial stats and, with the
         recorder armed, the flight dump."""
-        hb, ck, budget = self.hb, self.ck, self.budget
+        hb, budget = self.hb, self.budget
         due = _NEVER
         if hb is not None and hb.enabled:
             hb.tick(events, t)
             due = hb.next_due
-        if ck is not None and ck.enabled:
-            ck.tick(events, t)
-            due = min(due, ck.next_due)
         if budget is not None:
             budget.events = events
             violation = budget.violation(t)

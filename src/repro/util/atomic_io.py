@@ -6,8 +6,8 @@ truncated artifact that a later reader trusts.  There are two
 protocols.
 
 Whole-file artifacts (Perfetto exports, CSV reports, trace archives,
-checkpoints, store entries) go through :func:`atomic_write`, the
-classic tmp + fsync + rename:
+store entries, quarantine artifacts) go through :func:`atomic_write`,
+the classic tmp + fsync + rename:
 
 1. write the full content to ``<name>.tmp.<pid>.<counter>`` in the
    *same directory* (rename must not cross filesystems);

@@ -1,4 +1,4 @@
-"""Resumable experiment campaigns: checkpoint/restart for multi-run sweeps.
+"""Resumable experiment campaigns: journaled restart for multi-run sweeps.
 
 The paper's headline experiments are *campaigns* — grids of simulation
 runs over processor counts × problem sizes × fault plans.  A single
@@ -27,15 +27,11 @@ crash-safe:
   supervisor killed a run whose heartbeats went stale, ``poison`` = a
   spec that repeatedly killed or hung its worker was quarantined — see
   :mod:`repro.workflow.supervisor`).
-* With ``checkpoint_interval`` set, every run writes periodic atomic
-  **replay cursors** (:mod:`repro.sim.checkpoint`) to
-  ``checkpoints/<run_id>.json``; a killed or preempted run resumes by
-  deterministic fast-forward — the replayed prefix is verified against
-  the cursor and the wall budget is credited with the wall time the
-  dead attempt already spent.
 * SIGINT/SIGTERM interrupt the campaign *between* journal records: the
   journal stays consistent, an ``interrupted`` marker is appended, and
-  the CLI prints a resume hint.
+  the CLI prints a resume hint.  A run the signal lands in (or a killed
+  worker was running) has no record, so ``--resume`` re-runs it from
+  event zero under its full budgets.
 * With ``telemetry=True`` every run executes inside a
   :class:`~repro.obs.capsule.capture_run` with the flight recorder armed:
   the worker ships a :class:`~repro.obs.capsule.TelemetryCapsule` back to
@@ -51,6 +47,7 @@ crash-safe:
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import threading
@@ -58,14 +55,13 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..api import CampaignRequest, RunRequest, canonical_json
+from ..api import ApiError, CampaignRequest, RunRequest, canonical_json
 from ..apps import APPS
 from ..machine import get_machine
 from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
 from ..obs.spans import TRACER
 from ..sim.budget import BudgetExceededError
-from ..sim.checkpoint import CHECKPOINT, CheckpointMismatchError, load_checkpoint
 from ..sim.engine import DeadlockError, ExecMode
 from ..sim.faults import FaultPlan, RetryPolicy
 from ..sim.flightrec import FLIGHT
@@ -88,7 +84,6 @@ __all__ = [
     "RESULTS_NAME",
     "TELEMETRY_NAME",
     "MERGED_PERFETTO_NAME",
-    "CHECKPOINT_DIR_NAME",
     "QUARANTINE_DIR_NAME",
     "OUTCOMES",
     "TERMINAL_OUTCOMES",
@@ -100,7 +95,6 @@ JOURNAL_NAME = "campaign.journal.jsonl"
 RESULTS_NAME = "results.csv"
 TELEMETRY_NAME = "telemetry.jsonl"
 MERGED_PERFETTO_NAME = "campaign.perfetto.json"
-CHECKPOINT_DIR_NAME = "checkpoints"
 QUARANTINE_DIR_NAME = "quarantine"
 _JOURNAL_VERSION = 1
 
@@ -165,7 +159,6 @@ class CampaignConfig:
     # are keyed by run_id so non-terminal outcomes simply re-run) -----------
     heartbeat_timeout: float | None = 30.0  # stale-cursor deadline; None = off
     poison_threshold: int = 2  # worker deaths/hangs before quarantine
-    checkpoint_interval: int | None = None  # events between cursors; None = off
     # -- serving policy (set by repro.serve / execute_request, never by
     # the grid CLI): calib_from_spec makes every run calibrate from its
     # *own* spec (single-cell semantics) instead of the first grid cell
@@ -209,8 +202,7 @@ class CampaignConfig:
         """Build a config from the typed API plus execution policy.
 
         *policy* takes the execution-side knobs (``heartbeat_timeout``,
-        ``poison_threshold``,
-        ``checkpoint_interval``, ``calib_from_spec``, ``warm_dir``,
+        ``poison_threshold``, ``calib_from_spec``, ``warm_dir``,
         ``backend``) — everything result-shaping comes from *request*.
         """
         return cls(
@@ -247,10 +239,20 @@ def expand_grid(grid: dict) -> CampaignConfig:
     """Expand a grid dict into the cross-product of its axes.
 
     Axes: ``apps`` × ``modes`` × ``nprocs`` × ``input_sets`` ×
-    ``fault_plans``; everything else configures execution.  Raises
-    :class:`CampaignError` on a malformed grid.
+    ``fault_plans``; everything else configures execution.  The expanded
+    campaign must pass :meth:`repro.api.CampaignRequest.validate`, the
+    check a typed request gets.  Raises :class:`CampaignError` on a
+    malformed grid.
     """
+    try:
+        config = _expand_grid(grid)
+        config.to_request().validate()
+    except (ApiError, TypeError, ValueError) as exc:
+        raise CampaignError(f"invalid grid: {exc}") from None
+    return config
 
+
+def _expand_grid(grid: dict) -> CampaignConfig:
     def bad(msg: str) -> CampaignError:
         return CampaignError(f"invalid grid: {msg}")
 
@@ -274,9 +276,6 @@ def expand_grid(grid: dict) -> CampaignConfig:
         if not isinstance(p, int) or p < 1:
             raise bad(f"bad processor count {p!r}")
     modes = grid.get("modes", ["de"])
-    for m in modes:
-        if m not in ("de", "am", "measured"):
-            raise bad(f"unknown mode {m!r} (expected de/am/measured)")
     common = grid.get("inputs", {})
     input_sets = grid.get("input_sets", [{}])
     if not isinstance(input_sets, list) or not input_sets:
@@ -308,11 +307,15 @@ def expand_grid(grid: dict) -> CampaignConfig:
     sup = grid.get("supervision", {})
     if not isinstance(sup, dict):
         raise bad("'supervision' must be an object")
-    extra = set(sup) - {
-        "heartbeat_timeout", "poison_threshold", "checkpoint_interval",
-    }
+    extra = set(sup) - {"heartbeat_timeout", "poison_threshold"}
     if extra:
         raise bad(f"unknown supervision keys {sorted(extra)}")
+    heartbeat_timeout = sup.get("heartbeat_timeout", 30.0)
+    if heartbeat_timeout is not None:  # null turns hang detection off
+        heartbeat_timeout = float(heartbeat_timeout)
+        if not (math.isfinite(heartbeat_timeout) and heartbeat_timeout > 0):
+            raise bad("supervision.heartbeat_timeout must be finite and > 0 "
+                      f"(or null), got {heartbeat_timeout!r}")
     poison_threshold = int(sup.get("poison_threshold", 2))
     if poison_threshold < 1:
         raise bad(f"poison_threshold must be >= 1, got {poison_threshold}")
@@ -351,16 +354,8 @@ def expand_grid(grid: dict) -> CampaignConfig:
         retries=int(grid.get("retries", 0)),
         backoff=float(grid.get("backoff", 0.1)),
         retry_policy=retry,
-        heartbeat_timeout=(
-            float(sup["heartbeat_timeout"])
-            if sup.get("heartbeat_timeout") is not None else
-            (None if "heartbeat_timeout" in sup else 30.0)
-        ),
+        heartbeat_timeout=heartbeat_timeout,
         poison_threshold=poison_threshold,
-        checkpoint_interval=(
-            int(sup["checkpoint_interval"])
-            if sup.get("checkpoint_interval") else None
-        ),
     )
 
 
@@ -369,7 +364,7 @@ def expand_grid(grid: dict) -> CampaignConfig:
 
 @dataclass
 class RunRecord:
-    """One journaled run outcome (the unit of checkpointing)."""
+    """One journaled run outcome (the unit of resumption)."""
 
     run_id: str
     index: int
@@ -380,7 +375,7 @@ class RunRecord:
     error: str | None = None
     budget_kind: str | None = None
     flight: dict | None = None  # flight-recorder dump, on failed runs
-    cursor: dict | None = None  # last heartbeat/checkpoint cursor (hung/poison)
+    cursor: dict | None = None  # last heartbeat cursor (hung/poison)
     capsule: dict | None = None  # transient: journaled to telemetry.jsonl, not here
 
     def to_json(self) -> dict:
@@ -503,22 +498,13 @@ class CampaignRunner:
 
     def __init__(self, config: CampaignConfig, out_dir: str | Path,
                  resolver=None, sleep=time.sleep, telemetry: bool = False,
-                 progress=None, checkpoint_dir: str | Path | None = None):
+                 progress=None):
         self.config = config
         self.out_dir = Path(out_dir)
         self.resolver = resolver if resolver is not None else _cli_resolver
         self.sleep = sleep
         self.telemetry = telemetry
         self.progress = progress
-        # replay-cursor checkpoints: supervised workers receive the dir
-        # explicitly (their out_dir is the null device); the parent
-        # derives it from out_dir when checkpointing is on
-        if checkpoint_dir is not None:
-            self.checkpoint_dir: Path | None = Path(checkpoint_dir)
-        elif config.checkpoint_interval and str(out_dir) != os.devnull:
-            self.checkpoint_dir = self.out_dir / CHECKPOINT_DIR_NAME
-        else:
-            self.checkpoint_dir = None
         self._workflows: dict[tuple, ModelingWorkflow] = {}
         self._warm_pending: dict[tuple, tuple[str, str]] = {}
         self._stop_signal: int | None = None
@@ -608,7 +594,7 @@ class CampaignRunner:
     # -- execution --------------------------------------------------------------
     def execute(self, resume: bool = False, max_runs: int | None = None,
                 jobs: int = 1) -> CampaignReport:
-        """Run every pending grid cell; checkpoint each outcome.
+        """Run every pending grid cell; journal each outcome.
 
         *resume* replays an existing journal (config-hash-checked) and
         skips runs already completed ``ok``.  *max_runs* bounds how many
@@ -703,7 +689,6 @@ class CampaignRunner:
             self.config, cells, jobs, on_record,
             resolver=self.resolver, sleep=self.sleep,
             telemetry=self.telemetry,
-            checkpoint_dir=self.checkpoint_dir,
             quarantine_dir=(None if str(self.out_dir) == os.devnull
                             else self.out_dir / QUARANTINE_DIR_NAME),
             inline_run=self.run_one,
@@ -784,58 +769,16 @@ class CampaignRunner:
         return rec
 
     def _run_attempts(self, spec: RunSpec, index: int) -> RunRecord:
-        """One grid cell: budgets, bounded retry, outcome classification.
-
-        With checkpointing armed, the run writes periodic replay cursors
-        to ``checkpoints/<run_id>.json``; a cursor left behind by a
-        killed/preempted attempt fast-forwards this one — the replayed
-        prefix is verified against the cursor (determinism is the
-        contract) and the wall budget is credited with the wall time the
-        dead attempt had genuinely spent.  A cursor that does not replay
-        is discarded and the run restarts once from zero.
-        """
-        ck_path, resume_from = self._load_cursor(spec)
+        """One grid cell: budgets, bounded retry, outcome classification."""
         attempts = 0
-        replay_retried = False
         while True:
             attempts += 1
-            mismatch = None
             with TRACER.span(
                 "campaign.run", app=spec.app, mode=spec.mode, nprocs=spec.nprocs,
                 run_id=spec.run_id, attempt=attempts,
             ) as span:
                 try:
-                    if ck_path is not None:
-                        CHECKPOINT.configure(
-                            ck_path, run_id=spec.run_id,
-                            config_hash=self.config.config_hash,
-                            seed=spec.seed,
-                            interval_events=self.config.checkpoint_interval,
-                            resume_from=resume_from,
-                        )
-                        CHECKPOINT.enable()
-                    try:
-                        result = (
-                            self._simulate(
-                                spec, wall_credit=resume_from.wall_seconds)
-                            if resume_from is not None
-                            else self._simulate(spec)
-                        )
-                        if ck_path is not None and CHECKPOINT.verifying:
-                            raise CheckpointMismatchError(
-                                f"run {spec.run_id} finished before reaching "
-                                f"its checkpointed cursor "
-                                f"(event {resume_from.events})"
-                            )
-                    finally:
-                        if ck_path is not None:
-                            CHECKPOINT.disable()
-                except CheckpointMismatchError as exc:
-                    mismatch = exc
-                    outcome, error, stats, elapsed, bkind = (
-                        "error", f"{type(exc).__name__}: {_first_line(exc)}",
-                        None, None, None)
-                    fdump = FLIGHT.dump(error=error) if FLIGHT.enabled else None
+                    result = self._simulate(spec)
                 except DeadlockError as exc:
                     outcome, error, stats, elapsed, bkind = (
                         "deadlock", _first_line(exc), None, None, None)
@@ -859,19 +802,6 @@ class CampaignRunner:
                     elapsed = result.elapsed
                     span.set_virtual(0.0, elapsed)
                 span.set(outcome=outcome)
-            if mismatch is not None and not replay_retried:
-                # a divergent replay is a bad checkpoint, not a bad run:
-                # discard the cursor and restart once from zero without
-                # consuming a campaign retry
-                replay_retried = True
-                attempts -= 1
-                resume_from = None
-                ck_path.unlink(missing_ok=True)
-                _log.warning(
-                    "checkpoint for %s did not replay (%s); restarting from zero",
-                    spec.describe(), _first_line(mismatch),
-                )
-                continue
             if METRICS.enabled:
                 METRICS.counter(
                     "campaign_runs_total", "campaign runs by outcome"
@@ -888,52 +818,14 @@ class CampaignRunner:
                 _log.warning("run %s finished %s: %s", spec.describe(), outcome, error)
             else:
                 _log.info("run %s ok: elapsed %.6gs", spec.describe(), elapsed)
-            if ck_path is not None:
-                # the journal record supersedes the cursor; a stale
-                # cursor left behind would fast-forward a future re-run
-                # of a *failed* outcome against the wrong attempt
-                ck_path.unlink(missing_ok=True)
             return RunRecord(
                 run_id=spec.run_id, index=index, outcome=outcome,
                 attempts=attempts, elapsed=elapsed, stats=stats, error=error,
                 budget_kind=bkind, flight=fdump,
             )
 
-    def _load_cursor(self, spec: RunSpec):
-        """The checkpoint path for *spec* plus a validated resume cursor.
-
-        Returns ``(None, None)`` with checkpointing off.  A cursor whose
-        identity (run, config hash, seed) does not match is a crash
-        artifact from another campaign — discarded, never trusted.
-        """
-        if self.checkpoint_dir is None or not self.config.checkpoint_interval:
-            return None, None
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        ck_path = self.checkpoint_dir / f"{spec.run_id}.json"
-        cursor = load_checkpoint(ck_path)
-        if cursor is not None and (
-                cursor.run_id != spec.run_id
-                or cursor.config_hash != self.config.config_hash
-                or cursor.seed != spec.seed):
-            _log.warning("discarding foreign checkpoint %s", ck_path)
-            ck_path.unlink(missing_ok=True)
-            cursor = None
-        if cursor is not None:
-            _log.info(
-                "fast-forwarding %s from checkpoint cursor "
-                "(%d events, t=%.6g, %.3gs wall credited)",
-                spec.describe(), cursor.events, cursor.virtual_time,
-                cursor.wall_seconds,
-            )
-        return ck_path, cursor
-
-    def _simulate(self, spec: RunSpec, wall_credit: float = 0.0):
-        """Dispatch one spec to the right estimator with budgets applied.
-
-        *wall_credit* extends the wall budget by the seconds a killed
-        previous attempt already spent (replay-cursor fast-forward must
-        re-execute the prefix without double-charging it).
-        """
+    def _simulate(self, spec: RunSpec):
+        """Dispatch one spec to the right estimator with budgets applied."""
         cfg = self.config
         wf = self._workflow_for(spec)
         inputs = self._resolved_inputs(spec)
@@ -943,7 +835,7 @@ class CampaignRunner:
         if cfg.max_virtual_time is not None:
             budget_kw["max_virtual_time"] = cfg.max_virtual_time
         if cfg.max_wall_seconds is not None:
-            budget_kw["max_wall_seconds"] = cfg.max_wall_seconds + wall_credit
+            budget_kw["max_wall_seconds"] = cfg.max_wall_seconds
         if spec.fault_plan is not None:
             plan = FaultPlan.from_dict(json.loads(spec.fault_plan))
             retry = (

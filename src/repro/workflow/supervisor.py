@@ -124,8 +124,7 @@ def _quiet_worker() -> None:
     METRICS.disable()
 
 
-def _worker_main(conn, config: CampaignConfig, resolver, sleep, telemetry,
-                 checkpoint_dir) -> None:
+def _worker_main(conn, config: CampaignConfig, resolver, sleep, telemetry) -> None:
     """One supervised worker: receive cells, stream heartbeats, ship records.
 
     SIGINT is masked (the parent owns interruption) and observability
@@ -135,10 +134,8 @@ def _worker_main(conn, config: CampaignConfig, resolver, sleep, telemetry,
     from .campaign import CampaignRunner
 
     _quiet_worker()
-    runner = CampaignRunner(
-        config, out_dir=os.devnull, resolver=resolver, sleep=sleep,
-        telemetry=telemetry, checkpoint_dir=checkpoint_dir,
-    )
+    runner = CampaignRunner(config, out_dir=os.devnull, resolver=resolver,
+                            sleep=sleep, telemetry=telemetry)
     try:
         while True:
             msg = conn.recv()
@@ -230,7 +227,6 @@ def _flight_from_cursor(cursor: dict | None, error: str) -> dict | None:
 
 def run_supervised(config: CampaignConfig, pending, jobs: int, on_record,
                    *, resolver=None, sleep=None, telemetry: bool = False,
-                   checkpoint_dir: Path | None = None,
                    quarantine_dir: Path | None = None,
                    inline_run=None) -> int:
     """Fan *pending* ``(index, spec)`` cells across a supervised pool.
@@ -356,8 +352,7 @@ def run_supervised(config: CampaignConfig, pending, jobs: int, on_record,
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, config, resolver, sleep, telemetry,
-                      checkpoint_dir),
+                args=(child_conn, config, resolver, sleep, telemetry),
                 daemon=True,
             )
             proc.start()

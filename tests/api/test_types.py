@@ -1,8 +1,8 @@
 """Round-trip and identity-stability tests for the ``repro.api`` contract.
 
 The content hashes are the system's only notion of run identity —
-journals, checkpoints, quarantine artifacts and store entries are all
-keyed by them — so they may never drift within a schema version.  The
+journals, quarantine artifacts and store entries are all keyed by
+them — so they may never drift within a schema version.  The
 hypothesis suite proves ``to_json``/``from_json`` is lossless and that
 the hash is a pure function of identity fields; the golden file
 (``golden_hashes.json``, committed) freezes concrete hash values so a
@@ -125,7 +125,7 @@ def test_golden_run_hashes():
         req = RunRequest.from_json(entry["doc"])
         assert req.content_hash() == entry["content_hash"], (
             "run identity layout drifted — this breaks every existing "
-            "journal, checkpoint and store; bump SCHEMA_VERSION instead")
+            "journal, quarantine artifact and store; bump SCHEMA_VERSION instead")
 
 
 def test_golden_campaign_hashes():
@@ -176,6 +176,14 @@ def test_duplicate_runs_rejected():
     with pytest.raises(ApiError, match="duplicate"):
         CampaignRequest.from_json(
             {"name": "dup", "machine": "IBM-SP", "runs": [run, dict(run)]})
+
+
+@pytest.mark.parametrize("backoff", [-1.0, float("inf"), float("nan")])
+def test_bad_backoff_rejected(backoff):
+    run = {"app": "x", "mode": "de", "nprocs": 2}
+    with pytest.raises(ApiError, match="backoff must be a finite number >= 0"):
+        CampaignRequest.from_json(
+            {"name": "b", "machine": "IBM-SP", "runs": [run], "backoff": backoff})
 
 
 def test_api_error_round_trip():

@@ -283,6 +283,19 @@ def test_http_quota_returns_429_with_retry_after(tmp_path):
         srv.stop()
 
 
+def test_http_invalid_grid_body_is_400(tmp_path):
+    """A grid body gets the validation a typed campaign request gets."""
+    srv = _Server(tmp_path)
+    try:
+        with pytest.raises(ApiError, match="invalid grid: retries") as exc:
+            srv.client()._request("POST", "/v1/campaign", {
+                "app": APP, "nprocs": [2], "calib_procs": 2, "retries": -2})
+        assert exc.value.http_status == 400
+        assert srv.server.service.store.stats()["entries"] == 0
+    finally:
+        srv.stop()
+
+
 def test_http_bad_requests(tmp_path):
     srv = _Server(tmp_path)
     try:

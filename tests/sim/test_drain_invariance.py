@@ -2,8 +2,8 @@
 
 Interpreted runs drive each rank with the Request driver, compiled runs
 with ``fast_gen``; both drain through ``repro.sim.loop.run``, which binds
-the heartbeat, checkpoint, watchdog-budget and flight-recorder hooks once
-per run through ``RunHooks``.  Over programs drawn from the ``repro.gen``
+the heartbeat, watchdog-budget and flight-recorder hooks once per run
+through ``RunHooks``.  Over programs drawn from the ``repro.gen``
 grammar, arming any of them — alone or all together, on either backend —
 must leave ``SimStats.to_dict()`` byte-identical to a bare interpreted
 run.  A tripping budget must report the same kind, limit, observed value
@@ -35,13 +35,12 @@ from repro.sim import (
     Simulator,
 )
 from repro.sim.budget import BudgetExceededError
-from repro.sim.checkpoint import CHECKPOINT
 from repro.sim.flightrec import FLIGHT
 from repro.sim.heartbeat import HEARTBEAT
 
 NPROCS = 4
 GRAMMAR = GrammarConfig(max_stmts=16)
-ARMINGS = ("bare", "budget", "heartbeat", "checkpoint", "flight", "all")
+ARMINGS = ("bare", "budget", "heartbeat", "flight", "all")
 BACKENDS = ("interpreted", "compiled")
 MODES = (ExecMode.DE, ExecMode.MEASURED)
 
@@ -51,7 +50,6 @@ def _disarmed():
     """Every test starts and ends with the shared hooks disarmed."""
     yield
     HEARTBEAT.disable()
-    CHECKPOINT.disable()
     FLIGHT.disable()
     FLIGHT.reset()
     TRACER.disable()
@@ -60,26 +58,17 @@ def _disarmed():
     METRICS.reset()
 
 
-@pytest.fixture(scope="module")
-def ck_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("drain") / "cursor.json"
-
-
-def arm(arming: str, ck_path, cursors: list | None = None) -> dict:
+def arm(arming: str, cursors: list | None = None) -> dict:
     """Enable the hooks *arming* names; returns the Simulator kwargs.
 
     Heartbeat cursors are appended to *cursors* when given.
     """
-    hooks = {"budget", "heartbeat", "checkpoint", "flight"} if arming == "all" else {arming}
+    hooks = {"budget", "heartbeat", "flight"} if arming == "all" else {arming}
     if "heartbeat" in hooks:
         # emit on every event: the tick's slow path runs, not only its compare
         sink = cursors.append if cursors is not None else (lambda cursor: None)
         HEARTBEAT.configure(sink, interval_events=1, min_interval_s=0)
         HEARTBEAT.enable()
-    if "checkpoint" in hooks:
-        CHECKPOINT.configure(ck_path, run_id="r", config_hash="c", seed=0,
-                             interval_events=25, min_interval_s=0)
-        CHECKPOINT.enable()
     if "flight" in hooks:
         FLIGHT.enable()
     return {"max_events": 10 ** 9} if "budget" in hooks else {}
@@ -87,7 +76,6 @@ def arm(arming: str, ck_path, cursors: list | None = None) -> dict:
 
 def disarm() -> None:
     HEARTBEAT.disable()
-    CHECKPOINT.disable()
     FLIGHT.disable()
 
 
@@ -111,14 +99,14 @@ def without_wall(doc):
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), mode=st.sampled_from(MODES))
-def test_stats_identical_under_every_arming(seed, mode, ck_path):
+def test_stats_identical_under_every_arming(seed, mode):
     gen = generate_program(seed, GRAMMAR)
     reference = stats_bytes(simulator(gen, mode, "interpreted").run())
     cursors = {}  # (backend, arming) -> heartbeat cursors, flight tails included
     for backend in BACKENDS:
         for arming in ARMINGS:
             got_cursors = cursors[backend, arming] = []
-            kw = arm(arming, ck_path, got_cursors)
+            kw = arm(arming, got_cursors)
             try:
                 sim = simulator(gen, mode, backend, **kw)
                 got = stats_bytes(sim.run())

@@ -1,6 +1,6 @@
 """Crash-consistency fault injection around :mod:`repro.util.atomic_io`.
 
-Every whole-file artifact (checkpoints, results.csv) funnels through
+Every whole-file artifact (results.csv, store entries) funnels through
 ``atomic_write``'s tmp + fsync + rename protocol, and every append-only
 log (journals) through ``append_jsonl``'s write + fsync.  These tests
 inject EIO / ENOSPC / torn-write failures at each boundary of both
@@ -10,12 +10,10 @@ readers observe either the old complete file or the new complete file
 """
 
 import errno
-import json
 import os
 
 import pytest
 
-from repro.sim.checkpoint import CheckpointWriter, load_checkpoint
 from repro.util.atomic_io import AtomicJournal, atomic_write, read_jsonl
 
 
@@ -167,43 +165,3 @@ class TestJournalCrashConsistency:
         jpath.write_text('{"n": 1}\n{torn middle\n{"n": 3}\n')
         with pytest.raises(ValueError, match=r"j\.jsonl:2"):
             read_jsonl(jpath)
-
-
-class TestCheckpointCrashConsistency:
-    def make_writer(self, path):
-        w = CheckpointWriter()
-        w.configure(path, run_id="r-1", config_hash="h-1", seed=0,
-                    interval_events=1, min_interval_s=0.0)
-        w.enable()
-        return w
-
-    def test_failed_write_preserves_previous_cursor(self, tmp_path,
-                                                    monkeypatch):
-        path = tmp_path / "c.json"
-        w = self.make_writer(path)
-        w.write(10, 1.0)
-        monkeypatch.setattr(os, "replace", injected(errno.ENOSPC, "full"))
-        with pytest.raises(OSError):
-            w.write(20, 2.0)
-        monkeypatch.undo()
-        ckpt = load_checkpoint(path)
-        assert ckpt.events == 10 and ckpt.virtual_time == 1.0
-        assert not list(tmp_path.glob("*.tmp.*"))
-
-    def test_tick_survives_a_dying_disk(self, tmp_path, monkeypatch):
-        """A checkpoint is an optimization: losing the disk mid-run
-        disables checkpointing instead of killing a healthy simulation."""
-        path = tmp_path / "c.json"
-        w = self.make_writer(path)
-        monkeypatch.setattr(os, "replace", injected(errno.ENOSPC, "full"))
-        w.tick(1, 0.1)  # must not raise into the event loop
-        assert not w.enabled
-        assert w.written == 0
-
-    def test_half_written_checkpoint_is_unreadable_not_fatal(self, tmp_path):
-        path = tmp_path / "c.json"
-        w = self.make_writer(path)
-        ckpt = w.write(10, 1.0)
-        torn = json.dumps(ckpt.to_json())[: 20]
-        path.write_text(torn)  # simulate a non-atomic writer's crash
-        assert load_checkpoint(path) is None  # resume restarts from zero

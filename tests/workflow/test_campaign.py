@@ -5,11 +5,16 @@ import os
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.sim.engine import Simulator
+from repro.sim.heartbeat import HEARTBEAT
 from repro.workflow.campaign import (
     JOURNAL_NAME,
     RESULTS_NAME,
     CampaignError,
+    CampaignInterrupted,
     CampaignRunner,
     RunSpec,
     expand_grid,
@@ -67,6 +72,34 @@ class TestGridExpansion:
     def test_duplicate_cells_rejected(self):
         with pytest.raises(CampaignError, match="duplicate runs"):
             expand_grid(tiny_grid(nprocs=[2, 2]))
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"calib_procs": -1}, "calib_procs must be an integer >= 1"),
+        ({"budgets": {"max_events": -5}}, "max_events must be a positive number"),
+        ({"retries": -2}, "retries must be an integer >= 0"),
+        ({"retries": "x"}, "invalid literal"),
+        ({"backoff": -1}, "backoff must be a finite number >= 0"),
+        ({"timeout": -1.0}, "timeout must be a positive number"),
+        ({"inputs": {"grain": "big"}}, "is not a number"),
+        ({"modes": []}, "campaign has no runs"),
+        ({"supervision": {"heartbeat_timeout": 0}}, "supervision.heartbeat_timeout"),
+        ({"supervision": {"heartbeat_timeout": -1}}, "supervision.heartbeat_timeout"),
+        ({"supervision": {"heartbeat_timeout": float("inf")}},
+         "supervision.heartbeat_timeout"),
+        ({"supervision": {"checkpoint_interval": 2000}}, "unknown supervision keys"),
+    ], ids=["calib-procs", "max-events", "retries", "retries-str", "backoff",
+            "timeout", "input-str", "no-modes", "hb-zero", "hb-negative", "hb-inf",
+            "checkpoint-interval"])
+    def test_invalid_grid_is_a_campaign_error(self, overrides, match):
+        """A grid gets the validation a typed CampaignRequest gets."""
+        with pytest.raises(CampaignError, match=match) as exc:
+            expand_grid(tiny_grid(**overrides))
+        assert str(exc.value).startswith("invalid grid: ")
+
+    def test_null_heartbeat_timeout_turns_hang_detection_off(self):
+        assert expand_grid(tiny_grid()).heartbeat_timeout == 30.0
+        off = expand_grid(tiny_grid(supervision={"heartbeat_timeout": None}))
+        assert off.heartbeat_timeout is None
 
     def test_load_grid_errors_are_campaign_errors(self, tmp_path):
         with pytest.raises(CampaignError, match="cannot read"):
@@ -258,6 +291,77 @@ class TestKillAndResume:
         # resume finishes the remaining runs
         resumed = CampaignRunner(cfg, tmp_path / "out").execute(resume=True)
         assert resumed.complete and resumed.executed == 2 and resumed.skipped == 1
+
+
+#: de and am cells, so an interrupt can land in the calibration run; the
+#: noisy IBM-SP ground truth makes a calibration that drifts show in the bytes
+INTERRUPT_GRID = tiny_grid(modes=["de", "am"], machine="IBM-SP")
+
+
+def _beating_campaign(out, telemetry=False, interrupt_at=None):
+    """Run INTERRUPT_GRID into *out* with a heartbeat on every event of
+    every simulation, calibration runs included; the *interrupt_at*-th
+    beat of the campaign raises ``CampaignInterrupted(SIGTERM)``, as the
+    signal handler does.  Returns the report and the beats counted."""
+    beats = 0
+
+    def sink(cursor):
+        nonlocal beats
+        beats += 1
+        if beats == interrupt_at:
+            raise CampaignInterrupted(signal.SIGTERM)
+
+    real = Simulator._execute
+
+    def execute_beating(sim):
+        HEARTBEAT.enable()  # restart the stride: beat from event 1
+        return real(sim)
+
+    HEARTBEAT.configure(sink, interval_events=1, min_interval_s=0)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Simulator, "_execute", execute_beating)
+            report = CampaignRunner(expand_grid(INTERRUPT_GRID), out,
+                                    telemetry=telemetry).execute(jobs=1)
+    finally:
+        HEARTBEAT.disable()
+    return report, beats
+
+
+class TestInterruptInsideARun:
+    """A campaign interrupted at any event of any run resumes to the bytes
+    of an uninterrupted one: the interrupted run has no record and re-runs
+    from event zero."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        """The uninterrupted results.csv and run records, and the number
+        of events a campaign can be interrupted at."""
+        out = tmp_path_factory.mktemp("reference")
+        report = CampaignRunner(expand_grid(INTERRUPT_GRID), out).execute()
+        assert report.complete
+        _, beats = _beating_campaign(tmp_path_factory.mktemp("count"))
+        return ((out / RESULTS_NAME).read_bytes(),
+                _run_records(out / JOURNAL_NAME), beats)
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["bare", "telemetry"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_resume_after_interrupt_at_any_event_is_bit_identical(
+            self, reference, tmp_path_factory, telemetry, data):
+        results, records, beats = reference
+        k = data.draw(st.integers(1, beats), label="interrupted at event")
+        out = tmp_path_factory.mktemp("interrupted")
+        report, _ = _beating_campaign(out, telemetry, interrupt_at=k)
+        assert report.interrupted and not report.complete
+        assert not (out / RESULTS_NAME).exists()
+        resumed = CampaignRunner(expand_grid(INTERRUPT_GRID), out,
+                                 telemetry=telemetry).execute(resume=True)
+        assert resumed.complete and not resumed.interrupted
+        # the run the interrupt landed in had no record: it ran again
+        assert resumed.executed == len(records) - len(report.records)
+        assert (out / RESULTS_NAME).read_bytes() == results
+        assert _run_records(out / JOURNAL_NAME) == records
 
 
 class TestOutcomeClassification:

@@ -19,15 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro.workflow.supervisor as supervisor
-from repro.sim.checkpoint import RunCheckpoint
-from repro.workflow.campaign import (
-    CHECKPOINT_DIR_NAME,
-    QUARANTINE_DIR_NAME,
-    CampaignInterrupted,
-    CampaignRunner,
-    _cli_resolver,
-    expand_grid,
-)
+from repro.workflow.campaign import QUARANTINE_DIR_NAME, _cli_resolver, expand_grid
 from repro.workflow.supervisor import minimize_poison
 
 from .test_parallel import run_campaign, tiny_grid
@@ -228,95 +220,3 @@ class TestMinimizePoison:
         info = minimize_poison(self.spec(), "testing", bad_resolver)
         assert info["minimized"] is False
         assert "resolver failed" in info["note"]
-
-
-class TestCampaignCheckpointing:
-    def grid(self):
-        return tiny_grid(supervision={"checkpoint_interval": 10})
-
-    @pytest.fixture(autouse=True)
-    def _eager_checkpoints(self, monkeypatch):
-        """Tiny runs finish in < 1s wall; drop the write throttle."""
-        from repro.sim.checkpoint import CHECKPOINT
-
-        monkeypatch.setattr(CHECKPOINT, "min_interval_s", 0.0)
-
-    def test_interrupted_run_leaves_cursor_and_resume_fast_forwards(
-            self, tmp_path, monkeypatch):
-        config = expand_grid(self.grid())
-        real = CampaignRunner._simulate
-        state = {"n": 0}
-
-        def sim_then_die(self, spec, wall_credit=0.0):
-            result = real(self, spec, wall_credit)
-            state["n"] += 1
-            if state["n"] == 1:
-                raise CampaignInterrupted(signal.SIGTERM)
-            return result
-
-        monkeypatch.setattr(CampaignRunner, "_simulate", sim_then_die)
-        runner = CampaignRunner(config, tmp_path / "out")
-        report = runner.execute(jobs=1)
-        assert report.interrupted and not report.complete
-        ck_path = (tmp_path / "out" / CHECKPOINT_DIR_NAME
-                   / f"{config.specs[0].run_id}.json")
-        assert ck_path.exists(), "the killed attempt must leave its cursor"
-        monkeypatch.setattr(CampaignRunner, "_simulate", real)
-
-        # spy on the cursor the resume loads
-        loaded = {}
-        orig_load = CampaignRunner._load_cursor
-
-        def spying_load(self, spec):
-            path, cursor = orig_load(self, spec)
-            loaded[spec.run_id] = cursor
-            return path, cursor
-
-        monkeypatch.setattr(CampaignRunner, "_load_cursor", spying_load)
-        resumed = runner.execute(resume=True, jobs=1)
-        assert resumed.complete and not resumed.interrupted
-        assert loaded[config.specs[0].run_id] is not None, \
-            "the resume must fast-forward from the cursor"
-        assert all(r.outcome == "ok" and r.attempts == 1
-                   for r in resumed.records.values())
-        assert not ck_path.exists(), "terminal records clear their cursor"
-        _, ref = run_campaign(tmp_path, sub="ref", jobs=1)
-        assert (tmp_path / "out" / "results.csv").read_bytes() == \
-               (tmp_path / "ref" / "results.csv").read_bytes()
-
-    def test_tampered_cursor_restarts_from_zero(self, tmp_path):
-        config = expand_grid(self.grid())
-        spec = config.specs[0]
-        ck_dir = tmp_path / "out" / CHECKPOINT_DIR_NAME
-        ck_dir.mkdir(parents=True)
-        bogus = RunCheckpoint(
-            run_id=spec.run_id, config_hash=config.config_hash,
-            seed=spec.seed, events=10, virtual_time=-1.0, wall_seconds=0.5,
-        )
-        (ck_dir / f"{spec.run_id}.json").write_text(
-            json.dumps(bogus.to_json()))
-        runner = CampaignRunner(config, tmp_path / "out")
-        report = runner.execute(jobs=1)
-        assert report.complete
-        # the divergent replay consumed neither a retry nor the outcome
-        assert all(r.outcome == "ok" and r.attempts == 1
-                   for r in report.records.values())
-        _, ref = run_campaign(tmp_path, sub="ref", jobs=1)
-        assert (tmp_path / "out" / "results.csv").read_bytes() == \
-               (tmp_path / "ref" / "results.csv").read_bytes()
-
-    def test_foreign_cursor_is_discarded(self, tmp_path):
-        config = expand_grid(self.grid())
-        spec = config.specs[0]
-        ck_dir = tmp_path / "out" / CHECKPOINT_DIR_NAME
-        ck_dir.mkdir(parents=True)
-        foreign = RunCheckpoint(
-            run_id=spec.run_id, config_hash="someone-elses-campaign",
-            seed=spec.seed, events=10, virtual_time=1.0, wall_seconds=0.5,
-        )
-        ck_path = ck_dir / f"{spec.run_id}.json"
-        ck_path.write_text(json.dumps(foreign.to_json()))
-        runner = CampaignRunner(config, tmp_path / "out")
-        report = runner.execute(jobs=1)
-        assert report.complete
-        assert all(r.outcome == "ok" for r in report.records.values())

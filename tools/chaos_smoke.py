@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Chaos smoke test: SIGKILL a campaign worker mid-run, demand a clean recovery.
+"""Chaos smoke test: kill a campaign mid-run, demand a clean recovery.
 
 The supervised execution runtime (docs/robustness.md) promises that a
 worker process dying — for any reason, at any moment — costs a campaign
-nothing but a journaled strike record and a retry.  This script makes
-that promise load-bearing in CI:
+nothing but a journaled strike record and a retry, and that a campaign
+interrupted inside its runs resumes to the same results.  This script
+makes both promises load-bearing in CI:
 
 1. run a reference campaign sequentially (``--jobs 1``, no chaos);
 2. run the same grid with ``--jobs 2`` under the supervised pool and
@@ -13,7 +14,12 @@ that promise load-bearing in CI:
    as an ``error``/``hung`` strike record naming the in-flight run, that
    every final outcome is ``ok``, and that ``results.csv`` is
    byte-identical to the reference — completed runs are never lost and
-   the kill never shapes results.
+   the kill never shapes results;
+4. run the grid again with ``--jobs 2`` into a fresh directory and
+   SIGTERM the parent once its workers are busy: it must exit 130 with
+   an ``interrupted`` journal record, the runs in flight have no record,
+   and ``--resume`` must exit 0 with ``results.csv`` byte-identical to
+   the reference.
 
 Exit code 0 on success; 1 with a one-line diagnosis on any violation.
 Linux-only (worker discovery walks ``/proc/<pid>/task/*/children``).
@@ -63,12 +69,37 @@ def children_of(pid: int) -> list[int]:
     return kids
 
 
+def wait_for_workers(proc: subprocess.Popen, deadline: float) -> list[int]:
+    """Poll until campaign *proc* has worker processes, then give them
+    0.2 s to pick up grid cells; [] if it exits or *deadline* passes."""
+    while time.monotonic() < deadline and proc.poll() is None:
+        kids = children_of(proc.pid)
+        if kids:
+            time.sleep(0.2)
+            return kids
+        time.sleep(0.02)
+    return []
+
+
+def wait(proc: subprocess.Popen, what: str) -> int:
+    try:
+        return proc.wait(timeout=600)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        fail(f"{what} wedged")
+
+
 def campaign_cmd(grid: Path, out: Path, jobs: int) -> list[str]:
     return [
         sys.executable, "-m", "repro", "campaign",
         "--grid", str(grid), "--out", str(out),
         "--jobs", str(jobs), "--no-telemetry",
     ]
+
+
+def journal_docs(out: Path) -> list[dict]:
+    journal = out / "campaign.journal.jsonl"
+    return [json.loads(line) for line in journal.read_text().splitlines()]
 
 
 def main() -> None:
@@ -99,35 +130,25 @@ def main() -> None:
                             env=env)
     victim = None
     deadline = time.monotonic() + 120
-    while time.monotonic() < deadline and proc.poll() is None:
-        kids = children_of(proc.pid)
-        if kids:
-            time.sleep(0.2)  # let the worker pick up a grid cell
-            for pid in kids:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    continue  # finished already; try the next one
-                victim = pid
-                break
-            if victim is None:
-                continue
+    while victim is None:
+        kids = wait_for_workers(proc, deadline)
+        if not kids:
+            break
+        for pid in kids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                continue  # finished already; try the next one
+            victim = pid
             print(f"chaos-smoke: SIGKILLed worker pid {victim}")
             break
-        time.sleep(0.02)
-    try:
-        rc = proc.wait(timeout=600)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        fail("chaos campaign wedged after the worker kill")
+    rc = wait(proc, "chaos campaign after the worker kill")
     if victim is None:
         fail("no worker process appeared to kill; grid too small?")
     if rc != 0:
         fail(f"chaos campaign exited {rc}; a worker death must be survivable")
 
-    journal = out / "chaos" / "campaign.journal.jsonl"
-    docs = [json.loads(line) for line in journal.read_text().splitlines()]
-    runs = [d for d in docs if d.get("type") == "run"]
+    runs = [d for d in journal_docs(out / "chaos") if d.get("type") == "run"]
     strikes = [
         d for d in runs
         if d.get("outcome") in ("error", "hung")
@@ -153,8 +174,34 @@ def main() -> None:
     if ref_csv != chaos_csv:
         fail("results.csv differs from the sequential reference "
              "after a worker kill")
-    print(f"chaos-smoke: OK — {len(final)} runs ok, results.csv "
+    print(f"chaos-smoke: worker kill OK — {len(final)} runs ok, results.csv "
           f"byte-identical to the sequential reference")
+
+    print(f"chaos-smoke: interrupted campaign (--jobs {args.jobs}) "
+          f"with a SIGTERMed parent")
+    interrupted = out / "interrupted"
+    proc = subprocess.Popen(campaign_cmd(grid_path, interrupted, args.jobs),
+                            env=env)
+    if not wait_for_workers(proc, time.monotonic() + 120):
+        fail("the campaign finished before it had busy workers to interrupt")
+    proc.send_signal(signal.SIGTERM)
+    rc = wait(proc, "interrupted campaign after SIGTERM")
+    if rc != 130:
+        fail(f"SIGTERMed campaign exited {rc}, expected 130")
+    marks = [d for d in journal_docs(interrupted) if d.get("type") == "interrupted"]
+    if not marks or not marks[-1].get("pending"):
+        fail(f"SIGTERM left no interrupted record with runs pending: {marks}")
+    print(f"chaos-smoke: SIGTERM journaled as interrupted with "
+          f"{marks[-1]['completed']} run(s) done, {marks[-1]['pending']} pending")
+    resumed = subprocess.run(
+        campaign_cmd(grid_path, interrupted, args.jobs) + ["--resume"], env=env)
+    if resumed.returncode != 0:
+        fail(f"--resume after SIGTERM exited {resumed.returncode}")
+    if (interrupted / "results.csv").read_bytes() != ref_csv:
+        fail("results.csv differs from the sequential reference "
+             "after a SIGTERM and --resume")
+    print("chaos-smoke: OK — worker kill and parent SIGTERM both recover to "
+          "results.csv byte-identical to the sequential reference")
 
 
 if __name__ == "__main__":
