@@ -11,6 +11,10 @@ One interpreter executes every program version:
 
 The interpreter yields :mod:`repro.sim.requests` objects, so a
 :class:`repro.sim.Simulator` can run one interpreter instance per rank.
+It is also the reference the compiled backend (:mod:`repro.kernel`) is
+held to: a lowered program, including the measure variant that feeds a
+:class:`MeasurementCollector` and a :class:`BranchProfile` in a
+calibration run, must reproduce its results byte for byte.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ Python module (content-addressed by the SHA-256 of its printed IR and
 of its comp blocks' kernel identities) with
 one entry point, ``fast_gen``: a flat per-rank driver for the
 simulator's one event loop, :func:`repro.sim.loop.run`, which runs it
-bare or armed, with or without faults and timeouts.
+bare or armed, with or without faults and timeouts.  A calibration
+run binds the module's measure variant, which also feeds the run's
+``MeasurementCollector`` and ``BranchProfile``.
 
 Select it per run with ``Simulator(..., backend="compiled")`` (or
 ``"auto"``, which falls back per-program on unsupported constructs).

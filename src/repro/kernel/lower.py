@@ -17,11 +17,19 @@ emits flat Python source — one module per program, content-addressed by
     exactly the interpreter's floating-point order and exact between
     events (a tripped budget reads them mid-run).
 
+``fast_gen(rank, size, inputs, wparams, rt, st, collector, profile)``
+    The measure variant (``measure=True``), for a calibration run: the
+    same code plus the interpreter's measurement calls, in its order.
+    It calls ``collector.record_work`` after each comp block,
+    ``collector.record_elapsed`` after each ``timer_stop`` and
+    ``profile.record`` at each ``If``.  The plain module never emits
+    them.
+
 Event traces need the interpreter, whose compute and delay requests a
 trace records: a traced run interprets the program instead (see
 :class:`repro.sim.engine.Simulator`).  A module lives only in the
-process that lowered it: :func:`kernel_for` caches it by fingerprint,
-and nothing writes generated code to disk.
+process that lowered it: :func:`kernel_for` caches each variant by
+fingerprint, and nothing writes generated code to disk.
 
 Anything the emitter cannot reproduce bit-for-bit raises
 :class:`UnsupportedConstructError`; ``backend="auto"`` catches it and
@@ -97,11 +105,14 @@ class UnsupportedConstructError(Exception):
 _BUILTINS = ("myid", "P")
 
 # In-process content-addressed cache: fingerprint -> CompiledKernel.
+# A measure variant is keyed by the fingerprint plus _MEASURE_KEY.
 _CACHE: dict[str, "CompiledKernel"] = {}
 
-# Remembered lowering failures: fingerprint -> UnsupportedConstructError
+# Remembered lowering failures: cache key -> UnsupportedConstructError
 # message, so a program that cannot lower is walked only once.
 _FAILED: dict[str, str] = {}
+
+_MEASURE_KEY = "+measure"
 
 # Plain aggregate counters (always on; published to METRICS when enabled).
 _STATS = {
@@ -180,49 +191,53 @@ class CompiledKernel:
         return self._ns["fast_gen"]
 
 
-def _execute_source(source: str, name: str, fingerprint: str) -> dict:
+def _execute_source(source: str, name: str, fingerprint: str, measure: bool) -> dict:
     ns: dict = {}
-    code = compile(source, f"<repro.kernel:{name}:{fingerprint[:12]}>", "exec")
+    tag = _MEASURE_KEY if measure else ""
+    code = compile(source, f"<repro.kernel:{name}:{fingerprint[:12]}{tag}>", "exec")
     exec(code, ns)
     return ns
 
 
-def kernel_for(program: Program) -> CompiledKernel:
+def kernel_for(program: Program, measure: bool = False) -> CompiledKernel:
     """Lower *program* once per process, cached by its fingerprint.
 
-    A program that failed to lower raises the same
-    :class:`UnsupportedConstructError` again, from memory, until
-    :func:`clear_cache`.
+    *measure* selects the measure variant (see the module docstring),
+    cached under its own key next to the plain module.  A program that
+    failed to lower raises the same :class:`UnsupportedConstructError`
+    again, from memory, until :func:`clear_cache`.
     """
     fp = program_fingerprint(program)
-    hit = _CACHE.get(fp)
+    key = fp + _MEASURE_KEY if measure else fp
+    hit = _CACHE.get(key)
     if hit is not None:
         _count("cache_hits")
         return hit
-    failed = _FAILED.get(fp)
+    failed = _FAILED.get(key)
     if failed is not None:
         _count("cache_hits")
         raise UnsupportedConstructError(failed)
     _count("cache_misses")
     try:
-        kernel = lower_program(program, fingerprint=fp)
+        kernel = lower_program(program, fingerprint=fp, measure=measure)
     except UnsupportedConstructError as exc:
-        _FAILED[fp] = str(exc)
+        _FAILED[key] = str(exc)
         raise
-    _CACHE[fp] = kernel
+    _CACHE[key] = kernel
     return kernel
 
 
-def lower_program(program: Program, fingerprint: str | None = None) -> CompiledKernel:
+def lower_program(program: Program, fingerprint: str | None = None,
+                  measure: bool = False) -> CompiledKernel:
     """Lower one program to a generated module (no cache involvement)."""
     t0 = time.perf_counter()
     try:
         program.validate()
     except IRValidationError as exc:
         raise UnsupportedConstructError(f"program does not validate: {exc}") from exc
-    source = _Lowerer(program).emit_module()
+    source = _Lowerer(program, measure).emit_module()
     fp = fingerprint if fingerprint is not None else program_fingerprint(program)
-    ns = _execute_source(source, program.name, fp)
+    ns = _execute_source(source, program.name, fp, measure)
     dt = time.perf_counter() - t0
     _count("lowered")
     _count("lowering_seconds", dt)
@@ -338,10 +353,15 @@ PROGRAM = {name!r}
 
 
 class _Lowerer:
-    """Walks a validated program once, emitting its ``fast_gen``."""
+    """Walks a validated program once, emitting its ``fast_gen``.
 
-    def __init__(self, program: Program):
+    With *measure* it emits the measure variant: the same code plus the
+    interpreter's collector and profile calls.
+    """
+
+    def __init__(self, program: Program, measure: bool = False):
         self.program = program
+        self.measure = measure
         # Names a handle variable: these must never be read as scalars
         # (the interpreter pops them from env; locals cannot replicate that).
         self.handle_vars: set[str] = set()
@@ -388,7 +408,10 @@ class _Lowerer:
         for (module, name), alias in self._kernels.items():
             parts.append(f"from {module} import {name} as {alias}")
         parts.append("")
-        parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st):")
+        if self.measure:
+            parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st, _mc, _bp):")
+        else:
+            parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st):")
         parts.extend(fast_lines)
         parts.append("")
         return "\n".join(parts)
@@ -397,6 +420,10 @@ class _Lowerer:
         prog = self.program
         w = _Writer()
         w.line("_tt, _CHF, _EVOH, _DHC, _TIC, _alloc = _rt")
+        if self.measure:
+            w.line("_rw = _mc.record_work")
+            w.line("_re = _mc.record_elapsed")
+            w.line("_br = _bp.record")
         w.line("ev = 0")
         w.line("ct = 0.0")
         w.line("hc = 0.0")
@@ -489,7 +516,12 @@ class _Lowerer:
                 raise UnsupportedConstructError(
                     f"handle variable(s) {sorted(bad)} read as scalars"
                 )
-            w.line(f"if {_emit_bool(stmt.cond)}:")
+            if self.measure:
+                w.line(f"_tk = bool({_emit_bool(stmt.cond)})")
+                w.line(f"_br({stmt.profile_key!r}, _tk)")
+                w.line("if _tk:")
+            else:
+                w.line(f"if {_emit_bool(stmt.cond)}:")
             if stmt.then:
                 with w.indented():
                     for s in stmt.then:
@@ -535,6 +567,8 @@ class _Lowerer:
             )
             w.line("clock += _TIC")
             w.line("ev += 1")
+            if self.measure:
+                w.line(f"_re({stmt.task!r}, clock - _t0)")
             return
         if ty is AllocStmt:
             self._check_expr_reads(stmt.nbytes)
@@ -626,6 +660,8 @@ class _Lowerer:
                 w.line("ev += 1")
             w.line("else:")
             w.line(f"    Compute(ops=_ops, working_set_bytes={ws}, task={stmt.name!r})")
+        if self.measure:
+            w.line(f"_rw({stmt.name!r}, _w)")
 
     def _emit_send(self, w: "_Writer", stmt, blocking: bool) -> None:
         self._check_expr_reads(stmt.dest, stmt.nbytes)

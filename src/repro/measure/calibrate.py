@@ -12,6 +12,12 @@ absorb that configuration's cache behaviour, noise, and the timer
 overhead — faithfully reproducing the approximation sources the paper
 analyzes in Sec. 4.2.  The same run collects the branch profile used to
 eliminate data-dependent branches statistically.
+
+Like every other run, it executes on the backend the caller picks: the
+compiled backend runs the timer-instrumented program through its
+kernel's measure variant (:mod:`repro.kernel.lower`), which feeds the
+collector and the profile in the interpreter's order, so the measured
+``w_i``, rate statistics and branch profile are byte-identical.
 """
 
 from __future__ import annotations
@@ -57,12 +63,15 @@ def measure_wparams(
     nprocs: int,
     machine: MachineParams,
     seed: int = 0,
+    backend: str | None = None,
 ) -> Calibration:
     """Measure the per-iteration task-time coefficients of *program*.
 
     Runs the timer-instrumented version on the ground-truth machine at
     the given calibration configuration and returns the pooled
     ``w_<task>`` coefficients plus the observed branch profile.
+    *backend* is the :class:`~repro.sim.engine.Simulator` backend
+    (``None`` reads ``REPRO_BACKEND``); the result does not depend on it.
     """
     _log.info(
         "calibration run: program=%s machine=%s nprocs=%d seed=%d inputs=%s",
@@ -75,12 +84,8 @@ def measure_wparams(
         collector = MeasurementCollector()
         profile = BranchProfile()
         factory = make_factory(instrumented, inputs, collector=collector, profile=profile)
-        # calibration is pinned interpreted: the timer-instrumented run
-        # feeds a MeasurementCollector, which can never lower — a global
-        # REPRO_BACKEND=compiled must not abort ground-truth measurement
         result = Simulator(
-            nprocs, factory, machine, mode=ExecMode.MEASURED, seed=seed,
-            backend="interpreted",
+            nprocs, factory, machine, mode=ExecMode.MEASURED, seed=seed, backend=backend,
         ).run()
         span.set_virtual(0.0, result.elapsed)
         span.set(wparams=len(collector.params()))

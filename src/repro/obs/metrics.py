@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..util.atomic_io import append_lines
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -266,14 +268,14 @@ class InMemorySink:
 class JsonlSink:
     """Appends one JSON object per sample to a file.
 
-    Flushes use a plain ``O_APPEND`` open with one buffered write per
-    flush: each append costs O(samples) regardless of file size, and
-    concurrent writers sharing the path interleave whole flushes
-    instead of losing each other's records.  A crash mid-flush can
-    tear at most the final line — readers skip it — which is the right
-    trade for a high-frequency telemetry stream; the full-file atomic
-    rewrite in :mod:`repro.util.atomic_io` would make periodic flushes
-    O(n²) and racy across processes.
+    Each flush is one ``O_APPEND`` write
+    (:func:`repro.util.atomic_io.append_lines`): each append costs
+    O(samples) regardless of file size, and concurrent writers sharing
+    the path interleave whole flushes instead of losing each other's
+    records.  A crash mid-flush can tear at most the final line; readers
+    skip it and the next flush truncates it first, so it never glues
+    onto a later record.  Flushes are not fsynced, the right trade for a
+    high-frequency telemetry stream.
     """
 
     def __init__(self, path: str | Path):
@@ -283,8 +285,7 @@ class JsonlSink:
         payload = "".join(
             json.dumps(sample, separators=(",", ":")) + "\n" for sample in samples
         )
-        with open(self.path, "a") as fh:
-            fh.write(payload)
+        append_lines(self.path, payload.encode(), fsync=False)
 
 
 class TableSink:

@@ -131,7 +131,9 @@ class Simulator:
         and errors if it cannot; ``"auto"`` tries the compiled backend
         and falls back per-program with a logged reason.  Under either,
         a run with ``collect_trace`` interprets the program
-        (``backend_fallback_reason`` says why).  ``None`` reads
+        (``backend_fallback_reason`` says why).  A calibration run, whose
+        factory carries a ``MeasurementCollector`` or ``BranchProfile``,
+        lowers to the kernel's measure variant.  ``None`` reads
         ``REPRO_BACKEND`` from the environment.  Results are
         byte-identical across backends.
     """
@@ -204,22 +206,23 @@ class Simulator:
         raises) or ``"auto"`` (it falls back with a logged reason).  Under
         either, a run that collects a trace falls back as well: the
         compiled program folds compute and delay into arithmetic and never
-        yields them.
+        yields them.  A factory with a ``MeasurementCollector`` or a
+        ``BranchProfile`` attached binds the kernel's measure variant,
+        which feeds them as the interpreter does.
         """
         from ..kernel import lower as _lower
 
         program = getattr(program_factory, "_repro_program", None)
+        collector = getattr(program_factory, "_repro_collector", None)
+        profile = getattr(program_factory, "_repro_profile", None)
+        measure = collector is not None or profile is not None
         reason = None
+        kernel = None
         if program is None:
             reason = "factory is not an IR program factory (raw generator function)"
-        elif getattr(program_factory, "_repro_collector", None) is not None:
-            reason = "a MeasurementCollector is attached (timer-instrumented run)"
-        elif getattr(program_factory, "_repro_profile", None) is not None:
-            reason = "a BranchProfile is attached (branch-profiling run)"
-        kernel = None
-        if reason is None:
+        else:
             try:
-                kernel = _lower.kernel_for(program)
+                kernel = _lower.kernel_for(program, measure=measure)
             except _lower.UnsupportedConstructError as exc:
                 reason = str(exc)
         if kernel is None and requested == "compiled":
@@ -234,6 +237,14 @@ class Simulator:
             return
         self._kernel = kernel
         self._kernel_args = (program_factory._repro_inputs, program_factory._repro_wparams or {})
+        if measure:
+            from ..ir.interp import BranchProfile, MeasurementCollector
+
+            # the variant feeds both; the one not attached is discarded
+            self._kernel_args += (
+                MeasurementCollector() if collector is None else collector,
+                BranchProfile() if profile is None else profile,
+            )
         self.backend = "compiled"
 
     # -- public API ----------------------------------------------------------

@@ -376,8 +376,9 @@ def run(sim) -> SimStats:
     kernel = sim._kernel
     payloads = kernel is None  # result objects only for Request programs
     if kernel is not None:
-        inputs, wparams = sim._kernel_args
-        gens = [kernel.fast_gen(r, nprocs, inputs, wparams, rt, st[r]) for r in range(nprocs)]
+        inputs, wparams, *measure = sim._kernel_args
+        gens = [kernel.fast_gen(r, nprocs, inputs, wparams, rt, st[r], *measure)
+                for r in range(nprocs)]
     else:
         gens = [request_driver(g, r, rt, st[r], memory.free, trace)
                 for r, g in enumerate(sim._programs)]

@@ -28,9 +28,9 @@ index, telemetry capsules) go through :func:`append_jsonl`: one
 the log.  A crash can tear only the final line; :func:`read_jsonl`
 drops it and the next append truncates it, so every log recovers the
 same way.  :class:`AtomicJournal` is a journal on top of the pair.
-(The one exception is the high-frequency metrics sink,
-:class:`repro.obs.metrics.JsonlSink`, which appends without ``fsync``;
-readers skip its torn final line too.)
+(The high-frequency metrics sink, :class:`repro.obs.metrics.JsonlSink`,
+appends whole flushes through :func:`append_lines` without ``fsync``; a
+torn final line recovers the same way.)
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "atomic_write",
     "atomic_write_text",
     "append_jsonl",
+    "append_lines",
     "read_jsonl",
     "AtomicJournal",
 ]
@@ -168,13 +169,20 @@ def append_jsonl(path: str | Path, record: dict, fsync: bool = True) -> None:
     the new name survives power loss.  ``fsync=False`` skips both
     fsyncs, for records whose loss is harmless.
     """
+    line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    append_lines(path, line.encode(), fsync)
+
+
+def append_lines(path: str | Path, lines: bytes, fsync: bool = True) -> None:
+    """Append *lines*, newline-terminated JSON lines, as :func:`append_jsonl`
+    appends one record: one ``O_APPEND`` write after truncating a torn
+    final line."""
     path = Path(path)
-    line = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
         end, prefix = _drop_torn_tail(fd, path)
         try:
-            view = memoryview(prefix + line)
+            view = memoryview(prefix + lines)
             while view:  # a short write is retried; an error rolls back
                 view = view[os.write(fd, view):]
             if fsync:

@@ -1046,15 +1046,28 @@ def execute_request(
     return runner.run_one(request, 0)
 
 
+#: builder -> the program it built: each app is built once per process
+_BUILT: dict = {}
+
+
 def _cli_resolver(app: str):
-    """Default application resolver: the :data:`repro.apps.APPS` registry."""
+    """Default application resolver: the :data:`repro.apps.APPS` registry.
+
+    Each app's program is built once per process, keyed by its builder,
+    and every caller shares that one object (with its per-expression
+    evaluators and its compiled-kernel cache entry).  Nothing mutates a
+    built program: instrumenting, compiling and minimizing all copy it.
+    """
     try:
         builder, default_inputs = APPS[app]
     except KeyError:
         raise CampaignError(
             f"unknown app {app!r} in grid; run 'python -m repro apps'"
         ) from None
-    return builder(), default_inputs
+    program = _BUILT.get(builder)
+    if program is None:
+        program = _BUILT[builder] = builder()
+    return program, default_inputs
 
 
 class _signal_trap:

@@ -39,9 +39,10 @@ class ModelingWorkflow:
     calib_nprocs: int
     directives: dict[int, float] | None = None
     seed: int = 0
-    #: simulation kernel for the estimators: "interpreted", "compiled" or
-    #: "auto" (None = Simulator's default).  Results are byte-identical
-    #: across backends; this only picks the execution strategy.
+    #: simulation kernel for the calibration run and the estimators:
+    #: "interpreted", "compiled" or "auto" (None = Simulator's default).
+    #: Results are byte-identical across backends; this only picks the
+    #: execution strategy.
     backend: str | None = None
 
     def __post_init__(self):
@@ -57,7 +58,8 @@ class ModelingWorkflow:
                 "workflow.calibrate", program=self.program.name, nprocs=self.calib_nprocs
             ):
                 self._calibration = measure_wparams(
-                    self.program, self.calib_inputs, self.calib_nprocs, self.machine, self.seed
+                    self.program, self.calib_inputs, self.calib_nprocs, self.machine,
+                    self.seed, backend=self.backend,
                 )
         return self._calibration
 

@@ -99,9 +99,9 @@ class TestCache:
         # answers from memory, with the same message, until clear_cache
         lowered = []
 
-        def counting(program, fingerprint=None):
+        def counting(program, fingerprint=None, measure=False):
             lowered.append(program.name)
-            return lower_program(program, fingerprint)
+            return lower_program(program, fingerprint, measure)
 
         monkeypatch.setattr(lower_mod, "lower_program", counting)
         with pytest.raises(UnsupportedConstructError, match="materialized") as first:
@@ -116,6 +116,20 @@ class TestCache:
         with pytest.raises(UnsupportedConstructError):
             kernel_for(build_nas_sp())
         assert lowered == ["nas_sp", "nas_sp"]
+
+    def test_measure_variant_cached_beside_the_plain_kernel(self):
+        """The calibration variant has its own key; the plain module
+        emits none of its collector or profile calls."""
+        plain = kernel_for(ring_program())
+        measure = kernel_for(ring_program(), measure=True)
+        assert measure is not plain
+        assert measure.fingerprint == plain.fingerprint
+        assert kernel_for(ring_program(), measure=True) is measure
+        assert kernel_for(ring_program()) is plain
+        stats = cache_stats()
+        assert (stats["cache_misses"], stats["cache_hits"]) == (2, 2)
+        assert "def fast_gen(rank, size, inputs, wparams, _rt, _st, _mc, _bp):" in measure.source
+        assert "_mc" not in plain.source and "_bp" not in plain.source
 
     def test_record_fallback_counts(self):
         record_fallback("prog", "because")

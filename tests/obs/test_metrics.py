@@ -108,6 +108,21 @@ class TestSamplesAndSinks:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == 2  # earlier flushes survive later ones
 
+    def test_jsonl_sink_truncates_a_torn_flush(self, registry, tmp_path):
+        """A crash mid-flush tears the final line; the next flush drops it
+        instead of gluing its first record onto it."""
+        from repro.util.atomic_io import read_jsonl
+
+        path = tmp_path / "m.jsonl"
+        sink = JsonlSink(path)
+        registry.counter("runs").inc()
+        registry.flush(sink)
+        with open(path, "a") as fh:
+            fh.write('{"name":"runs","ty')  # the torn tail of a crashed flush
+        registry.flush(sink)
+        registry.flush(sink)
+        assert [r["name"] for r in read_jsonl(path)] == ["runs"] * 3
+
     def test_table_sink(self, registry, capsys):
         registry.counter("c").inc(4, mode="de")
         registry.histogram("h").observe(2.0)
