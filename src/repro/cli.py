@@ -367,7 +367,7 @@ def cmd_calibrate(args) -> int:
 
     program, inputs = _resolve(args, nprocs=args.calib_procs)
     machine = get_machine(args.machine)
-    cal = measure_wparams(program, inputs, args.calib_procs, machine)
+    cal = measure_wparams(program, inputs, args.calib_procs, machine, seed=args.seed)
     save_params(cal, args.output)
     print(cal)
     print(f"parameters written to {args.output}")
@@ -951,22 +951,28 @@ def cmd_fuzz(args) -> int:
 def cmd_serve(args) -> int:
     """Run the simulation service until SIGTERM/SIGINT."""
     from .serve import run_server
+    from .store import StoreInUseError
 
-    return run_server(
-        args.store,
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        max_bytes=args.max_store_bytes,
-        max_inflight=args.max_inflight,
-        events_per_second=args.tenant_quota,
-        backend=args.backend,
-    )
+    try:
+        return run_server(
+            args.store,
+            host=args.host,
+            port=args.port,
+            jobs=args.jobs,
+            max_bytes=args.max_store_bytes,
+            max_inflight=args.max_inflight,
+            events_per_second=args.tenant_quota,
+            backend=args.backend,
+        )
+    except StoreInUseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def cmd_query(args) -> int:
     """One what-if query: against a server, a local store, or inline."""
     from .api import ApiError, RunResult
+    from .store import StoreInUseError
 
     run = request_from_args(args, nprocs=args.nprocs, mode=args.mode)
     context = {
@@ -1009,7 +1015,7 @@ def cmd_query(args) -> int:
         if exc.retry_after is not None:
             print(f"retry after {exc.retry_after:g}s", file=sys.stderr)
         return 3 if exc.http_status == 429 else 2
-    except ValueError as exc:  # bad --server syntax, unknown machine/app
+    except (ValueError, StoreInUseError) as exc:  # bad --server, unknown app, busy store
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -537,16 +537,21 @@ def run_server(store_dir: str | Path, *, host: str = "127.0.0.1",
                resolver=None, ready=None, backend: str | None = None) -> int:
     """Blocking entry point: serve until SIGTERM/SIGINT, then exit 0.
 
-    *ready*, when given, is called with the started :class:`ReproServer`
-    once the socket is bound (tests use it to learn an ephemeral port).
+    Raises :class:`repro.store.StoreInUseError` when another open store
+    holds *store_dir*.  *ready*, when given, is called with the started
+    :class:`ReproServer` once the socket is bound (tests use it to learn
+    an ephemeral port).
     """
-    store = ResultStore(store_dir, max_bytes=max_bytes)
+    store = ResultStore(store_dir, max_bytes=max_bytes)  # locked until closed
     governor = TenantGovernor(
         max_inflight=max_inflight, events_per_second=events_per_second)
     service = SimulationService(
         store, jobs=jobs, governor=governor, resolver=resolver, backend=backend)
     server = ReproServer(service, host=host, port=port)
-    return asyncio.run(_serve_async(server, ready=ready))
+    try:
+        return asyncio.run(_serve_async(server, ready=ready))
+    finally:
+        store.close()  # a no-op after a clean shutdown; else releases the lock
 
 
 # -- the client ----------------------------------------------------------------

@@ -8,37 +8,37 @@ budgets, calibration policy, retry policy — captured by
 :meth:`repro.api.CampaignRequest.context_hash`.  This module persists
 that function's graph:
 
-``<base>/store/<ctx_hash>/<run_id>.json``
-    one completed :class:`repro.api.RunResult` document per file,
-    written with :func:`repro.util.atomic_io.atomic_write` so a crash
-    mid-put can never leave a torn entry under the final name.
-
-``<base>/index.jsonl``
-    an append-only operation journal (``put`` / ``touch`` / ``evict``
-    / ``counters`` records), appended with
-    :func:`~repro.util.atomic_io.append_jsonl`.  ``put``s are fsynced;
-    ``touch``es are not — losing recency hints in a crash only
-    degrades LRU accuracy, never correctness.  On load the journal is
-    reconciled against the filesystem: entry files are the source of
-    truth, the journal only contributes ordering and counters, and a
-    torn final line is dropped (and truncated by the next append).
-    The journal is *compacted* — atomically rewritten as one ``put``
-    record per live entry (in LRU order) plus a trailing ``counters``
-    record — on :meth:`ResultStore.close` and whenever it outgrows a
-    small multiple of the live entry count, so a busy server's stream
-    of touch records never makes the journal (or the next startup's
-    replay) grow without bound.
+``<base>/results.jsonl``
+    one append-only log of ``put`` / ``touch`` / ``evict`` /
+    ``counters`` records (:func:`~repro.util.atomic_io.append_lines`).
+    A ``put`` carries one :class:`repro.api.RunResult` document and its
+    size, so storing a result is one write plus one ``fsync``, and a get
+    is one ``pread`` at the offset an in-memory index keeps.  ``touch``
+    records (hits) are not fsynced: a lost recency hint only degrades
+    LRU order.  A crash can tear only the final record, which replay
+    drops and the next append truncates.  :meth:`ResultStore.close`, and
+    any append that leaves the log a few times longer than the live
+    entries, *compacts* it: an atomic rewrite of the live ``put``
+    records in LRU order plus a ``counters`` record.
 
 ``<base>/warm/<wkey>.json``
     warm-start calibrations — the expensive front half of the Fig. 2
     pipeline (measurement run + branch profile) keyed by the hash of
     ``(app, machine, calib_nprocs, calib_inputs, seed)``, exactly the
     tuple :meth:`repro.workflow.pipeline.ModelingWorkflow.prime`
-    demands the caller vouch for.
+    demands the caller vouch for.  Supervised ``--jobs N`` workers
+    write them directly.
 
-The store persists data only, never code: a compiled kernel is
-re-lowered in each process that needs it (:mod:`repro.kernel.lower`),
-and the ``warm/kernel-*.json`` files older stores hold are ignored.
+An open :class:`ResultStore` holds an exclusive ``flock`` on ``<base>``
+until :meth:`~ResultStore.close`, because its offsets hold only while
+it is the log's one writer: a second store on the directory, in any
+process, raises :class:`StoreInUseError`.  :func:`scan_store` reads
+without the lock.
+
+Only data is stored, never code (kernels are re-lowered per process).
+An older store's ``warm/kernel-*.json``, ``store/`` tree and
+``index.jsonl`` are not read: the store is a cache, so those entries
+miss once and recompute byte-identical results.
 
 Eviction is LRU over a byte budget (``max_bytes``): a put that pushes
 the store over budget evicts least-recently-*used* entries (gets count
@@ -47,9 +47,12 @@ as use) until it fits.  Warm calibrations are tiny and never evicted.
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from pathlib import Path
 
@@ -57,49 +60,44 @@ from .api import canonical_json, content_hash
 from .ir.interp import BranchProfile
 from .measure import Calibration
 from .obs.logging import get_logger
-from .util.atomic_io import append_jsonl, atomic_write, read_jsonl
+from .util.atomic_io import append_lines, atomic_write, scan_jsonl
 
 __all__ = [
     "ResultStore",
-    "StoreStats",
+    "StoreInUseError",
     "scan_store",
     "warm_calibration_key",
     "save_warm_calibration",
     "load_warm_calibration",
-    "STORE_DIR_NAME",
+    "LOG_NAME",
     "WARM_DIR_NAME",
-    "INDEX_NAME",
 ]
 
 _log = get_logger("store")
 
-STORE_DIR_NAME = "store"
+LOG_NAME = "results.jsonl"
 WARM_DIR_NAME = "warm"
-INDEX_NAME = "index.jsonl"
 
 
-def _entry_rel(ctx_hash: str, run_id: str) -> str:
-    return f"{ctx_hash}/{run_id}.json"
+class StoreInUseError(RuntimeError):
+    """Another open :class:`ResultStore` holds the directory's lock."""
 
 
-class StoreStats:
-    """Mutable hit/miss/byte counters, rendered by ``stats()``."""
+#: the lifetime counters ``stats()`` reports and ``counters`` records keep
+_COUNTERS = ("hits", "misses", "puts", "evictions")
 
-    __slots__ = ("hits", "misses", "puts", "evictions")
+#: the open stores of this process.  A forked child (a supervised
+#: ``--jobs N`` worker) closes its copies of their descriptors, so the
+#: lock dies with the process that took it, not with its last worker.
+_OPEN: weakref.WeakSet[ResultStore] = weakref.WeakSet()
 
-    def __init__(self, hits: int = 0, misses: int = 0, puts: int = 0, evictions: int = 0):
-        self.hits = hits
-        self.misses = misses
-        self.puts = puts
-        self.evictions = evictions
 
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-        }
+def _close_in_child() -> None:
+    for store in list(_OPEN):
+        store._close_fds()
+
+
+os.register_at_fork(after_in_child=_close_in_child)
 
 
 def _count_warm_calibrations(warm_dir: Path) -> int:
@@ -107,249 +105,250 @@ def _count_warm_calibrations(warm_dir: Path) -> int:
     return sum(1 for p in warm_dir.glob("*.json") if not p.name.startswith("kernel-"))
 
 
-def _replay_index(index_path: Path) -> tuple[OrderedDict[str, None], StoreStats, int]:
-    """Replay the index journal: ``(entries in LRU order, counters, records)``.
+def _line(rec: dict) -> bytes:
+    return canonical_json(rec).encode() + b"\n"
+
+
+def _replay(log_path: Path) -> tuple[OrderedDict[str, tuple[int, int, int]], dict, int]:
+    """Replay the log: ``(entry -> (offset, length, bytes) in LRU order,
+    counters, records)``.
 
     The last ``counters`` record sets the counters; every ``put``,
     ``touch`` and ``evict`` after it adds one put, hit or eviction, so a
     store that was never closed keeps its history.  Misses are not
-    journaled: those since the last ``counters`` record are lost.
+    logged: those since the last ``counters`` record are lost.
     """
-    order: OrderedDict[str, None] = OrderedDict()
-    counters = StoreStats()
-    records = 0
-    if not index_path.exists():
-        return order, counters, records
-    for rec in read_jsonl(index_path):
-        records += 1
+    entries: OrderedDict[str, tuple[int, int, int]] = OrderedDict()
+    counters = dict.fromkeys(_COUNTERS, 0)
+    records = scan_jsonl(log_path) if log_path.exists() else []
+    for offset, length, rec in records:
         op = rec.get("op")
-        rel = rec.get("entry")
+        key = rec.get("entry")
         if op == "counters":
-            counters = StoreStats(
-                hits=int(rec.get("hits", 0)),
-                misses=int(rec.get("misses", 0)),
-                puts=int(rec.get("puts", 0)),
-                evictions=int(rec.get("evictions", 0)),
-            )
-        elif op in ("put", "touch"):
-            if op == "put":
-                counters.puts += 1
-            else:
-                counters.hits += 1
-            if isinstance(rel, str):
-                order.pop(rel, None)
-                order[rel] = None  # most recent use last
+            counters = {name: int(rec.get(name, 0)) for name in _COUNTERS}
+        elif not isinstance(key, str):
+            continue
+        elif op == "put":
+            counters["puts"] += 1
+            entries.pop(key, None)
+            entries[key] = (offset, length, int(rec.get("bytes", 0)))
+        elif op == "touch":
+            counters["hits"] += 1
+            if key in entries:
+                entries.move_to_end(key)  # most recent use last
         elif op == "evict":
-            counters.evictions += 1
-            if isinstance(rel, str):
-                order.pop(rel, None)
-    return order, counters, records
+            counters["evictions"] += 1
+            entries.pop(key, None)
+    return entries, counters, len(records)
 
 
 class ResultStore:
     """Persistent, crash-consistent, LRU-bounded run-result cache.
 
     Thread-safe: the server's asyncio handlers and its executor thread
-    share one instance.  All mutation happens under one lock; entry
-    files themselves are written atomically, so concurrent *processes*
-    pointed at the same directory stay readable too (they may disagree
-    about recency, never about content).
+    share one instance, and all its state changes under one lock.
     """
 
-    #: journal records tolerated beyond ``4 × live entries`` before an
+    #: log records tolerated beyond ``4 × live entries`` before an
     #: in-line compaction; class attribute so tests can shrink it
     COMPACT_MIN_OPS = 4096
 
     def __init__(self, base_dir: str | Path, max_bytes: int | None = None):
         self.base = Path(base_dir)
-        self.store_dir = self.base / STORE_DIR_NAME
         self.warm_dir = self.base / WARM_DIR_NAME
-        self.index_path = self.base / INDEX_NAME
+        self.log_path = self.base / LOG_NAME
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        #: rel path -> size in bytes, in least-recently-used-first order
-        self._entries: OrderedDict[str, int] = OrderedDict()
-        self._bytes = 0
-        self._journal_ops = 0  # records currently in index.jsonl
-        self.counters = StoreStats()
-        for d in (self.store_dir, self.warm_dir):
-            d.mkdir(parents=True, exist_ok=True)
-        self._load()
-
-    # -- load / reconcile ----------------------------------------------------
-    def _load(self) -> None:
-        order, self.counters, self._journal_ops = _replay_index(self.index_path)
-        # filesystem is the source of truth for existence and size
-        on_disk: dict[str, int] = {}
-        for path in sorted(self.store_dir.glob("*/*.json")):
-            rel = f"{path.parent.name}/{path.name}"
-            try:
-                on_disk[rel] = path.stat().st_size
-            except OSError:  # pragma: no cover - raced unlink
-                continue
-        for rel in order:
-            if rel in on_disk:
-                self._entries[rel] = on_disk.pop(rel)
-        for rel, size in on_disk.items():  # present but unjournaled (torn index)
-            self._entries[rel] = size
-        self._bytes = sum(self._entries.values())
+        self.warm_dir.mkdir(parents=True, exist_ok=True)
+        self._dir_fd = os.open(self.base, os.O_RDONLY)
+        try:
+            fcntl.flock(self._dir_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # entry -> (offset, length, bytes) of its put record, LRU first
+            self._entries, self.counters, self._records = _replay(self.log_path)
+            self._fd = os.open(self.log_path, os.O_RDONLY | os.O_CREAT, 0o644)
+        except BaseException as exc:
+            os.close(self._dir_fd)
+            if isinstance(exc, BlockingIOError):
+                raise StoreInUseError(f"result store {self.base} is in use: "
+                                      "another open store holds its lock") from None
+            raise
+        self._bytes = sum(size for _, _, size in self._entries.values())
+        _OPEN.add(self)
 
     # -- the cache protocol --------------------------------------------------
     def get(self, ctx_hash: str, run_id: str) -> dict | None:
         """Return the stored result document, or ``None`` on a miss."""
-        rel = _entry_rel(ctx_hash, run_id)
+        key = f"{ctx_hash}/{run_id}"
         with self._lock:
-            if rel not in self._entries:
-                self.counters.misses += 1
+            found = self._read(key)
+            if found is None:
+                self.counters["misses"] += 1
                 return None
-            path = self.store_dir / rel
-            try:
-                doc = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                # entry vanished or is foreign-corrupt: treat as a miss
-                self._forget(rel)
-                self.counters.misses += 1
-                return None
-            self._entries.move_to_end(rel)
-            self.counters.hits += 1
+            self._entries.move_to_end(key)
+            self.counters["hits"] += 1
             # recency hint only — no fsync, a lost touch costs nothing
             try:
-                self._journal({"op": "touch", "entry": rel}, fsync=False)
+                append_lines(self.log_path, _line({"op": "touch", "entry": key}), fsync=False)
+                self._logged(1)
             except OSError:  # pragma: no cover - read-only store
                 pass
-            return doc
+            return found[1]["result"]
 
     def contains(self, ctx_hash: str, run_id: str) -> bool:
         """Membership test that moves no LRU state and counts nothing."""
         with self._lock:
-            return _entry_rel(ctx_hash, run_id) in self._entries
+            return f"{ctx_hash}/{run_id}" in self._entries
 
-    def put(self, ctx_hash: str, run_id: str, doc: dict) -> Path:
-        """Durably store one result document; returns its path.
+    def put(self, ctx_hash: str, run_id: str, doc: dict) -> None:
+        """Durably store one result document: one append, one ``fsync``.
 
-        Re-putting an existing entry rewrites it in place (the bytes
-        are canonically identical for a deterministic engine) and
-        refreshes its recency.
+        Re-putting an entry appends a new record (the bytes are
+        canonically identical for a deterministic engine) and refreshes
+        its recency.  The entries a put evicts are logged in the same
+        write, so a put that raises has changed nothing.
         """
-        rel = _entry_rel(ctx_hash, run_id)
-        path = self.store_dir / rel
-        text = canonical_json(doc)
+        key = f"{ctx_hash}/{run_id}"
+        # the canonical result is serialized once: payload and size
+        text = canonical_json(doc).encode()
+        put = b'{"bytes":%d,"entry":%s,"op":"put","result":%s}\n' % (
+            len(text), json.dumps(key).encode(), text)
         with self._lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with atomic_write(path) as fh:
-                fh.write(text)
-            size = len(text.encode())
-            if rel in self._entries:
-                self._bytes -= self._entries.pop(rel)
-            self._entries[rel] = size
-            self._bytes += size
-            self.counters.puts += 1
-            self._journal({"op": "put", "entry": rel, "bytes": size})
-            self._evict_over_budget()
-        return path
+            victims = self._victims(key, len(text))
+            offset = append_lines(self.log_path, put + b"".join(
+                _line({"op": "evict", "entry": v}) for v in victims))
+            for v in victims:
+                _log.info("evicted %s (%d bytes) over %d-byte budget",
+                          v, self._entries[v][2], self.max_bytes)
+                self._forget(v)
+            self._forget(key)
+            self._entries[key] = (offset, len(put), len(text))
+            self._bytes += len(text)
+            self.counters["puts"] += 1
+            self.counters["evictions"] += len(victims)
+            self._logged(1 + len(victims))
 
-    def _forget(self, rel: str) -> None:
-        size = self._entries.pop(rel, None)
-        if size is not None:
-            self._bytes -= size
-
-    # -- the index journal ---------------------------------------------------
-    def _journal(self, rec: dict, fsync: bool = True) -> None:
+    def _read(self, key: str) -> tuple[bytes, dict] | None:
+        """*key*'s put record, raw and parsed; ``None`` when the entry is
+        absent, or forgotten when its record is unreadable or not its own."""
         # caller holds the lock
-        append_jsonl(self.index_path, rec, fsync=fsync)
-        self._journal_ops += 1
-        if self._journal_ops >= max(self.COMPACT_MIN_OPS,
-                                    4 * (len(self._entries) + 1)):
+        loc = self._entries.get(key)
+        if loc is None:
+            return None
+        try:
+            raw = os.pread(self._fd, loc[1], loc[0])
+            rec = json.loads(raw)
+        except (OSError, ValueError):
+            rec = None
+        if (isinstance(rec, dict) and rec.get("op") == "put"
+                and rec.get("entry") == key and isinstance(rec.get("result"), dict)):
+            return raw, rec
+        _log.warning("unreadable record for %s at offset %d: dropped", key, loc[0])
+        self._forget(key)
+        return None
+
+    def _forget(self, key: str) -> None:
+        loc = self._entries.pop(key, None)
+        if loc is not None:
+            self._bytes -= loc[2]
+
+    def _victims(self, key: str, size: int) -> list[str]:
+        """The least recently used entries that a put of *size* bytes
+        under *key* evicts to fit the budget; never *key* itself."""
+        if self.max_bytes is None:
+            return []
+        total = self._bytes + size - self._entries.get(key, (0, 0, 0))[2]
+        victims = []
+        for other, (_, _, n) in self._entries.items():
+            if total <= self.max_bytes:
+                break
+            if other != key:
+                victims.append(other)
+                total -= n
+        return victims
+
+    # -- compaction ----------------------------------------------------------
+    def _logged(self, records: int) -> None:
+        # caller holds the lock, after the index reflects the records
+        self._records += records
+        if self._records >= max(self.COMPACT_MIN_OPS, 4 * (len(self._entries) + 1)):
             self._compact_locked()
 
     def _compact_locked(self) -> None:
-        """Atomically rewrite the journal as its minimal equivalent.
+        """Atomically rewrite the log as its minimal equivalent.
 
-        One ``put`` record per live entry in LRU order (preserving
-        recency), then the counters — exactly what ``_load`` and
-        :func:`scan_store` would distill the full history down to.
-        Best-effort: on read-only media the oversized journal is kept
-        rather than failing the operation that triggered compaction.
+        The live ``put`` records in LRU order (preserving recency), then
+        the counters — exactly what replay and :func:`scan_store` would
+        distill the full history down to.  Best-effort: when the rewrite
+        fails (read-only or full media) the longer log is kept rather
+        than failing the operation that triggered compaction.
         """
-        recs = [{"op": "put", "entry": rel, "bytes": size}
-                for rel, size in self._entries.items()]
-        tail: dict = {"op": "counters", "ts": time.time()}
-        tail.update(self.counters.to_dict())
-        recs.append(tail)
+        kept: OrderedDict[str, tuple[int, int, int]] = OrderedDict()
+        end = 0
         try:
-            with atomic_write(self.index_path) as fh:
-                for rec in recs:
-                    fh.write(json.dumps(
-                        rec, sort_keys=True, separators=(",", ":")) + "\n")
-        except OSError:  # pragma: no cover - read-only store
+            with atomic_write(self.log_path, mode="wb") as fh:
+                for key in list(self._entries):
+                    found = self._read(key)
+                    if found is not None:
+                        raw = found[0].rstrip(b"\n") + b"\n"
+                        fh.write(raw)
+                        kept[key] = (end, len(raw), self._entries[key][2])
+                        end += len(raw)
+                fh.write(_line({"op": "counters", "ts": time.time(), **self.counters}))
+        except OSError as exc:
+            _log.warning("cannot compact %s: %s", self.log_path, exc)
             return
-        self._journal_ops = len(recs)
-
-    def _evict_over_budget(self) -> None:
-        # caller holds the lock
-        if self.max_bytes is None:
-            return
-        while self._bytes > self.max_bytes and len(self._entries) > 1:
-            rel, size = next(iter(self._entries.items()))
-            self._entries.pop(rel)
-            self._bytes -= size
-            (self.store_dir / rel).unlink(missing_ok=True)
-            self.counters.evictions += 1
-            self._journal({"op": "evict", "entry": rel})
-            _log.info("evicted %s (%d bytes) over %d-byte budget", rel, size, self.max_bytes)
+        self._entries, self._records = kept, len(kept) + 1
+        os.close(self._fd)
+        self._fd = os.open(self.log_path, os.O_RDONLY)
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
         """Live statistics (entries, bytes, counters)."""
         with self._lock:
-            out = {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-                "max_bytes": self.max_bytes,
-                "contexts": len({rel.split("/", 1)[0] for rel in self._entries}),
-                "warm_calibrations": _count_warm_calibrations(self.warm_dir),
-            }
-            out.update(self.counters.to_dict())
-            return out
+            return {**_stats(self._entries, self.counters, self.warm_dir),
+                    "max_bytes": self.max_bytes}
 
     def close(self) -> None:
-        """Compact the journal, persisting counters for a restart."""
+        """Compact the log (persisting counters) and release the lock; idempotent."""
         with self._lock:
-            self._compact_locked()
+            if self._fd is None:
+                return
+            try:
+                self._compact_locked()
+            finally:
+                self._close_fds()
+
+    def _close_fds(self) -> None:
+        """Drop the log and the lock uncompacted, as the process's death does."""
+        _OPEN.discard(self)
+        os.close(self._fd)
+        os.close(self._dir_fd)
+        self._fd = self._dir_fd = None
+
+
+def _stats(entries: dict, counters: dict, warm_dir: Path) -> dict:
+    return {
+        "entries": len(entries),
+        "bytes": sum(size for _, _, size in entries.values()),
+        "contexts": len({key.split("/", 1)[0] for key in entries}),
+        "warm_calibrations": _count_warm_calibrations(warm_dir),
+        **counters,
+    }
 
 
 def scan_store(base_dir: str | Path) -> dict | None:
     """Non-mutating statistics for ``repro inspect`` on a store directory.
 
-    Returns ``None`` when *base_dir* holds no store (no ``store/``
-    subdirectory and no index journal).  Never writes: counters come
-    from the last ``counters`` record in the index journal plus the
-    operations after it, entries and bytes from the filesystem.
+    ``None`` when *base_dir* holds neither a store log nor ``warm/``
+    (an older store has only the latter).  Takes no lock and never
+    writes, so it reads a store a server has open: everything comes
+    from replaying the log.
     """
     base = Path(base_dir)
-    store_dir = base / STORE_DIR_NAME
-    index_path = base / INDEX_NAME
-    if not store_dir.is_dir() and not index_path.exists():
+    if not (base / LOG_NAME).exists() and not (base / WARM_DIR_NAME).is_dir():
         return None
-    entries = 0
-    nbytes = 0
-    contexts = set()
-    if store_dir.is_dir():
-        for path in store_dir.glob("*/*.json"):
-            try:
-                nbytes += path.stat().st_size
-            except OSError:  # pragma: no cover - raced unlink
-                continue
-            entries += 1
-            contexts.add(path.parent.name)
-    _, stats, _ = _replay_index(index_path)
-    return {
-        "entries": entries,
-        "bytes": nbytes,
-        "contexts": len(contexts),
-        "warm_calibrations": _count_warm_calibrations(base / WARM_DIR_NAME),
-        **stats.to_dict(),
-    }
+    entries, counters, _ = _replay(base / LOG_NAME)
+    return _stats(entries, counters, base / WARM_DIR_NAME)
 
 
 # -- warm-start calibrations ------------------------------------------------

@@ -6,8 +6,9 @@ truncated artifact that a later reader trusts.  There are two
 protocols.
 
 Whole-file artifacts (Perfetto exports, CSV reports, trace archives,
-store entries, quarantine artifacts) go through :func:`atomic_write`,
-the classic tmp + fsync + rename:
+the result store's compacted log and warm calibrations, quarantine
+artifacts) go through :func:`atomic_write`, the classic tmp + fsync +
+rename:
 
 1. write the full content to ``<name>.tmp.<pid>.<counter>`` in the
    *same directory* (rename must not cross filesystems);
@@ -22,15 +23,19 @@ Readers therefore observe either the old complete file or the new
 complete file, never a torn intermediate.  On any exception the
 temporary file is removed and the final name untouched.
 
-Append-only JSONL logs (campaign and fuzz journals, the result store's
-index, telemetry capsules) go through :func:`append_jsonl`: one
-``O_APPEND`` write plus ``fsync`` per record, O(record) however long
-the log.  A crash can tear only the final line; :func:`read_jsonl`
-drops it and the next append truncates it, so every log recovers the
-same way.  :class:`AtomicJournal` is a journal on top of the pair.
-(The high-frequency metrics sink, :class:`repro.obs.metrics.JsonlSink`,
-appends whole flushes through :func:`append_lines` without ``fsync``; a
-torn final line recovers the same way.)
+Append-only JSONL logs (campaign and fuzz journals, telemetry
+capsules) go through :func:`append_jsonl`: one ``O_APPEND`` write plus
+``fsync`` per record, O(record) however long the log.  A crash can tear
+only the final line; :func:`read_jsonl` drops it and the next append
+truncates it, so every log recovers the same way.  :class:`AtomicJournal`
+is a journal on top of the pair.  :func:`append_lines` is the same
+append for pre-encoded lines, and returns the offset they start at; the
+result store (:mod:`repro.store`) appends its records through it and
+reads them back by offset, which :func:`scan_jsonl` reports for each
+record on load.  (The high-frequency metrics sink,
+:class:`repro.obs.metrics.JsonlSink`, appends whole flushes through
+:func:`append_lines` without ``fsync``; a torn final line recovers the
+same way.)
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "append_jsonl",
     "append_lines",
     "read_jsonl",
+    "scan_jsonl",
     "AtomicJournal",
 ]
 
@@ -173,10 +179,15 @@ def append_jsonl(path: str | Path, record: dict, fsync: bool = True) -> None:
     append_lines(path, line.encode(), fsync)
 
 
-def append_lines(path: str | Path, lines: bytes, fsync: bool = True) -> None:
+def append_lines(path: str | Path, lines: bytes, fsync: bool = True) -> int:
     """Append *lines*, newline-terminated JSON lines, as :func:`append_jsonl`
     appends one record: one ``O_APPEND`` write after truncating a torn
-    final line."""
+    final line.
+
+    Returns the file offset at which *lines* start.  It is exact only
+    while no other process appends to *path*; the result store holds a
+    lock for that.
+    """
     path = Path(path)
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
@@ -194,6 +205,7 @@ def append_lines(path: str | Path, lines: bytes, fsync: bool = True) -> None:
         os.close(fd)
     if fsync and end == 0:
         _fsync_dir(path.parent)
+    return end + len(prefix)
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
@@ -208,22 +220,30 @@ def read_jsonl(path: str | Path) -> list[dict]:
     a mangled middle means something other than a torn append happened.
     Non-object records raise too.
     """
+    return [record for _, _, record in scan_jsonl(path)]
+
+
+def scan_jsonl(path: str | Path) -> list[tuple[int, int, dict]]:
+    """:func:`read_jsonl` with each record's place in the file:
+    ``(offset, length, record)``, the length counting the newline."""
     path = Path(path)
     try:
-        raw = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    lines = raw.splitlines()
-    out: list[dict] = []
+    lines = data.splitlines(keepends=True)
+    out: list[tuple[int, int, dict]] = []
     last = len(lines)
     while last and not lines[last - 1].strip():
         last -= 1  # ignore blank tails
+    end = 0
     for lineno, line in enumerate(lines[:last], start=1):
+        start, end = end, end + len(line)
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             if lineno == last:
                 _warn("%s:%d: skipping incomplete final line (torn O_APPEND write)", path, lineno)
                 break
@@ -232,7 +252,7 @@ def read_jsonl(path: str | Path) -> list[dict]:
             ) from None
         if not isinstance(record, dict):
             raise ValueError(f"{path}:{lineno}: JSONL record is not a JSON object")
-        out.append(record)
+        out.append((start, len(line), record))
     return out
 
 

@@ -828,6 +828,8 @@ class CampaignRunner:
         """Dispatch one spec to the right estimator with budgets applied."""
         cfg = self.config
         wf = self._workflow_for(spec)
+        if spec.mode == "am":
+            self._try_warm_start(spec, wf)
         inputs = self._resolved_inputs(spec)
         budget_kw = {}
         if cfg.max_events is not None:
@@ -898,10 +900,10 @@ class CampaignRunner:
         the context pins no ``calib_procs``): two cells differing only
         in nprocs must never share one calibration, or the stored
         result would depend on batch composition.  With ``warm_dir``
-        set, a stored calibration for the group is loaded instead of
-        measured, and a freshly measured one is saved back after the
-        run (atomic writes; a concurrent saver writes identical
-        bytes).
+        set, an ``am`` run loads a stored calibration for the group
+        instead of measuring one (:meth:`_try_warm_start`), and a
+        freshly measured one is saved back after the run (atomic
+        writes; a concurrent saver writes identical bytes).
         """
         key = self._calib_key(spec)
         wf = self._workflows.get(key)
@@ -919,26 +921,28 @@ class CampaignRunner:
                 calib_inputs=calib, calib_nprocs=calib_procs, seed=spec.seed,
                 backend=self.config.backend,
             )
-            if self.config.warm_dir:
-                self._try_warm_start(key, wf, spec.app)
             self._workflows[key] = wf
         return wf
 
     # -- warm start (serving): stored calibrations skip the measurement run --
-    def _try_warm_start(self, key, wf: ModelingWorkflow, app: str) -> None:
+    def _try_warm_start(self, spec: RunSpec, wf: ModelingWorkflow) -> None:
+        """Prime *wf* with a stored calibration before a run that needs
+        one; only ``am`` runs calibrate, so only they look one up."""
+        if not self.config.warm_dir or wf.calibration is not None:
+            return
         from ..store import load_warm_calibration, warm_calibration_key
 
         wkey = warm_calibration_key(
-            app=app, machine=self.config.machine,
+            app=spec.app, machine=self.config.machine,
             calib_nprocs=wf.calib_nprocs, calib_inputs=wf.calib_inputs,
             seed=wf.seed,
         )
-        cal = load_warm_calibration(self.config.warm_dir, wkey, program=app)
+        cal = load_warm_calibration(self.config.warm_dir, wkey, program=spec.app)
         if cal is not None:
             wf.prime(calibration=cal)
-            _log.info("warm start: calibration %s loaded for %s", wkey, app)
+            _log.info("warm start: calibration %s loaded for %s", wkey, spec.app)
         else:
-            self._warm_pending[key] = (wkey, app)
+            self._warm_pending[self._calib_key(spec)] = (wkey, spec.app)
 
     def _save_warm(self, spec: RunSpec) -> None:
         """Persist a freshly measured calibration for future warm starts."""
@@ -946,9 +950,9 @@ class CampaignRunner:
         pending = self._warm_pending.get(key)
         if pending is None:
             return
-        wf = self._workflows.get(key)
-        if wf is None or wf.calibration is None:
-            return  # the run never calibrated (de mode); keep pending
+        wf = self._workflows[key]
+        if wf.calibration is None:
+            return  # the am run failed before it calibrated; keep pending
         from ..store import save_warm_calibration
 
         wkey, app = pending

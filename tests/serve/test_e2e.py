@@ -1,5 +1,6 @@
 """End-to-end service tests against a real ``repro serve`` subprocess:
-crash consistency under SIGKILL mid-campaign, and clean SIGTERM exit."""
+crash consistency under SIGKILL mid-campaign, clean SIGTERM exit, and
+the store lock that keeps a second writer out."""
 
 import json
 import re
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.api import RunResult
-from repro.store import ResultStore
+from repro.store import LOG_NAME, ResultStore, scan_store
+from repro.util.atomic_io import read_jsonl
 
 APP = "sample_nearest_neighbor"
 
@@ -25,12 +27,15 @@ SLOW_GRID = {
 }
 
 
+REPO = Path(__file__).resolve().parents[2]
+
+
 def _start_server(store_dir) -> tuple[subprocess.Popen, str]:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--store", str(store_dir), "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        cwd=str(Path(__file__).resolve().parents[2]),
+        cwd=str(REPO),
     )
     line = proc.stdout.readline()
     match = re.search(r"listening on (http://[\d.]+:\d+)", line)
@@ -76,11 +81,10 @@ def test_sigkill_mid_campaign_leaves_store_consistent(tmp_path):
         daemon=True)
     submitted.start()
     # wait until at least one result landed, then kill without ceremony
-    store_glob = tmp_path / "store"
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
-        done = list(store_glob.glob("*/*.json"))
-        if done:
+        stats = scan_store(tmp_path)  # reads the log without the lock
+        if stats is not None and stats["entries"]:
             break
         if proc.poll() is not None:
             pytest.fail(f"server died early: {proc.stdout.read()}")
@@ -90,15 +94,17 @@ def test_sigkill_mid_campaign_leaves_store_consistent(tmp_path):
     proc.kill()
     proc.wait(timeout=30)
 
-    # crash consistency: the store loads, every surviving entry parses
-    store = ResultStore(tmp_path)
+    # crash consistency: every put record in the log parses (a torn tail
+    # is dropped), and the reopened store serves each one byte-identical
     survivors = {}
-    for path in store.store_dir.glob("*/*.json"):
-        doc = json.loads(path.read_text())  # atomic writes: never torn
-        res = RunResult.from_json(doc)
-        assert res.ok
-        survivors[res.run_id] = res
+    for rec in read_jsonl(tmp_path / LOG_NAME):
+        if rec["op"] == "put":
+            assert RunResult.from_json(rec["result"]).ok
+            survivors[rec["entry"]] = rec["result"]
     assert survivors, "the completed prefix must have survived the kill"
+    store = ResultStore(tmp_path)  # the kill released the lock
+    for entry, doc in survivors.items():
+        assert store.get(*entry.split("/")) == doc
     store.close()
 
     # a restarted server answers the prefix from cache
@@ -121,3 +127,40 @@ def _try_post(base, path, doc):
         _post(base, path, doc)
     except Exception:
         pass  # the server is killed mid-request by design
+
+
+def _repro(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "repro", *args],
+                          capture_output=True, text=True, cwd=str(REPO),
+                          timeout=120)
+
+
+def test_store_lock_refuses_a_second_writer(tmp_path):
+    """While a server has the store open, a second server and a
+    serverless query exit 2 with one line naming the store, and
+    ``repro inspect`` still reads it; a SIGKILL releases the lock."""
+    proc, base = _start_server(tmp_path)
+    try:
+        _post(base, "/v1/campaign",
+              {"app": APP, "modes": ["de"], "nprocs": [2], "calib_procs": 2})
+        for args in (["serve", "--store", str(tmp_path), "--port", "0"],
+                     ["query", APP, "--nprocs", "2", "--store", str(tmp_path)]):
+            refused = _repro(*args)
+            assert refused.returncode == 2, refused
+            lines = refused.stderr.strip().splitlines()
+            assert len(lines) == 1 and str(tmp_path) in lines[0], refused.stderr
+            assert "in use" in lines[0]
+        inspected = _repro("inspect", str(tmp_path))
+        assert inspected.returncode == 0, inspected.stderr
+        assert "1 entries" in inspected.stdout
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    proc2, base2 = _start_server(tmp_path)
+    try:
+        with urllib.request.urlopen(f"{base2}/v1/stats", timeout=30) as resp:
+            stats = json.loads(resp.read())
+        assert stats["store"]["entries"] == 1
+    finally:
+        proc2.send_signal(signal.SIGTERM)
+        assert proc2.wait(timeout=30) == 0

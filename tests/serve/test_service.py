@@ -2,6 +2,7 @@
 control, and the HTTP layer over a real socket (no subprocess)."""
 
 import asyncio
+import os
 import threading
 
 import pytest
@@ -123,6 +124,50 @@ def test_miss_batch_leaves_only_store_entries(tmp_path, monkeypatch):
         sorted(r.run_id for r in request.runs[:2])
     assert not (tmp_path / "work").exists()
     assert not list(tmp_path.rglob("*journal*"))
+
+
+def _run_doc(mode, nprocs):
+    return {"run": RunRequest(app=APP, mode=mode, nprocs=nprocs,
+                              inputs=(("n", 64),)).to_json(),
+            "machine": "IBM-SP", "calib_procs": 2}
+
+
+def test_a_miss_fsyncs_once_per_stored_result(tmp_path, monkeypatch):
+    """A put is one log append and one fsync: a de miss fsyncs once, and
+    an am miss that measures its calibration adds the warm file's two
+    (its temporary file and its directory)."""
+    store = ResultStore(tmp_path)
+    service = SimulationService(store, jobs=1)
+    service.handle_run(_run_doc("de", 2))  # the store already holds an entry
+    calls = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real_fsync(fd))
+    assert service.handle_run(_run_doc("de", 4))["cached"] is False
+    assert len(calls) == 1
+    calls.clear()
+    assert service.handle_run(_run_doc("am", 4))["cached"] is False
+    assert len(list(store.warm_dir.glob("*.json"))) == 1
+    assert len(calls) == 3
+    store.close()
+
+
+def test_only_am_misses_look_up_a_stored_calibration(tmp_path, monkeypatch):
+    """de and measured runs never calibrate, so their misses look up no
+    warm calibration; an am miss looks one up once."""
+    import repro.store
+
+    lookups = []
+    real_load = repro.store.load_warm_calibration
+    monkeypatch.setattr(repro.store, "load_warm_calibration",
+                        lambda *a, **kw: lookups.append(a) or real_load(*a, **kw))
+    store = ResultStore(tmp_path)
+    service = SimulationService(store, jobs=1)
+    for mode in ("de", "measured"):
+        assert service.handle_run(_run_doc(mode, 2))["result"]["outcome"] == "ok"
+    assert lookups == []
+    assert service.handle_run(_run_doc("am", 2))["result"]["outcome"] == "ok"
+    assert len(lookups) == 1
+    store.close()
 
 
 def test_nas_sp_query_defaults_calibration_to_its_own_nprocs(service):

@@ -2,12 +2,16 @@
 warm-start calibrations."""
 
 import json
-import os
+import multiprocessing
+import time
+
+import pytest
 
 from repro.ir.interp import BranchProfile
 from repro.measure import Calibration
 from repro.store import (
     ResultStore,
+    StoreInUseError,
     load_warm_calibration,
     save_warm_calibration,
     scan_store,
@@ -56,7 +60,7 @@ def test_counters_survive_an_unclean_stop(tmp_path):
     for i in range(2):
         store.put(CTX, f"r{i:04d}", _doc(i))
         assert store.get(CTX, f"r{i:04d}") is not None
-    # no close(): the journal holds put and touch records, no counters
+    store._close_fds()  # the log holds put and touch records, no counters
     again = ResultStore(tmp_path)
     assert counts(again.stats()) == counts(scan_store(tmp_path)) == (2, 2)
     again.close()
@@ -65,7 +69,41 @@ def test_counters_survive_an_unclean_stop(tmp_path):
     third = ResultStore(tmp_path)
     third.put(CTX, "r0002", _doc(2))
     assert third.get(CTX, "r0002") is not None
-    assert counts(ResultStore(tmp_path).stats()) == counts(scan_store(tmp_path)) == (3, 3)
+    third._close_fds()
+    fourth = ResultStore(tmp_path)
+    assert counts(fourth.stats()) == counts(scan_store(tmp_path)) == (3, 3)
+    fourth.close()
+
+
+def test_a_second_open_store_is_refused(tmp_path):
+    """The directory lock: a second store on an open directory fails with
+    one line naming it; reads without the lock still work; close()
+    releases it."""
+    store = ResultStore(tmp_path)
+    store.put(CTX, "r0000", _doc(0))
+    with pytest.raises(StoreInUseError, match=str(tmp_path)) as exc:
+        ResultStore(tmp_path)
+    assert "\n" not in str(exc.value)
+    assert scan_store(tmp_path)["entries"] == 1
+    store.close()
+    again = ResultStore(tmp_path)
+    assert again.get(CTX, "r0000") == _doc(0)
+    again.close()
+
+
+def test_a_forked_child_does_not_hold_the_lock(tmp_path):
+    """A supervised --jobs worker is a forked child: it must not keep
+    the store locked once its parent has closed the store (or died)."""
+    store = ResultStore(tmp_path)
+    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+    child.start()
+    try:
+        store.close()
+        ResultStore(tmp_path).close()  # the live child holds no lock
+    finally:
+        child.terminate()
+        child.join(10)
+    assert not child.is_alive()
 
 
 def test_lru_eviction_respects_byte_budget_and_recency(tmp_path):
@@ -80,66 +118,116 @@ def test_lru_eviction_respects_byte_budget_and_recency(tmp_path):
     assert stats["evictions"] > 0
     assert store.contains(CTX, "r0000")  # recently used: survived
     assert not store.contains(CTX, "r0001")  # LRU victim
-    # evicted files are really gone from disk
-    assert not (store.store_dir / CTX / "r0001.json").exists()
+    # the eviction is logged, and compaction drops the evicted result
+    store.close()
+    again = ResultStore(tmp_path, max_bytes=600)
+    assert again.stats() == stats
+    again.close()
+    assert "r0001" not in store.log_path.read_text()
+
+
+def test_recency_survives_an_unclean_stop(tmp_path):
+    """Replayed touch records restore LRU order, so the eviction after a
+    kill picks the same victim an uninterrupted store would."""
+    store = ResultStore(tmp_path, max_bytes=600)
+    for i in range(4):
+        store.put(CTX, f"r{i:04d}", _doc(i, pad=100))
+    assert store.get(CTX, "r0000") is not None
+    store._close_fds()
+    again = ResultStore(tmp_path, max_bytes=600)
+    again.put(CTX, "r9999", _doc(9999, pad=100))
+    assert again.contains(CTX, "r0000") and not again.contains(CTX, "r0001")
+    again.close()
+
+
+def test_put_is_one_log_record_read_back_by_offset(tmp_path):
+    store = ResultStore(tmp_path)
+    store.put(CTX, "r0000", _doc(0))
+    store.put(CTX, "r0001", _doc(1, pad=10))
+    lines = store.log_path.read_bytes().splitlines()
+    assert [json.loads(line)["op"] for line in lines] == ["put", "put"]
+    rec = json.loads(lines[1])
+    assert rec["entry"] == f"{CTX}/r0001" and rec["result"] == _doc(1, pad=10)
+    assert rec["bytes"] == len(json.dumps(_doc(1, pad=10), sort_keys=True,
+                                          separators=(",", ":")))
+    assert store.get(CTX, "r0001") == _doc(1, pad=10)
+    store.close()
 
 
 def test_reload_tolerates_torn_index_tail(tmp_path):
     store = ResultStore(tmp_path)
     store.put(CTX, "r0000", _doc(0))
     store.put(CTX, "r0001", _doc(1))
-    with open(store.index_path, "a") as fh:
-        fh.write('{"op": "put", "entry": "truncat')  # torn O_APPEND tail
+    store._close_fds()
+    with open(store.log_path, "a") as fh:
+        fh.write('{"bytes": 9, "entry": "truncat')  # torn O_APPEND tail
     again = ResultStore(tmp_path)
     assert again.stats()["entries"] == 2
     assert again.get(CTX, "r0001") is not None
+    again.close()
 
 
 def test_torn_index_tail_is_truncated_by_the_next_append(tmp_path):
-    """A reopened store appends after a torn index tail without gluing
+    """A reopened store appends after a torn log tail without gluing
     onto it: a second reopen still loads every entry and counter."""
     store = ResultStore(tmp_path)
     store.put(CTX, "r0000", _doc(0))
     store.put(CTX, "r0001", _doc(1))
-    with open(store.index_path, "a") as fh:
-        fh.write('{"op": "put", "entry": "truncat')  # torn O_APPEND tail
+    store._close_fds()
+    with open(store.log_path, "a") as fh:
+        fh.write('{"bytes": 9, "entry": "truncat')  # torn O_APPEND tail
     again = ResultStore(tmp_path)
     again.put(CTX, "r0002", _doc(2))
     assert again.get(CTX, "r0000") is not None
-    # no close(): the next open replays the appended records
+    again._close_fds()  # no close(): the next open replays the appended records
     third = ResultStore(tmp_path)
     stats = third.stats()
     assert stats["entries"] == 3
     assert (stats["hits"], stats["puts"]) == (1, 3)
-    assert all(third.get(CTX, f"r{i:04d}") is not None for i in range(3))
-    assert "truncat" not in store.index_path.read_text()
+    assert all(third.get(CTX, f"r{i:04d}") == _doc(i) for i in range(3))
+    assert "truncat" not in store.log_path.read_text()
+    third.close()
 
 
-def test_reload_reconciles_unjournaled_and_deleted_entries(tmp_path):
+def test_older_store_layout_is_not_read(tmp_path):
+    """An older store's entry files and index.jsonl are ignored: those
+    runs miss once and are recomputed."""
+    (tmp_path / "store" / CTX).mkdir(parents=True)
+    (tmp_path / "store" / CTX / "r0000.json").write_text(json.dumps(_doc(0)))
+    (tmp_path / "index.jsonl").write_text(
+        '{"bytes":40,"entry":"%s/r0000.json","op":"put"}\n' % CTX)
+    save_warm_calibration(tmp_path / "warm", "k" * 8, _calibration())
+    assert scan_store(tmp_path)["entries"] == 0  # its warm files still count
+    assert scan_store(tmp_path)["warm_calibrations"] == 1
     store = ResultStore(tmp_path)
-    store.put(CTX, "r0000", _doc(0))
-    store.put(CTX, "r0001", _doc(1))
-    # simulate a crash after the entry landed but before the index append
-    extra = store.store_dir / CTX / "r0002.json"
-    extra.write_text(json.dumps(_doc(2)))
-    # and a foreign deletion of a journaled entry
-    os.unlink(store.store_dir / CTX / "r0000.json")
-    again = ResultStore(tmp_path)
-    assert again.contains(CTX, "r0002")  # found on disk, adopted
-    assert not again.contains(CTX, "r0000")  # filesystem wins
-    assert again.get(CTX, "r0002")["run_id"] == "r0002"
+    assert store.stats()["entries"] == 0
+    assert store.get(CTX, "r0000") is None
+    store.close()
+
+
+def _overwrite(path, old: bytes, new: bytes):
+    data = path.read_bytes()
+    assert len(old) == len(new) and data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
 
 
 def test_corrupt_entry_degrades_to_miss(tmp_path):
     store = ResultStore(tmp_path)
     store.put(CTX, "r0000", _doc(0))
-    (store.store_dir / CTX / "r0000.json").write_text("{not json")
-    assert store.get(CTX, "r0000") is None
-    assert not store.contains(CTX, "r0000")
+    store.put(CTX, "r0001", _doc(1))
+    _overwrite(store.log_path, b'"run_id":"r0000"', b"#" * 16)  # no parse
+    # a record at the known offset that names another entry is a miss too
+    _overwrite(store.log_path, b'"entry":"%s/r0001"' % CTX.encode(),
+               b'"entry":"%s/r0009"' % CTX.encode())
+    for run_id in ("r0000", "r0001"):
+        assert store.get(CTX, run_id) is None
+        assert not store.contains(CTX, run_id)
+    assert store.stats()["misses"] == 2
+    store.close()
 
 
 def test_index_journal_is_compacted(tmp_path):
-    """Touch records must never grow the journal (or the next startup's
+    """Touch records must never grow the log (or the next startup's
     replay) without bound; close() leaves the minimal equivalent."""
     store = ResultStore(tmp_path)
     store.COMPACT_MIN_OPS = 16  # shrink the threshold for the test
@@ -147,19 +235,21 @@ def test_index_journal_is_compacted(tmp_path):
         store.put(CTX, f"r{i:04d}", _doc(i))
     for _ in range(40):  # a busy server: cache hits pile up touches
         assert store.get(CTX, "r0001") is not None
-    live = (tmp_path / "index.jsonl").read_text().splitlines()
+    live = store.log_path.read_text().splitlines()
     assert len(live) <= 16  # compacted in-line while serving
     store.close()
-    compacted = (tmp_path / "index.jsonl").read_text().splitlines()
+    compacted = store.log_path.read_text().splitlines()
     assert len(compacted) == 4  # one put per live entry + the counters
-    # the compacted journal preserves counters and LRU order exactly
+    # the compacted log preserves counters, results and LRU order exactly
     again = ResultStore(tmp_path)
     stats = again.stats()
     assert (stats["hits"], stats["misses"], stats["puts"]) == (40, 0, 3)
     assert stats["entries"] == 3
     order = list(again._entries)
-    assert order[0] == f"{CTX}/r0000.json"  # least recently used first
-    assert order[-1] == f"{CTX}/r0001.json"  # the touched entry is newest
+    assert order[0] == f"{CTX}/r0000"  # least recently used first
+    assert order[-1] == f"{CTX}/r0001"  # the touched entry is newest
+    assert [again.get(CTX, f"r{i:04d}") for i in range(3)] == [_doc(i) for i in range(3)]
+    again.close()
 
 
 def test_scan_store_is_nonmutating(tmp_path):
@@ -167,11 +257,11 @@ def test_scan_store_is_nonmutating(tmp_path):
     store.put(CTX, "r0000", _doc(0))
     store.get(CTX, "r0000")
     store.close()
-    before = (tmp_path / "index.jsonl").read_bytes()
+    before = store.log_path.read_bytes()
     stats = scan_store(tmp_path)
     assert stats["entries"] == 1
     assert stats["hits"] == 1 and stats["puts"] == 1
-    assert (tmp_path / "index.jsonl").read_bytes() == before
+    assert store.log_path.read_bytes() == before
 
 
 def test_scan_store_rejects_non_store_dir(tmp_path):

@@ -92,6 +92,14 @@ class TestCalibrate:
         assert set(params) == {"w_residual", "w_tridiag_solve", "w_mesh_update"}
         assert "parameters written" in capsys.readouterr().out
 
+    def test_seed_changes_the_parameter_file(self, tmp_path):
+        """--seed is the measurement noise seed: two seeds, two files."""
+        paths = [tmp_path / f"w{seed}.json" for seed in (1, 2)]
+        for seed, out in zip((1, 2), paths):
+            assert main(["calibrate", "sample_wavefront", "--calib-procs", "4",
+                         "--seed", str(seed), "-o", str(out)]) == 0
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+
 
 class TestArgumentHardening:
     def test_zero_nprocs_rejected(self, capsys):

@@ -9,9 +9,11 @@ import repro.util.atomic_io as atomic_io
 from repro.util.atomic_io import (
     AtomicJournal,
     append_jsonl,
+    append_lines,
     atomic_write,
     atomic_write_text,
     read_jsonl,
+    scan_jsonl,
 )
 
 
@@ -83,6 +85,18 @@ class TestAppendJsonl:
         path.write_text('{"n": 1}')
         append_jsonl(path, {"n": 2})
         assert read_jsonl(path) == [{"n": 1}, {"n": 2}]
+
+    def test_append_lines_returns_where_the_lines_start(self, tmp_path):
+        # past the newline that terminates a kept final record, and past
+        # a truncated torn tail; scan_jsonl reports the same offsets
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"n": 1}')
+        assert append_lines(path, b'{"n":2}\n') == 9
+        with open(path, "a") as fh:
+            fh.write('{"n": 3, "torn')
+        assert append_lines(path, b'{"n":4}\n') == 17
+        assert scan_jsonl(path) == [(0, 9, {"n": 1}), (9, 8, {"n": 2}),
+                                    (17, 8, {"n": 4})]
 
 
 class TestAtomicJournal:

@@ -1,19 +1,28 @@
 """Crash-consistency fault injection around :mod:`repro.util.atomic_io`.
 
-Every whole-file artifact (results.csv, store entries) funnels through
-``atomic_write``'s tmp + fsync + rename protocol, and every append-only
-log (journals) through ``append_jsonl``'s write + fsync.  These tests
-inject EIO / ENOSPC / torn-write failures at each boundary of both
-protocols and assert the crash-consistency invariant at every one:
-readers observe either the old complete file or the new complete file
-— never a torn intermediate — and no temporary litter survives.
+Every whole-file artifact (results.csv, the result store's compacted
+log) funnels through ``atomic_write``'s tmp + fsync + rename protocol,
+and every append-only log (journals, the result store's log) through
+``append_lines``'s write + fsync.  These tests inject EIO / ENOSPC /
+torn-write failures at each boundary of both protocols and assert the
+crash-consistency invariant at every one: readers observe either the
+old complete file or the new complete file — never a torn intermediate
+— and no temporary litter survives.  The result store is checked
+against a dict model over generated operation sequences with one
+crash each.
 """
 
 import errno
 import os
+from collections import OrderedDict
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import canonical_json
+from repro.store import ResultStore, scan_store
 from repro.util.atomic_io import AtomicJournal, atomic_write, read_jsonl
 
 
@@ -165,3 +174,132 @@ class TestJournalCrashConsistency:
         jpath.write_text('{"n": 1}\n{torn middle\n{"n": 3}\n')
         with pytest.raises(ValueError, match=r"j\.jsonl:2"):
             read_jsonl(jpath)
+
+
+# -- the result store's log ---------------------------------------------------
+
+CTX = "c" * 16
+KEYS = [f"r{i}" for i in range(5)]
+
+#: one operation: put (a new version of a key's document, sized by its
+#: padding), get, compaction, a clean close and reopen, or a reopen
+#: after a kill
+STORE_OPS = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(KEYS), st.sampled_from([0, 30, 60, 90])),
+    st.tuples(st.just("get"), st.sampled_from(KEYS)),
+    st.sampled_from([("compact",), ("reopen",), ("kill",)]),
+)
+
+#: the one crash of a sequence: a failed put, a torn final record left
+#: by a killed process, or a failed compaction on close
+STORE_FAULTS = ["torn-tail", "compaction-fails", *sorted(APPEND_FAULTS)]
+
+
+class StoreModel:
+    """What the store must hold: key -> canonical document, LRU first."""
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.entries: OrderedDict[str, str] = OrderedDict()
+        self.counts = {"hits": 0, "puts": 0, "evictions": 0}
+
+    def put(self, key, text):
+        self.entries.pop(key, None)
+        self.entries[key] = text
+        self.counts["puts"] += 1
+        while (self.budget is not None and len(self.entries) > 1
+               and sum(map(len, self.entries.values())) > self.budget):
+            self.entries.popitem(last=False)
+            self.counts["evictions"] += 1
+
+    def get(self, key):
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            self.counts["hits"] += 1
+        return self.entries.get(key)
+
+
+def _open(base, budget):
+    store = ResultStore(base, max_bytes=budget)
+    store.COMPACT_MIN_OPS = 6  # compact in-line within a short sequence
+    return store
+
+
+def _served(store, key):
+    doc = store.get(CTX, key)
+    return None if doc is None else canonical_json(doc)
+
+
+def _check(store, model, base):
+    """Every live entry is served byte-identical (walking LRU order keeps
+    it), nothing else is, and the counters agree with scan_store."""
+    for key in list(model.entries):
+        want = model.get(key)
+        assert _served(store, key) == want
+    for key in set(KEYS) - set(model.entries):
+        assert not store.contains(CTX, key)
+    stats, scanned = store.stats(), scan_store(base)
+    want = {"entries": len(model.entries),
+            "bytes": sum(map(len, model.entries.values())), **model.counts}
+    for name, value in want.items():
+        assert stats[name] == scanned[name] == value, name
+    assert not list(base.glob("*.tmp.*")), "temporary litter survived"
+
+
+class TestResultStoreLog:
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(STORE_OPS, min_size=1, max_size=40),
+           fault=st.sampled_from(STORE_FAULTS),
+           budget=st.sampled_from([None, 150]), data=st.data())
+    def test_one_crash_anywhere_keeps_every_returned_put(
+            self, tmp_path_factory, ops, fault, budget, data):
+        base = tmp_path_factory.mktemp("store")
+        at = data.draw(st.integers(0, len(ops)), label="crash before op")
+        model, versions = StoreModel(budget), {}
+        store = _open(base, budget)
+        for step, op in enumerate(ops + [None]):
+            if step == at:
+                store = self._crash(store, model, base, budget, fault, data)
+                _check(store, model, base)
+            if op is None:
+                break
+            if op[0] == "put":
+                _, key, pad = op
+                versions[key] = versions.get(key, 0) + 1
+                doc = {"run_id": key, "v": versions[key], "x": "y" * pad}
+                store.put(CTX, key, doc)
+                model.put(key, canonical_json(doc))
+            elif op[0] == "get":
+                assert _served(store, op[1]) == model.get(op[1])
+            elif op[0] == "compact":
+                with store._lock:
+                    store._compact_locked()
+            else:
+                if op[0] == "kill":
+                    store._close_fds()
+                else:
+                    store.close()
+                store = _open(base, budget)
+        store.close()
+        reopened = _open(base, budget)
+        _check(reopened, model, base)
+        reopened.close()
+
+    @staticmethod
+    def _crash(store, model, base, budget, fault, data):
+        if fault == "torn-tail":
+            store._close_fds()
+            line = b'{"bytes":9,"entry":"%s/r0","op":"put","result":{"x":1}}' % CTX.encode()
+            cut = data.draw(st.integers(1, len(line) - 1), label="torn at")
+            with open(base / "results.jsonl", "ab") as fh:
+                fh.write(line[:cut])
+            return _open(base, budget)
+        if fault == "compaction-fails":
+            with mock.patch.object(os, "replace", injected(errno.EIO, "I/O error")):
+                store.close()  # best-effort: the uncompacted log is kept
+            return _open(base, budget)
+        key = data.draw(st.sampled_from(KEYS), label="failed put")
+        with mock.patch.object(os, *APPEND_FAULTS[fault]):
+            with pytest.raises(OSError):
+                store.put(CTX, key, {"run_id": key, "v": -1})
+        return store  # a failed put is absent and the store stays usable

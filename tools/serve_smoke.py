@@ -10,6 +10,9 @@ campaign grid twice, and demands:
 * a single ``repro query`` against the warm server is a cache hit
   (grid and query both leave ``calib_procs`` at its default, so they
   share one execution context);
+* the store is locked while the server runs: a second ``repro serve``
+  and a serverless ``repro query --store`` on it exit 2 with one line
+  naming the store, and ``repro inspect`` still reads it;
 * SIGTERM produces a clean drain: exit code 0, "shutdown complete" on
   stdout, and no orphan processes holding the store.
 
@@ -102,6 +105,24 @@ def main():
             fail(f"query was not a cache hit: {query.stdout!r}")
         print(f"serve-smoke: {query.stdout.strip()}")
 
+        for cmd in (["serve", "--store", store, "--port", "0"],
+                    ["query", "sample_nearest_neighbor", "--nprocs", "4",
+                     "--store", store]):
+            busy = subprocess.run(
+                [sys.executable, "-m", "repro", *cmd],
+                capture_output=True, text=True, cwd=repo, env=env, timeout=120)
+            lines = busy.stderr.strip().splitlines()
+            if busy.returncode != 2 or len(lines) != 1 or store not in lines[0]:
+                fail(f"`repro {cmd[0]}` on the open store: exit "
+                     f"{busy.returncode}, stderr {busy.stderr!r}")
+            print(f"serve-smoke: {cmd[0]} on the open store -> exit 2: {lines[0]}")
+        inspect = subprocess.run(
+            [sys.executable, "-m", "repro", "inspect", store],
+            capture_output=True, text=True, cwd=repo, env=env, timeout=120)
+        if inspect.returncode != 0 or "3 entries" not in inspect.stdout:
+            fail(f"inspect on the open store: {inspect.stdout!r} {inspect.stderr!r}")
+        print("serve-smoke: inspect reads the open store without its lock")
+
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=60)
         tail = proc.stdout.read()
@@ -115,9 +136,8 @@ def main():
             proc.kill()
             proc.wait()
 
-    index = Path(store) / "index.jsonl"
-    if not index.is_file():
-        fail("store index missing after shutdown")
+    if not (Path(store) / "results.jsonl").is_file():
+        fail("store log missing after shutdown")
     print("serve-smoke: OK")
 
 
