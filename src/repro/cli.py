@@ -43,7 +43,7 @@ from .ir import format_program
 from .machine import get_machine
 from .parallel import estimate_program_memory
 from .stg import synthesize_stg
-from .workflow import ModelingWorkflow, format_bytes, format_table, format_validation, validate
+from .workflow import format_bytes, format_table, format_validation
 
 __all__ = ["main", "APPS"]
 
@@ -177,12 +177,28 @@ def _budget_kwargs(args) -> dict:
     }
 
 
+def _app(args):
+    """``(program, default_inputs)`` of the app *args* names, from the
+    campaign runner's resolver.  An unknown app or a bad ``--set`` ends
+    the command with one line, before anything runs."""
+    from .workflow.campaign import CampaignError, _cli_resolver
+
+    try:
+        resolved = _cli_resolver(args.app)
+    except CampaignError:
+        raise SystemExit(f"unknown app {args.app!r}; run 'python -m repro apps'") from None
+    _parse_overrides(getattr(args, "set", None))
+    return resolved
+
+
 def request_from_args(args, *, nprocs: int | None = None,
-                      mode: str | None = None):
+                      mode: str | None = None, seed: int | None = None,
+                      fault_plan: dict | None = None):
     """Build the validated :class:`repro.api.RunRequest` a subcommand
     names — the single constructor path from flags to run identity."""
     from .api import ApiError, RunRequest
 
+    _app(args)
     try:
         return RunRequest.from_json({
             "kind": "run_request",
@@ -190,52 +206,44 @@ def request_from_args(args, *, nprocs: int | None = None,
             "mode": mode if mode is not None else getattr(args, "mode", "de"),
             "nprocs": nprocs if nprocs is not None else args.nprocs,
             "inputs": _parse_overrides(getattr(args, "set", None)),
-            "seed": getattr(args, "seed", 0),
+            "seed": seed if seed is not None else getattr(args, "seed", 0),
+            "fault_plan": fault_plan,
             "timeout": getattr(args, "timeout", None),
         })
     except ApiError as exc:
         raise SystemExit(f"error: {exc.message}")
 
 
-def _resolve(args, nprocs: int):
-    try:
-        builder, default_inputs = APPS[args.app]
-    except KeyError:
-        raise SystemExit(f"unknown app {args.app!r}; run 'python -m repro apps'")
-    program = builder()
-    inputs = default_inputs(nprocs)
-    inputs.update(_parse_overrides(getattr(args, "set", None)))
-    return program, inputs
+def _run(args, requests, *, report=(), **context):
+    """Run *requests* on the campaign runner on ``--machine`` under
+    *context* (:func:`repro.workflow.campaign.run_requests`); their final
+    records, in order.  An outcome other than ``ok`` or one in *report*
+    ends the command with one line."""
+    from .workflow.campaign import run_requests
 
-
-def _workflow(args, program, calib_nprocs: int, calibrate: bool = True) -> ModelingWorkflow:
-    machine = get_machine(args.machine)
-    _, default_inputs = APPS[args.app]
-    calib = default_inputs(calib_nprocs)
-    calib.update(_parse_overrides(getattr(args, "set", None)))
-    wf = ModelingWorkflow(
-        program, machine, calib_inputs=calib, calib_nprocs=calib_nprocs,
-        seed=getattr(args, "seed", 0),
-        backend=getattr(args, "backend", None),
-    )
-    if calibrate:
-        wf.calibrate()
-    return wf
+    records = run_requests(requests, args.machine, **context)
+    for request, rec in zip(requests, records):
+        if rec.outcome != "ok" and rec.outcome not in report:
+            raise SystemExit(
+                f"error: {request.describe()} finished {rec.outcome}: {rec.error}")
+    return records
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_apps(args) -> int:
+    from .workflow.campaign import _cli_resolver
+
     print("available applications:")
     for name in sorted(APPS):
-        prog = APPS[name][0]()
+        prog = _cli_resolver(name)[0]
         print(f"  {name:26s} params: {', '.join(prog.params)}")
     return 0
 
 
 def cmd_compile(args) -> int:
-    program, _ = _resolve(args, nprocs=16)
+    program, _ = _app(args)
     compiled = compile_program(program)
     print(compiled.summary())
     print()
@@ -245,7 +253,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_stg(args) -> int:
-    program, _ = _resolve(args, nprocs=16)
+    program, _ = _app(args)
     stg = synthesize_stg(program)
     if args.dot:
         from .stg import write_dot
@@ -258,93 +266,57 @@ def cmd_stg(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .workflow.supervisor import resolve_jobs
+    """Measured vs DE vs AM at each ``--procs``, as campaign-runner requests.
 
-    program, _ = _resolve(args, nprocs=max(args.procs))
-    jobs = resolve_jobs(args.jobs)
-    if jobs > 1:
-        print(format_validation(_validate_cells(args, jobs)))
-        return 0
-    wf = _workflow(args, program, calib_nprocs=args.calib_procs)
-    _, default_inputs = APPS[args.app]
-    configs = []
-    for p in args.procs:
-        inputs = default_inputs(p)
-        inputs.update(_parse_overrides(args.set))
-        configs.append((inputs, p))
-    print(format_validation(validate(wf, configs, name=args.app, include_de=not args.no_de)))
-    return 0
-
-
-def _validate_cells(args, jobs: int):
-    """``validate --jobs N``: the sweep's estimator runs as campaign cells.
-
-    Point *i* becomes ``am`` and ``de`` cells at ``--seed`` plus a
-    ``measured`` cell at ``seed + 101 + i``, the seeds the sequential
-    sweep uses.  The campaign's grid calibration (``--calib-procs``
-    ranks, the ``--set`` overrides, ``--seed``) is the one
-    :func:`_workflow` measures, so the series is identical to
-    ``--jobs 1``.
+    Point *i* is an ``am`` and a ``de`` request at ``--seed`` plus a
+    ``measured`` one at ``seed + 101 + i``: each run's seed is a function
+    of its point, never of execution order, so ``--jobs N`` prints the
+    ``--jobs 1`` table.
     """
-    from .api import RunRequest
     from .workflow import ValidationPoint, ValidationSeries
-    from .workflow.campaign import CampaignConfig, CampaignRunner
 
-    overrides = tuple(sorted(_parse_overrides(args.set).items()))
     modes = ("measured", "am") if args.no_de else ("measured", "de", "am")
-    specs = {
-        (i, mode): RunRequest(
-            app=args.app, mode=mode, nprocs=p, inputs=overrides,
-            seed=args.seed + 101 + i if mode == "measured" else args.seed,
-        )
-        for i, p in enumerate(args.procs) for mode in modes
-    }
-    cells = list(enumerate(specs.values()))
-    config = CampaignConfig(
-        name=f"validate-{args.app}", machine=args.machine,
-        specs=list(specs.values()), calib_procs=args.calib_procs,
-    )
-    records = {}  # the last record of a cell is its outcome
-    CampaignRunner(config, os.devnull).run_cells(
-        cells, jobs, lambda spec, rec: records.__setitem__(rec.index, rec))
-    elapsed = {}
-    for key, (index, spec) in zip(specs, cells):
-        rec = records[index]
-        if rec.outcome != "ok":
-            raise SystemExit(f"error: {spec.describe()} finished {rec.outcome}: {rec.error}")
-        elapsed[key] = rec.elapsed
+    cells = [(i, mode) for i in range(len(args.procs)) for mode in modes]
+    requests = [
+        request_from_args(args, nprocs=args.procs[i], mode=mode,
+                          seed=args.seed + 101 + i if mode == "measured" else args.seed)
+        for i, mode in cells
+    ]
+    records = _run(args, requests, jobs=args.jobs, calib_procs=args.calib_procs)
+    elapsed = {cell: rec.elapsed for cell, rec in zip(cells, records)}
     series = ValidationSeries(args.app)
     for i, p in enumerate(args.procs):
         series.points.append(ValidationPoint(
             label=str(p), nprocs=p, measured=elapsed[i, "measured"],
             de=elapsed.get((i, "de")), am=elapsed[i, "am"],
         ))
-    return series
+    print(format_validation(series))
+    return 0
 
 
 def cmd_predict(args) -> int:
-    program, _ = _resolve(args, nprocs=max(args.procs))
-    wf = _workflow(args, program, calib_nprocs=args.calib_procs)
-    machine = get_machine(args.machine)
-    _, default_inputs = APPS[args.app]
-    method = getattr(args, "method", "am")
+    from .workflow.campaign import request_runner
+
+    requests = [request_from_args(args, nprocs=p, mode="am") for p in args.procs]
+    method = args.method
     rows = []
-    for p in args.procs:
-        inputs = default_inputs(p)
-        inputs.update(_parse_overrides(args.set))
-        if method == "am":
-            result = wf.run_am(inputs, p)
-            rows.append([p, result.elapsed, format_bytes(result.memory.total_bytes)])
-        elif method == "taskgraph":
-            from .analytic import taskgraph_predict
+    if method == "am":
+        records = _run(args, requests, calib_procs=args.calib_procs)
+        for p, rec in zip(args.procs, records):
+            rows.append([p, rec.elapsed, format_bytes(rec.detail.memory.total_bytes)])
+    else:
+        from .analytic import analytic_predict, taskgraph_predict
 
-            pred = taskgraph_predict(wf.compiled.simplified, inputs, p, machine, wf.wparams)
-            rows.append([p, pred.elapsed, f"{pred.nodes} tasks"])
-        else:  # per-rank sum
-            from .analytic import analytic_predict
-
-            pred = analytic_predict(wf.compiled.simplified, inputs, p, machine, wf.wparams)
-            rows.append([p, pred.elapsed, f"imbalance {pred.imbalance:.2f}"])
+        runner = request_runner(requests, args.machine, calib_procs=args.calib_procs)
+        for p, request in zip(args.procs, requests):
+            wf = runner._workflow_for(request)
+            inputs = runner._resolved_inputs(request)
+            if method == "taskgraph":
+                pred = taskgraph_predict(wf.compiled.simplified, inputs, p, wf.machine, wf.wparams)
+                rows.append([p, pred.elapsed, f"{pred.nodes} tasks"])
+            else:  # per-rank sum
+                pred = analytic_predict(wf.compiled.simplified, inputs, p, wf.machine, wf.wparams)
+                rows.append([p, pred.elapsed, f"imbalance {pred.imbalance:.2f}"])
     titles = {
         "am": "MPI-SIM-AM predictions",
         "taskgraph": "task-graph analytical predictions",
@@ -363,11 +335,12 @@ def cmd_predict(args) -> int:
 
 def cmd_calibrate(args) -> int:
     """Measure w_i at one configuration and write a parameter file."""
-    from .measure import measure_wparams, save_params
+    from .measure import save_params
+    from .workflow.campaign import request_runner
 
-    program, inputs = _resolve(args, nprocs=args.calib_procs)
-    machine = get_machine(args.machine)
-    cal = measure_wparams(program, inputs, args.calib_procs, machine, seed=args.seed)
+    request = request_from_args(args, nprocs=args.calib_procs, mode="am")
+    runner = request_runner([request], args.machine, calib_procs=args.calib_procs)
+    cal = runner._workflow_for(request).calibrate()
     save_params(cal, args.output)
     print(cal)
     print(f"parameters written to {args.output}")
@@ -375,10 +348,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_memory(args) -> int:
-    program, inputs = _resolve(args, nprocs=max(args.procs))
+    program, default_inputs = _app(args)
     machine = get_machine(args.machine)
     compiled = compile_program(program)
-    _, default_inputs = APPS[args.app]
     rows = []
     for p in args.procs:
         inputs = default_inputs(p)
@@ -428,7 +400,11 @@ def _parse_degrade(spec: str):
         raise SystemExit(f"bad --degrade spec {spec!r}: {exc}")
 
 
-def _parse_retry(spec: str):
+def _parse_retry(spec: str) -> str:
+    """``--retry`` as the canonical JSON of its :class:`RetryPolicy`."""
+    from dataclasses import asdict
+
+    from .api import canonical_json
     from .sim.faults import RetryPolicy
 
     parts = spec.split(":")
@@ -440,7 +416,7 @@ def _parse_retry(spec: str):
             kwargs["backoff_factor"] = float(parts[2])
         if len(parts) > 3:
             raise ValueError("too many fields")
-        return RetryPolicy(**kwargs)
+        return canonical_json(asdict(RetryPolicy(**kwargs)))
     except ValueError as exc:
         raise SystemExit(f"--retry expects MAX[:BACKOFF[:FACTOR]], got {spec!r} ({exc})")
 
@@ -479,62 +455,73 @@ def _build_plan(args):
 
 
 def cmd_faults(args) -> int:
-    """Run an application under a fault plan and report its resilience."""
-    from .sim import DeadlockError, ExecMode
-    from .workflow import fault_sweep, format_fault_sweep, format_resilience
+    """Run an application under a fault plan and report its resilience:
+    one campaign-runner request, or one per ``--sweep`` loss rate."""
+    from .sim import FLIGHT, ExecMode
+    from .workflow import (
+        FaultSweepPoint,
+        FaultSweepSeries,
+        format_fault_sweep,
+        format_resilience,
+        write_stats_csv,
+    )
 
-    request_from_args(args, nprocs=args.nprocs, mode=args.mode)  # validate early
-    program, _ = _resolve(args, nprocs=args.nprocs)
-    mode = {"am": ExecMode.AM, "de": ExecMode.DE, "measured": ExecMode.MEASURED}[args.mode]
-    calib_procs = args.calib_procs or min(args.nprocs, 16)
-    # AM calibrates lazily inside run_faulty; DE/MEASURED need no calibration
-    wf = _workflow(args, program, calib_nprocs=calib_procs, calibrate=False)
-    _, default_inputs = APPS[args.app]
-    inputs = default_inputs(args.nprocs)
-    inputs.update(_parse_overrides(args.set))
+    request_from_args(args)  # a bad app or flag: one line, before anything
     plan = _build_plan(args)
-    retry = _parse_retry(args.retry) if args.retry else None
+    context = {
+        "calib_procs": args.calib_procs,
+        "retry_policy": _parse_retry(args.retry) if args.retry else None,
+    }
     for crash in plan.crashes:
         if crash.rank >= args.nprocs:
             raise SystemExit(
                 f"invalid fault plan: crashes rank {crash.rank} "
                 f"but --nprocs is {args.nprocs}"
             )
+
+    def request(plan):  # a plan that injects nothing is no plan
+        return request_from_args(
+            args, fault_plan=None if plan.is_empty() else plan.to_dict())
+
     if args.sweep:
-        series = fault_sweep(
-            wf, inputs, args.nprocs, args.sweep, base_plan=plan, retry=retry,
-            mode=mode, timeout=args.timeout, name=args.app,
-        )
+        rates = sorted({0.0, *args.sweep})  # every sweep carries its baseline
+        try:
+            plans = [plan.with_loss(rate) for rate in rates]
+        except ValueError as exc:
+            raise SystemExit(f"invalid fault plan: {exc}")
+        records = _run(args, [request(p) for p in plans], report=("deadlock",), **context)
+        series = FaultSweepSeries(
+            name=args.app, mode=ExecMode[args.mode.upper()].value, nprocs=args.nprocs)
+        for rate, rec in zip(rates, records):
+            s = rec.stats or {}  # a deadlocked run has none
+            series.points.append(FaultSweepPoint(
+                loss_rate=rate, elapsed=rec.elapsed, retries=s.get("total_retries", 0),
+                timeouts=s.get("total_timeouts", 0),
+                messages_lost=s.get("total_messages_lost", 0),
+                send_failures=s.get("total_send_failures", 0),
+                deadlocked=rec.outcome == "deadlock",
+            ))
         print(format_fault_sweep(series))
         return 0
     if args.flight_dump:
-        from .sim import FLIGHT
-
         FLIGHT.enable()
     try:
-        result = wf.run_faulty(
-            inputs, args.nprocs, plan=plan, retry=retry, mode=mode, timeout=args.timeout
-        )
-    except DeadlockError as exc:
-        print(f"Resilience report: {args.app} deadlocked under the fault plan")
-        print(exc.report.format() if exc.report is not None else str(exc))
-        if args.flight_dump:
-            _write_flight_dump(args.flight_dump, exc.flight or FLIGHT.dump(error=str(exc)))
-        return 2
+        [rec] = _run(args, [request(plan)], report=("deadlock",), **context)
     finally:
         if args.flight_dump:
-            from .sim import FLIGHT
-
             FLIGHT.disable()
+    if rec.outcome == "deadlock":
+        message = rec.detail.format() if rec.detail is not None else rec.error
+        print(f"Resilience report: {args.app} deadlocked under the fault plan")
+        print(message)
+        if args.flight_dump:
+            _write_flight_dump(args.flight_dump, rec.flight or FLIGHT.dump(error=message))
+        return 2
     if args.flight_dump:
-        from .sim import FLIGHT
-
         _write_flight_dump(args.flight_dump, FLIGHT.dump())
-    print(format_resilience(result, title=f"Resilience report: {args.app} ({args.mode})"))
+    print(format_resilience(rec.stats, title=f"Resilience report: {args.app} ({args.mode})"))
     if args.csv:
-        from .workflow import write_stats_csv
-
-        write_stats_csv(result.stats, args.csv)
+        write_stats_csv(rec.detail.stats, args.csv)
         print(f"per-rank statistics written to {args.csv}")
     return 0
 
@@ -1048,12 +1035,9 @@ def cmd_profile(args) -> int:
         format_spans,
         write_perfetto,
     )
-    from .sim import ExecMode
+    from .workflow.campaign import request_runner
 
-    request_from_args(args, nprocs=args.nprocs, mode=args.mode)  # validate early
-    program, _ = _resolve(args, nprocs=args.nprocs)
-    mode = {"am": ExecMode.AM, "de": ExecMode.DE, "measured": ExecMode.MEASURED}[args.mode]
-    calib_procs = args.calib_procs or min(args.nprocs, 16)
+    request = request_from_args(args, nprocs=args.nprocs, mode=args.mode)
     if args.out:
         # --out DIR: collect every artifact under one directory, using
         # default names for whatever was not explicitly pointed elsewhere
@@ -1065,16 +1049,22 @@ def cmd_profile(args) -> int:
         args.metrics = args.metrics or str(out_dir / "metrics.jsonl")
         args.trace = args.trace or str(out_dir / "trace.jsonl.gz")
         args.stats = args.stats or str(out_dir / "stats.csv")
-    wf = _workflow(args, program, calib_nprocs=calib_procs, calibrate=False)
-    _, default_inputs = APPS[args.app]
-    runner = {
-        ExecMode.AM: wf.run_am, ExecMode.DE: wf.run_de, ExecMode.MEASURED: wf.run_measured,
-    }[mode]
+    # The traced runs stay direct calls (a request carries no trace), on
+    # the workflow the runner gives a run of this request.
+    runner = request_runner([request], args.machine, calib_procs=args.calib_procs,
+                            backend=args.backend)
+    wf = runner._workflow_for(request)
+    estimator = {
+        "am": wf.run_am, "de": wf.run_de,
+        "measured": lambda inputs, nprocs, **kw: wf.run_measured(
+            inputs, nprocs, seed=request.seed, **kw),
+    }[args.mode]
+
+    def inputs_at(nprocs: int) -> dict:
+        return runner._resolved_inputs(replace(request, nprocs=nprocs))
 
     def run_at(nprocs: int):
-        inputs = default_inputs(nprocs)
-        inputs.update(_parse_overrides(args.set))
-        return runner(inputs, nprocs, collect_trace=True)
+        return estimator(inputs_at(nprocs), nprocs, collect_trace=True)
 
     TRACER.enable()
     METRICS.enable()
@@ -1099,10 +1089,9 @@ def cmd_profile(args) -> int:
         from .kernel import cache_stats, clear_cache
 
         clear_cache()
-        inputs = default_inputs(args.nprocs)
-        inputs.update(_parse_overrides(args.set))
+        inputs = inputs_at(args.nprocs)
         t0 = _time.perf_counter()
-        fast = runner(inputs, args.nprocs)
+        fast = estimator(inputs, args.nprocs)
         fast_wall = _time.perf_counter() - t0
         ks = cache_stats()
         active = "compiled"

@@ -29,7 +29,6 @@ from .validation import (
     FaultSweepSeries,
     ValidationPoint,
     ValidationSeries,
-    fault_sweep,
     validate,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "validate",
     "ValidationPoint",
     "ValidationSeries",
-    "fault_sweep",
     "FaultSweepPoint",
     "FaultSweepSeries",
     "format_table",

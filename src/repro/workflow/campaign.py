@@ -42,6 +42,13 @@ crash-safe:
   track per worker process and per run.  Failed runs additionally attach
   the flight-recorder dump (last-N kernel events, wait chains, budget
   state) to their journal record for ``repro inspect``.
+* Every command that simulates runs through this runner:
+  :func:`run_requests` executes a list of requests under one context
+  (no journal) and returns their final records in request order.
+  ``validate``, ``predict``, ``faults`` and inline ``query``
+  (:func:`execute_request`) call it; ``calibrate``, ``profile`` and the
+  analytic predictors take their calibrated workflow from the same
+  resolution (:func:`request_runner`, ``_workflow_for``).
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..api import ApiError, CampaignRequest, RunRequest, canonical_json
@@ -79,6 +86,8 @@ __all__ = [
     "load_grid",
     "expand_grid",
     "execute_request",
+    "request_runner",
+    "run_requests",
     "format_campaign_report",
     "JOURNAL_NAME",
     "RESULTS_NAME",
@@ -159,7 +168,7 @@ class CampaignConfig:
     # are keyed by run_id so non-terminal outcomes simply re-run) -----------
     heartbeat_timeout: float | None = 30.0  # stale-cursor deadline; None = off
     poison_threshold: int = 2  # worker deaths/hangs before quarantine
-    # -- serving policy (set by repro.serve / execute_request, never by
+    # -- serving policy (set by repro.serve and request_runner, never by
     # the grid CLI): calib_from_spec makes every run calibrate from its
     # *own* spec (single-cell semantics) instead of the first grid cell
     # of its (app, seed) group, so a run's result is a pure function of
@@ -377,6 +386,11 @@ class RunRecord:
     flight: dict | None = None  # flight-recorder dump, on failed runs
     cursor: dict | None = None  # last heartbeat cursor (hung/poison)
     capsule: dict | None = None  # transient: journaled to telemetry.jsonl, not here
+    #: transient, for an in-process caller only: the SimResult of an ok
+    #: run or the DeadlockReport of a deadlocked one (per-rank stats,
+    #: memory, the wait chains).  Never journaled, stored or sent back
+    #: by a supervised worker, and dropped from a campaign's records.
+    detail: object = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         doc = {
@@ -697,6 +711,7 @@ class CampaignRunner:
     def _commit(self, journal: AtomicJournal, records: dict[str, RunRecord],
                 spec: RunSpec, rec: RunRecord) -> None:
         """Journal one finished run: record, capsule, progress callback."""
+        rec.detail = None  # a campaign keeps records, not simulations
         journal.append(rec.to_json())
         records[spec.run_id] = rec
         if rec.capsule is not None:
@@ -777,12 +792,13 @@ class CampaignRunner:
                 "campaign.run", app=spec.app, mode=spec.mode, nprocs=spec.nprocs,
                 run_id=spec.run_id, attempt=attempts,
             ) as span:
+                detail = None
                 try:
                     result = self._simulate(spec)
                 except DeadlockError as exc:
                     outcome, error, stats, elapsed, bkind = (
                         "deadlock", _first_line(exc), None, None, None)
-                    fdump = exc.flight
+                    fdump, detail = exc.flight, exc.report
                 except BudgetExceededError as exc:
                     outcome = "timeout" if exc.kind == "wall_time" else "budget"
                     error = _first_line(exc)
@@ -797,7 +813,7 @@ class CampaignRunner:
                         None, None, None)
                     fdump = FLIGHT.dump(error=error) if FLIGHT.enabled else None
                 else:
-                    outcome, error, bkind, fdump = "ok", None, None, None
+                    outcome, error, bkind, fdump, detail = "ok", None, None, None, result
                     stats = result.stats.to_dict()
                     elapsed = result.elapsed
                     span.set_virtual(0.0, elapsed)
@@ -821,7 +837,7 @@ class CampaignRunner:
             return RunRecord(
                 run_id=spec.run_id, index=index, outcome=outcome,
                 attempts=attempts, elapsed=elapsed, stats=stats, error=error,
-                budget_kind=bkind, flight=fdump,
+                budget_kind=bkind, flight=fdump, detail=detail,
             )
 
     def _simulate(self, spec: RunSpec):
@@ -861,9 +877,9 @@ class CampaignRunner:
     def run_one(self, spec: RunSpec, index: int = 0) -> RunRecord:
         """Execute one request inline and return its record.
 
-        The public single-run entry point used by :meth:`run_cells`, the
-        supervised workers and :func:`execute_request`; applies the same
-        budgets, retries and outcome classification as a full campaign.
+        The public single-run entry point used by :meth:`run_cells` and
+        the supervised workers; applies the same budgets, retries and
+        outcome classification as a full campaign.
         """
         return self._execute_one(spec, index)
 
@@ -1008,8 +1024,8 @@ def _first_line(exc: BaseException) -> str:
     return str(exc).splitlines()[0] if str(exc) else type(exc).__name__
 
 
-def execute_request(
-    request: RunRequest,
+def request_runner(
+    requests: list[RunRequest],
     machine: str = "IBM-SP",
     *,
     calib_procs: int | None = None,
@@ -1021,21 +1037,19 @@ def execute_request(
     resolver=None,
     warm_dir: str | None = None,
     backend: str | None = None,
-) -> RunRecord:
-    """Execute one :class:`repro.api.RunRequest` inline, no journal.
+) -> CampaignRunner:
+    """A journal-less runner for *requests* under one execution context.
 
-    Single-cell campaign semantics: the run calibrates from its own
-    spec (``calib_from_spec``), runs under the given budgets with
-    bounded retry, and comes back as a classified :class:`RunRecord`.
-    This is the local-execution path behind ``repro query`` and the
-    serving layer's cache misses — results are pure functions of
-    (request, machine, calib_procs, budgets), which is what makes them
-    safe to memoize in the content-addressed store.
+    Single-cell semantics: each run calibrates from its own request
+    (``calib_from_spec``), so its result is a pure function of
+    (request, machine, calib_procs, budgets, retry policy), whichever
+    requests share the batch.  Its ``_workflow_for(request)`` is the
+    calibrated workflow a run of that request uses.
     """
     config = CampaignConfig(
         name="adhoc",
         machine=machine,
-        specs=[request],
+        specs=list(requests),
         calib_procs=calib_procs,
         max_events=max_events,
         max_virtual_time=max_virtual_time,
@@ -1046,8 +1060,40 @@ def execute_request(
         warm_dir=warm_dir,
         backend=backend,
     )
-    runner = CampaignRunner(config, out_dir=os.devnull, resolver=resolver)
-    return runner.run_one(request, 0)
+    return CampaignRunner(config, out_dir=os.devnull, resolver=resolver)
+
+
+def run_requests(requests: list[RunRequest], machine: str = "IBM-SP", *,
+                 jobs: int = 1, **context) -> list[RunRecord]:
+    """Run *requests* under one context; their final records, in order.
+
+    The one request path of every command that simulates: the runs go
+    through :meth:`CampaignRunner.run_cells` (inline at *jobs* 1, on the
+    supervised pool above it; 0 means all cores) with the budgets,
+    bounded retry and outcome classification of a campaign, and no
+    journal.  *context* takes the keyword arguments of
+    :func:`request_runner`.  Records of inline runs carry their
+    transient ``detail``.
+    """
+    from .supervisor import resolve_jobs
+
+    runner = request_runner(requests, machine, **context)
+    final: dict[int, RunRecord] = {}  # the last record of a cell is its outcome
+    runner.run_cells(list(enumerate(runner.config.specs)), resolve_jobs(jobs),
+                     lambda spec, rec: final.__setitem__(rec.index, rec))
+    return [final[i] for i in range(len(runner.config.specs))]
+
+
+def execute_request(request: RunRequest, machine: str = "IBM-SP",
+                    **context) -> RunRecord:
+    """Execute one :class:`repro.api.RunRequest` inline, no journal.
+
+    :func:`run_requests` of one request: the local-execution path behind
+    ``repro query``.  Its result is a pure function of (request,
+    context), which is what makes it safe to memoize in the
+    content-addressed store.
+    """
+    return run_requests([request], machine, **context)[0]
 
 
 #: builder -> the program it built: each app is built once per process

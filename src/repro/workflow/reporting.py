@@ -6,7 +6,6 @@ import csv
 import dataclasses
 from pathlib import Path
 
-from ..sim.engine import SimResult
 from ..sim.stats import ProcessStats, SimStats
 from ..util.atomic_io import atomic_write
 from .validation import FaultSweepSeries, ValidationSeries
@@ -77,18 +76,20 @@ def write_validation_csv(series: ValidationSeries, path: str | Path) -> None:
             )
 
 
-def format_resilience(result: SimResult, title: str = "") -> str:
-    """Human-readable resilience report of one fault-injected run."""
-    s = result.stats
-    lines = [title or f"Resilience report ({result.mode.value})"]
-    lines.append(f"  elapsed           : {s.elapsed:.6f}s")
-    lines.append(f"  messages          : {s.total_messages} sent / {s.total_bytes} bytes")
-    lines.append(f"  retries           : {s.total_retries}")
-    lines.append(f"  timeouts          : {s.total_timeouts}")
-    lines.append(f"  messages lost     : {s.total_messages_lost}")
-    lines.append(f"  duplicates        : {s.total_duplicates}")
-    lines.append(f"  failed sends      : {s.total_send_failures}")
-    crashed = s.crashed_ranks
+def format_resilience(stats: dict, title: str = "Resilience report") -> str:
+    """Human-readable resilience report of one fault-injected run, from
+    its :meth:`~repro.sim.stats.SimStats.to_dict` form (a run record's
+    ``stats``)."""
+    s = stats
+    lines = [title]
+    lines.append(f"  elapsed           : {s['elapsed']:.6f}s")
+    lines.append(f"  messages          : {s['total_messages']} sent / {s['total_bytes']} bytes")
+    lines.append(f"  retries           : {s['total_retries']}")
+    lines.append(f"  timeouts          : {s['total_timeouts']}")
+    lines.append(f"  messages lost     : {s['total_messages_lost']}")
+    lines.append(f"  duplicates        : {s['total_duplicates']}")
+    lines.append(f"  failed sends      : {s['total_send_failures']}")
+    crashed = s["crashed_ranks"]
     lines.append(
         f"  crashed ranks     : {', '.join(str(r) for r in crashed) if crashed else 'none'}"
     )

@@ -124,15 +124,21 @@ def _quiet_worker() -> None:
     METRICS.disable()
 
 
-def _worker_main(conn, config: CampaignConfig, resolver, sleep, telemetry) -> None:
+def _worker_main(conn, config: CampaignConfig, resolver, sleep, telemetry,
+                 parent_ends=()) -> None:
     """One supervised worker: receive cells, stream heartbeats, ship records.
 
     SIGINT is masked (the parent owns interruption) and observability
     is quiet.  The runner — and with it the expensive calibration/compile
-    state — is built once and reused across cells.
+    state — is built once and reused across cells.  A forked worker
+    first closes its copies of the parent's pipe ends (*parent_ends*):
+    once the parent's own copies go, with the parent, its pipe reads EOF
+    and its sends fail, and the worker exits.
     """
     from .campaign import CampaignRunner
 
+    for end in parent_ends:
+        end.close()
     _quiet_worker()
     runner = CampaignRunner(config, out_dir=os.devnull, resolver=resolver,
                             sleep=sleep, telemetry=telemetry)
@@ -143,6 +149,7 @@ def _worker_main(conn, config: CampaignConfig, resolver, sleep, telemetry) -> No
                 break
             _, index, spec = msg
             rec = _execute_cell(runner, conn, spec, index, config)
+            rec.detail = None  # the parent gets the record, not the simulation
             conn.send(("done", index, rec))
     except (EOFError, BrokenPipeError, OSError, KeyboardInterrupt):
         pass  # the parent died or killed us; nothing to clean up
@@ -164,7 +171,10 @@ def _execute_cell(runner, conn, spec: RunSpec, index: int,
         run_id = spec.run_id
 
         def sink(cursor, _conn=conn, _rid=run_id):
-            _conn.send(("hb", _rid, cursor))
+            try:
+                _conn.send(("hb", _rid, cursor))
+            except OSError:  # the parent is gone: nobody reads this cell
+                os._exit(1)
 
         HEARTBEAT.configure(
             sink, interval_events=HB_INTERVAL_EVENTS,
@@ -350,9 +360,12 @@ def run_supervised(config: CampaignConfig, pending, jobs: int, on_record,
         nonlocal pool_strikes, degraded
         try:
             parent_conn, child_conn = ctx.Pipe()
+            # a forked child inherits the parent's end of its own pipe and
+            # of every earlier worker's; it closes them on start
+            parent_ends = [parent_conn] + [w.conn for w in workers]
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, config, resolver, sleep, telemetry),
+                args=(child_conn, config, resolver, sleep, telemetry, parent_ends),
                 daemon=True,
             )
             proc.start()

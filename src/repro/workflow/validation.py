@@ -4,17 +4,16 @@ Produces the data behind the paper's validation figures (Figs. 3–9):
 for each configuration, the three estimators' predicted execution times
 and the percentage errors of the simulators against direct measurement.
 
-Also home of the fault-sweep runner: elapsed-time / resilience-counter
+Also home of the fault-sweep series: elapsed-time / resilience-counter
 curves versus message-loss rate for one application under a
-:class:`repro.sim.FaultPlan`.
+:class:`repro.sim.FaultPlan`, which ``repro faults --sweep`` fills with
+one campaign-runner request per rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..sim.engine import DeadlockError, ExecMode
-from ..sim.faults import FaultPlan, RetryPolicy
 from .pipeline import ModelingWorkflow
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "validate",
     "FaultSweepPoint",
     "FaultSweepSeries",
-    "fault_sweep",
 ]
 
 
@@ -157,57 +155,3 @@ class FaultSweepSeries:
             if p.elapsed is not None:
                 return p.elapsed
         return None
-
-
-def fault_sweep(
-    workflow: ModelingWorkflow,
-    inputs: dict[str, float],
-    nprocs: int,
-    loss_rates: list[float],
-    base_plan: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
-    mode: ExecMode = ExecMode.DE,
-    timeout: float | None = None,
-    name: str = "",
-) -> FaultSweepSeries:
-    """Run *workflow* under increasing message-loss rates.
-
-    Each point runs the chosen estimator with ``base_plan`` (default: an
-    otherwise-empty plan) at that loss rate; a run stalled by the
-    injected faults is recorded as ``deadlocked`` rather than aborting
-    the sweep.  A loss rate of ``0.0`` is prepended when absent so every
-    sweep carries its fault-free baseline.
-    """
-    plan = base_plan if base_plan is not None else FaultPlan()
-    rates = sorted(set(loss_rates))
-    if not rates or rates[0] != 0.0:
-        rates.insert(0, 0.0)
-    series = FaultSweepSeries(
-        name=name or workflow.program.name, mode=mode.value, nprocs=nprocs
-    )
-    for rate in rates:
-        try:
-            res = workflow.run_faulty(
-                inputs, nprocs, plan=plan.with_loss(rate), retry=retry,
-                mode=mode, timeout=timeout,
-            )
-        except DeadlockError:
-            series.points.append(
-                FaultSweepPoint(
-                    loss_rate=rate, elapsed=None, retries=0, timeouts=0,
-                    messages_lost=0, send_failures=0, deadlocked=True,
-                )
-            )
-            continue
-        s = res.stats
-        series.points.append(
-            FaultSweepPoint(
-                loss_rate=rate,
-                elapsed=res.elapsed,
-                retries=s.total_retries,
-                timeouts=s.total_timeouts,
-                messages_lost=s.total_messages_lost,
-                send_failures=s.total_send_failures,
-            )
-        )
-    return series

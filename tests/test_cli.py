@@ -119,6 +119,23 @@ class TestArgumentHardening:
         with pytest.raises(SystemExit, match="unknown app"):
             main(["faults", "linpack"])
 
+    @pytest.mark.parametrize("command", [
+        "query", "faults", "validate", "predict", "calibrate", "profile",
+        "memory", "compile", "stg",
+    ])
+    def test_unknown_app_rejected_before_anything_runs(self, command, monkeypatch):
+        """One resolver: every command, inline ``query`` included, turns
+        an unknown app into the same line before any run starts."""
+        from repro.workflow.campaign import CampaignRunner
+
+        def run_one(*args, **kwargs):  # pragma: no cover - the failure path
+            raise AssertionError("an unknown app reached the campaign runner")
+
+        monkeypatch.setattr(CampaignRunner, "run_one", run_one)
+        with pytest.raises(SystemExit,
+                           match=r"^unknown app 'linpack'; run 'python -m repro apps'$"):
+            main([command, "linpack"])
+
     def test_seed_reproduces_measured_output(self, capsys):
         argv = ["faults", "sample_nearest_neighbor", "--nprocs", "4",
                 "--mode", "measured", "--seed", "42"]

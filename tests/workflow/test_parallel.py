@@ -3,23 +3,31 @@
 The contract under test (docs/robustness.md): ``--jobs N`` may change
 *when* runs execute and in what order records reach the journal, but
 never *what* is computed — ``results.csv`` is byte-identical to a
-sequential run, resumes interoperate freely between jobs settings, and
-``repro validate --jobs N`` prints the sequential table.  Worker deaths
-and hangs are covered by ``test_supervisor.py``.
+sequential run, resumes interoperate freely between jobs settings,
+``repro validate --jobs N`` prints the sequential table, and requests
+over generated programs, with and without fault plans, come back with
+the same records at one and two jobs.  Worker deaths and hangs are
+covered by ``test_supervisor.py``.
 """
 
+import functools
 import json
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.workflow.supervisor as supervisor
+from repro.api import RunRequest, canonical_json
 from repro.cli import main
+from repro.gen import GrammarConfig, generate_program
 from repro.workflow.campaign import (
     CampaignError,
     CampaignInterrupted,
     CampaignRunner,
     expand_grid,
+    run_requests,
 )
 from repro.workflow.supervisor import resolve_jobs
 
@@ -170,3 +178,53 @@ class TestParallelValidation:
         rows = [line.split() for line in par.splitlines()[3:6]]
         assert [row[0] for row in rows] == ["2", "3", "4"]
         assert all(row[2] == "-" for row in rows)  # no DE column values
+
+
+GRAMMAR = GrammarConfig(max_stmts=12)
+
+
+@functools.lru_cache(maxsize=None)
+def gen_resolver(app: str):
+    """Resolve ``gen-<seed>`` to the :mod:`repro.gen` program of that seed."""
+    gen = generate_program(int(app.removeprefix("gen-")), GRAMMAR)
+    return gen.program, lambda nprocs: dict(gen.inputs)
+
+
+# a fault plan as a request carries it: loss, duplication, maybe a crash
+fault_plans = st.none() | st.builds(
+    lambda seed, loss, dup, crash: canonical_json({
+        "seed": seed, "message_loss": loss, "duplication": dup,
+        "crashes": [{"rank": 1, "time": crash}] if crash is not None else [],
+    }),
+    st.integers(0, 5), st.sampled_from((0.0, 0.05, 0.3)),
+    st.sampled_from((0.0, 0.1)), st.none() | st.sampled_from((0.0, 1e-4)),
+)
+
+
+class TestJobsOverGeneratedPrograms:
+    """``run_cells`` at one and at two jobs returns the same records."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=3, unique=True),
+        modes=st.lists(st.sampled_from(("de", "am", "measured")), min_size=3, max_size=3),
+        nprocs=st.integers(2, 5),
+        plan=fault_plans,
+        retry=st.sampled_from((None, '{"backoff":0.0001,"max_attempts":4}')),
+    )
+    def test_records_identical_at_one_and_two_jobs(self, seeds, modes, nprocs,
+                                                   plan, retry):
+        requests = [
+            RunRequest(app=f"gen-{seed}", mode=mode, nprocs=nprocs, seed=seed % 7,
+                       fault_plan=plan)
+            for seed, mode in zip(seeds, modes)
+        ]
+
+        def records(jobs):
+            return [
+                (r.outcome, r.elapsed, r.stats, r.error, r.attempts, r.budget_kind)
+                for r in run_requests(requests, "testing", jobs=jobs, calib_procs=2,
+                                      retry_policy=retry, resolver=gen_resolver)
+            ]
+
+        assert records(1) == records(2)

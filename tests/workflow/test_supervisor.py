@@ -13,7 +13,10 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -220,3 +223,72 @@ class TestMinimizePoison:
         info = minimize_poison(self.spec(), "testing", bad_resolver)
         assert info["minimized"] is False
         assert "resolver failed" in info["note"]
+
+
+def _children(pid: int) -> list[int]:
+    """The pids whose parent is *pid*, from ``/proc/<pid>/stat``."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    """Is *pid* running?  A zombie nobody reaps counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestParentDeath:
+    """A SIGKILLed campaign parent takes its workers with it.
+
+    Each forked worker closes its copies of the parent's pipe ends, so
+    the parent's death is EOF on an idle worker's pipe and a failed
+    heartbeat send on a busy one; either way the worker exits.
+    """
+
+    def test_workers_exit_when_the_parent_is_sigkilled(self, tmp_path):
+        grid = tiny_grid(nprocs=[4, 6, 8, 12],
+                         inputs={"grain": 1000, "msg": 2048, "iters": 4000})
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "--grid", str(grid_path),
+             "--out", str(tmp_path / "out"), "--jobs", "2", "--no-telemetry"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None, "campaign ended before its workers ran"
+                workers = _children(proc.pid)
+                time.sleep(0.05)
+            assert len(workers) == 2, f"expected 2 workers, saw {workers}"
+            time.sleep(0.5)  # both pick up cells and run them
+            assert proc.poll() is None, "campaign ended before the kill"
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            left = [pid for pid in workers if _alive(pid)]
+            assert not left, f"workers {left} outlived their SIGKILLed parent by 10 s"
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

@@ -3,9 +3,10 @@
 
 The supervised execution runtime (docs/robustness.md) promises that a
 worker process dying — for any reason, at any moment — costs a campaign
-nothing but a journaled strike record and a retry, and that a campaign
-interrupted inside its runs resumes to the same results.  This script
-makes both promises load-bearing in CI:
+nothing but a journaled strike record and a retry, that a campaign
+interrupted inside its runs resumes to the same results, and that the
+workers of a killed campaign die with it.  This script makes all three
+promises load-bearing in CI:
 
 1. run a reference campaign sequentially (``--jobs 1``, no chaos);
 2. run the same grid with ``--jobs 2`` under the supervised pool and
@@ -19,7 +20,12 @@ makes both promises load-bearing in CI:
    SIGTERM the parent once its workers are busy: it must exit 130 with
    an ``interrupted`` journal record, the runs in flight have no record,
    and ``--resume`` must exit 0 with ``results.csv`` byte-identical to
-   the reference.
+   the reference;
+5. run it once more with ``--jobs 2`` and SIGKILL the parent once its
+   workers are busy: every worker must exit within 10 s, the journal
+   has no ``interrupted`` record (a killed parent writes none), and
+   ``--resume`` must exit 0 with ``results.csv`` byte-identical to the
+   reference.
 
 Exit code 0 on success; 1 with a one-line diagnosis on any violation.
 Linux-only (worker discovery walks ``/proc/<pid>/task/*/children``).
@@ -79,6 +85,15 @@ def wait_for_workers(proc: subprocess.Popen, deadline: float) -> list[int]:
             return kids
         time.sleep(0.02)
     return []
+
+
+def alive(pid: int) -> bool:
+    """Is *pid* running?  A zombie nobody reaps counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def wait(proc: subprocess.Popen, what: str) -> int:
@@ -200,8 +215,41 @@ def main() -> None:
     if (interrupted / "results.csv").read_bytes() != ref_csv:
         fail("results.csv differs from the sequential reference "
              "after a SIGTERM and --resume")
-    print("chaos-smoke: OK — worker kill and parent SIGTERM both recover to "
-          "results.csv byte-identical to the sequential reference")
+    print("chaos-smoke: SIGTERM OK — --resume reproduces the reference")
+
+    print(f"chaos-smoke: killed campaign (--jobs {args.jobs}) "
+          f"with a SIGKILLed parent")
+    killed = out / "killed"
+    proc = subprocess.Popen(campaign_cmd(grid_path, killed, args.jobs), env=env)
+    if not wait_for_workers(proc, time.monotonic() + 120):
+        fail("the campaign finished before it had busy workers to kill")
+    workers = children_of(proc.pid)
+    proc.kill()
+    wait(proc, "SIGKILLed campaign")
+    deadline = time.monotonic() + 10
+    while any(map(alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = [pid for pid in workers if alive(pid)]
+    for pid in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    if left:
+        fail(f"workers {left} outlived their SIGKILLed parent by 10 s")
+    marks = [d for d in journal_docs(killed) if d.get("type") == "interrupted"]
+    if marks:
+        fail(f"a SIGKILLed parent journaled an interrupted record: {marks}")
+    print(f"chaos-smoke: SIGKILL took {len(workers)} worker(s) with the parent")
+    resumed = subprocess.run(
+        campaign_cmd(grid_path, killed, args.jobs) + ["--resume"], env=env)
+    if resumed.returncode != 0:
+        fail(f"--resume after SIGKILL exited {resumed.returncode}")
+    if (killed / "results.csv").read_bytes() != ref_csv:
+        fail("results.csv differs from the sequential reference "
+             "after a parent SIGKILL and --resume")
+    print("chaos-smoke: OK — worker kill, parent SIGTERM and parent SIGKILL all "
+          "recover to results.csv byte-identical to the sequential reference")
 
 
 if __name__ == "__main__":
