@@ -412,10 +412,18 @@ class CampaignRequest:
         retry policy share a context — and therefore share store
         entries for any overlapping cells.
         """
-        return content_hash(self._context())
+        cached = self.__dict__.get("_context_hash")
+        if cached is None:
+            cached = content_hash(self._context())
+            object.__setattr__(self, "_context_hash", cached)
+        return cached
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> CampaignRequest:
+        return self._validate(runs_checked=False)
+
+    def _validate(self, runs_checked: bool) -> CampaignRequest:
+        # *runs_checked*: the runs were parsed, which validated them
         if not isinstance(self.name, str) or not self.name:
             raise _bad(f"campaign name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.machine, str) or not self.machine:
@@ -424,7 +432,8 @@ class CampaignRequest:
             raise _bad("campaign has no runs")
         seen: set[str] = set()
         for run in self.runs:
-            run.validate()
+            if not runs_checked:
+                run.validate()
             rid = run.content_hash()
             if rid in seen:
                 raise _bad(f"duplicate run {rid} ({run.describe()}) in campaign")
@@ -469,11 +478,19 @@ class CampaignRequest:
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> CampaignRequest:
+    def from_json(cls, doc: dict,
+                  runs: tuple[RunRequest, ...] | None = None) -> CampaignRequest:
+        """Parse and validate a request document; raise :class:`ApiError`.
+
+        *runs*, when given, are runs the caller has already parsed (and
+        so validated): they stand in for the document's ``runs`` list.
+        """
         _check_version(doc, "campaign_request")
-        runs = doc.get("runs")
-        if not isinstance(runs, list) or not runs:
-            raise _bad("campaign_request needs a non-empty 'runs' list")
+        if runs is None:
+            docs = doc.get("runs")
+            if not isinstance(docs, list) or not docs:
+                raise _bad("campaign_request needs a non-empty 'runs' list")
+            runs = tuple(RunRequest.from_json(r) for r in docs)
         retry = doc.get("retry_policy")
         if retry is not None:
             if not isinstance(retry, dict):
@@ -488,7 +505,7 @@ class CampaignRequest:
         req = cls(
             name=str(doc.get("name", "campaign")),
             machine=str(doc.get("machine", "IBM-SP")),
-            runs=tuple(RunRequest.from_json(r) for r in runs),
+            runs=runs,
             calib_procs=doc.get("calib_procs"),
             max_events=doc.get("max_events"),
             max_virtual_time=doc.get("max_virtual_time"),
@@ -497,7 +514,7 @@ class CampaignRequest:
             backoff=float(doc.get("backoff", 0.1)),
             retry_policy=retry,
         )
-        return req.validate()
+        return req._validate(runs_checked=True)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: an asyncio HTTP/JSON front end on the store.
+"""Simulation-as-a-service: a threaded HTTP/JSON front end on the store.
 
 The paper's workflow is interactive at heart — Sec. 5 sweeps
 configurations and asks *what-if* questions against the compiled
@@ -10,10 +10,11 @@ single what-if queries, deduplicating every run against the
 content-addressed :class:`repro.store.ResultStore` so each distinct
 question is simulated exactly once, ever.
 
-Stdlib only, by design: the server is ``asyncio.start_server`` plus a
-hand-rolled HTTP/1.1 request parser (``Content-Length`` bodies,
-``Connection: close``), the client is ``http.client``.  No new
-dependencies.
+Stdlib only, by design: the server is ``max_inflight + 1`` threads
+that each block in ``accept()`` on one listening socket and serve the
+connection they get from start to finish, with a hand-rolled HTTP/1.1
+request parser (``Content-Length`` bodies, ``Connection: close``); the
+client is ``http.client``.  No new dependencies.
 
 Endpoints (all JSON, documents from :mod:`repro.api`):
 
@@ -55,12 +56,13 @@ but never stored — re-asking re-runs them.
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import http.client
 import json
 import os
 import shutil  # noqa: F401 - benchmarks/e2e/tracing.py looks up repro.serve.shutil.rmtree
 import signal
+import socket
 import threading
 import time
 import urllib.parse
@@ -76,7 +78,12 @@ from .api import (
 )
 from .obs.logging import get_logger
 from .store import ResultStore
-from .workflow.campaign import CampaignConfig, CampaignRunner, expand_grid
+from .workflow.campaign import (
+    CampaignConfig,
+    CampaignRunner,
+    expand_grid,
+    warn_unless_ok,
+)
 from .workflow.supervisor import resolve_jobs
 
 __all__ = [
@@ -95,6 +102,11 @@ CACHEABLE_OUTCOMES = ("ok", "deadlock", "budget")
 
 _MAX_BODY = 8 * 1024 * 1024  # 8 MiB request-body cap
 _MAX_HEADER = 64 * 1024
+
+#: seconds an accepted connection has to deliver its whole request, and
+#: then to take its reply, so an idle client cannot hold a thread; tests
+#: shrink it
+READ_DEADLINE_S = 30.0
 
 
 # -- admission control ---------------------------------------------------------
@@ -214,7 +226,7 @@ class SimulationService:
         self.executed_runs = 0
         self.executed_events = 0
 
-    # -- request handling (called from worker threads) -----------------------
+    # -- request handling (called on the accept threads) ---------------------
     def handle_run(self, doc: dict) -> dict:
         """Serve one what-if query; returns the response document."""
         if not isinstance(doc, dict):
@@ -232,16 +244,15 @@ class SimulationService:
             "name": "adhoc",
             "machine": context.get("machine", self.default_machine),
             "calib_procs": context.get("calib_procs", self.default_calib_procs),
-            "runs": [run.to_json()],
             **{k: v for k, v in context.items()
                if k not in ("machine", "calib_procs")},
-        })
-        result = self.serve_campaign(request)
+        }, runs=(run,))
+        results, hits, executed_events = self._serve_runs(request)
         return {
-            "result": result.results[0].to_json(),
-            "cached": result.hits == 1,
+            "result": results[0].to_json(),
+            "cached": hits == 1,
             "context": request.context_hash(),
-            "executed_events": result.executed_events,
+            "executed_events": executed_events,
         }
 
     def handle_campaign(self, doc: dict) -> dict:
@@ -265,6 +276,19 @@ class SimulationService:
 
     # -- the dedupe-then-execute core ----------------------------------------
     def serve_campaign(self, request: CampaignRequest) -> CampaignResult:
+        results, hits, executed_events = self._serve_runs(request)
+        return CampaignResult(
+            name=request.name,
+            config_hash=request.content_hash(),
+            hits=hits,
+            misses=len(results) - hits,
+            executed_events=executed_events,
+            results=results,
+        )
+
+    def _serve_runs(self, request: CampaignRequest
+                    ) -> tuple[tuple[RunResult, ...], int, int]:
+        """(results in request order, hits, events executed for the misses)."""
         ctx = request.context_hash()
         results: dict[str, RunResult] = {}
         missing: list[RunRequest] = []
@@ -278,15 +302,7 @@ class SimulationService:
         executed_events = 0
         if missing:
             executed_events = self._execute_batch(request, ctx, missing, results)
-        ordered = tuple(results[r.run_id] for r in request.runs)
-        return CampaignResult(
-            name=request.name,
-            config_hash=request.content_hash(),
-            hits=hits,
-            misses=len(missing),
-            executed_events=executed_events,
-            results=ordered,
-        )
+        return tuple(results[r.run_id] for r in request.runs), hits, executed_events
 
     def _execute_batch(self, request: CampaignRequest, ctx: str,
                        missing: list[RunRequest],
@@ -303,6 +319,7 @@ class SimulationService:
 
         def on_record(spec, rec):
             nonlocal executed_events
+            warn_unless_ok(spec, rec)
             res = RunResult.from_record(rec)
             results[spec.run_id] = res
             executed_events += res.events
@@ -313,8 +330,8 @@ class SimulationService:
             runner = CampaignRunner(batch, out_dir=os.devnull, resolver=self.resolver)
             runner.run_cells(list(enumerate(batch.specs)), resolve_jobs(self.jobs),
                              on_record)
-        self.executed_runs += len(missing)
-        self.executed_events += executed_events
+            self.executed_runs += len(missing)
+            self.executed_events += executed_events
         _log.info(
             "batch %s: %d runs executed (%d events) under context %s",
             request.name, len(missing), executed_events, ctx,
@@ -354,9 +371,31 @@ def _response(status: int, doc: dict, extra_headers: dict | None = None) -> byte
     return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
 
 
-async def _read_request(reader: asyncio.StreamReader):
-    """Parse one HTTP/1.1 request: (method, path, headers, body)."""
-    head = await reader.readuntil(b"\r\n\r\n")
+def _recv(conn: socket.socket, deadline: float) -> bytes:
+    """One ``recv`` that must return before *deadline*; data or ``OSError``."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError("no request before the read deadline")
+    conn.settimeout(remaining)
+    chunk = conn.recv(65536)
+    if not chunk:
+        raise ConnectionError("client closed the connection mid-request")
+    return chunk
+
+
+def _read_request(conn: socket.socket):
+    """Parse one HTTP/1.1 request from *conn*: (method, path, headers, body).
+
+    The whole request must arrive within :data:`READ_DEADLINE_S` of the
+    call; a slower client, or one that closes first, raises ``OSError``.
+    """
+    deadline = time.monotonic() + READ_DEADLINE_S
+    data = b""
+    while (end := data.find(b"\r\n\r\n")) < 0:
+        if len(data) > _MAX_HEADER:
+            raise ApiError("bad_request", "request header too large")
+        data += _recv(conn, deadline)
+    head = data[:end + 4]
     if len(head) > _MAX_HEADER:
         raise ApiError("bad_request", "request header too large")
     lines = head.decode("latin-1").split("\r\n")
@@ -382,56 +421,77 @@ async def _read_request(reader: asyncio.StreamReader):
     if length > _MAX_BODY:
         raise ApiError("payload_too_large", f"request body {length} bytes "
                        f"exceeds cap {_MAX_BODY}", http_status=413)
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), target, headers, body
+    body = bytearray(data[end + 4:])
+    while len(body) < length:
+        body += _recv(conn, deadline)
+    return method.upper(), target, headers, bytes(body[:length])
 
 
 class ReproServer:
-    """The asyncio HTTP front end binding a :class:`SimulationService`."""
+    """The HTTP front end binding a :class:`SimulationService`.
+
+    *threads* threads each block in ``accept()`` on one listening socket
+    and carry a connection from request to reply on their own stack:
+    read, dispatch, run the handler inline, write, close.  Connections
+    beyond them wait in the listen backlog.
+    """
 
     def __init__(self, service: SimulationService, host: str = "127.0.0.1",
-                 port: int = 8642):
+                 port: int = 8642, threads: int = 5):
         self.service = service
         self.host = host
         self.port = port
-        self._server: asyncio.AbstractServer | None = None
-        self._inflight: set[asyncio.Task] = set()
-        self.stopping = asyncio.Event()
-        self.loop: asyncio.AbstractEventLoop | None = None  # set on start
+        self.threads = threads
+        self.stopping = threading.Event()
+        self._listener: socket.socket | None = None
+        self._pool: list[threading.Thread] = []
+        self._count_lock = threading.Lock()
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start(self) -> None:
+        """Bind the first address *host* resolves to; start the threads."""
+        family, _, _, _, address = socket.getaddrinfo(
+            self.host, self.port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE)[0]
+        self._listener = socket.create_server(address, family=family, backlog=100)
+        self.port = self._listener.getsockname()[1]
+        self._pool = [threading.Thread(target=self._accept_loop, daemon=True,
+                                       name=f"repro-serve-{i}")
+                      for i in range(self.threads)]
+        for thread in self._pool:
+            thread.start()
 
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._inflight.add(task)
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                if self.stopping.is_set():
+                    return  # shutdown() shut the listening socket down
+                time.sleep(0.01)  # out of descriptors, say: do not spin
+                continue
+            with conn:
+                self._serve(conn)
+
+    def _serve(self, conn: socket.socket) -> None:
+        """Answer the one request on *conn*; nothing raised here ends the thread."""
         try:
             try:
-                method, target, headers, body = await _read_request(reader)
+                request = _read_request(conn)
             except ApiError as exc:
-                writer.write(_response(exc.http_status, exc.to_json()))
-                return
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                    ConnectionError):
-                return
-            writer.write(await self._dispatch(method, target, headers, body))
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # client went away mid-reply
-                pass
-            if task is not None:
-                self._inflight.discard(task)
+                reply = _response(exc.http_status, exc.to_json())
+            else:
+                reply = self._dispatch(*request)
+            conn.settimeout(READ_DEADLINE_S)
+            conn.sendall(reply)
+        except OSError:  # the client left, or missed the deadline
+            pass
+        except Exception:  # noqa: BLE001 - the thread must outlive any request
+            _log.exception("error serving a connection")
 
-    async def _dispatch(self, method: str, target: str, headers: dict,
-                        body: bytes) -> bytes:
-        self.service.requests += 1
+    def _dispatch(self, method: str, target: str, headers: dict,
+                  body: bytes) -> bytes:
+        with self._count_lock:  # every accept thread counts here
+            self.service.requests += 1
         path = urllib.parse.urlsplit(target).path
         tenant = headers.get("x-tenant", "default")
         try:
@@ -456,8 +516,7 @@ class ReproServer:
                 governor.admit(tenant)
             events = 0
             try:
-                # to_thread: batches simulate for seconds; never block the loop
-                out = await asyncio.to_thread(handler, doc)
+                out = handler(doc)
                 # post-paid charge from this request's own result — a
                 # global-counter delta would bill concurrently admitted
                 # tenants for each other's batches
@@ -500,35 +559,43 @@ class ReproServer:
     def store_get(self, ctx: str, run_id: str) -> dict | None:
         return self.service.store.get(ctx, run_id)
 
-    async def shutdown(self) -> None:
-        """Stop accepting, drain in-flight requests, flush the store."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        pending = [t for t in self._inflight if t is not asyncio.current_task()]
-        if pending:
-            _log.info("draining %d in-flight request(s)", len(pending))
-            await asyncio.gather(*pending, return_exceptions=True)
+    def wait(self) -> None:
+        """Block until :attr:`stopping` is set.
+
+        A helper thread waits on the event and this thread joins it: the
+        SIGTERM handler sets the event on the main thread, so the main
+        thread must never be inside the event's own lock when it fires.
+        """
+        waiter = threading.Thread(target=self.stopping.wait, daemon=True)
+        waiter.start()
+        waiter.join()
+
+    def shutdown(self) -> None:
+        """Stop accepting, let every thread finish its request, flush the store."""
+        if not self.stopping.is_set():  # after wait(), never take its lock (see there)
+            self.stopping.set()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes every accept()
+        except OSError:
+            pass
+        for thread in self._pool:
+            thread.join()
+        self._listener.close()
         self.service.store.close()
 
 
-async def _serve_async(server: ReproServer, ready=None) -> int:
-    loop = asyncio.get_running_loop()
-    server.loop = loop
-    await server.start()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, server.stopping.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    print(f"listening on http://{server.host}:{server.port}", flush=True)
-    if ready is not None:
-        ready(server)
-    await server.stopping.wait()
-    _log.info("shutdown signal received; draining")
-    await server.shutdown()
-    print("shutdown complete", flush=True)
-    return 0
+@contextlib.contextmanager
+def _stop_on_signals(stopping: threading.Event):
+    """SIGTERM/SIGINT set *stopping* while inside (main thread only)."""
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            previous[signum] = signal.signal(signum, lambda *_: stopping.set())
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def run_server(store_dir: str | Path, *, host: str = "127.0.0.1",
@@ -537,19 +604,34 @@ def run_server(store_dir: str | Path, *, host: str = "127.0.0.1",
                resolver=None, ready=None, backend: str | None = None) -> int:
     """Blocking entry point: serve until SIGTERM/SIGINT, then exit 0.
 
-    Raises :class:`repro.store.StoreInUseError` when another open store
-    holds *store_dir*.  *ready*, when given, is called with the started
-    :class:`ReproServer` once the socket is bound (tests use it to learn
-    an ephemeral port).
+    The server runs ``max_inflight + 1`` accept threads, so a tenant's
+    first request over its in-flight cap still finds a thread to refuse
+    it.  Raises :class:`repro.store.StoreInUseError` when another open
+    store holds *store_dir*.  *ready*, when given, is called with the
+    started :class:`ReproServer` once the socket is bound (tests use it
+    to learn an ephemeral port).
     """
     store = ResultStore(store_dir, max_bytes=max_bytes)  # locked until closed
     governor = TenantGovernor(
         max_inflight=max_inflight, events_per_second=events_per_second)
     service = SimulationService(
         store, jobs=jobs, governor=governor, resolver=resolver, backend=backend)
-    server = ReproServer(service, host=host, port=port)
+    server = ReproServer(service, host=host, port=port, threads=max_inflight + 1)
     try:
-        return asyncio.run(_serve_async(server, ready=ready))
+        server.start()
+        # the handlers stay in place while the server drains: a second
+        # SIGTERM must not kill the requests the first one lets finish
+        with _stop_on_signals(server.stopping):
+            try:
+                print(f"listening on http://{server.host}:{server.port}", flush=True)
+                if ready is not None:
+                    ready(server)
+                server.wait()
+                _log.info("shutdown signal received; draining")
+            finally:
+                server.shutdown()
+        print("shutdown complete", flush=True)
+        return 0
     finally:
         store.close()  # a no-op after a clean shutdown; else releases the lock
 

@@ -60,7 +60,7 @@ from .api import canonical_json, content_hash
 from .ir.interp import BranchProfile
 from .measure import Calibration
 from .obs.logging import get_logger
-from .util.atomic_io import append_lines, atomic_write, scan_jsonl
+from .util.atomic_io import append_lines, atomic_write
 
 __all__ = [
     "ResultStore",
@@ -109,6 +109,34 @@ def _line(rec: dict) -> bytes:
     return canonical_json(rec).encode() + b"\n"
 
 
+#: where a put record's result begins: canonical JSON sorts ``result``
+#: after ``bytes``, ``entry`` and ``op``, so everything before it is the
+#: record's envelope
+_RESULT_AT = b',"result":'
+
+
+def _envelope(line: bytes) -> dict:
+    """One log record, of a put only its envelope (``bytes``, ``entry``,
+    ``op``); ``ValueError`` unless the line is a whole record.
+
+    A put's length must match the result size its envelope declares.
+    The result itself is not parsed: :meth:`ResultStore.get` checks it.
+    """
+    if not line.startswith(b'{"bytes":'):
+        rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ValueError("record is not a JSON object")
+        return rec
+    cut = line.find(_RESULT_AT)
+    rec = json.loads(line[:cut] + b"}") if cut > 0 else None
+    size = rec.get("bytes") if isinstance(rec, dict) else None
+    # the record ends with the result, its closing brace and a newline
+    if not isinstance(size, int) or \
+            len(line.rstrip(b"\n")) != cut + len(_RESULT_AT) + size + 1:
+        raise ValueError("put record does not match its envelope")
+    return rec
+
+
 def _replay(log_path: Path) -> tuple[OrderedDict[str, tuple[int, int, int]], dict, int]:
     """Replay the log: ``(entry -> (offset, length, bytes) in LRU order,
     counters, records)``.
@@ -116,12 +144,34 @@ def _replay(log_path: Path) -> tuple[OrderedDict[str, tuple[int, int, int]], dic
     The last ``counters`` record sets the counters; every ``put``,
     ``touch`` and ``evict`` after it adds one put, hit or eviction, so a
     store that was never closed keeps its history.  Misses are not
-    logged: those since the last ``counters`` record are lost.
+    logged: those since the last ``counters`` record are lost.  A torn
+    final line is dropped (the next append truncates it); any other
+    line that is not a whole record is skipped with a warning.
     """
     entries: OrderedDict[str, tuple[int, int, int]] = OrderedDict()
     counters = dict.fromkeys(_COUNTERS, 0)
-    records = scan_jsonl(log_path) if log_path.exists() else []
-    for offset, length, rec in records:
+    try:
+        lines = log_path.read_bytes().splitlines(keepends=True)
+    except FileNotFoundError:
+        lines = []
+    last = len(lines)
+    while last and not lines[last - 1].strip():
+        last -= 1  # ignore blank tails
+    records = end = 0
+    for lineno, line in enumerate(lines[:last], start=1):
+        offset, end = end, end + len(line)
+        if not line.strip():
+            continue
+        try:
+            rec = _envelope(line)
+        except ValueError:
+            if lineno == last:
+                _log.warning("%s:%d: skipping incomplete final line "
+                             "(torn O_APPEND write)", log_path, lineno)
+                break
+            _log.warning("%s:%d: skipping unreadable record", log_path, lineno)
+            continue
+        records += 1
         op = rec.get("op")
         key = rec.get("entry")
         if op == "counters":
@@ -131,7 +181,7 @@ def _replay(log_path: Path) -> tuple[OrderedDict[str, tuple[int, int, int]], dic
         elif op == "put":
             counters["puts"] += 1
             entries.pop(key, None)
-            entries[key] = (offset, length, int(rec.get("bytes", 0)))
+            entries[key] = (offset, len(line), int(rec.get("bytes", 0)))
         elif op == "touch":
             counters["hits"] += 1
             if key in entries:
@@ -139,14 +189,14 @@ def _replay(log_path: Path) -> tuple[OrderedDict[str, tuple[int, int, int]], dic
         elif op == "evict":
             counters["evictions"] += 1
             entries.pop(key, None)
-    return entries, counters, len(records)
+    return entries, counters, records
 
 
 class ResultStore:
     """Persistent, crash-consistent, LRU-bounded run-result cache.
 
-    Thread-safe: the server's asyncio handlers and its executor thread
-    share one instance, and all its state changes under one lock.
+    Thread-safe: the server's accept threads share one instance, and all
+    its state changes under one lock.
     """
 
     #: log records tolerated beyond ``4 × live entries`` before an

@@ -88,6 +88,7 @@ __all__ = [
     "execute_request",
     "request_runner",
     "run_requests",
+    "warn_unless_ok",
     "format_campaign_report",
     "JOURNAL_NAME",
     "RESULTS_NAME",
@@ -430,6 +431,16 @@ class RunRecord:
             raise CampaignError(f"corrupt journal run record: {exc}") from None
 
 
+def warn_unless_ok(spec: RunSpec, rec: RunRecord) -> None:
+    """Log a finished run that is not ``ok`` at WARNING.
+
+    For the callers that print no outcomes of their own (a campaign, a
+    serve batch); commands that print each outcome do not call it.
+    """
+    if rec.outcome != "ok":
+        _log.warning("run %s finished %s: %s", spec.describe(), rec.outcome, rec.error)
+
+
 @dataclass
 class CampaignReport:
     """What one :meth:`CampaignRunner.execute` call did and found."""
@@ -712,6 +723,7 @@ class CampaignRunner:
                 spec: RunSpec, rec: RunRecord) -> None:
         """Journal one finished run: record, capsule, progress callback."""
         rec.detail = None  # a campaign keeps records, not simulations
+        warn_unless_ok(spec, rec)
         journal.append(rec.to_json())
         records[spec.run_id] = rec
         if rec.capsule is not None:
@@ -830,9 +842,7 @@ class CampaignRunner:
                 )
                 self.sleep(delay)
                 continue
-            if outcome != "ok":
-                _log.warning("run %s finished %s: %s", spec.describe(), outcome, error)
-            else:
+            if outcome == "ok":
                 _log.info("run %s ok: elapsed %.6gs", spec.describe(), elapsed)
             return RunRecord(
                 run_id=spec.run_id, index=index, outcome=outcome,

@@ -70,6 +70,51 @@ def test_sigterm_is_a_clean_exit(tmp_path):
     assert stats["entries"] == 1 and stats["puts"] == 1
 
 
+def _get(base: str, path: str) -> dict:
+    with urllib.request.urlopen(f"{base}{path}", timeout=30) as resp:
+        return json.loads(resp.read())
+
+
+def test_sigterm_lets_an_inflight_miss_finish(tmp_path):
+    """SIGTERM during a miss: its client still gets a 200, the result is
+    stored, and the server exits 0."""
+    import threading
+
+    slow = {"run": {"app": APP, "mode": "de", "nprocs": 16,
+                    "inputs": {"iters": 4000}}, "calib_procs": 2}
+    replies = []
+    proc, base = _start_server(tmp_path)
+    poster = threading.Thread(
+        target=lambda: replies.append(_post(base, "/v1/run", slow)), daemon=True)
+    try:
+        poster.start()
+        deadline = time.monotonic() + 60
+        polls = 0
+        while time.monotonic() < deadline:
+            polls += 1  # each poll counts itself as one request
+            if _get(base, "/v1/stats")["server"]["requests"] > polls:
+                break  # the miss was dispatched before this poll
+            time.sleep(0.02)
+        else:
+            pytest.fail("the miss never reached the server")
+        proc.send_signal(signal.SIGTERM)
+        poster.join(120)
+        rc = proc.wait(timeout=120)
+        tail = proc.stdout.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert rc == 0 and "shutdown complete" in tail, tail
+    assert len(replies) == 1, "the in-flight request got no reply"
+    reply = replies[0]
+    assert reply["cached"] is False and reply["result"]["outcome"] == "ok"
+    store = ResultStore(tmp_path)
+    assert store.get(reply["context"], reply["result"]["run_id"]) == reply["result"]
+    store.close()
+
+
 def test_sigkill_mid_campaign_leaves_store_consistent(tmp_path):
     """Kill -9 the server mid-campaign: every entry on disk is complete,
     and a restarted server serves the finished prefix as cache hits."""

@@ -1,12 +1,16 @@
 """In-process tests of the serving core: dedupe, purity, admission
 control, and the HTTP layer over a real socket (no subprocess)."""
 
-import asyncio
 import os
+import queue
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
+import repro.serve
 from repro.api import ApiError, CampaignRequest, RunRequest
 from repro.serve import (
     ReproServer,
@@ -151,6 +155,22 @@ def test_a_miss_fsyncs_once_per_stored_result(tmp_path, monkeypatch):
     store.close()
 
 
+def test_a_run_hit_hashes_each_identity_once(service, monkeypatch):
+    """A /v1/run hit computes two content hashes, the run id and the
+    context, and never re-parses the run it was sent."""
+    import repro.api.types
+
+    doc = _run_doc("de", 2)
+    first = service.handle_run(dict(doc))
+    hashed = []
+    real_hash = repro.api.types.content_hash
+    monkeypatch.setattr(repro.api.types, "content_hash",
+                        lambda d: hashed.append(d) or real_hash(d))
+    second = service.handle_run(dict(doc))
+    assert second["cached"] is True and second["result"] == first["result"]
+    assert len(hashed) == 2
+
+
 def test_only_am_misses_look_up_a_stored_calibration(tmp_path, monkeypatch):
     """de and measured runs never calibrate, so their misses look up no
     warm calibration; an am miss looks one up once."""
@@ -236,8 +256,7 @@ def test_charge_is_per_request_not_a_global_delta(tmp_path):
         return {"hits": 1, "misses": 0, "executed_events": 0}
 
     service.handle_campaign = handler
-    raw = asyncio.run(server._dispatch(
-        "POST", "/v1/campaign", {"x-tenant": "bystander"}, b"{}"))
+    raw = server._dispatch("POST", "/v1/campaign", {"x-tenant": "bystander"}, b"{}")
     assert raw.startswith(b"HTTP/1.1 200")
     governor.admit("bystander")  # charged zero: still fully admitted
 
@@ -247,15 +266,12 @@ def test_charge_is_per_request_not_a_global_delta(tmp_path):
 
 @pytest.mark.parametrize("value", ["banana", "-1", "12abc"])
 def test_read_request_rejects_bad_content_length(value):
-    async def parse():
-        reader = asyncio.StreamReader()
-        reader.feed_data(
+    client, conn = socket.socketpair()
+    with client, conn:
+        client.sendall(
             f"POST /v1/run HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode())
-        reader.feed_eof()
-        return await _read_request(reader)
-
-    with pytest.raises(ApiError) as exc:
-        asyncio.run(parse())
+        with pytest.raises(ApiError) as exc:
+            _read_request(conn)
     assert exc.value.http_status == 400
     assert "Content-Length" in exc.value.message
 
@@ -282,9 +298,7 @@ class _Server:
         return ServiceClient(port=self.server.port, **kw)
 
     def stop(self):
-        # trip the same event the SIGTERM handler sets
-        if self.server.loop is not None and self.server.loop.is_running():
-            self.server.loop.call_soon_threadsafe(self.server.stopping.set)
+        self.server.stopping.set()  # the event the SIGTERM handler sets
         self.thread.join(15)
 
 
@@ -357,3 +371,119 @@ def test_http_bad_requests(tmp_path):
         assert exc.value.http_status == 400
     finally:
         srv.stop()
+
+
+# -- the accept threads --------------------------------------------------------
+
+
+def _slow_run_doc():
+    """A miss that simulates for a few seconds."""
+    return {"run": RunRequest(app=APP, mode="de", nprocs=16,
+                              inputs=(("iters", 4000),)).to_json(),
+            "calib_procs": 2}
+
+
+def test_http_hit_answers_while_a_slow_miss_runs(tmp_path):
+    srv = _Server(tmp_path)
+    service = srv.server.service
+    client = srv.client()
+    slow = threading.Thread(
+        target=lambda: client._request("POST", "/v1/run", _slow_run_doc()))
+    try:
+        client._request("POST", "/v1/run", _run_doc("de", 2))  # stored
+        slow.start()
+        for _ in range(500):  # until the miss holds the execution lock
+            if service._exec_lock.locked():
+                break
+            slow.join(0.01)
+        assert service._exec_lock.locked(), "the slow miss never started"
+        t0 = time.monotonic()
+        assert client.health() == {"status": "ok"}
+        assert client._request("POST", "/v1/run", _run_doc("de", 2))["cached"]
+        assert time.monotonic() - t0 < 3.0
+        assert slow.is_alive()  # answered during the miss, not after it
+    finally:
+        slow.join(60)
+        srv.stop()
+    assert not slow.is_alive()
+
+
+def test_http_tenant_over_its_inflight_cap_gets_a_prompt_429(tmp_path):
+    """max_inflight + 1 accept threads: a tenant's third concurrent
+    request finds a thread free to refuse it while two are held."""
+    srv = _Server(tmp_path, max_inflight=2)
+    gate = threading.Event()
+
+    def held(doc):
+        gate.wait(30)
+        return {"executed_events": 0}
+
+    srv.server.service.handle_run = held
+    replies = queue.Queue()
+
+    def ask():
+        try:
+            replies.put(srv.client(tenant="t")._request("POST", "/v1/run", {}))
+        except ApiError as exc:
+            replies.put(exc)
+
+    askers = [threading.Thread(target=ask) for _ in range(3)]
+    try:
+        for asker in askers:
+            asker.start()
+        refused = replies.get(timeout=10)  # while the other two are held
+        assert isinstance(refused, ApiError), refused
+        assert (refused.http_status, refused.code) == (429, "quota_inflight")
+        assert refused.retry_after == 1.0
+    finally:
+        gate.set()
+        for asker in askers:
+            asker.join(10)
+        srv.stop()
+    assert [replies.get_nowait() for _ in range(2)] == [{"executed_events": 0}] * 2
+
+
+def test_http_idle_connection_is_closed_at_the_read_deadline(tmp_path, monkeypatch):
+    monkeypatch.setattr(repro.serve, "READ_DEADLINE_S", 0.5)
+    srv = _Server(tmp_path)
+    try:
+        with socket.create_connection(("127.0.0.1", srv.server.port), timeout=10) as idle:
+            t0 = time.monotonic()
+            assert srv.client().health() == {"status": "ok"}  # meanwhile
+            assert idle.recv(1) == b""  # closed without a reply
+            assert 0.4 < time.monotonic() - t0 < 5.0
+        assert srv.client().health() == {"status": "ok"}  # its thread lives on
+    finally:
+        srv.stop()
+
+
+def test_http_concurrent_hits_count_every_request(tmp_path):
+    """Every accept thread counts its requests: none is lost when many
+    threads count at once (a tiny switch interval forces interleaving)."""
+    store = ResultStore(tmp_path)
+    SimulationService(store).handle_run(_run_doc("de", 2))
+    store.close()
+    srv = _Server(tmp_path)
+    hits, per_thread = [], 25
+
+    def ask():
+        client = srv.client()
+        for _ in range(per_thread):
+            hits.append(client._request("POST", "/v1/run", _run_doc("de", 2))["cached"])
+
+    askers = [threading.Thread(target=ask) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for asker in askers:
+            asker.start()
+        for asker in askers:
+            asker.join(60)
+        assert not any(asker.is_alive() for asker in askers)
+        stats = srv.client().stats()
+    finally:
+        sys.setswitchinterval(interval)
+        srv.stop()
+    assert hits == [True] * 200
+    assert stats["store"]["hits"] == 200
+    assert stats["server"]["requests"] == 200 + 1  # the hits and the stats request

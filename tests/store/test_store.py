@@ -226,6 +226,28 @@ def test_corrupt_entry_degrades_to_miss(tmp_path):
     store.close()
 
 
+def test_a_damaged_record_inside_the_log_is_skipped(tmp_path):
+    """Damage before the log's last line does not make the store
+    unopenable.  A put whose envelope no longer parses is skipped at
+    open; one whose result is damaged is indexed and then misses."""
+    store = ResultStore(tmp_path)
+    for i in range(4):
+        store.put(CTX, f"r{i:04d}", _doc(i))
+    store.close()  # compacted: four put records, then the counters
+    _overwrite(store.log_path, b'"run_id":"r0001"', b"#" * 16)  # its result
+    _overwrite(store.log_path, b'"entry":"%s/r0002"' % CTX.encode(),
+               b'"entry":#%s/r0002"' % CTX.encode())  # its envelope
+    scanned = scan_store(tmp_path)  # `repro inspect` reads it too
+    again = ResultStore(tmp_path)
+    assert again.stats()["entries"] == scanned["entries"] == 3
+    for run_id in ("r0000", "r0003"):
+        assert again.get(CTX, run_id) == _doc(int(run_id[1:]))
+    for run_id in ("r0001", "r0002"):
+        assert again.get(CTX, run_id) is None
+    assert again.stats()["entries"] == 2
+    again.close()
+
+
 def test_index_journal_is_compacted(tmp_path):
     """Touch records must never grow the log (or the next startup's
     replay) without bound; close() leaves the minimal equivalent."""

@@ -841,3 +841,41 @@ class TestProfileOut:
         manifest = json.loads((out / "manifest.json").read_text())
         # an artifact redirected outside --out is recorded by absolute path
         assert manifest["artifacts"]["perfetto"] == str(elsewhere)
+
+
+class TestOutcomeWarnings:
+    """A finished run that is not ok is reported once: by the table or
+    line a command prints, or, for a campaign, by one WARNING."""
+
+    @pytest.fixture
+    def warnings_logged(self):
+        import logging
+
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro")
+        logger.addHandler(handler)
+        yield records
+        logger.removeHandler(handler)
+
+    def test_printed_outcomes_are_not_also_logged(self, warnings_logged, capsys):
+        main(["faults", "sample_nearest_neighbor", "--nprocs", "8",
+              "--sweep", "0.02", "0.1", "1.0"])
+        assert capsys.readouterr().out.count("DEADLOCK") == 3
+        with pytest.raises(SystemExit, match="finished error"):
+            main(["validate", "nas_sp", "--procs", "2", "--calib-procs", "4"])
+        assert [r.getMessage() for r in warnings_logged] == []
+
+    def test_a_campaign_logs_each_failed_run_once(self, tmp_path, warnings_logged):
+        import json
+
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({
+            "name": "deadlock", "machine": "testing",
+            "app": "sample_nearest_neighbor", "nprocs": [3],
+            "inputs": {"grain": 1000, "msg": 512, "iters": 2},
+            "fault_plans": [{"crashes": [{"rank": 0, "time": 0.0}]}]}))
+        main(["campaign", "--grid", str(grid), "--out", str(tmp_path / "out")])
+        messages = [r.getMessage() for r in warnings_logged]
+        assert len(messages) == 1 and "finished deadlock" in messages[0], messages

@@ -13,21 +13,28 @@ campaign grid twice, and demands:
 * the store is locked while the server runs: a second ``repro serve``
   and a serverless ``repro query --store`` on it exit 2 with one line
   naming the store, and ``repro inspect`` still reads it;
+* while a slow grid runs in a background thread, ``/healthz`` and a
+  warm ``/v1/run`` hit each answer within 5 s;
 * SIGTERM produces a clean drain: exit code 0, "shutdown complete" on
   stdout, and no orphan processes holding the store.
 
-Exit code 0 on success, 1 with a diagnostic on any violation.
+It also prints the median latency of 200 warm ``/v1/run`` hits, which
+no check gates.  Exit code 0 on success, 1 with a diagnostic on any
+violation.
 """
 
 import argparse
+import http.client
 import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
-import urllib.request
+import threading
+import time
 from pathlib import Path
 
 GRID = {
@@ -38,12 +45,81 @@ GRID = {
 }
 
 
+#: a grid that keeps the server simulating for several seconds
+SLOW_GRID = {
+    "name": "serve-smoke-slow",
+    "app": "sample_nearest_neighbor",
+    "modes": ["de"],
+    "nprocs": [2, 4, 8, 16],
+    "inputs": {"iters": 4000},
+}
+
+#: a cell of GRID as a bare run request: a warm hit once GRID ran
+HIT = {"kind": "run_request", "app": "sample_nearest_neighbor",
+       "mode": "de", "nprocs": 4}
+
+#: the longest a request may wait for a thread while a grid simulates
+PROMPT_S = 5.0
+
+
+def timed_request(base, method, path, doc=None):
+    """One request over ``http.client``: (status, response document, seconds)."""
+    host, port = base.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=180)
+    body = json.dumps(doc) if doc is not None else None
+    t0 = time.perf_counter()
+    try:
+        conn.request(method, path, body=body,
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        out = json.loads(resp.read())
+        return resp.status, out, time.perf_counter() - t0
+    finally:
+        conn.close()
+
+
+def check_prompt_during_slow_grid(base):
+    """/healthz and a warm hit each answer within PROMPT_S mid-grid."""
+    failures = []
+
+    def run_slow_grid():
+        try:
+            post(base, "/v1/campaign", SLOW_GRID)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    slow = threading.Thread(target=run_slow_grid, daemon=True)
+    slow.start()
+    time.sleep(0.5)  # let the grid start simulating
+    for method, path, doc in (("GET", "/healthz", None), ("POST", "/v1/run", HIT)):
+        status, out, seconds = timed_request(base, method, path, doc)
+        if status != 200 or (doc is not None and out.get("cached") is not True):
+            fail(f"{method} {path} during the slow grid: {status} {out}")
+        if seconds > PROMPT_S:
+            fail(f"{method} {path} took {seconds:.2f}s during the slow grid")
+        print(f"serve-smoke: {method} {path} answered in {seconds * 1e3:.1f} ms "
+              f"while a slow grid ran (still running: {slow.is_alive()})")
+    slow.join(180)
+    if failures or slow.is_alive():
+        fail(f"slow grid did not finish cleanly: {failures}")
+
+
+def warm_hit_p50_ms(base, count=200):
+    """Median round trip of *count* warm ``/v1/run`` hits, in ms."""
+    times = []
+    for _ in range(count):
+        status, out, seconds = timed_request(base, "POST", "/v1/run", HIT)
+        if status != 200 or out.get("cached") is not True:
+            fail(f"warm hit: {status} {out}")
+        times.append(seconds)
+    return statistics.median(times) * 1e3
+
+
 def post(base, path, doc):
-    req = urllib.request.Request(
-        f"{base}{path}", data=json.dumps(doc).encode(),
-        headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(req, timeout=180) as resp:
-        return json.loads(resp.read())
+    status, out, _ = timed_request(base, "POST", path, doc)
+    if status != 200:
+        raise RuntimeError(f"POST {path}: {status} {out}")
+    return out
 
 
 def fail(msg):
@@ -122,6 +198,10 @@ def main():
         if inspect.returncode != 0 or "3 entries" not in inspect.stdout:
             fail(f"inspect on the open store: {inspect.stdout!r} {inspect.stderr!r}")
         print("serve-smoke: inspect reads the open store without its lock")
+
+        check_prompt_during_slow_grid(base)
+        print(f"serve-smoke: p50 of 200 warm hits {warm_hit_p50_ms(base):.3f} ms "
+              "(not gated)")
 
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=60)
