@@ -459,19 +459,21 @@ def test_http_idle_connection_is_closed_at_the_read_deadline(tmp_path, monkeypat
 
 def test_http_concurrent_hits_count_every_request(tmp_path):
     """Every accept thread counts its requests: none is lost when many
-    threads count at once (a tiny switch interval forces interleaving)."""
+    threads count at once (a tiny switch interval forces interleaving).
+    Each asker is its own tenant with one request in flight, so the
+    per-tenant in-flight cap never refuses one."""
     store = ResultStore(tmp_path)
     SimulationService(store).handle_run(_run_doc("de", 2))
     store.close()
     srv = _Server(tmp_path)
     hits, per_thread = [], 25
 
-    def ask():
-        client = srv.client()
+    def ask(tenant):
+        client = srv.client(tenant=tenant)
         for _ in range(per_thread):
             hits.append(client._request("POST", "/v1/run", _run_doc("de", 2))["cached"])
 
-    askers = [threading.Thread(target=ask) for _ in range(8)]
+    askers = [threading.Thread(target=ask, args=(f"asker-{i}",)) for i in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
