@@ -22,7 +22,7 @@ collector and the profile in the interpreter's order, so the measured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..codegen.timers import generate_instrumented
 from ..ir.interp import BranchProfile, MeasurementCollector, make_factory
@@ -48,6 +48,28 @@ class Calibration:
     wparams: dict[str, float] = field(default_factory=dict)
     profile: BranchProfile = field(default_factory=BranchProfile)
     elapsed: float = 0.0  # instrumented run's (simulated) wall time
+
+    def to_json(self) -> dict:
+        """JSON form, as a warm start stores it (a BranchProfile does not
+        pickle, so a supervised worker ships this back too)."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "profile": self.profile.to_dict()}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> Calibration:
+        """Inverse of :meth:`to_json`; ``ValueError`` on a malformed document."""
+        try:
+            return cls(
+                program=doc["program"],
+                inputs={str(k): float(v) for k, v in doc["inputs"].items()},
+                nprocs=int(doc["nprocs"]),
+                machine=doc["machine"],
+                wparams={str(k): float(v) for k, v in doc["wparams"].items()},
+                profile=BranchProfile.from_dict(doc.get("profile", {})),
+                elapsed=float(doc.get("elapsed", 0.0)),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed calibration: {exc!r}") from None
 
     def __str__(self):
         ws = ", ".join(f"{k}={v:.3e}" for k, v in sorted(self.wparams.items()))

@@ -307,15 +307,17 @@ class SimulationService:
     def _execute_batch(self, request: CampaignRequest, ctx: str,
                        missing: list[RunRequest],
                        results: dict[str, RunResult]) -> int:
-        """Run the cache-miss cells; store each cacheable result as it lands."""
+        """Run the cache-miss cells; store each cacheable result as it
+        lands, with the warm-start calibration its run measured."""
         batch = CampaignConfig.from_request(
             request,
             calib_from_spec=True,  # purity: calibrate from each run's own spec
-            warm_dir=str(self.store.warm_dir),
+            calibrations={},
             backend=self.backend,
         )
         batch.specs = list(missing)
         executed_events = 0
+        keys: dict[str, str] = {}  # run_id -> calibration key of an am miss
 
         def on_record(spec, rec):
             nonlocal executed_events
@@ -323,11 +325,25 @@ class SimulationService:
             res = RunResult.from_record(rec)
             results[spec.run_id] = res
             executed_events += res.events
+            key = keys.get(spec.run_id)
+            calibration = (key, rec.calibration) if rec.calibration and key else None
             if rec.outcome in CACHEABLE_OUTCOMES:
-                self.store.put(ctx, spec.run_id, res.to_json())
+                self.store.put(ctx, spec.run_id, res.to_json(), calibration)
+            elif calibration is not None:
+                self.store.put_calibration(*calibration)
 
         with self._exec_lock:
             runner = CampaignRunner(batch, out_dir=os.devnull, resolver=self.resolver)
+            for spec in batch.specs:
+                if spec.mode != "am":
+                    continue  # only am runs calibrate
+                try:
+                    keys[spec.run_id] = key = runner.calibration_key(spec)
+                except Exception:  # an unknown app: the cell's own run reports it
+                    continue
+                doc = self.store.calibration(key)
+                if doc is not None:
+                    batch.calibrations[key] = doc
             runner.run_cells(list(enumerate(batch.specs)), resolve_jobs(self.jobs),
                              on_record)
             self.executed_runs += len(missing)

@@ -9,25 +9,24 @@ budgets, calibration policy, retry policy — captured by
 that function's graph:
 
 ``<base>/results.jsonl``
-    one append-only log of ``put`` / ``touch`` / ``evict`` /
-    ``counters`` records (:func:`~repro.util.atomic_io.append_lines`).
-    A ``put`` carries one :class:`repro.api.RunResult` document and its
-    size, so storing a result is one write plus one ``fsync``, and a get
-    is one ``pread`` at the offset an in-memory index keeps.  ``touch``
-    records (hits) are not fsynced: a lost recency hint only degrades
-    LRU order.  A crash can tear only the final record, which replay
-    drops and the next append truncates.  :meth:`ResultStore.close`, and
-    any append that leaves the log a few times longer than the live
-    entries, *compacts* it: an atomic rewrite of the live ``put``
-    records in LRU order plus a ``counters`` record.
-
-``<base>/warm/<wkey>.json``
-    warm-start calibrations — the expensive front half of the Fig. 2
-    pipeline (measurement run + branch profile) keyed by the hash of
-    ``(app, machine, calib_nprocs, calib_inputs, seed)``, exactly the
-    tuple :meth:`repro.workflow.pipeline.ModelingWorkflow.prime`
-    demands the caller vouch for.  Supervised ``--jobs N`` workers
-    write them directly.
+    one append-only log of ``put`` / ``calibration`` / ``touch`` /
+    ``evict`` / ``counters`` records
+    (:func:`~repro.util.atomic_io.append_lines`).  A ``put`` carries one
+    :class:`repro.api.RunResult` document and its size, so storing a
+    result is one write plus one ``fsync``, and a get is one ``pread`` at
+    the offset an in-memory index keeps.  A ``calibration`` record has
+    the same layout and carries a warm-start calibration
+    (:meth:`repro.measure.Calibration.to_json`), the expensive front
+    half of the Fig. 2 pipeline, keyed by :func:`warm_calibration_key`;
+    it rides the write of the result of the ``am`` run that measured it,
+    and a later record of its key replaces it.
+    ``touch`` records (hits) are not fsynced: a lost recency hint only
+    degrades LRU order.  A crash can tear only the final record, which
+    replay drops and the next append truncates.
+    :meth:`ResultStore.close`, and any append that leaves the log a few
+    times longer than the live records, *compacts* it: an atomic
+    rewrite of the live ``put`` records in LRU order, the
+    ``calibration`` records and a ``counters`` record.
 
 An open :class:`ResultStore` holds an exclusive ``flock`` on ``<base>``
 until :meth:`~ResultStore.close`, because its offsets hold only while
@@ -36,13 +35,13 @@ process, raises :class:`StoreInUseError`.  :func:`scan_store` reads
 without the lock.
 
 Only data is stored, never code (kernels are re-lowered per process).
-An older store's ``warm/kernel-*.json``, ``store/`` tree and
+An older store's ``warm/`` directory, ``store/`` tree and
 ``index.jsonl`` are not read: the store is a cache, so those entries
 miss once and recompute byte-identical results.
 
 Eviction is LRU over a byte budget (``max_bytes``): a put that pushes
 the store over budget evicts least-recently-*used* entries (gets count
-as use) until it fits.  Warm calibrations are tiny and never evicted.
+as use) until it fits.  Calibrations are tiny and never evicted.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ from collections import OrderedDict
 from pathlib import Path
 
 from .api import canonical_json, content_hash
-from .ir.interp import BranchProfile
-from .measure import Calibration
 from .obs.logging import get_logger
 from .util.atomic_io import append_lines, atomic_write
 
@@ -67,16 +64,12 @@ __all__ = [
     "StoreInUseError",
     "scan_store",
     "warm_calibration_key",
-    "save_warm_calibration",
-    "load_warm_calibration",
     "LOG_NAME",
-    "WARM_DIR_NAME",
 ]
 
 _log = get_logger("store")
 
 LOG_NAME = "results.jsonl"
-WARM_DIR_NAME = "warm"
 
 
 class StoreInUseError(RuntimeError):
@@ -100,27 +93,30 @@ def _close_in_child() -> None:
 os.register_at_fork(after_in_child=_close_in_child)
 
 
-def _count_warm_calibrations(warm_dir: Path) -> int:
-    # an older store's warm/kernel-*.json files are not calibrations
-    return sum(1 for p in warm_dir.glob("*.json") if not p.name.startswith("kernel-"))
-
-
 def _line(rec: dict) -> bytes:
     return canonical_json(rec).encode() + b"\n"
 
 
-#: where a put record's result begins: canonical JSON sorts ``result``
-#: after ``bytes``, ``entry`` and ``op``, so everything before it is the
-#: record's envelope
+def _document_line(op: str, key: str, text: bytes) -> bytes:
+    """A ``put`` or ``calibration`` record: its envelope, then *text*,
+    the canonical document, as canonical JSON orders the keys."""
+    return b'{"bytes":%d,"entry":%s,"op":"%s","result":%s}\n' % (
+        len(text), json.dumps(key).encode(), op.encode(), text)
+
+
+#: where a document record's payload begins: canonical JSON sorts
+#: ``result`` after ``bytes``, ``entry`` and ``op``, so everything
+#: before it is the record's envelope
 _RESULT_AT = b',"result":'
 
 
 def _envelope(line: bytes) -> dict:
-    """One log record, of a put only its envelope (``bytes``, ``entry``,
-    ``op``); ``ValueError`` unless the line is a whole record.
+    """One log record, of a ``put`` or ``calibration`` only its envelope
+    (``bytes``, ``entry``, ``op``); ``ValueError`` unless the line is a
+    whole record.
 
-    A put's length must match the result size its envelope declares.
-    The result itself is not parsed: :meth:`ResultStore.get` checks it.
+    Its length must match the document size its envelope declares.  The
+    document itself is not parsed: a read checks it.
     """
     if not line.startswith(b'{"bytes":'):
         rec = json.loads(line)
@@ -130,16 +126,16 @@ def _envelope(line: bytes) -> dict:
     cut = line.find(_RESULT_AT)
     rec = json.loads(line[:cut] + b"}") if cut > 0 else None
     size = rec.get("bytes") if isinstance(rec, dict) else None
-    # the record ends with the result, its closing brace and a newline
+    # the record ends with the document, its closing brace and a newline
     if not isinstance(size, int) or \
             len(line.rstrip(b"\n")) != cut + len(_RESULT_AT) + size + 1:
-        raise ValueError("put record does not match its envelope")
+        raise ValueError("record does not match its envelope")
     return rec
 
 
-def _replay(log_path: Path) -> tuple[OrderedDict[str, tuple[int, int, int]], dict, int]:
+def _replay(log_path: Path) -> tuple[OrderedDict, dict, dict, int]:
     """Replay the log: ``(entry -> (offset, length, bytes) in LRU order,
-    counters, records)``.
+    calibration key -> (offset, length), counters, records)``.
 
     The last ``counters`` record sets the counters; every ``put``,
     ``touch`` and ``evict`` after it adds one put, hit or eviction, so a
@@ -149,6 +145,7 @@ def _replay(log_path: Path) -> tuple[OrderedDict[str, tuple[int, int, int]], dic
     line that is not a whole record is skipped with a warning.
     """
     entries: OrderedDict[str, tuple[int, int, int]] = OrderedDict()
+    calibrations: dict[str, tuple[int, int]] = {}
     counters = dict.fromkeys(_COUNTERS, 0)
     try:
         lines = log_path.read_bytes().splitlines(keepends=True)
@@ -182,6 +179,8 @@ def _replay(log_path: Path) -> tuple[OrderedDict[str, tuple[int, int, int]], dic
             counters["puts"] += 1
             entries.pop(key, None)
             entries[key] = (offset, len(line), int(rec.get("bytes", 0)))
+        elif op == "calibration":
+            calibrations[key] = (offset, len(line))
         elif op == "touch":
             counters["hits"] += 1
             if key in entries:
@@ -189,7 +188,7 @@ def _replay(log_path: Path) -> tuple[OrderedDict[str, tuple[int, int, int]], dic
         elif op == "evict":
             counters["evictions"] += 1
             entries.pop(key, None)
-    return entries, counters, records
+    return entries, calibrations, counters, records
 
 
 class ResultStore:
@@ -199,22 +198,23 @@ class ResultStore:
     its state changes under one lock.
     """
 
-    #: log records tolerated beyond ``4 × live entries`` before an
+    #: log records tolerated beyond ``4 × live records`` before an
     #: in-line compaction; class attribute so tests can shrink it
     COMPACT_MIN_OPS = 4096
 
     def __init__(self, base_dir: str | Path, max_bytes: int | None = None):
         self.base = Path(base_dir)
-        self.warm_dir = self.base / WARM_DIR_NAME
         self.log_path = self.base / LOG_NAME
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self.warm_dir.mkdir(parents=True, exist_ok=True)
+        self.base.mkdir(parents=True, exist_ok=True)
         self._dir_fd = os.open(self.base, os.O_RDONLY)
         try:
             fcntl.flock(self._dir_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            # entry -> (offset, length, bytes) of its put record, LRU first
-            self._entries, self.counters, self._records = _replay(self.log_path)
+            # entry -> (offset, length, bytes) of its put record, LRU first;
+            # calibration key -> (offset, length) of its calibration record
+            (self._entries, self._calibrations, self.counters,
+             self._records) = _replay(self.log_path)
             self._fd = os.open(self.log_path, os.O_RDONLY | os.O_CREAT, 0o644)
         except BaseException as exc:
             os.close(self._dir_fd)
@@ -230,7 +230,7 @@ class ResultStore:
         """Return the stored result document, or ``None`` on a miss."""
         key = f"{ctx_hash}/{run_id}"
         with self._lock:
-            found = self._read(key)
+            found = self._read(key, "put", full=True)
             if found is None:
                 self.counters["misses"] += 1
                 return None
@@ -244,28 +244,37 @@ class ResultStore:
                 pass
             return found[1]["result"]
 
+    def calibration(self, key: str) -> dict | None:
+        """The stored warm-start calibration document under *key*, or
+        ``None``; counts nothing."""
+        with self._lock:
+            found = self._read(key, "calibration", full=True)
+            return None if found is None else found[1]["result"]
+
     def contains(self, ctx_hash: str, run_id: str) -> bool:
         """Membership test that moves no LRU state and counts nothing."""
         with self._lock:
             return f"{ctx_hash}/{run_id}" in self._entries
 
-    def put(self, ctx_hash: str, run_id: str, doc: dict) -> None:
+    def put(self, ctx_hash: str, run_id: str, doc: dict,
+            calibration: tuple[str, dict] | None = None) -> None:
         """Durably store one result document: one append, one ``fsync``.
 
         Re-putting an entry appends a new record (the bytes are
         canonically identical for a deterministic engine) and refreshes
         its recency.  The entries a put evicts are logged in the same
-        write, so a put that raises has changed nothing.
+        write, and so is *calibration*, ``(key, document)``, the
+        warm-start calibration the run measured, so a put that raises
+        has changed nothing.
         """
         key = f"{ctx_hash}/{run_id}"
         # the canonical result is serialized once: payload and size
         text = canonical_json(doc).encode()
-        put = b'{"bytes":%d,"entry":%s,"op":"put","result":%s}\n' % (
-            len(text), json.dumps(key).encode(), text)
+        put = _document_line("put", key, text)
         with self._lock:
             victims = self._victims(key, len(text))
-            offset = append_lines(self.log_path, put + b"".join(
-                _line({"op": "evict", "entry": v}) for v in victims))
+            offset = self._append(put + b"".join(
+                _line({"op": "evict", "entry": v}) for v in victims), calibration)
             for v in victims:
                 _log.info("evicted %s (%d bytes) over %d-byte budget",
                           v, self._entries[v][2], self.max_bytes)
@@ -277,23 +286,48 @@ class ResultStore:
             self.counters["evictions"] += len(victims)
             self._logged(1 + len(victims))
 
-    def _read(self, key: str) -> tuple[bytes, dict] | None:
-        """*key*'s put record, raw and parsed; ``None`` when the entry is
-        absent, or forgotten when its record is unreadable or not its own."""
+    def put_calibration(self, key: str, doc: dict) -> None:
+        """Durably store a warm-start calibration whose run stored no
+        result: one append, one ``fsync``."""
+        with self._lock:
+            self._append(b"", (key, doc))
+            self._logged(0)
+
+    def _append(self, lines: bytes, calibration: tuple[str, dict] | None) -> int:
+        """Append *lines*, then the record of *calibration* (which
+        replaces an older one of its key), in one write; the offset of
+        *lines*."""
+        # caller holds the lock, and logs the records of *lines*
+        record = b"" if calibration is None else _document_line(
+            "calibration", calibration[0], canonical_json(calibration[1]).encode())
+        offset = append_lines(self.log_path, lines + record)
+        if record:
+            self._calibrations[calibration[0]] = (offset + len(lines), len(record))
+            self._records += 1
+        return offset
+
+    def _read(self, key: str, op: str, full: bool) -> tuple[bytes, dict] | None:
+        """*key*'s *op* record, raw and parsed (in *full*, or its
+        envelope); ``None`` when the key is absent, or forgotten when
+        its record is unreadable or not its own."""
         # caller holds the lock
-        loc = self._entries.get(key)
+        index = self._entries if op == "put" else self._calibrations
+        loc = index.get(key)
         if loc is None:
             return None
         try:
             raw = os.pread(self._fd, loc[1], loc[0])
-            rec = json.loads(raw)
+            rec = json.loads(raw) if full else _envelope(raw)
         except (OSError, ValueError):
             rec = None
-        if (isinstance(rec, dict) and rec.get("op") == "put"
-                and rec.get("entry") == key and isinstance(rec.get("result"), dict)):
+        if (isinstance(rec, dict) and rec.get("op") == op and rec.get("entry") == key
+                and (not full or isinstance(rec.get("result"), dict))):
             return raw, rec
         _log.warning("unreadable record for %s at offset %d: dropped", key, loc[0])
-        self._forget(key)
+        if op == "put":
+            self._forget(key)
+        else:
+            del index[key]
         return None
 
     def _forget(self, key: str) -> None:
@@ -303,7 +337,8 @@ class ResultStore:
 
     def _victims(self, key: str, size: int) -> list[str]:
         """The least recently used entries that a put of *size* bytes
-        under *key* evicts to fit the budget; never *key* itself."""
+        under *key* evicts to fit the budget; never *key* itself, and
+        never a calibration."""
         if self.max_bytes is None:
             return []
         total = self._bytes + size - self._entries.get(key, (0, 0, 0))[2]
@@ -320,34 +355,40 @@ class ResultStore:
     def _logged(self, records: int) -> None:
         # caller holds the lock, after the index reflects the records
         self._records += records
-        if self._records >= max(self.COMPACT_MIN_OPS, 4 * (len(self._entries) + 1)):
+        live = len(self._entries) + len(self._calibrations)
+        if self._records >= max(self.COMPACT_MIN_OPS, 4 * (live + 1)):
             self._compact_locked()
 
     def _compact_locked(self) -> None:
         """Atomically rewrite the log as its minimal equivalent.
 
-        The live ``put`` records in LRU order (preserving recency), then
-        the counters — exactly what replay and :func:`scan_store` would
-        distill the full history down to.  Best-effort: when the rewrite
+        The live ``put`` records in LRU order (preserving recency), the
+        ``calibration`` records, then the counters — exactly what replay
+        and :func:`scan_store` would distill the full history down to.
+        Each record is copied once its envelope checks out; its document
+        is not parsed (a get checks it).  Best-effort: when the rewrite
         fails (read-only or full media) the longer log is kept rather
         than failing the operation that triggered compaction.
         """
-        kept: OrderedDict[str, tuple[int, int, int]] = OrderedDict()
+        kept = {"put": OrderedDict(), "calibration": {}}
         end = 0
         try:
             with atomic_write(self.log_path, mode="wb") as fh:
-                for key in list(self._entries):
-                    found = self._read(key)
-                    if found is not None:
-                        raw = found[0].rstrip(b"\n") + b"\n"
-                        fh.write(raw)
-                        kept[key] = (end, len(raw), self._entries[key][2])
-                        end += len(raw)
+                for op, index in (("put", self._entries),
+                                  ("calibration", self._calibrations)):
+                    for key in list(index):
+                        found = self._read(key, op, full=False)
+                        if found is not None:
+                            raw = found[0].rstrip(b"\n") + b"\n"
+                            fh.write(raw)
+                            kept[op][key] = (end, len(raw), *index[key][2:])
+                            end += len(raw)
                 fh.write(_line({"op": "counters", "ts": time.time(), **self.counters}))
         except OSError as exc:
             _log.warning("cannot compact %s: %s", self.log_path, exc)
             return
-        self._entries, self._records = kept, len(kept) + 1
+        self._entries, self._calibrations = kept["put"], kept["calibration"]
+        self._records = len(self._entries) + len(self._calibrations) + 1
         os.close(self._fd)
         self._fd = os.open(self.log_path, os.O_RDONLY)
 
@@ -355,7 +396,7 @@ class ResultStore:
     def stats(self) -> dict:
         """Live statistics (entries, bytes, counters)."""
         with self._lock:
-            return {**_stats(self._entries, self.counters, self.warm_dir),
+            return {**_stats(self._entries, self._calibrations, self.counters),
                     "max_bytes": self.max_bytes}
 
     def close(self) -> None:
@@ -376,12 +417,12 @@ class ResultStore:
         self._fd = self._dir_fd = None
 
 
-def _stats(entries: dict, counters: dict, warm_dir: Path) -> dict:
+def _stats(entries: dict, calibrations: dict, counters: dict) -> dict:
     return {
         "entries": len(entries),
         "bytes": sum(size for _, _, size in entries.values()),
         "contexts": len({key.split("/", 1)[0] for key in entries}),
-        "warm_calibrations": _count_warm_calibrations(warm_dir),
+        "warm_calibrations": len(calibrations),
         **counters,
     }
 
@@ -389,19 +430,16 @@ def _stats(entries: dict, counters: dict, warm_dir: Path) -> dict:
 def scan_store(base_dir: str | Path) -> dict | None:
     """Non-mutating statistics for ``repro inspect`` on a store directory.
 
-    ``None`` when *base_dir* holds neither a store log nor ``warm/``
-    (an older store has only the latter).  Takes no lock and never
-    writes, so it reads a store a server has open: everything comes
-    from replaying the log.
+    ``None`` when *base_dir* holds no store log.  Takes no lock and
+    never writes, so it reads a store a server has open: everything
+    comes from replaying the log.
     """
-    base = Path(base_dir)
-    if not (base / LOG_NAME).exists() and not (base / WARM_DIR_NAME).is_dir():
+    log_path = Path(base_dir) / LOG_NAME
+    if not log_path.exists():
         return None
-    entries, counters, _ = _replay(base / LOG_NAME)
-    return _stats(entries, counters, base / WARM_DIR_NAME)
+    entries, calibrations, counters, _ = _replay(log_path)
+    return _stats(entries, calibrations, counters)
 
-
-# -- warm-start calibrations ------------------------------------------------
 
 def warm_calibration_key(
     *,
@@ -429,66 +467,3 @@ def warm_calibration_key(
             "seed": int(seed),
         }
     )
-
-
-def save_warm_calibration(warm_dir: str | Path, wkey: str, cal: Calibration) -> Path:
-    """Atomically persist *cal* under *warm_dir*/``<wkey>.json``.
-
-    A concurrent saver with the same key writes identical bytes (the
-    engine is deterministic), so the last rename winning is harmless.
-    """
-    warm = Path(warm_dir)
-    warm.mkdir(parents=True, exist_ok=True)
-    path = warm / f"{wkey}.json"
-    doc = {
-        "schema_version": 1,
-        "kind": "warm-calibration",
-        "program": cal.program,
-        "inputs": dict(cal.inputs),
-        "nprocs": cal.nprocs,
-        "machine": cal.machine,
-        "wparams": dict(cal.wparams),
-        "profile": cal.profile.to_dict(),
-        "elapsed": cal.elapsed,
-    }
-    with atomic_write(path) as fh:
-        fh.write(canonical_json(doc))
-    return path
-
-
-def load_warm_calibration(
-    warm_dir: str | Path, wkey: str, program: str | None = None
-) -> Calibration | None:
-    """Load a stored calibration, or ``None`` when absent or unusable.
-
-    *program*, when given, cross-checks the entry against the app it
-    is about to prime — a hash collision or hand-edited file must
-    degrade to a cold start, never a silently wrong model.
-    """
-    path = Path(warm_dir) / f"{wkey}.json"
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        return None
-    except (OSError, json.JSONDecodeError) as exc:
-        _log.warning("unusable warm calibration %s: %s", path, exc)
-        return None
-    if program is not None and doc.get("program") != program:
-        _log.warning(
-            "warm calibration %s is for %r, wanted %r; ignoring",
-            path, doc.get("program"), program,
-        )
-        return None
-    try:
-        return Calibration(
-            program=doc["program"],
-            inputs={str(k): float(v) for k, v in doc["inputs"].items()},
-            nprocs=int(doc["nprocs"]),
-            machine=doc["machine"],
-            wparams={str(k): float(v) for k, v in doc["wparams"].items()},
-            profile=BranchProfile.from_dict(doc.get("profile", {})),
-            elapsed=float(doc.get("elapsed", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        _log.warning("malformed warm calibration %s: %s", path, exc)
-        return None

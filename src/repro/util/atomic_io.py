@@ -6,8 +6,7 @@ truncated artifact that a later reader trusts.  There are two
 protocols.
 
 Whole-file artifacts (Perfetto exports, CSV reports, trace archives,
-the result store's compacted log and warm calibrations, quarantine
-artifacts) go through :func:`atomic_write`, the classic tmp + fsync +
+the result store's compacted log, quarantine artifacts) go through :func:`atomic_write`, the classic tmp + fsync +
 rename:
 
 1. write the full content to ``<name>.tmp.<pid>.<counter>`` in the
@@ -31,8 +30,7 @@ truncates it, so every log recovers the same way.  :class:`AtomicJournal`
 is a journal on top of the pair.  :func:`append_lines` is the same
 append for pre-encoded lines, and returns the offset they start at; the
 result store (:mod:`repro.store`) appends its records through it and
-reads them back by offset, which :func:`scan_jsonl` reports for each
-record on load.  (The high-frequency metrics sink,
+reads them back by offset.  (The high-frequency metrics sink,
 :class:`repro.obs.metrics.JsonlSink`, appends whole flushes through
 :func:`append_lines` without ``fsync``; a torn final line recovers the
 same way.)
@@ -54,7 +52,6 @@ __all__ = [
     "append_jsonl",
     "append_lines",
     "read_jsonl",
-    "scan_jsonl",
     "AtomicJournal",
 ]
 
@@ -220,25 +217,17 @@ def read_jsonl(path: str | Path) -> list[dict]:
     a mangled middle means something other than a torn append happened.
     Non-object records raise too.
     """
-    return [record for _, _, record in scan_jsonl(path)]
-
-
-def scan_jsonl(path: str | Path) -> list[tuple[int, int, dict]]:
-    """:func:`read_jsonl` with each record's place in the file:
-    ``(offset, length, record)``, the length counting the newline."""
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    lines = data.splitlines(keepends=True)
-    out: list[tuple[int, int, dict]] = []
+    lines = data.splitlines()
+    out: list[dict] = []
     last = len(lines)
     while last and not lines[last - 1].strip():
         last -= 1  # ignore blank tails
-    end = 0
     for lineno, line in enumerate(lines[:last], start=1):
-        start, end = end, end + len(line)
         if not line.strip():
             continue
         try:
@@ -252,7 +241,7 @@ def scan_jsonl(path: str | Path) -> list[tuple[int, int, dict]]:
             ) from None
         if not isinstance(record, dict):
             raise ValueError(f"{path}:{lineno}: JSONL record is not a JSON object")
-        out.append((start, len(line), record))
+        out.append(record)
     return out
 
 

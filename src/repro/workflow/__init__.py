@@ -1,5 +1,6 @@
 """End-to-end modeling workflow (Fig. 2), validation, faults, campaigns, reporting."""
 
+from ..api import RunRequest
 from .campaign import (
     CampaignConfig,
     CampaignError,
@@ -7,7 +8,6 @@ from .campaign import (
     CampaignReport,
     CampaignRunner,
     RunRecord,
-    RunSpec,
     expand_grid,
     format_campaign_report,
     load_grid,
@@ -40,7 +40,7 @@ __all__ = [
     "CampaignReport",
     "CampaignRunner",
     "RunRecord",
-    "RunSpec",
+    "RunRequest",
     "expand_grid",
     "format_campaign_report",
     "load_grid",

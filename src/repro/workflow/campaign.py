@@ -7,8 +7,8 @@ could leave truncated artifacts behind.  This module makes campaigns
 crash-safe:
 
 * A campaign is a **declarative grid** (:func:`load_grid` /
-  :func:`expand_grid`) expanded into :class:`RunSpec` entries, each with
-  a content-hash ``run_id``; the whole configuration has a
+  :func:`expand_grid`) expanded into :class:`~repro.api.RunRequest`
+  entries, each with a content-hash ``run_id``; the whole configuration has a
   ``config_hash`` so a journal can prove it belongs to this grid.
 * Progress is journaled to an append-only JSONL journal
   (:class:`repro.util.atomic_io.AtomicJournal`, one ``O_APPEND`` write
@@ -65,6 +65,7 @@ from pathlib import Path
 from ..api import ApiError, CampaignRequest, RunRequest, canonical_json
 from ..apps import APPS
 from ..machine import get_machine
+from ..measure import Calibration
 from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
 from ..obs.spans import TRACER
@@ -78,7 +79,6 @@ from .pipeline import ModelingWorkflow
 __all__ = [
     "CampaignError",
     "CampaignInterrupted",
-    "RunSpec",
     "CampaignConfig",
     "RunRecord",
     "CampaignReport",
@@ -142,12 +142,6 @@ _canonical = canonical_json
 
 # -- the declarative grid ------------------------------------------------------
 
-#: One cell of the campaign grid.  ``RunSpec`` is now exactly the typed
-#: :class:`repro.api.RunRequest` — same fields, same content-hash
-#: identity (``run_id``/``content_hash()``), so journals written by
-#: earlier releases resume unchanged.  The alias stays for one release.
-RunSpec = RunRequest
-
 
 @dataclass
 class CampaignConfig:
@@ -155,7 +149,7 @@ class CampaignConfig:
 
     name: str
     machine: str
-    specs: list[RunSpec]
+    specs: list[RunRequest]
     calib_procs: int | None = None
     max_events: int | None = None
     max_virtual_time: float | None = None
@@ -174,10 +168,11 @@ class CampaignConfig:
     # *own* spec (single-cell semantics) instead of the first grid cell
     # of its (app, seed) group, so a run's result is a pure function of
     # (request, context) — the property the content-addressed store
-    # needs; warm_dir points at the store's warm-start calibration
-    # cache.  Like the supervision knobs these never feed config_hash.
+    # needs; calibrations maps warm_calibration_key -> a stored
+    # Calibration.to_json() document (None: no warm starts).  Like the
+    # supervision knobs these never feed config_hash.
     calib_from_spec: bool = False
-    warm_dir: str | None = None
+    calibrations: dict[str, dict] | None = None
     # -- kernel backend ("interpreted" | "compiled" | "auto"; None =
     # Simulator's default).  Execution policy, deliberately excluded
     # from config_hash: results are byte-identical across backends, so
@@ -212,7 +207,7 @@ class CampaignConfig:
         """Build a config from the typed API plus execution policy.
 
         *policy* takes the execution-side knobs (``heartbeat_timeout``,
-        ``poison_threshold``, ``calib_from_spec``, ``warm_dir``,
+        ``poison_threshold``, ``calib_from_spec``, ``calibrations``,
         ``backend``) — everything result-shaping comes from *request*.
         """
         return cls(
@@ -340,7 +335,7 @@ def _expand_grid(grid: dict) -> CampaignConfig:
                 for nprocs in nprocs_list:
                     for plan in plans:
                         specs.append(
-                            RunSpec(
+                            RunRequest(
                                 app=app,
                                 mode=mode,
                                 nprocs=nprocs,
@@ -387,6 +382,9 @@ class RunRecord:
     flight: dict | None = None  # flight-recorder dump, on failed runs
     cursor: dict | None = None  # last heartbeat cursor (hung/poison)
     capsule: dict | None = None  # transient: journaled to telemetry.jsonl, not here
+    #: transient: the Calibration.to_json() of a warm-start calibration
+    #: this run measured (see CampaignConfig.calibrations); never journaled
+    calibration: dict | None = None
     #: transient, for an in-process caller only: the SimResult of an ok
     #: run or the DeadlockReport of a deadlocked one (per-rank stats,
     #: memory, the wait chains).  Never journaled, stored or sent back
@@ -431,7 +429,7 @@ class RunRecord:
             raise CampaignError(f"corrupt journal run record: {exc}") from None
 
 
-def warn_unless_ok(spec: RunSpec, rec: RunRecord) -> None:
+def warn_unless_ok(spec: RunRequest, rec: RunRecord) -> None:
     """Log a finished run that is not ``ok`` at WARNING.
 
     For the callers that print no outcomes of their own (a campaign, a
@@ -531,7 +529,7 @@ class CampaignRunner:
         self.telemetry = telemetry
         self.progress = progress
         self._workflows: dict[tuple, ModelingWorkflow] = {}
-        self._warm_pending: dict[tuple, tuple[str, str]] = {}
+        self._warm_pending: set[tuple] = set()  # groups with no stored calibration
         self._stop_signal: int | None = None
 
     @property
@@ -690,7 +688,7 @@ class CampaignRunner:
                 self._write_merged_telemetry()
         return report
 
-    def run_cells(self, cells: list[tuple[int, RunSpec]], jobs: int,
+    def run_cells(self, cells: list[tuple[int, RunRequest]], jobs: int,
                   on_record) -> None:
         """Execute ``(index, spec)`` *cells*; ``on_record(spec, record)``
         receives every finished record.
@@ -720,7 +718,7 @@ class CampaignRunner:
         )
 
     def _commit(self, journal: AtomicJournal, records: dict[str, RunRecord],
-                spec: RunSpec, rec: RunRecord) -> None:
+                spec: RunRequest, rec: RunRecord) -> None:
         """Journal one finished run: record, capsule, progress callback."""
         rec.detail = None  # a campaign keeps records, not simulations
         warn_unless_ok(spec, rec)
@@ -760,7 +758,7 @@ class CampaignRunner:
         _log.info("merged telemetry timeline written to %s",
                   self.merged_perfetto_path)
 
-    def _execute_one(self, spec: RunSpec, index: int) -> RunRecord:
+    def _execute_one(self, spec: RunRequest, index: int) -> RunRecord:
         """One grid cell, optionally captured into a telemetry capsule.
 
         With telemetry off this is exactly :meth:`_run_attempts`.  With
@@ -772,8 +770,7 @@ class CampaignRunner:
         """
         if not self.telemetry:
             rec = self._run_attempts(spec, index)
-            if self.config.warm_dir:
-                self._save_warm(spec)
+            rec.calibration = self._measured_calibration(spec)
             return rec
         from ..obs.capsule import capture_run
 
@@ -786,8 +783,7 @@ class CampaignRunner:
                 rec = self._run_attempts(spec, index)
             finally:
                 FLIGHT.disable()
-        if self.config.warm_dir:
-            self._save_warm(spec)
+        rec.calibration = self._measured_calibration(spec)
         capsule = cap.finish(
             outcome=rec.outcome, stats=rec.stats, elapsed=rec.elapsed,
             flight=rec.flight,
@@ -795,7 +791,7 @@ class CampaignRunner:
         rec.capsule = {"type": "capsule", **capsule.to_json()}
         return rec
 
-    def _run_attempts(self, spec: RunSpec, index: int) -> RunRecord:
+    def _run_attempts(self, spec: RunRequest, index: int) -> RunRecord:
         """One grid cell: budgets, bounded retry, outcome classification."""
         attempts = 0
         while True:
@@ -850,7 +846,7 @@ class CampaignRunner:
                 budget_kind=bkind, flight=fdump, detail=detail,
             )
 
-    def _simulate(self, spec: RunSpec):
+    def _simulate(self, spec: RunRequest):
         """Dispatch one spec to the right estimator with budgets applied."""
         cfg = self.config
         wf = self._workflow_for(spec)
@@ -884,7 +880,7 @@ class CampaignRunner:
             return wf.run_am(inputs, spec.nprocs, **budget_kw)
         return wf.run_measured(inputs, spec.nprocs, seed=spec.seed, **budget_kw)
 
-    def run_one(self, spec: RunSpec, index: int = 0) -> RunRecord:
+    def run_one(self, spec: RunRequest, index: int = 0) -> RunRecord:
         """Execute one request inline and return its record.
 
         The public single-run entry point used by :meth:`run_cells` and
@@ -893,7 +889,7 @@ class CampaignRunner:
         """
         return self._execute_one(spec, index)
 
-    def _calib_key(self, spec: RunSpec) -> tuple:
+    def _calib_key(self, spec: RunRequest) -> tuple:
         """The calibration-group key for *spec* (see :meth:`_workflow_for`).
 
         In serving mode the key carries the effective calibration
@@ -905,7 +901,7 @@ class CampaignRunner:
                     self.config.calib_procs or min(spec.nprocs, 16))
         return (spec.app, spec.seed)
 
-    def _workflow_for(self, spec: RunSpec) -> ModelingWorkflow:
+    def _workflow_for(self, spec: RunRequest) -> ModelingWorkflow:
         """One cached ModelingWorkflow per calibration group.
 
         Grid semantics (the default): the calibration configuration is
@@ -925,11 +921,11 @@ class CampaignRunner:
         calibration nprocs (which defaults from ``spec.nprocs`` when
         the context pins no ``calib_procs``): two cells differing only
         in nprocs must never share one calibration, or the stored
-        result would depend on batch composition.  With ``warm_dir``
-        set, an ``am`` run loads a stored calibration for the group
-        instead of measuring one (:meth:`_try_warm_start`), and a
-        freshly measured one is saved back after the run (atomic
-        writes; a concurrent saver writes identical bytes).
+        result would depend on batch composition.  With
+        ``calibrations`` set, an ``am`` run primes the group from its
+        stored calibration instead of measuring one
+        (:meth:`_try_warm_start`), and a freshly measured one rides back
+        on the run's record.
         """
         key = self._calib_key(spec)
         wf = self._workflows.get(key)
@@ -951,45 +947,46 @@ class CampaignRunner:
         return wf
 
     # -- warm start (serving): stored calibrations skip the measurement run --
-    def _try_warm_start(self, spec: RunSpec, wf: ModelingWorkflow) -> None:
-        """Prime *wf* with a stored calibration before a run that needs
-        one; only ``am`` runs calibrate, so only they look one up."""
-        if not self.config.warm_dir or wf.calibration is not None:
-            return
-        from ..store import load_warm_calibration, warm_calibration_key
+    def calibration_key(self, spec: RunRequest) -> str:
+        """The :func:`~repro.store.warm_calibration_key` of the
+        calibration *spec*'s workflow uses."""
+        from ..store import warm_calibration_key
 
-        wkey = warm_calibration_key(
+        wf = self._workflow_for(spec)
+        return warm_calibration_key(
             app=spec.app, machine=self.config.machine,
             calib_nprocs=wf.calib_nprocs, calib_inputs=wf.calib_inputs,
             seed=wf.seed,
         )
-        cal = load_warm_calibration(self.config.warm_dir, wkey, program=spec.app)
-        if cal is not None:
-            wf.prime(calibration=cal)
-            _log.info("warm start: calibration %s loaded for %s", wkey, spec.app)
-        else:
-            self._warm_pending[self._calib_key(spec)] = (wkey, spec.app)
 
-    def _save_warm(self, spec: RunSpec) -> None:
-        """Persist a freshly measured calibration for future warm starts."""
-        key = self._calib_key(spec)
-        pending = self._warm_pending.get(key)
-        if pending is None:
+    def _try_warm_start(self, spec: RunRequest, wf: ModelingWorkflow) -> None:
+        """Prime *wf* with a stored calibration before a run that needs
+        one; only ``am`` runs calibrate, so only they look one up."""
+        if self.config.calibrations is None or wf.calibration is not None:
             return
-        wf = self._workflows[key]
-        if wf.calibration is None:
-            return  # the am run failed before it calibrated; keep pending
-        from ..store import save_warm_calibration
-
-        wkey, app = pending
+        key = self.calibration_key(spec)
+        doc = self.config.calibrations.get(key)
         try:
-            save_warm_calibration(self.config.warm_dir, wkey, wf.calibration)
-        except OSError as exc:  # warm cache is an optimization, never fatal
-            _log.warning("cannot save warm calibration %s: %s", wkey, exc)
-        del self._warm_pending[key]
-        _log.info("warm start: calibration %s saved for %s", wkey, app)
+            cal = Calibration.from_json(doc) if doc is not None else None
+        except ValueError as exc:  # a bad document costs a cold start
+            _log.warning("unusable warm calibration %s: %s", key, exc)
+            cal = None
+        if cal is not None and cal.program == spec.app:
+            wf.prime(calibration=cal)
+            _log.info("warm start: calibration %s loaded for %s", key, spec.app)
+        else:
+            self._warm_pending.add(self._calib_key(spec))
 
-    def _resolved_inputs(self, spec: RunSpec) -> dict[str, float]:
+    def _measured_calibration(self, spec: RunRequest) -> dict | None:
+        """The document of the calibration *spec*'s run measured for a
+        future warm start, once per group; ``None`` if it measured none."""
+        key = self._calib_key(spec)
+        if key not in self._warm_pending or self._workflows[key].calibration is None:
+            return None  # an am run that failed before it calibrated stays pending
+        self._warm_pending.discard(key)
+        return self._workflows[key].calibration.to_json()
+
+    def _resolved_inputs(self, spec: RunRequest) -> dict[str, float]:
         _, default_inputs = self.resolver(spec.app)
         inputs = default_inputs(spec.nprocs)
         inputs.update(dict(spec.inputs))
@@ -1045,7 +1042,7 @@ def request_runner(
     retries: int = 0,
     retry_policy: str | None = None,
     resolver=None,
-    warm_dir: str | None = None,
+    calibrations: dict[str, dict] | None = None,
     backend: str | None = None,
 ) -> CampaignRunner:
     """A journal-less runner for *requests* under one execution context.
@@ -1067,7 +1064,7 @@ def request_runner(
         retries=retries,
         retry_policy=retry_policy,
         calib_from_spec=True,
-        warm_dir=warm_dir,
+        calibrations=calibrations,
         backend=backend,
     )
     return CampaignRunner(config, out_dir=os.devnull, resolver=resolver)

@@ -70,7 +70,7 @@ from pathlib import Path
 from ..obs.logging import get_logger
 from ..sim.heartbeat import HEARTBEAT
 from ..util.atomic_io import atomic_write
-from ..api import RunRequest as RunSpec
+from ..api import RunRequest
 from .campaign import CampaignConfig, RunRecord
 
 __all__ = ["resolve_jobs", "run_supervised", "minimize_poison"]
@@ -160,7 +160,7 @@ def _worker_main(conn, config: CampaignConfig, resolver, sleep, telemetry,
             pass
 
 
-def _execute_cell(runner, conn, spec: RunSpec, index: int,
+def _execute_cell(runner, conn, spec: RunRequest, index: int,
                   config: CampaignConfig) -> RunRecord:
     """Run one cell with heartbeats armed.
 
@@ -194,7 +194,7 @@ def _execute_cell(runner, conn, spec: RunSpec, index: int,
 class _Worker:
     proc: multiprocessing.Process
     conn: object
-    busy: tuple[int, RunSpec] | None = None
+    busy: tuple[int, RunRequest] | None = None
     last_beat: float = 0.0
     had_beat: bool = False
     cursor: dict | None = None
@@ -251,7 +251,7 @@ def run_supervised(config: CampaignConfig, pending, jobs: int, on_record,
     """
     sleep = sleep if sleep is not None else time.sleep
     ctx = multiprocessing.get_context()
-    queue: deque[tuple[int, RunSpec]] = deque(pending)
+    queue: deque[tuple[int, RunRequest]] = deque(pending)
     workers: list[_Worker] = []
     strikes: dict[str, tuple[int, str]] = {}  # run_id -> (count, last failure)
     executed = 0
@@ -262,7 +262,7 @@ def run_supervised(config: CampaignConfig, pending, jobs: int, on_record,
     # legitimately takes longer than steady-state beat spacing
     grace = timeout * 2 if timeout is not None else None
 
-    def quarantine(spec: RunSpec, index: int, count: int, desc: str,
+    def quarantine(spec: RunRequest, index: int, count: int, desc: str,
                    flight: dict | None, cursor: dict | None) -> None:
         nonlocal executed
         error = f"quarantined after {count} worker strike(s); last: {desc}"
@@ -284,7 +284,7 @@ def run_supervised(config: CampaignConfig, pending, jobs: int, on_record,
                     spec.run_id, exc,
                 )
 
-    def strike(item: tuple[int, RunSpec], desc: str, outcome: str,
+    def strike(item: tuple[int, RunRequest], desc: str, outcome: str,
                flight: dict | None, cursor: dict | None) -> int:
         """Journal a strike record; re-enqueue or quarantine the cell."""
         index, spec = item
@@ -528,7 +528,7 @@ def _probe_main(payload: bytes) -> None:
     os._exit(0)
 
 
-def _subprocess_probe(candidate, inputs, spec: RunSpec, machine_name: str,
+def _subprocess_probe(candidate, inputs, spec: RunRequest, machine_name: str,
                       timeout: float) -> bool:
     """Does *candidate* still crash or hang a fresh process?"""
     payload = pickle.dumps(
@@ -545,7 +545,7 @@ def _subprocess_probe(candidate, inputs, spec: RunSpec, machine_name: str,
     return proc.exitcode != 0  # the crash reproduces
 
 
-def minimize_poison(spec: RunSpec, machine_name: str, resolver, *,
+def minimize_poison(spec: RunRequest, machine_name: str, resolver, *,
                     max_checks: int | None = None,
                     probe_timeout: float | None = None,
                     probe=None) -> dict:
@@ -600,7 +600,7 @@ def minimize_poison(spec: RunSpec, machine_name: str, resolver, *,
 
 
 def _write_quarantine(quarantine_dir: Path, config: CampaignConfig,
-                      spec: RunSpec, count: int, desc: str,
+                      spec: RunRequest, count: int, desc: str,
                       flight: dict | None, cursor: dict | None,
                       resolver) -> None:
     """Write ``quarantine/<run_id>.json``: spec, forensics, reproducer."""

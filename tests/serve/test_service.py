@@ -124,7 +124,7 @@ def test_miss_batch_leaves_only_store_entries(tmp_path, monkeypatch):
     )
     out = SimulationService(store, jobs=1).serve_campaign(request)
     assert [r.outcome for r in out.results] == ["ok", "ok", "error"]
-    assert sorted(run_id for _, run_id, _ in puts) == \
+    assert sorted(run_id for _, run_id, *_ in puts) == \
         sorted(r.run_id for r in request.runs[:2])
     assert not (tmp_path / "work").exists()
     assert not list(tmp_path.rglob("*journal*"))
@@ -138,8 +138,8 @@ def _run_doc(mode, nprocs):
 
 def test_a_miss_fsyncs_once_per_stored_result(tmp_path, monkeypatch):
     """A put is one log append and one fsync: a de miss fsyncs once, and
-    an am miss that measures its calibration adds the warm file's two
-    (its temporary file and its directory)."""
+    so does an am miss that measures its calibration, whose record rides
+    the same write."""
     store = ResultStore(tmp_path)
     service = SimulationService(store, jobs=1)
     service.handle_run(_run_doc("de", 2))  # the store already holds an entry
@@ -150,9 +150,10 @@ def test_a_miss_fsyncs_once_per_stored_result(tmp_path, monkeypatch):
     assert len(calls) == 1
     calls.clear()
     assert service.handle_run(_run_doc("am", 4))["cached"] is False
-    assert len(list(store.warm_dir.glob("*.json"))) == 1
-    assert len(calls) == 3
+    assert store.stats()["warm_calibrations"] == 1
+    assert len(calls) == 1
     store.close()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.jsonl"]
 
 
 def test_a_run_hit_hashes_each_identity_once(service, monkeypatch):
@@ -174,13 +175,11 @@ def test_a_run_hit_hashes_each_identity_once(service, monkeypatch):
 def test_only_am_misses_look_up_a_stored_calibration(tmp_path, monkeypatch):
     """de and measured runs never calibrate, so their misses look up no
     warm calibration; an am miss looks one up once."""
-    import repro.store
-
-    lookups = []
-    real_load = repro.store.load_warm_calibration
-    monkeypatch.setattr(repro.store, "load_warm_calibration",
-                        lambda *a, **kw: lookups.append(a) or real_load(*a, **kw))
     store = ResultStore(tmp_path)
+    lookups = []
+    real_lookup = store.calibration
+    monkeypatch.setattr(store, "calibration",
+                        lambda key: lookups.append(key) or real_lookup(key))
     service = SimulationService(store, jobs=1)
     for mode in ("de", "measured"):
         assert service.handle_run(_run_doc(mode, 2))["result"]["outcome"] == "ok"
@@ -188,6 +187,84 @@ def test_only_am_misses_look_up_a_stored_calibration(tmp_path, monkeypatch):
     assert service.handle_run(_run_doc("am", 2))["result"]["outcome"] == "ok"
     assert len(lookups) == 1
     store.close()
+
+
+def _fail_calibration(monkeypatch):
+    import repro.workflow.pipeline
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated despite a stored calibration")
+
+    monkeypatch.setattr(repro.workflow.pipeline, "measure_wparams", no_calibration)
+
+
+def _am_request(nprocs, name="am"):
+    # calib_procs is pinned: every cell of one app shares a calibration group
+    return CampaignRequest(
+        name=name, machine="IBM-SP", calib_procs=2,
+        runs=tuple(RunRequest(app=app, mode="am", nprocs=p, inputs=inputs)
+                   for app, inputs in ((APP, (("n", 64),)),
+                                       ("sample_wavefront", ()))
+                   for p in nprocs))
+
+
+def _cold(tmp_path, request):
+    """The results a fresh store returns for *request*, as documents."""
+    store = ResultStore(tmp_path / "cold")
+    try:
+        return [r.to_json() for r in SimulationService(store).serve_campaign(request).results]
+    finally:
+        store.close()
+
+
+def test_an_am_miss_warm_starts_after_a_reopen(tmp_path, monkeypatch):
+    """A calibration measured before the store was closed and reopened
+    primes a later am miss of its group: no calibration run, and the
+    bytes a cold run returns."""
+    later = _am_request((4,), name="later")
+    want = _cold(tmp_path, later)
+    store = ResultStore(tmp_path / "store")
+    SimulationService(store).serve_campaign(_am_request((2,)))
+    assert store.stats()["warm_calibrations"] == 2
+    store.close()
+    store = ResultStore(tmp_path / "store")
+    _fail_calibration(monkeypatch)
+    out = SimulationService(store).serve_campaign(later)
+    assert out.misses == 2
+    assert [r.to_json() for r in out.results] == want
+    store.close()
+
+
+def test_a_jobs_2_batch_warm_starts_from_an_earlier_batch(tmp_path, monkeypatch):
+    """Supervised workers ship the calibrations they measure back to the
+    server, which stores them; the workers of a later batch start from
+    them."""
+    later = _am_request((4, 8), name="later")
+    want = _cold(tmp_path, later)
+    store = ResultStore(tmp_path / "store")
+    service = SimulationService(store, jobs=2)
+    first = service.serve_campaign(_am_request((2,)))
+    assert [r.outcome for r in first.results] == ["ok", "ok"]
+    assert store.stats()["warm_calibrations"] == 2
+    _fail_calibration(monkeypatch)  # forked workers inherit the patch
+    out = service.serve_campaign(later)
+    assert (out.hits, out.misses) == (0, 4)
+    assert [r.to_json() for r in out.results] == want
+    store.close()
+
+
+def test_an_am_cell_of_an_unknown_app_errors_alone(service):
+    """A cell whose calibration key cannot be computed ends as its own
+    error outcome; the rest of the batch runs and is stored."""
+    request = CampaignRequest(
+        name="unknown", machine="IBM-SP", calib_procs=2,
+        runs=(RunRequest(app="no_such_app", mode="am", nprocs=2),
+              RunRequest(app=APP, mode="am", nprocs=2, inputs=(("n", 64),))))
+    out = service.serve_campaign(request)
+    assert [r.outcome for r in out.results] == ["error", "ok"]
+    assert "no_such_app" in out.results[0].error
+    assert service.store.stats()["entries"] == 1
+    assert service.store.stats()["warm_calibrations"] == 1
 
 
 def test_nas_sp_query_defaults_calibration_to_its_own_nprocs(service):

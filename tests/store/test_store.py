@@ -1,22 +1,23 @@
 """ResultStore: content addressing, LRU eviction, crash consistency,
-warm-start calibrations."""
+warm-start calibrations in the same log."""
 
 import json
 import multiprocessing
+import os
 import time
 
 import pytest
 
+from repro.api import RunRequest
 from repro.ir.interp import BranchProfile
 from repro.measure import Calibration
 from repro.store import (
     ResultStore,
     StoreInUseError,
-    load_warm_calibration,
-    save_warm_calibration,
     scan_store,
     warm_calibration_key,
 )
+from repro.workflow.campaign import execute_request, request_runner
 
 CTX = "c" * 16
 
@@ -196,13 +197,12 @@ def test_older_store_layout_is_not_read(tmp_path):
     (tmp_path / "store" / CTX / "r0000.json").write_text(json.dumps(_doc(0)))
     (tmp_path / "index.jsonl").write_text(
         '{"bytes":40,"entry":"%s/r0000.json","op":"put"}\n' % CTX)
-    save_warm_calibration(tmp_path / "warm", "k" * 8, _calibration())
-    assert scan_store(tmp_path)["entries"] == 0  # its warm files still count
-    assert scan_store(tmp_path)["warm_calibrations"] == 1
+    assert scan_store(tmp_path) is None  # no store log: not a store yet
     store = ResultStore(tmp_path)
     assert store.stats()["entries"] == 0
     assert store.get(CTX, "r0000") is None
     store.close()
+    assert scan_store(tmp_path)["entries"] == 0
 
 
 def _overwrite(path, old: bytes, new: bytes):
@@ -304,15 +304,93 @@ def _calibration():
 
 
 def test_warm_calibration_round_trip(tmp_path):
+    """A calibration rides its run's put, survives a kill and a clean
+    close, and reads back as the Calibration it was."""
     cal = _calibration()
     key = warm_calibration_key(app="app", machine="IBM-SP", calib_nprocs=2,
                                calib_inputs={"n": 64.0}, seed=0)
-    save_warm_calibration(tmp_path, key, cal)
-    loaded = load_warm_calibration(tmp_path, key, program="app")
-    assert loaded is not None
-    assert loaded.wparams == cal.wparams
-    assert loaded.profile.to_dict() == cal.profile.to_dict()
-    assert loaded.elapsed == cal.elapsed
+    store = ResultStore(tmp_path)
+    store.put(CTX, "r0000", _doc(0), (key, cal.to_json()))
+    store._close_fds()  # killed: replay finds the record
+    for close in ("close", "_close_fds"):
+        store = ResultStore(tmp_path)
+        loaded = Calibration.from_json(store.calibration(key))
+        assert loaded.wparams == cal.wparams
+        assert loaded.profile.to_dict() == cal.profile.to_dict()
+        assert loaded.elapsed == cal.elapsed
+        assert store.get(CTX, "r0000") == _doc(0)
+        assert store.stats()["warm_calibrations"] == scan_store(tmp_path)[
+            "warm_calibrations"] == 1
+        getattr(store, close)()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.jsonl"]
+
+
+def test_a_calibration_is_one_record_in_its_put_write(tmp_path, monkeypatch):
+    """One write and one fsync store a result with its calibration, or a
+    calibration alone; storing a key again replaces its calibration, as a
+    re-put replaces a result."""
+    store = ResultStore(tmp_path)
+    store.put(CTX, "r0000", _doc(0))
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    doc = _calibration().to_json()
+    store.put(CTX, "r0001", _doc(1), ("k1", doc))
+    store.put_calibration("k2", doc)
+    store.put_calibration("k1", {**doc, "elapsed": 0.75})
+    assert len(fsyncs) == 3
+    ops = [json.loads(line)["op"] for line in store.log_path.read_bytes().splitlines()]
+    assert ops == ["put", "put", "calibration", "calibration", "calibration"]
+    assert store.stats()["warm_calibrations"] == 2
+    assert store.calibration("k1")["elapsed"] == 0.75
+    store.close()
+    ops = [json.loads(line)["op"] for line in store.log_path.read_bytes().splitlines()]
+    assert ops == ["put", "put", "calibration", "calibration", "counters"]
+    again = ResultStore(tmp_path)
+    assert again.calibration("k1")["elapsed"] == 0.75
+    assert again.calibration("k2") == doc
+    again.close()
+
+
+def test_the_byte_budget_never_evicts_a_calibration(tmp_path):
+    store = ResultStore(tmp_path, max_bytes=300)
+    store.put_calibration("k1", _calibration().to_json())
+    for i in range(6):
+        store.put(CTX, f"r{i:04d}", _doc(i, pad=100))
+    stats = store.stats()
+    assert stats["evictions"] > 0 and stats["bytes"] <= 300
+    assert stats["warm_calibrations"] == 1
+    store.close()
+    again = ResultStore(tmp_path, max_bytes=300)
+    assert again.calibration("k1") == _calibration().to_json()
+    again.close()
+
+
+def test_a_damaged_calibration_is_dropped(tmp_path):
+    store = ResultStore(tmp_path)
+    store.put_calibration("k1", _calibration().to_json())
+    _overwrite(store.log_path, b'"program":"app"', b"#" * 15)
+    assert store.calibration("k1") is None
+    assert store.stats()["warm_calibrations"] == 0
+    store.close()
+
+
+def test_close_parses_no_result_document(tmp_path, monkeypatch):
+    """Compaction copies each live record after checking its envelope;
+    only a get parses a document."""
+    store = ResultStore(tmp_path)
+    for i in range(3):
+        store.put(CTX, f"r{i:04d}", _doc(i), (f"k{i}", _calibration().to_json()))
+    parsed = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(s) or real_loads(s, **kw))
+    store.close()
+    assert parsed and not [s for s in parsed if b'"result"' in s]
+    monkeypatch.undo()
+    again = ResultStore(tmp_path)
+    assert [again.get(CTX, f"r{i:04d}") for i in range(3)] == [_doc(i) for i in range(3)]
+    assert again.stats()["warm_calibrations"] == 3
+    again.close()
 
 
 def test_warm_calibration_key_is_sensitive_to_each_field():
@@ -324,32 +402,53 @@ def test_warm_calibration_key_is_sensitive_to_each_field():
         assert warm_calibration_key(**{**base, field: value}) != key
 
 
-def test_warm_calibration_program_mismatch_degrades_to_cold(tmp_path):
-    key = warm_calibration_key(app="app", machine="IBM-SP", calib_nprocs=2,
-                               calib_inputs={}, seed=0)
-    save_warm_calibration(tmp_path, key, _calibration())
-    assert load_warm_calibration(tmp_path, key, program="other") is None
-    assert load_warm_calibration(tmp_path, "missing" * 2) is None
+APP_REQUEST = RunRequest(app="sample_nearest_neighbor", mode="am", nprocs=4,
+                         inputs=(("n", 64),))
+
+
+def test_warm_calibration_program_mismatch_degrades_to_cold():
+    """A stored calibration for another app, or a malformed one, is not
+    used: the run measures its own, and returns the cold bytes."""
+    cold = execute_request(APP_REQUEST, calib_procs=2, calibrations={})
+    assert cold.outcome == "ok" and cold.calibration is not None
+    key = request_runner([APP_REQUEST], calib_procs=2).calibration_key(APP_REQUEST)
+    for doc in ({**cold.calibration, "program": "other"}, {"wparams": 1}):
+        rec = execute_request(APP_REQUEST, calib_procs=2, calibrations={key: doc})
+        assert rec.calibration == cold.calibration  # measured again
+        assert (rec.elapsed, rec.stats) == (cold.elapsed, cold.stats)
 
 
 def test_leftover_kernel_files_are_not_warm_calibrations(tmp_path):
+    """An older store's warm/ directory, calibration and kernel files
+    alike, is not read: only calibration records count."""
+    warm = tmp_path / "warm"
+    warm.mkdir()
+    (warm / ("k" * 16 + ".json")).write_text(json.dumps(_calibration().to_json()))
+    (warm / ("kernel-" + "f" * 64 + ".json")).write_text("{}")
     store = ResultStore(tmp_path)
-    save_warm_calibration(store.warm_dir, "k" * 8, _calibration())
-    (store.warm_dir / ("kernel-" + "f" * 64 + ".json")).write_text("{}")
-    assert store.stats()["warm_calibrations"] == 1
+    assert store.stats()["warm_calibrations"] == 0
+    assert store.calibration("k" * 16) is None
+    store.put_calibration("k" * 16, _calibration().to_json())
+    store.close()
     assert scan_store(tmp_path)["warm_calibrations"] == 1
 
 
-def test_campaign_warm_start_skips_calibration(tmp_path):
-    """Second execute_request with the same warm_dir loads, not measures."""
-    from repro.api import RunRequest
-    from repro.workflow.campaign import execute_request
+def test_campaign_warm_start_skips_calibration(monkeypatch):
+    """A run handed the calibration an earlier run measured measures
+    none, and returns the bytes the cold run returned."""
+    import repro.workflow.pipeline
 
-    req = RunRequest(app="sample_nearest_neighbor", mode="am", nprocs=4,
-                     inputs=(("n", 64),))
-    first = execute_request(req, calib_procs=2, warm_dir=str(tmp_path))
-    saved = list(tmp_path.glob("*.json"))
-    assert len(saved) == 1  # calibration persisted
-    second = execute_request(req, calib_procs=2, warm_dir=str(tmp_path))
-    assert first.outcome == "ok" and second.outcome == "ok"
-    assert first.stats == second.stats  # warm start is bit-identical
+    first = execute_request(APP_REQUEST, calib_procs=2, calibrations={})
+    assert first.calibration is not None  # rides back for the store
+    # without a map (campaigns, inline queries) none rides back
+    assert execute_request(APP_REQUEST, calib_procs=2).calibration is None
+    key = request_runner([APP_REQUEST], calib_procs=2).calibration_key(APP_REQUEST)
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated despite a warm start")
+
+    monkeypatch.setattr(repro.workflow.pipeline, "measure_wparams", no_calibration)
+    second = execute_request(APP_REQUEST, calib_procs=2,
+                             calibrations={key: first.calibration})
+    assert second.outcome == "ok" and second.calibration is None
+    assert (first.elapsed, first.stats) == (second.elapsed, second.stats)

@@ -13,7 +13,6 @@ from repro.util.atomic_io import (
     atomic_write,
     atomic_write_text,
     read_jsonl,
-    scan_jsonl,
 )
 
 
@@ -88,15 +87,15 @@ class TestAppendJsonl:
 
     def test_append_lines_returns_where_the_lines_start(self, tmp_path):
         # past the newline that terminates a kept final record, and past
-        # a truncated torn tail; scan_jsonl reports the same offsets
+        # a truncated torn tail, which read_jsonl no longer sees
         path = tmp_path / "log.jsonl"
         path.write_text('{"n": 1}')
         assert append_lines(path, b'{"n":2}\n') == 9
         with open(path, "a") as fh:
             fh.write('{"n": 3, "torn')
         assert append_lines(path, b'{"n":4}\n') == 17
-        assert scan_jsonl(path) == [(0, 9, {"n": 1}), (9, 8, {"n": 2}),
-                                    (17, 8, {"n": 4})]
+        assert read_jsonl(path) == [{"n": 1}, {"n": 2}, {"n": 4}]
+        assert path.read_bytes()[17:] == b'{"n":4}\n'
 
 
 class TestAtomicJournal:

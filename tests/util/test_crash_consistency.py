@@ -7,9 +7,9 @@ and every append-only log (journals, the result store's log) through
 torn-write failures at each boundary of both protocols and assert the
 crash-consistency invariant at every one: readers observe either the
 old complete file or the new complete file — never a torn intermediate
-— and no temporary litter survives.  The result store is checked
-against a dict model over generated operation sequences with one
-crash each.
+— and no temporary litter survives.  The result store's log, with
+its results and its warm-start calibrations, is checked against a dict
+model over generated operation sequences with one crash each.
 """
 
 import errno
@@ -180,15 +180,24 @@ class TestJournalCrashConsistency:
 
 CTX = "c" * 16
 KEYS = [f"r{i}" for i in range(5)]
+CAL_KEYS = [f"k{i}" for i in range(3)]
 
 #: one operation: put (a new version of a key's document, sized by its
-#: padding), get, compaction, a clean close and reopen, or a reopen
-#: after a kill
+#: padding, with or without a calibration), a calibration put alone,
+#: get, compaction, a clean close and reopen, or a reopen after a kill
 STORE_OPS = st.one_of(
-    st.tuples(st.just("put"), st.sampled_from(KEYS), st.sampled_from([0, 30, 60, 90])),
+    st.tuples(st.just("put"), st.sampled_from(KEYS), st.sampled_from([0, 30, 60, 90]),
+              st.sampled_from([None, *CAL_KEYS])),
+    st.tuples(st.just("calibrate"), st.sampled_from(CAL_KEYS)),
     st.tuples(st.just("get"), st.sampled_from(KEYS)),
     st.sampled_from([("compact",), ("reopen",), ("kill",)]),
 )
+
+
+def _calibration(key):
+    """The calibration stored under *key*: one document per key, as a
+    deterministic engine measures it."""
+    return key, {"program": key, "wparams": {"w_body": 1.25e-6}}
 
 #: the one crash of a sequence: a failed put, a torn final record left
 #: by a killed process, or a failed compaction on close
@@ -201,7 +210,11 @@ class StoreModel:
     def __init__(self, budget):
         self.budget = budget
         self.entries: OrderedDict[str, str] = OrderedDict()
+        self.calibrations: dict[str, str] = {}  # never evicted
         self.counts = {"hits": 0, "puts": 0, "evictions": 0}
+
+    def calibrate(self, key):
+        self.calibrations[key] = canonical_json(_calibration(key)[1])
 
     def put(self, key, text):
         self.entries.pop(key, None)
@@ -238,9 +251,13 @@ def _check(store, model, base):
         assert _served(store, key) == want
     for key in set(KEYS) - set(model.entries):
         assert not store.contains(CTX, key)
+    for key in CAL_KEYS:
+        doc = store.calibration(key)
+        assert (None if doc is None else canonical_json(doc)) == model.calibrations.get(key)
     stats, scanned = store.stats(), scan_store(base)
     want = {"entries": len(model.entries),
-            "bytes": sum(map(len, model.entries.values())), **model.counts}
+            "bytes": sum(map(len, model.entries.values())),
+            "warm_calibrations": len(model.calibrations), **model.counts}
     for name, value in want.items():
         assert stats[name] == scanned[name] == value, name
     assert not list(base.glob("*.tmp.*")), "temporary litter survived"
@@ -264,11 +281,16 @@ class TestResultStoreLog:
             if op is None:
                 break
             if op[0] == "put":
-                _, key, pad = op
+                _, key, pad, cal = op
                 versions[key] = versions.get(key, 0) + 1
                 doc = {"run_id": key, "v": versions[key], "x": "y" * pad}
-                store.put(CTX, key, doc)
+                store.put(CTX, key, doc, None if cal is None else _calibration(cal))
                 model.put(key, canonical_json(doc))
+                if cal is not None:
+                    model.calibrate(cal)
+            elif op[0] == "calibrate":
+                store.put_calibration(*_calibration(op[1]))
+                model.calibrate(op[1])
             elif op[0] == "get":
                 assert _served(store, op[1]) == model.get(op[1])
             elif op[0] == "compact":
@@ -299,7 +321,13 @@ class TestResultStoreLog:
                 store.close()  # best-effort: the uncompacted log is kept
             return _open(base, budget)
         key = data.draw(st.sampled_from(KEYS), label="failed put")
+        cal = data.draw(st.sampled_from([None, *CAL_KEYS]), label="its calibration")
+        alone = cal is not None and data.draw(st.booleans(), label="calibration alone")
         with mock.patch.object(os, *APPEND_FAULTS[fault]):
             with pytest.raises(OSError):
-                store.put(CTX, key, {"run_id": key, "v": -1})
+                if alone:
+                    store.put_calibration(*_calibration(cal))
+                else:
+                    store.put(CTX, key, {"run_id": key, "v": -1},
+                              None if cal is None else _calibration(cal))
         return store  # a failed put is absent and the store stays usable

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunRequest
 from repro.sim.engine import Simulator
 from repro.sim.heartbeat import HEARTBEAT
 from repro.workflow.campaign import (
@@ -16,7 +17,6 @@ from repro.workflow.campaign import (
     CampaignError,
     CampaignInterrupted,
     CampaignRunner,
-    RunSpec,
     expand_grid,
     format_campaign_report,
     load_grid,
@@ -112,9 +112,9 @@ class TestGridExpansion:
 
 class TestIdentity:
     def test_run_id_is_content_hash(self):
-        a = RunSpec("app", "de", 4, (("n", 64),))
-        b = RunSpec("app", "de", 4, (("n", 64),))
-        c = RunSpec("app", "de", 8, (("n", 64),))
+        a = RunRequest("app", "de", 4, (("n", 64),))
+        b = RunRequest("app", "de", 4, (("n", 64),))
+        c = RunRequest("app", "de", 8, (("n", 64),))
         assert a.run_id == b.run_id
         assert a.run_id != c.run_id
 

@@ -15,8 +15,13 @@ campaign grid twice, and demands:
   naming the store, and ``repro inspect`` still reads it;
 * while a slow grid runs in a background thread, ``/healthz`` and a
   warm ``/v1/run`` hit each answer within 5 s;
+* an ``am`` ``/v1/run`` miss measures a calibration, which the store
+  keeps in its log;
 * SIGTERM produces a clean drain: exit code 0, "shutdown complete" on
-  stdout, and no orphan processes holding the store.
+  stdout, and no orphan processes holding the store;
+* the drained store directory holds only ``results.jsonl`` (no
+  ``warm/``, no temporary files), and ``repro inspect`` counts the one
+  warm calibration.
 
 It also prints the median latency of 200 warm ``/v1/run`` hits, which
 no check gates.  Exit code 0 on success, 1 with a diagnostic on any
@@ -57,6 +62,9 @@ SLOW_GRID = {
 #: a cell of GRID as a bare run request: a warm hit once GRID ran
 HIT = {"kind": "run_request", "app": "sample_nearest_neighbor",
        "mode": "de", "nprocs": 4}
+
+#: an am miss: it measures the one calibration the store keeps
+AM = {**HIT, "mode": "am"}
 
 #: the longest a request may wait for a thread while a grid simulates
 PROMPT_S = 5.0
@@ -203,6 +211,11 @@ def main():
         print(f"serve-smoke: p50 of 200 warm hits {warm_hit_p50_ms(base):.3f} ms "
               "(not gated)")
 
+        am = post(base, "/v1/run", AM)
+        if am["cached"] is not False or am["result"]["outcome"] != "ok":
+            fail(f"am miss: {am}")
+        print("serve-smoke: am miss ok")
+
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=60)
         tail = proc.stdout.read()
@@ -216,8 +229,15 @@ def main():
             proc.kill()
             proc.wait()
 
-    if not (Path(store) / "results.jsonl").is_file():
-        fail("store log missing after shutdown")
+    left = sorted(p.name for p in Path(store).iterdir())
+    if left != ["results.jsonl"]:
+        fail(f"the drained store holds {left}, not only results.jsonl")
+    inspect = subprocess.run(
+        [sys.executable, "-m", "repro", "inspect", store],
+        capture_output=True, text=True, cwd=repo, env=env, timeout=120)
+    if inspect.returncode != 0 or "1 warm calibration(s)" not in inspect.stdout:
+        fail(f"inspect after shutdown: {inspect.stdout!r} {inspect.stderr!r}")
+    print("serve-smoke: the store is one log, with 1 warm calibration")
     print("serve-smoke: OK")
 
 
