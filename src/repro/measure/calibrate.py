@@ -22,7 +22,7 @@ collector and the profile in the interpreter's order, so the measured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..codegen.timers import generate_instrumented
 from ..ir.interp import BranchProfile, MeasurementCollector, make_factory
@@ -52,8 +52,7 @@ class Calibration:
     def to_json(self) -> dict:
         """JSON form, as a warm start stores it (a BranchProfile does not
         pickle, so a supervised worker ships this back too)."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {**doc, "profile": self.profile.to_dict()}
+        return {**vars(self), "profile": self.profile.to_dict()}
 
     @classmethod
     def from_json(cls, doc: dict) -> Calibration:

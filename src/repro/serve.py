@@ -307,8 +307,7 @@ class SimulationService:
     def _execute_batch(self, request: CampaignRequest, ctx: str,
                        missing: list[RunRequest],
                        results: dict[str, RunResult]) -> int:
-        """Run the cache-miss cells; store each cacheable result as it
-        lands, with the warm-start calibration its run measured."""
+        """Run the cache-miss cells; store each cacheable result and calibration as it lands."""
         batch = CampaignConfig.from_request(
             request,
             calib_from_spec=True,  # purity: calibrate from each run's own spec
@@ -317,7 +316,6 @@ class SimulationService:
         )
         batch.specs = list(missing)
         executed_events = 0
-        keys: dict[str, str] = {}  # run_id -> calibration key of an am miss
 
         def on_record(spec, rec):
             nonlocal executed_events
@@ -325,12 +323,13 @@ class SimulationService:
             res = RunResult.from_record(rec)
             results[spec.run_id] = res
             executed_events += res.events
-            key = keys.get(spec.run_id)
-            calibration = (key, rec.calibration) if rec.calibration and key else None
             if rec.outcome in CACHEABLE_OUTCOMES:
-                self.store.put(ctx, spec.run_id, res.to_json(), calibration)
-            elif calibration is not None:
-                self.store.put_calibration(*calibration)
+                self.store.put(ctx, spec.run_id, res.to_json(), rec.calibration)
+            elif rec.calibration is not None:
+                try:  # a warm start is an optimization, never fatal
+                    self.store.put_calibration(*rec.calibration)
+                except OSError as exc:
+                    _log.warning("cannot store warm calibration %s: %s", rec.calibration[0], exc)
 
         with self._exec_lock:
             runner = CampaignRunner(batch, out_dir=os.devnull, resolver=self.resolver)
@@ -338,7 +337,7 @@ class SimulationService:
                 if spec.mode != "am":
                     continue  # only am runs calibrate
                 try:
-                    keys[spec.run_id] = key = runner.calibration_key(spec)
+                    key = runner.calibration_key(spec)
                 except Exception:  # an unknown app: the cell's own run reports it
                     continue
                 doc = self.store.calibration(key)

@@ -104,6 +104,11 @@ def _document_line(op: str, key: str, text: bytes) -> bytes:
         len(text), json.dumps(key).encode(), op.encode(), text)
 
 
+def _calibration_record(key: str, doc: dict) -> tuple[str, bytes]:
+    """``(key, line)``: the ``calibration`` record of *doc* under *key*."""
+    return key, _document_line("calibration", key, canonical_json(doc).encode())
+
+
 #: where a document record's payload begins: canonical JSON sorts
 #: ``result`` after ``bytes``, ``entry`` and ``op``, so everything
 #: before it is the record's envelope
@@ -271,10 +276,11 @@ class ResultStore:
         # the canonical result is serialized once: payload and size
         text = canonical_json(doc).encode()
         put = _document_line("put", key, text)
+        record = None if calibration is None else _calibration_record(*calibration)
         with self._lock:
             victims = self._victims(key, len(text))
             offset = self._append(put + b"".join(
-                _line({"op": "evict", "entry": v}) for v in victims), calibration)
+                _line({"op": "evict", "entry": v}) for v in victims), record)
             for v in victims:
                 _log.info("evicted %s (%d bytes) over %d-byte budget",
                           v, self._entries[v][2], self.max_bytes)
@@ -289,20 +295,20 @@ class ResultStore:
     def put_calibration(self, key: str, doc: dict) -> None:
         """Durably store a warm-start calibration whose run stored no
         result: one append, one ``fsync``."""
+        record = _calibration_record(key, doc)
         with self._lock:
-            self._append(b"", (key, doc))
+            self._append(b"", record)
             self._logged(0)
 
-    def _append(self, lines: bytes, calibration: tuple[str, dict] | None) -> int:
-        """Append *lines*, then the record of *calibration* (which
-        replaces an older one of its key), in one write; the offset of
-        *lines*."""
+    def _append(self, lines: bytes, record: tuple[str, bytes] | None) -> int:
+        """Append *lines*, then the calibration *record*, ``(key, line)``
+        (which replaces an older one of its key), in one write; the
+        offset of *lines*."""
         # caller holds the lock, and logs the records of *lines*
-        record = b"" if calibration is None else _document_line(
-            "calibration", calibration[0], canonical_json(calibration[1]).encode())
-        offset = append_lines(self.log_path, lines + record)
-        if record:
-            self._calibrations[calibration[0]] = (offset + len(lines), len(record))
+        line = b"" if record is None else record[1]
+        offset = append_lines(self.log_path, lines + line)
+        if record is not None:
+            self._calibrations[record[0]] = (offset + len(lines), len(line))
             self._records += 1
         return offset
 

@@ -382,9 +382,10 @@ class RunRecord:
     flight: dict | None = None  # flight-recorder dump, on failed runs
     cursor: dict | None = None  # last heartbeat cursor (hung/poison)
     capsule: dict | None = None  # transient: journaled to telemetry.jsonl, not here
-    #: transient: the Calibration.to_json() of a warm-start calibration
-    #: this run measured (see CampaignConfig.calibrations); never journaled
-    calibration: dict | None = None
+    #: transient: (warm_calibration_key, Calibration.to_json()) of a
+    #: warm-start calibration this run measured (see
+    #: CampaignConfig.calibrations); never journaled
+    calibration: tuple[str, dict] | None = None
     #: transient, for an in-process caller only: the SimResult of an ok
     #: run or the DeadlockReport of a deadlocked one (per-rank stats,
     #: memory, the wait chains).  Never journaled, stored or sent back
@@ -529,7 +530,7 @@ class CampaignRunner:
         self.telemetry = telemetry
         self.progress = progress
         self._workflows: dict[tuple, ModelingWorkflow] = {}
-        self._warm_pending: set[tuple] = set()  # groups with no stored calibration
+        self._warm_pending: dict[tuple, str] = {}  # group -> key of no stored calibration
         self._stop_signal: int | None = None
 
     @property
@@ -921,11 +922,10 @@ class CampaignRunner:
         calibration nprocs (which defaults from ``spec.nprocs`` when
         the context pins no ``calib_procs``): two cells differing only
         in nprocs must never share one calibration, or the stored
-        result would depend on batch composition.  With
-        ``calibrations`` set, an ``am`` run primes the group from its
-        stored calibration instead of measuring one
-        (:meth:`_try_warm_start`), and a freshly measured one rides back
-        on the run's record.
+        result would depend on batch composition.  With ``calibrations``
+        set, an ``am`` run primes the group from its stored calibration
+        instead of measuring one (:meth:`_try_warm_start`), and a freshly
+        measured one rides back on the run's record.
         """
         key = self._calib_key(spec)
         wf = self._workflows.get(key)
@@ -975,16 +975,15 @@ class CampaignRunner:
             wf.prime(calibration=cal)
             _log.info("warm start: calibration %s loaded for %s", key, spec.app)
         else:
-            self._warm_pending.add(self._calib_key(spec))
+            self._warm_pending[self._calib_key(spec)] = key
 
-    def _measured_calibration(self, spec: RunRequest) -> dict | None:
-        """The document of the calibration *spec*'s run measured for a
-        future warm start, once per group; ``None`` if it measured none."""
-        key = self._calib_key(spec)
-        if key not in self._warm_pending or self._workflows[key].calibration is None:
+    def _measured_calibration(self, spec: RunRequest) -> tuple[str, dict] | None:
+        """``(key, document)`` of the calibration *spec*'s run measured for
+        a future warm start, once per group; ``None`` if it measured none."""
+        group = self._calib_key(spec)
+        if group not in self._warm_pending or self._workflows[group].calibration is None:
             return None  # an am run that failed before it calibrated stays pending
-        self._warm_pending.discard(key)
-        return self._workflows[key].calibration.to_json()
+        return self._warm_pending.pop(group), self._workflows[group].calibration.to_json()
 
     def _resolved_inputs(self, spec: RunRequest) -> dict[str, float]:
         _, default_inputs = self.resolver(spec.app)
@@ -1042,7 +1041,6 @@ def request_runner(
     retries: int = 0,
     retry_policy: str | None = None,
     resolver=None,
-    calibrations: dict[str, dict] | None = None,
     backend: str | None = None,
 ) -> CampaignRunner:
     """A journal-less runner for *requests* under one execution context.
@@ -1064,7 +1062,6 @@ def request_runner(
         retries=retries,
         retry_policy=retry_policy,
         calib_from_spec=True,
-        calibrations=calibrations,
         backend=backend,
     )
     return CampaignRunner(config, out_dir=os.devnull, resolver=resolver)

@@ -156,6 +156,29 @@ def test_a_miss_fsyncs_once_per_stored_result(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.jsonl"]
 
 
+def test_a_calibration_that_cannot_be_stored_fails_no_request(tmp_path, monkeypatch):
+    """An am miss that times out after measuring its calibration stores
+    no result, only the calibration; when that append fails (here with
+    ENOSPC), the request still returns the run's own timeout."""
+    import errno
+
+    store = ResultStore(tmp_path)
+    writes = []
+
+    def full(fd, data):
+        writes.append(fd)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full)
+    out = SimulationService(store, jobs=1).handle_run(
+        {**_run_doc("am", 2), "max_wall_seconds": 1e-9})
+    monkeypatch.undo()
+    assert out["result"]["outcome"] == "timeout"
+    assert writes  # the calibration's append was tried
+    assert store.stats()["entries"] == store.stats()["warm_calibrations"] == 0
+    store.close()
+
+
 def test_a_run_hit_hashes_each_identity_once(service, monkeypatch):
     """A /v1/run hit computes two content hashes, the run id and the
     context, and never re-parses the run it was sent."""

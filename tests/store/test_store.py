@@ -406,14 +406,22 @@ APP_REQUEST = RunRequest(app="sample_nearest_neighbor", mode="am", nprocs=4,
                          inputs=(("n", 64),))
 
 
+def _run_with(calibrations):
+    """APP_REQUEST run inline, handed *calibrations* as a serve batch is."""
+    runner = request_runner([APP_REQUEST], calib_procs=2)
+    runner.config.calibrations = calibrations
+    return runner.run_one(APP_REQUEST)
+
+
 def test_warm_calibration_program_mismatch_degrades_to_cold():
     """A stored calibration for another app, or a malformed one, is not
     used: the run measures its own, and returns the cold bytes."""
-    cold = execute_request(APP_REQUEST, calib_procs=2, calibrations={})
+    cold = _run_with({})
     assert cold.outcome == "ok" and cold.calibration is not None
-    key = request_runner([APP_REQUEST], calib_procs=2).calibration_key(APP_REQUEST)
-    for doc in ({**cold.calibration, "program": "other"}, {"wparams": 1}):
-        rec = execute_request(APP_REQUEST, calib_procs=2, calibrations={key: doc})
+    key, doc = cold.calibration
+    assert key == request_runner([APP_REQUEST], calib_procs=2).calibration_key(APP_REQUEST)
+    for bad in ({**doc, "program": "other"}, {"wparams": 1}):
+        rec = _run_with({key: bad})
         assert rec.calibration == cold.calibration  # measured again
         assert (rec.elapsed, rec.stats) == (cold.elapsed, cold.stats)
 
@@ -438,17 +446,15 @@ def test_campaign_warm_start_skips_calibration(monkeypatch):
     none, and returns the bytes the cold run returned."""
     import repro.workflow.pipeline
 
-    first = execute_request(APP_REQUEST, calib_procs=2, calibrations={})
+    first = _run_with({})
     assert first.calibration is not None  # rides back for the store
     # without a map (campaigns, inline queries) none rides back
     assert execute_request(APP_REQUEST, calib_procs=2).calibration is None
-    key = request_runner([APP_REQUEST], calib_procs=2).calibration_key(APP_REQUEST)
 
     def no_calibration(*args, **kwargs):
         raise AssertionError("calibrated despite a warm start")
 
     monkeypatch.setattr(repro.workflow.pipeline, "measure_wparams", no_calibration)
-    second = execute_request(APP_REQUEST, calib_procs=2,
-                             calibrations={key: first.calibration})
+    second = _run_with(dict([first.calibration]))
     assert second.outcome == "ok" and second.calibration is None
     assert (first.elapsed, first.stats) == (second.elapsed, second.stats)
