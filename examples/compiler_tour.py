@@ -17,7 +17,7 @@ by a computational loop nest), then shows each compiler stage:
 Run:  python examples/compiler_tour.py
 """
 
-from repro.codegen import compile_program
+from repro.codegen import compile_program, generate_instrumented
 from repro.ir import ProgramBuilder, format_program, myid, P
 from repro.stg import synthesize_stg
 from repro.symbolic import Gt, Lt, Max, Min, Var, ceil_div
@@ -76,7 +76,7 @@ def main() -> None:
     print("=" * 72)
     print("The timer-instrumented program (measurement branch of Fig. 2)")
     print("=" * 72)
-    print(format_program(compiled.instrumented))
+    print(format_program(generate_instrumented(program)))
 
 
 if __name__ == "__main__":

@@ -428,6 +428,12 @@ class CampaignRequest:
             raise _bad(f"campaign name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.machine, str) or not self.machine:
             raise _bad(f"machine must be a non-empty string, got {self.machine!r}")
+        from ..machine import get_machine  # deferred: keep api importable early
+
+        try:
+            get_machine(self.machine)
+        except KeyError as exc:
+            raise _bad(exc.args[0]) from None
         if not self.runs:
             raise _bad("campaign has no runs")
         seen: set[str] = set()

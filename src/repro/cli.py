@@ -600,6 +600,7 @@ def _write_flight_dump(path: str, dump: dict) -> None:
 
 def cmd_campaign(args) -> int:
     """Run (or resume) a crash-safe multi-run experiment campaign."""
+    from .api import ApiError
     from .obs import METRICS, TRACER
     from .workflow.campaign import (
         CampaignError,
@@ -608,27 +609,23 @@ def cmd_campaign(args) -> int:
         load_grid,
     )
 
+    def given(**flags):
+        return {name: value for name, value in flags.items() if value is not None}
+
     live = _LiveProgress() if args.live else None
     try:
         config = load_grid(args.grid)
-        if args.machine is not None:
-            config.machine = args.machine
-        if args.max_wall is not None:
-            config.max_wall_seconds = args.max_wall
-        if args.max_events is not None:
-            config.max_events = args.max_events
-        if args.max_virtual is not None:
-            config.max_virtual_time = args.max_virtual
-        if args.retries is not None:
-            config.retries = args.retries
-        # supervision knobs are execution policy — they never feed the
-        # config hash, so overriding them on resume is always safe
-        if args.heartbeat_timeout is not None:
-            config.heartbeat_timeout = args.heartbeat_timeout
-        if args.poison_threshold is not None:
-            config.poison_threshold = args.poison_threshold
-        if args.backend is not None:
-            config.backend = args.backend
+        # the request flags feed the config hash; the supervision and
+        # backend flags are execution policy, safe to change on resume
+        config = replace(
+            config,
+            request=replace(config.request, **given(
+                machine=args.machine, max_wall_seconds=args.max_wall,
+                max_events=args.max_events, max_virtual_time=args.max_virtual,
+                retries=args.retries)).validate(),
+            **given(heartbeat_timeout=args.heartbeat_timeout,
+                    poison_threshold=args.poison_threshold, backend=args.backend),
+        )
         runner = CampaignRunner(
             config, args.out,
             telemetry=not args.no_telemetry, progress=live,
@@ -644,7 +641,7 @@ def cmd_campaign(args) -> int:
             METRICS.disable()
             if live is not None:
                 live.close()
-    except CampaignError as exc:
+    except (CampaignError, ApiError) as exc:
         if live is not None:
             live.close()
         print(f"error: {exc}", file=sys.stderr)
@@ -1271,7 +1268,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--machine", default=None,
                       help="override the grid's machine preset")
     add_budget_args(camp)
-    camp.add_argument("--retries", type=int, default=None,
+    camp.add_argument("--retries", type=_nonneg_int, default=None,
                       help="re-run attempts for 'error' outcomes (exponential backoff)")
     camp.add_argument("--max-runs", type=_positive_int, default=None,
                       help="execute at most this many runs, then stop (resumable)")

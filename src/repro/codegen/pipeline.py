@@ -21,7 +21,6 @@ from ..obs.spans import TRACER
 from ..slicing.slicer import SliceResult, slice_program
 from ..stg.condense import CondensePlan, condense
 from .simplify import generate_simplified
-from .timers import generate_instrumented
 
 __all__ = ["CompiledProgram", "compile_program"]
 
@@ -30,13 +29,17 @@ _log = get_logger("codegen")
 
 @dataclass
 class CompiledProgram:
-    """Everything the compiler produces for one application (Fig. 2)."""
+    """The compiler's simplified program for one application (Fig. 2).
+
+    The other output of Fig. 2, the timer version, is
+    :func:`~repro.codegen.generate_instrumented`, which calibration
+    (:func:`repro.measure.measure_wparams`) builds for itself.
+    """
 
     original: Program
     plan: CondensePlan
     slice: SliceResult
     simplified: Program  # the delay-call version run by MPI-SIM-AM
-    instrumented: Program  # the timer version run on the (modelled) real machine
 
     @property
     def w_param_names(self) -> tuple[str, ...]:
@@ -92,7 +95,6 @@ def compile_program(
                 f"in {max_iterations} iterations"
             )
         simplified = generate_simplified(program, plan, sl, eliminate_dead_data)
-        instrumented = generate_instrumented(program)
         span.set(
             iterations=iteration, regions=len(plan.regions),
             pinned=len(sl.pinned_blocks), retained=len(sl.retained_sids),
@@ -113,5 +115,4 @@ def compile_program(
         plan=plan,
         slice=sl,
         simplified=simplified,
-        instrumented=instrumented,
     )

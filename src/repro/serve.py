@@ -66,6 +66,7 @@ import socket
 import threading
 import time
 import urllib.parse
+from dataclasses import replace
 from pathlib import Path
 
 from .api import (
@@ -269,7 +270,7 @@ class SimulationService:
             grid.pop("kind", None)
             grid.setdefault("name", "grid")
             try:
-                request = expand_grid(grid).to_request()
+                request = expand_grid(grid).request
             except CampaignError as exc:
                 raise ApiError("bad_request", str(exc)) from None
         return self.serve_campaign(request).to_json()
@@ -308,13 +309,12 @@ class SimulationService:
                        missing: list[RunRequest],
                        results: dict[str, RunResult]) -> int:
         """Run the cache-miss cells; store each cacheable result and calibration as it lands."""
-        batch = CampaignConfig.from_request(
-            request,
+        batch = CampaignConfig(
+            replace(request, runs=tuple(missing)),
             calib_from_spec=True,  # purity: calibrate from each run's own spec
             calibrations={},
             backend=self.backend,
         )
-        batch.specs = list(missing)
         executed_events = 0
 
         def on_record(spec, rec):
@@ -333,7 +333,7 @@ class SimulationService:
 
         with self._exec_lock:
             runner = CampaignRunner(batch, out_dir=os.devnull, resolver=self.resolver)
-            for spec in batch.specs:
+            for spec in missing:
                 if spec.mode != "am":
                     continue  # only am runs calibrate
                 try:
@@ -343,7 +343,7 @@ class SimulationService:
                 doc = self.store.calibration(key)
                 if doc is not None:
                     batch.calibrations[key] = doc
-            runner.run_cells(list(enumerate(batch.specs)), resolve_jobs(self.jobs),
+            runner.run_cells(list(enumerate(missing)), resolve_jobs(self.jobs),
                              on_record)
             self.executed_runs += len(missing)
             self.executed_events += executed_events

@@ -70,7 +70,7 @@ from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
 from ..obs.spans import TRACER
 from ..sim.budget import BudgetExceededError
-from ..sim.engine import DeadlockError, ExecMode
+from ..sim.engine import DeadlockError
 from ..sim.faults import FaultPlan, RetryPolicy
 from ..sim.flightrec import FLIGHT
 from ..util.atomic_io import AtomicJournal, append_jsonl, atomic_write
@@ -145,22 +145,19 @@ _canonical = canonical_json
 
 @dataclass
 class CampaignConfig:
-    """A fully-expanded campaign: the runs plus how to execute them."""
+    """A campaign: the request it executes plus how to execute it.
 
-    name: str
-    machine: str
-    specs: list[RunRequest]
-    calib_procs: int | None = None
-    max_events: int | None = None
-    max_virtual_time: float | None = None
-    max_wall_seconds: float | None = None
-    retries: int = 0  # campaign-level re-run attempts for "error" outcomes
-    backoff: float = 0.1  # base seconds of the exponential backoff
-    retry_policy: str | None = None  # canonical JSON of the sim-level RetryPolicy
-    # -- supervision policy (execution-side, like ``jobs``: deliberately
-    # excluded from config_hash — it decides how pathological runs are
-    # scheduled/killed, never what a healthy run computes, and records
-    # are keyed by run_id so non-terminal outcomes simply re-run) -----------
+    Everything that shapes results is in :attr:`request`, whose
+    :meth:`~repro.api.CampaignRequest.content_hash` is the journal's
+    ``config_hash``; the other fields are execution policy and never
+    feed it.
+    """
+
+    request: CampaignRequest
+    # -- supervision policy (execution-side, like ``jobs``: it decides how
+    # pathological runs are scheduled/killed, never what a healthy run
+    # computes, and records are keyed by run_id so non-terminal outcomes
+    # simply re-run) --------------------------------------------------------
     heartbeat_timeout: float | None = 30.0  # stale-cursor deadline; None = off
     poison_threshold: int = 2  # worker deaths/hangs before quarantine
     # -- serving policy (set by repro.serve and request_runner, never by
@@ -169,60 +166,13 @@ class CampaignConfig:
     # of its (app, seed) group, so a run's result is a pure function of
     # (request, context) — the property the content-addressed store
     # needs; calibrations maps warm_calibration_key -> a stored
-    # Calibration.to_json() document (None: no warm starts).  Like the
-    # supervision knobs these never feed config_hash.
+    # Calibration.to_json() document (None: no warm starts).
     calib_from_spec: bool = False
     calibrations: dict[str, dict] | None = None
     # -- kernel backend ("interpreted" | "compiled" | "auto"; None =
-    # Simulator's default).  Execution policy, deliberately excluded
-    # from config_hash: results are byte-identical across backends, so
-    # a journal written interpreted resumes compiled and vice versa.
+    # Simulator's default): results are byte-identical across backends,
+    # so a journal written interpreted resumes compiled and vice versa.
     backend: str | None = None
-
-    @property
-    def config_hash(self) -> str:
-        """Hash of everything that shapes the campaign's results.
-
-        Delegates to :meth:`repro.api.CampaignRequest.content_hash` —
-        the single source of campaign identity."""
-        return self.to_request().content_hash()
-
-    def to_request(self) -> CampaignRequest:
-        """The result-shaping core of this config, as the typed API."""
-        return CampaignRequest(
-            name=self.name,
-            machine=self.machine,
-            runs=tuple(self.specs),
-            calib_procs=self.calib_procs,
-            max_events=self.max_events,
-            max_virtual_time=self.max_virtual_time,
-            max_wall_seconds=self.max_wall_seconds,
-            retries=self.retries,
-            backoff=self.backoff,
-            retry_policy=self.retry_policy,
-        )
-
-    @classmethod
-    def from_request(cls, request: CampaignRequest, **policy) -> CampaignConfig:
-        """Build a config from the typed API plus execution policy.
-
-        *policy* takes the execution-side knobs (``heartbeat_timeout``,
-        ``poison_threshold``, ``calib_from_spec``, ``calibrations``,
-        ``backend``) — everything result-shaping comes from *request*.
-        """
-        return cls(
-            name=request.name,
-            machine=request.machine,
-            specs=list(request.runs),
-            calib_procs=request.calib_procs,
-            max_events=request.max_events,
-            max_virtual_time=request.max_virtual_time,
-            max_wall_seconds=request.max_wall_seconds,
-            retries=request.retries,
-            backoff=request.backoff,
-            retry_policy=request.retry_policy,
-            **policy,
-        )
 
 
 def load_grid(path: str | Path) -> CampaignConfig:
@@ -251,7 +201,7 @@ def expand_grid(grid: dict) -> CampaignConfig:
     """
     try:
         config = _expand_grid(grid)
-        config.to_request().validate()
+        config.request.validate()
     except (ApiError, TypeError, ValueError) as exc:
         raise CampaignError(f"invalid grid: {exc}") from None
     return config
@@ -348,10 +298,10 @@ def _expand_grid(grid: dict) -> CampaignConfig:
     ids = [s.run_id for s in specs]
     if len(set(ids)) != len(ids):
         raise bad("duplicate runs in the grid (identical spec cells)")
-    return CampaignConfig(
+    request = CampaignRequest(
         name=str(grid.get("name", "campaign")),
         machine=str(grid.get("machine", "IBM-SP")),
-        specs=specs,
+        runs=tuple(specs),
         calib_procs=grid.get("calib_procs"),
         max_events=budgets.get("max_events"),
         max_virtual_time=budgets.get("max_virtual_time"),
@@ -359,9 +309,9 @@ def _expand_grid(grid: dict) -> CampaignConfig:
         retries=int(grid.get("retries", 0)),
         backoff=float(grid.get("backoff", 0.1)),
         retry_policy=retry,
-        heartbeat_timeout=heartbeat_timeout,
-        poison_threshold=poison_threshold,
     )
+    return CampaignConfig(request, heartbeat_timeout=heartbeat_timeout,
+                          poison_threshold=poison_threshold)
 
 
 # -- journal records -----------------------------------------------------------
@@ -463,16 +413,16 @@ class CampaignReport:
     @property
     def complete(self) -> bool:
         """Every grid cell has a journaled outcome."""
-        return len(self.records) == len(self.config.specs)
+        return len(self.records) == len(self.config.request.runs)
 
 
 def format_campaign_report(report: CampaignReport) -> str:
     """Human-readable campaign summary for the CLI."""
-    cfg = report.config
+    request = report.config.request
     counts = report.outcomes
     lines = [
-        f"Campaign: {cfg.name} ({len(cfg.specs)} runs on {cfg.machine}, "
-        f"config {cfg.config_hash})"
+        f"Campaign: {request.name} ({len(request.runs)} runs on {request.machine}, "
+        f"config {request.content_hash()})"
     ]
     lines.append(
         f"  executed {report.executed}, skipped {report.skipped} already-complete"
@@ -483,7 +433,7 @@ def format_campaign_report(report: CampaignReport) -> str:
         done = len(report.records)
         why = "INTERRUPTED" if report.interrupted else "STOPPED (--max-runs)"
         lines.append(
-            f"  {why} after {done}/{len(cfg.specs)} runs — "
+            f"  {why} after {done}/{len(request.runs)} runs — "
             f"re-run with --resume to continue"
         )
     elif report.results_path is not None:
@@ -552,6 +502,7 @@ class CampaignRunner:
     # -- journal ----------------------------------------------------------------
     def _open_journal(self, resume: bool) -> tuple[AtomicJournal, dict[str, RunRecord]]:
         """Load or create the journal; return it plus completed records."""
+        request = self.config.request
         self.out_dir.mkdir(parents=True, exist_ok=True)
         try:
             journal = AtomicJournal(self.journal_path)
@@ -571,9 +522,9 @@ class CampaignRunner:
                 {
                     "type": "campaign",
                     "version": _JOURNAL_VERSION,
-                    "name": self.config.name,
-                    "config_hash": self.config.config_hash,
-                    "total_runs": len(self.config.specs),
+                    "name": request.name,
+                    "config_hash": request.content_hash(),
+                    "total_runs": len(request.runs),
                 }
             )
             return journal, {}
@@ -594,14 +545,14 @@ class CampaignRunner:
                 f"journal {self.journal_path} has unsupported version "
                 f"{header.get('version')!r}"
             )
-        if header["config_hash"] != self.config.config_hash:
+        if header["config_hash"] != request.content_hash():
             raise CampaignError(
                 f"journal {self.journal_path} belongs to a different campaign "
                 f"(journal config {header['config_hash']}, "
-                f"grid config {self.config.config_hash}); "
+                f"grid config {request.content_hash()}); "
                 f"refusing to mix results"
             )
-        known = {s.run_id for s in self.config.specs}
+        known = {s.run_id for s in request.runs}
         done: dict[str, RunRecord] = {}
         for doc in records[1:]:
             if doc.get("type") != "run":
@@ -632,13 +583,14 @@ class CampaignRunner:
         from .supervisor import resolve_jobs
 
         jobs = resolve_jobs(jobs)
+        runs = self.config.request.runs
         journal, done = self._open_journal(resume)
         skipped = sum(
             1 for rec in done.values() if rec.outcome in TERMINAL_OUTCOMES
         )
         records: dict[str, RunRecord] = dict(done)
         pending = [
-            (index, spec) for index, spec in enumerate(self.config.specs)
+            (index, spec) for index, spec in enumerate(runs)
             if spec.run_id not in done
             or done[spec.run_id].outcome not in TERMINAL_OUTCOMES
         ]
@@ -650,7 +602,7 @@ class CampaignRunner:
                 _log.info("re-running %s (%s last time)",
                           spec.describe(), done[spec.run_id].outcome)
         interrupted = False
-        with TRACER.span("campaign", campaign=self.config.name, runs=len(self.config.specs)):
+        with TRACER.span("campaign", campaign=self.config.request.name, runs=len(runs)):
             try:
                 with _signal_trap(self):
                     self.run_cells(
@@ -664,13 +616,13 @@ class CampaignRunner:
                         "type": "interrupted",
                         "signal": exc.signum,
                         "completed": len(records),
-                        "pending": len(self.config.specs) - len(records),
+                        "pending": len(runs) - len(records),
                     }
                 )
                 _log.warning(
                     "campaign interrupted by signal %d after %d/%d runs; "
                     "journal is consistent at %s",
-                    exc.signum, len(records), len(self.config.specs), self.journal_path,
+                    exc.signum, len(records), len(runs), self.journal_path,
                 )
         report = CampaignReport(
             config=self.config,
@@ -728,7 +680,7 @@ class CampaignRunner:
         if rec.capsule is not None:
             append_jsonl(self.telemetry_path, rec.capsule)
         if self.progress is not None:
-            self.progress(spec, rec, len(records), len(self.config.specs))
+            self.progress(spec, rec, len(records), len(self.config.request.runs))
 
     def _write_merged_telemetry(self) -> None:
         """Fuse journaled capsules into the merged Perfetto timeline.
@@ -747,14 +699,14 @@ class CampaignRunner:
             return
         latest = {cap.run_id: cap for cap in capsules}
         ordered = [
-            latest[s.run_id] for s in self.config.specs if s.run_id in latest
+            latest[s.run_id] for s in self.config.request.runs if s.run_id in latest
         ]
         if not ordered:
             return
         write_merged_perfetto(
             self.merged_perfetto_path, ordered,
-            meta={"campaign": self.config.name,
-                  "config_hash": self.config.config_hash},
+            meta={"campaign": self.config.request.name,
+                  "config_hash": self.config.request.content_hash()},
         )
         _log.info("merged telemetry timeline written to %s",
                   self.merged_perfetto_path)
@@ -794,6 +746,7 @@ class CampaignRunner:
 
     def _run_attempts(self, spec: RunRequest, index: int) -> RunRecord:
         """One grid cell: budgets, bounded retry, outcome classification."""
+        request = self.config.request
         attempts = 0
         while True:
             attempts += 1
@@ -831,11 +784,11 @@ class CampaignRunner:
                 METRICS.counter(
                     "campaign_runs_total", "campaign runs by outcome"
                 ).inc(outcome=outcome, app=spec.app, mode=spec.mode)
-            if outcome == "error" and attempts <= self.config.retries:
-                delay = self.config.backoff * (2 ** (attempts - 1))
+            if outcome == "error" and attempts <= request.retries:
+                delay = request.backoff * (2 ** (attempts - 1))
                 _log.warning(
                     "run %s failed (%s); retry %d/%d in %.3gs",
-                    spec.describe(), error, attempts, self.config.retries, delay,
+                    spec.describe(), error, attempts, request.retries, delay,
                 )
                 self.sleep(delay)
                 continue
@@ -848,38 +801,32 @@ class CampaignRunner:
             )
 
     def _simulate(self, spec: RunRequest):
-        """Dispatch one spec to the right estimator with budgets applied."""
-        cfg = self.config
+        """Run one spec on its estimator with budgets, faults and timeout.
+
+        A run under a fault plan is seeded by its spec in every mode (a
+        fault-free ``de`` or ``am`` run keeps the simulator's default)."""
+        request = self.config.request
         wf = self._workflow_for(spec)
         if spec.mode == "am":
             self._try_warm_start(spec, wf)
         inputs = self._resolved_inputs(spec)
-        budget_kw = {}
-        if cfg.max_events is not None:
-            budget_kw["max_events"] = cfg.max_events
-        if cfg.max_virtual_time is not None:
-            budget_kw["max_virtual_time"] = cfg.max_virtual_time
-        if cfg.max_wall_seconds is not None:
-            budget_kw["max_wall_seconds"] = cfg.max_wall_seconds
+        kw = {key: value for key, value in (
+            ("max_events", request.max_events),
+            ("max_virtual_time", request.max_virtual_time),
+            ("max_wall_seconds", request.max_wall_seconds),
+            ("default_timeout", spec.timeout),
+        ) if value is not None}
         if spec.fault_plan is not None:
-            plan = FaultPlan.from_dict(json.loads(spec.fault_plan))
-            retry = (
-                RetryPolicy(**json.loads(cfg.retry_policy))
-                if cfg.retry_policy is not None else None
-            )
-            mode = {"de": ExecMode.DE, "am": ExecMode.AM,
-                    "measured": ExecMode.MEASURED}[spec.mode]
-            return wf.run_faulty(
-                inputs, spec.nprocs, plan=plan, retry=retry, mode=mode,
-                timeout=spec.timeout, seed=spec.seed, **budget_kw,
-            )
-        if spec.timeout is not None:
-            budget_kw["default_timeout"] = spec.timeout
+            kw["faults"] = FaultPlan.from_dict(json.loads(spec.fault_plan))
+            kw["seed"] = spec.seed
+            if request.retry_policy is not None:
+                kw["retry"] = RetryPolicy(**json.loads(request.retry_policy))
         if spec.mode == "de":
-            return wf.run_de(inputs, spec.nprocs, **budget_kw)
+            return wf.run_de(inputs, spec.nprocs, **kw)
         if spec.mode == "am":
-            return wf.run_am(inputs, spec.nprocs, **budget_kw)
-        return wf.run_measured(inputs, spec.nprocs, seed=spec.seed, **budget_kw)
+            return wf.run_am(inputs, spec.nprocs, **kw)
+        kw["seed"] = spec.seed
+        return wf.run_measured(inputs, spec.nprocs, **kw)
 
     def run_one(self, spec: RunRequest, index: int = 0) -> RunRecord:
         """Execute one request inline and return its record.
@@ -899,7 +846,7 @@ class CampaignRunner:
         """
         if self.config.calib_from_spec:
             return (spec.app, spec.seed, spec.inputs,
-                    self.config.calib_procs or min(spec.nprocs, 16))
+                    self.config.request.calib_procs or min(spec.nprocs, 16))
         return (spec.app, spec.seed)
 
     def _workflow_for(self, spec: RunRequest) -> ModelingWorkflow:
@@ -931,15 +878,15 @@ class CampaignRunner:
         wf = self._workflows.get(key)
         if wf is None:
             base = spec if self.config.calib_from_spec else next(
-                s for s in self.config.specs
+                s for s in self.config.request.runs
                 if s.app == spec.app and s.seed == spec.seed
             )
-            calib_procs = self.config.calib_procs or min(base.nprocs, 16)
+            calib_procs = self.config.request.calib_procs or min(base.nprocs, 16)
             program, default_inputs = self.resolver(spec.app)
             calib = default_inputs(calib_procs)
             calib.update(dict(base.inputs))
             wf = ModelingWorkflow(
-                program, get_machine(self.config.machine),
+                program, get_machine(self.config.request.machine),
                 calib_inputs=calib, calib_nprocs=calib_procs, seed=spec.seed,
                 backend=self.config.backend,
             )
@@ -954,7 +901,7 @@ class CampaignRunner:
 
         wf = self._workflow_for(spec)
         return warm_calibration_key(
-            app=spec.app, machine=self.config.machine,
+            app=spec.app, machine=self.config.request.machine,
             calib_nprocs=wf.calib_nprocs, calib_inputs=wf.calib_inputs,
             seed=wf.seed,
         )
@@ -1011,7 +958,7 @@ class CampaignRunner:
                 ["run_id", "app", "mode", "nprocs", "inputs", "fault_plan",
                  "seed", "outcome", "attempts", "elapsed_s", "error"] + stat_cols
             )
-            for spec in self.config.specs:
+            for spec in self.config.request.runs:
                 rec = records[spec.run_id]
                 stats = rec.stats or {}
                 writer.writerow(
@@ -1051,19 +998,13 @@ def request_runner(
     requests share the batch.  Its ``_workflow_for(request)`` is the
     calibrated workflow a run of that request uses.
     """
-    config = CampaignConfig(
-        name="adhoc",
-        machine=machine,
-        specs=list(requests),
-        calib_procs=calib_procs,
-        max_events=max_events,
-        max_virtual_time=max_virtual_time,
-        max_wall_seconds=max_wall_seconds,
-        retries=retries,
-        retry_policy=retry_policy,
-        calib_from_spec=True,
-        backend=backend,
+    request = CampaignRequest(
+        name="adhoc", machine=machine, runs=tuple(requests),
+        calib_procs=calib_procs, max_events=max_events,
+        max_virtual_time=max_virtual_time, max_wall_seconds=max_wall_seconds,
+        retries=retries, retry_policy=retry_policy,
     )
+    config = CampaignConfig(request, calib_from_spec=True, backend=backend)
     return CampaignRunner(config, out_dir=os.devnull, resolver=resolver)
 
 
@@ -1083,9 +1024,9 @@ def run_requests(requests: list[RunRequest], machine: str = "IBM-SP", *,
 
     runner = request_runner(requests, machine, **context)
     final: dict[int, RunRecord] = {}  # the last record of a cell is its outcome
-    runner.run_cells(list(enumerate(runner.config.specs)), resolve_jobs(jobs),
+    runner.run_cells(list(enumerate(runner.config.request.runs)), resolve_jobs(jobs),
                      lambda spec, rec: final.__setitem__(rec.index, rec))
-    return [final[i] for i in range(len(runner.config.specs))]
+    return [final[i] for i in range(len(runner.config.request.runs))]
 
 
 def execute_request(request: RunRequest, machine: str = "IBM-SP",

@@ -8,6 +8,12 @@ estimators the paper compares:
 * :meth:`run_de` — MPI-SIM-DE, the original direct-execution simulator;
 * :meth:`run_am` — MPI-SIM-AM, the compiler-optimized simulator running
   the simplified program with the calibrated w_i.
+
+Each estimator forwards its keywords to :class:`~repro.sim.Simulator`:
+budgets, and for a resilience what-if a fault plan (``faults=``), a
+retry policy (``retry=``) and a default timeout (``default_timeout=``).
+A run stalled by injected faults raises :class:`repro.sim.DeadlockError`
+carrying a :class:`repro.sim.DeadlockReport`.
 """
 
 from __future__ import annotations
@@ -19,14 +25,10 @@ from ..ir.interp import make_factory
 from ..ir.nodes import Program
 from ..machine import MachineParams
 from ..measure import Calibration, measure_wparams
-from ..obs.logging import get_logger
 from ..obs.spans import TRACER
 from ..sim.engine import ExecMode, SimResult, Simulator
-from ..sim.faults import FaultPlan, RetryPolicy
 
 __all__ = ["ModelingWorkflow"]
-
-_log = get_logger("workflow")
 
 
 @dataclass
@@ -129,54 +131,5 @@ class ModelingWorkflow:
         factory = make_factory(self.compiled.simplified, inputs, wparams=self.wparams)
         with TRACER.span("workflow.simulate", mode="am", nprocs=nprocs) as sp:
             result = Simulator(nprocs, factory, self.machine, mode=ExecMode.AM, **kw).run()
-            sp.set_virtual(0.0, result.elapsed)
-        return result
-
-    # -- resilience what-ifs ------------------------------------------------------
-    def run_faulty(
-        self,
-        inputs: dict[str, float],
-        nprocs: int,
-        plan: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
-        mode: ExecMode = ExecMode.DE,
-        timeout: float | None = None,
-        seed: int | None = None,
-        **kw,
-    ) -> SimResult:
-        """Run one estimator under a fault plan (resilience what-if).
-
-        *mode* picks the program the kernel executes: the application
-        itself (DE / MEASURED) or the compiler-simplified program (AM,
-        which calibrates on demand).  *timeout* is the kernel's default
-        watchdog timeout for blocking sends/receives; *retry* models
-        retransmission of lost / transiently failed messages.  May raise
-        :class:`repro.sim.DeadlockError` carrying a
-        :class:`repro.sim.DeadlockReport` when injected faults stall the
-        application.
-        """
-        kw.setdefault("backend", self.backend)
-        if mode is ExecMode.AM:
-            factory = make_factory(self.compiled.simplified, inputs, wparams=self.wparams)
-        else:
-            factory = make_factory(self.program, inputs)
-        _log.debug(
-            "faulty run: program=%s mode=%s nprocs=%d plan=%s retry=%s",
-            self.program.name, mode.value, nprocs, plan, retry,
-        )
-        with TRACER.span(
-            "workflow.simulate", mode=mode.value, nprocs=nprocs, faulty=True
-        ) as sp:
-            result = Simulator(
-                nprocs,
-                factory,
-                self.machine,
-                mode=mode,
-                seed=self.seed + 1 if seed is None else seed,
-                faults=plan,
-                retry=retry,
-                default_timeout=timeout,
-                **kw,
-            ).run()
             sp.set_virtual(0.0, result.elapsed)
         return result

@@ -30,8 +30,8 @@ event:
   and, when the program survives a pickle round-trip, a **minimized
   reproducer** produced by handing the program to
   :func:`repro.gen.minimize.minimize_program` with a fresh-subprocess
-  crash/hang probe as the predicate.  The rest of the campaign
-  completes.
+  crash/hang probe as the predicate; the probe replays the cell's own
+  ``run_one`` on each candidate.  The rest of the campaign completes.
 * **Bounded retry + graceful degradation.**  A worker death re-enqueues
   the in-flight cell (journaling an intermediate ``error`` record that
   names it) and respawns the worker with exponential backoff.  Pool
@@ -500,40 +500,37 @@ def run_supervised(config: CampaignConfig, pending, jobs: int, on_record,
 
 
 def _probe_main(payload: bytes) -> None:
-    """Reproducer probe child: run the candidate; die only if *it* kills us.
+    """Reproducer probe child: replay the cell on the candidate; die only
+    if *it* kills us.
 
-    Simulator-level failures (deadlock, validation errors) are campaign
-    ``error`` outcomes, not poison — they exit 0 here.  The failures
-    this probe exists for — hard process death, a wedge — either
-    bypass ``except`` entirely or trip the parent's join timeout.
+    The candidate runs through :meth:`CampaignRunner.run_one` on the
+    campaign's own config — the cell's calibration, fault plan, timeout,
+    budgets and backend — with no retry sleeps.  Simulator-level
+    failures (deadlock, validation errors) are campaign outcomes, not
+    poison — they exit 0 here.  The failures this probe exists for —
+    hard process death, a wedge — either bypass ``except`` entirely or
+    trip the parent's join timeout.
     """
     _quiet_worker()
     try:
-        candidate, inputs, nprocs, machine_name, mode, seed = pickle.loads(payload)
-        from ..machine import get_machine
-        from .pipeline import ModelingWorkflow
+        from .campaign import CampaignRunner
 
-        wf = ModelingWorkflow(
-            candidate, get_machine(machine_name),
-            calib_inputs=inputs, calib_nprocs=nprocs, seed=seed,
-        )
-        if mode == "am":
-            wf.run_am(inputs, nprocs)
-        elif mode == "measured":
-            wf.run_measured(inputs, nprocs, seed=seed)
-        else:
-            wf.run_de(inputs, nprocs)
+        config, spec, candidate, resolver = pickle.loads(payload)
+        _, default_inputs = resolver(spec.app)
+        CampaignRunner(
+            config, out_dir=os.devnull,
+            resolver=lambda app: (candidate, default_inputs),
+            sleep=lambda seconds: None,
+        ).run_one(spec)
     except BaseException:
         pass
     os._exit(0)
 
 
-def _subprocess_probe(candidate, inputs, spec: RunRequest, machine_name: str,
-                      timeout: float) -> bool:
+def _subprocess_probe(config: CampaignConfig, spec: RunRequest, candidate,
+                      resolver, timeout: float) -> bool:
     """Does *candidate* still crash or hang a fresh process?"""
-    payload = pickle.dumps(
-        (candidate, inputs, spec.nprocs, machine_name, spec.mode, spec.seed)
-    )
+    payload = pickle.dumps((config, spec, candidate, resolver))
     ctx = multiprocessing.get_context()
     proc = ctx.Process(target=_probe_main, args=(payload,), daemon=True)
     proc.start()
@@ -545,17 +542,19 @@ def _subprocess_probe(candidate, inputs, spec: RunRequest, machine_name: str,
     return proc.exitcode != 0  # the crash reproduces
 
 
-def minimize_poison(spec: RunRequest, machine_name: str, resolver, *,
+def minimize_poison(spec: RunRequest, config: CampaignConfig, resolver, *,
                     max_checks: int | None = None,
                     probe_timeout: float | None = None,
                     probe=None) -> dict:
     """Try to shrink a poison spec's program to a minimal reproducer.
 
-    Returns a JSON-safe summary dict; ``minimized`` is only true when
-    the delta-debugger confirmed the failure in a fresh subprocess and
-    shrank the program.  Every bail-out path records *why* in ``note``
-    — a quarantine artifact must never silently pretend it tried.
-    *probe* overrides the subprocess crash/hang predicate (tests).
+    Each candidate replays *spec*'s run of the campaign *config* in a
+    fresh subprocess (:func:`_probe_main`).  Returns a JSON-safe summary
+    dict; ``minimized`` is only true when the delta-debugger confirmed
+    the failure in a fresh subprocess and shrank the program.  Every
+    bail-out path records *why* in ``note`` — a quarantine artifact must
+    never silently pretend it tried.  *probe* overrides the subprocess
+    crash/hang predicate (tests).
     """
     from ..gen.minimize import minimize_program
 
@@ -563,23 +562,19 @@ def minimize_poison(spec: RunRequest, machine_name: str, resolver, *,
     probe_timeout = PROBE_TIMEOUT if probe_timeout is None else probe_timeout
     info: dict = {"minimized": False}
     try:
-        program, default_inputs = resolver(spec.app)
-        inputs = default_inputs(spec.nprocs)
-        inputs.update(dict(spec.inputs))
+        program, _ = resolver(spec.app)
     except Exception as exc:
         info["note"] = f"resolver failed: {type(exc).__name__}: {exc}"
         return info
     if probe is None:
         try:
-            pickle.dumps(program)
+            pickle.dumps((config, program, resolver))
         except Exception:
-            info["note"] = "program is not picklable; minimization skipped"
+            info["note"] = "program or resolver is not picklable; minimization skipped"
             return info
 
-        def probe(candidate, _inputs=inputs):
-            return _subprocess_probe(
-                candidate, _inputs, spec, machine_name, probe_timeout
-            )
+        def probe(candidate):
+            return _subprocess_probe(config, spec, candidate, resolver, probe_timeout)
 
     try:
         result = minimize_program(program, probe, max_checks=max_checks)
@@ -611,14 +606,13 @@ def _write_quarantine(quarantine_dir: Path, config: CampaignConfig,
         "format": QUARANTINE_FORMAT,
         "run_id": spec.run_id,
         "spec": spec._identity(),
-        "machine": config.machine,
+        "machine": config.request.machine,
         "strikes": count,
         "error": desc,
         "cursor": cursor,
         "flight": flight,
         "reproducer": minimize_poison(
-            spec, config.machine,
-            resolver if resolver is not None else _cli_resolver,
+            spec, config, resolver if resolver is not None else _cli_resolver,
         ),
     }
     path = quarantine_dir / f"{spec.run_id}.json"

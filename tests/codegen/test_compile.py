@@ -8,7 +8,7 @@ functions, and a read-and-broadcast of the measured parameters.
 
 import pytest
 
-from repro.codegen import DUMMY_BUF, compile_program
+from repro.codegen import DUMMY_BUF, compile_program, generate_instrumented
 from repro.ir import (
     AllocStmt,
     Assign,
@@ -119,14 +119,14 @@ class TestSimplifiedStructure:
 
 class TestInstrumentedStructure:
     def test_timers_wrap_blocks(self, compiled):
-        stmts = list(compiled.instrumented.statements())
+        stmts = list(generate_instrumented(compiled.original).statements())
         starts = [s for s in stmts if isinstance(s, StartTimer)]
         stops = [s for s in stmts if isinstance(s, StopTimer)]
         assert len(starts) == len(stops) == 1
         assert starts[0].task == stops[0].task == "loop_nest"
 
     def test_arrays_preserved(self, compiled):
-        assert set(compiled.instrumented.arrays) == {"A", "D"}
+        assert set(generate_instrumented(compiled.original).arrays) == {"A", "D"}
 
 
 class TestEndToEnd:
@@ -134,7 +134,8 @@ class TestEndToEnd:
 
     def _measure(self, compiled, inputs, nprocs):
         coll = MeasurementCollector()
-        factory = make_factory(compiled.instrumented, inputs, collector=coll)
+        factory = make_factory(generate_instrumented(compiled.original), inputs,
+                               collector=coll)
         Simulator(nprocs, factory, M, mode=ExecMode.MEASURED).run()
         return coll.params()
 

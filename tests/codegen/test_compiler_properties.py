@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.codegen import compile_program
+from repro.codegen import compile_program, generate_instrumented
 from repro.ir import MeasurementCollector, ProgramBuilder, make_factory, myid, P
 from repro.machine import NetworkModel, TESTING_MACHINE
 from repro.sim import ExecMode, Simulator
@@ -83,7 +83,7 @@ def programs(draw):
 
 def _measure_exact(compiled, inputs, nprocs):
     coll = MeasurementCollector()
-    factory = make_factory(compiled.instrumented, inputs, collector=coll)
+    factory = make_factory(generate_instrumented(compiled.original), inputs, collector=coll)
     Simulator(nprocs, factory, M, mode=ExecMode.MEASURED).run()
     return coll.params()
 

@@ -455,6 +455,23 @@ def test_http_invalid_grid_body_is_400(tmp_path):
         srv.stop()
 
 
+@pytest.mark.parametrize("path, body", [
+    ("/v1/run", {"run": RunRequest(app=APP, mode="de", nprocs=2).to_json(),
+                 "machine": "NO-SUCH"}),
+    ("/v1/campaign", {**_request().to_json(), "machine": "NO-SUCH"}),
+    ("/v1/campaign", {"app": APP, "nprocs": [2], "machine": "NO-SUCH"}),
+], ids=["run", "campaign", "grid"])
+def test_http_unknown_machine_is_400_before_any_run(tmp_path, path, body):
+    srv = _Server(tmp_path)
+    try:
+        with pytest.raises(ApiError, match="unknown machine 'NO-SUCH'") as exc:
+            srv.client()._request("POST", path, body)
+        assert (exc.value.http_status, exc.value.code) == (400, "bad_request")
+        assert srv.server.service.executed_runs == 0
+    finally:
+        srv.stop()
+
+
 def test_http_bad_requests(tmp_path):
     srv = _Server(tmp_path)
     try:

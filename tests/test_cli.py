@@ -515,6 +515,28 @@ class TestCampaign:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cannot read grid" in err
 
+    @pytest.mark.parametrize("where", ["flag", "grid"])
+    def test_unknown_machine_is_one_line_error_before_any_run(
+            self, tmp_path, capsys, where):
+        machine = {"machine": "NO-SUCH"} if where == "grid" else {}
+        flags = ["--machine", "NO-SUCH"] if where == "flag" else []
+        out = tmp_path / "out"
+        assert main(["campaign", "--grid", self.grid_file(tmp_path, **machine),
+                     "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown machine 'NO-SUCH'" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()  # no journal: nothing ran
+
+    def test_negative_retries_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--grid", self.grid_file(tmp_path), "--out", str(out),
+                  "--retries", "-1"])
+        assert exc.value.code == 2
+        assert "expected an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_flags_flow_into_outcomes(self, tmp_path, capsys):
         grid = self.grid_file(tmp_path)
         assert main(["campaign", "--grid", grid, "--out", str(tmp_path / "out"),

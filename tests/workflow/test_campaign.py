@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,7 @@ def run_campaign(tmp_path, grid=None, sub="out", **execute_kw):
 class TestGridExpansion:
     def test_cross_product(self):
         cfg = expand_grid(tiny_grid(modes=["de", "am"], fault_plans=[None, {"message_loss": 0.1}]))
-        assert len(cfg.specs) == 3 * 2 * 2
+        assert len(cfg.request.runs) == 3 * 2 * 2
 
     def test_missing_app_rejected(self):
         grid = tiny_grid()
@@ -121,8 +122,9 @@ class TestIdentity:
     def test_config_hash_tracks_budgets(self):
         plain = expand_grid(tiny_grid())
         budgeted = expand_grid(tiny_grid(budgets={"max_events": 10}))
-        assert plain.config_hash != budgeted.config_hash
-        assert plain.config_hash == expand_grid(tiny_grid()).config_hash
+        assert plain.request.content_hash() != budgeted.request.content_hash()
+        assert plain.request.content_hash() == \
+            expand_grid(tiny_grid()).request.content_hash()
 
 
 class TestServingCalibrationGroups:
@@ -131,8 +133,8 @@ class TestServingCalibrationGroups:
     def _runner(self, tmp_path, calib_procs=None):
         cfg = expand_grid(tiny_grid(modes=["am"], nprocs=[2, 4]))
         cfg.calib_from_spec = True
-        cfg.calib_procs = calib_procs
-        return CampaignRunner(cfg, tmp_path / "out"), cfg.specs
+        cfg.request = replace(cfg.request, calib_procs=calib_procs)
+        return CampaignRunner(cfg, tmp_path / "out"), cfg.request.runs
 
     def test_default_calib_nprocs_follows_each_spec(self, tmp_path):
         # an nprocs sweep with no pinned calib_procs: whichever cell
@@ -152,7 +154,7 @@ class TestServingCalibrationGroups:
     def test_grid_mode_still_groups_by_app_and_seed(self, tmp_path):
         cfg = expand_grid(tiny_grid(modes=["am"], nprocs=[2, 4]))
         runner = CampaignRunner(cfg, tmp_path / "out")
-        s2, s4 = cfg.specs
+        s2, s4 = cfg.request.runs
         assert runner._workflow_for(s4) is runner._workflow_for(s2)
 
 

@@ -47,25 +47,27 @@ def wf():
 
 
 class TestRunFaulty:
+    """Every estimator runs under a fault plan through ``faults=``."""
+
     def test_empty_plan_matches_plain_de(self, wf):
         plain = wf.run_de(INPUTS, 4)
-        faulty = wf.run_faulty(INPUTS, 4, plan=FaultPlan(), mode=ExecMode.DE)
+        faulty = wf.run_de(INPUTS, 4, faults=FaultPlan())
         assert faulty.elapsed == plain.elapsed  # bit-identical
 
     def test_empty_plan_matches_plain_am(self, wf):
         plain = wf.run_am(INPUTS, 4)
-        faulty = wf.run_faulty(INPUTS, 4, plan=FaultPlan(), mode=ExecMode.AM)
+        faulty = wf.run_am(INPUTS, 4, faults=FaultPlan())
         assert faulty.elapsed == plain.elapsed
 
     def test_crash_raises_with_report(self, wf):
         plan = FaultPlan(crashes=(CrashFault(1, 0.0),))
         with pytest.raises(DeadlockError) as ei:
-            wf.run_faulty(INPUTS, 4, plan=plan)
+            wf.run_de(INPUTS, 4, faults=plan)
         assert ei.value.report is not None
         assert ei.value.report.crashed_ranks == (1,)
 
     def test_mode_tagged(self, wf):
-        res = wf.run_faulty(INPUTS, 4, plan=FaultPlan(), mode=ExecMode.MEASURED)
+        res = wf.run_measured(INPUTS, 4, faults=FaultPlan())
         assert res.mode is ExecMode.MEASURED
 
 
@@ -131,9 +133,7 @@ class TestFaultSweep:
 class TestFormatResilience:
     def test_counters_shown(self, wf):
         plan = FaultPlan(seed=2, message_loss=0.1)
-        res = wf.run_faulty(
-            INPUTS, 4, plan=plan, retry=RetryPolicy(max_attempts=16)
-        )
+        res = wf.run_de(INPUTS, 4, faults=plan, retry=RetryPolicy(max_attempts=16))
         text = format_resilience(res.stats.to_dict(),
                                  title="Resilience report: tomcatv (de)")
         assert "Resilience report" in text

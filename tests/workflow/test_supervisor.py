@@ -21,7 +21,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.workflow.pipeline as pipeline
 import repro.workflow.supervisor as supervisor
+from repro.sim.faults import FaultState
 from repro.workflow.campaign import QUARANTINE_DIR_NAME, _cli_resolver, expand_grid
 from repro.workflow.supervisor import minimize_poison
 
@@ -199,11 +201,13 @@ class TestGracefulDegradation:
 
 
 class TestMinimizePoison:
+    config = expand_grid(tiny_grid())
+
     def spec(self):
-        return expand_grid(tiny_grid()).specs[0]
+        return self.config.request.runs[0]
 
     def test_reproducing_failure_is_minimized(self):
-        info = minimize_poison(self.spec(), "testing", _cli_resolver,
+        info = minimize_poison(self.spec(), self.config, _cli_resolver,
                                probe=lambda candidate: True)
         assert info["minimized"] is True
         assert info["final_stmts"] <= info["original_stmts"]
@@ -211,7 +215,7 @@ class TestMinimizePoison:
         assert isinstance(info["program"], str) and info["program"]
 
     def test_non_reproducing_failure_is_declined_with_note(self):
-        info = minimize_poison(self.spec(), "testing", _cli_resolver,
+        info = minimize_poison(self.spec(), self.config, _cli_resolver,
                                probe=lambda candidate: False)
         assert info["minimized"] is False
         assert "declined" in info["note"]
@@ -220,9 +224,42 @@ class TestMinimizePoison:
         def bad_resolver(app):
             raise RuntimeError("registry unavailable")
 
-        info = minimize_poison(self.spec(), "testing", bad_resolver)
+        info = minimize_poison(self.spec(), self.config, bad_resolver)
         assert info["minimized"] is False
         assert "resolver failed" in info["note"]
+
+
+class TestProbeFidelity:
+    """The subprocess probe replays the quarantined cell's own run."""
+
+    def test_a_crash_only_under_the_fault_plan_is_reproduced(self, monkeypatch):
+        # a fault-state hook that kills its process: the forked probe
+        # inherits it, and only a run under the cell's plan calls it
+        monkeypatch.setattr(FaultState, "crash_times",
+                            lambda self, nprocs: os._exit(3))
+        config = expand_grid(tiny_grid(
+            nprocs=[4], fault_plans=[{"seed": 3, "message_loss": 0.1}]))
+        spec = config.request.runs[0]
+        info = minimize_poison(spec, config, _cli_resolver, max_checks=4)
+        assert info["minimized"] is True, info.get("note")
+        assert info["final_stmts"] < info["original_stmts"]
+
+    def test_an_am_probe_calibrates_at_the_cells_calibration_ranks(
+            self, tmp_path, monkeypatch):
+        log = tmp_path / "calib-nprocs"
+        real = pipeline.measure_wparams
+
+        def spy(program, inputs, nprocs, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{nprocs}\n")
+            return real(program, inputs, nprocs, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "measure_wparams", spy)
+        config = expand_grid(tiny_grid(modes=["am"], nprocs=[8], calib_procs=4))
+        info = minimize_poison(config.request.runs[0], config, _cli_resolver,
+                               max_checks=2)
+        assert "declined" in info["note"]  # a healthy run reproduces nothing
+        assert log.read_text().split() == ["4"]
 
 
 def _children(pid: int) -> list[int]:
