@@ -1451,6 +1451,14 @@ def main(argv: list[str] | None = None) -> int:
         args.log_level if args.log_level is not None
         else verbosity_to_level(args.verbose)
     )
+    if getattr(args, "machine", None) is not None:
+        # every command that takes --machine: one line and exit 2, as a
+        # grid's unknown machine, before anything runs
+        try:
+            get_machine(args.machine)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except BrokenPipeError:

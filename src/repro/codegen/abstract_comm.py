@@ -23,6 +23,8 @@ need to stay causal).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..ir.nodes import (
     AllocStmt,
     ArrayAssign,
@@ -61,11 +63,10 @@ def generate_abstract_comm(program: Program, machine: MachineParams) -> Program:
     def xform(stmts: list[Stmt]) -> list[Stmt]:
         out: list[Stmt] = []
         for s in stmts:
+            origin = s.profile_key
             if isinstance(s, (SendStmt, IsendStmt)):
                 cost = Const(net.cpu_overhead) + 0.1 * s.nbytes * per_byte
-                copy = DelayStmt(cost, task=f"abstract_send@{s.profile_key}")
-            elif isinstance(s, WaitAllStmt):
-                continue  # nothing left to wait for
+                out.append(DelayStmt(cost, task=f"abstract_send@{origin}", origin=origin))
             elif isinstance(s, (RecvStmt, IrecvStmt)):
                 cost = (
                     Const(net.latency)
@@ -73,38 +74,23 @@ def generate_abstract_comm(program: Program, machine: MachineParams) -> Program:
                     + Const(net.cpu_overhead)
                     + 0.1 * s.nbytes * per_byte
                 )
-                copy = DelayStmt(cost, task=f"abstract_recv@{s.profile_key}")
+                out.append(DelayStmt(cost, task=f"abstract_recv@{origin}", origin=origin))
             elif isinstance(s, For):
-                copy = For(s.var, s.lo, s.hi, xform(s.body))
+                out.append(replace(s, body=xform(s.body), origin=origin))
             elif isinstance(s, If):
-                copy = If(s.cond, xform(s.then), xform(s.orelse), s.data_dependent)
-            elif isinstance(s, Assign):
-                copy = Assign(s.var, s.expr)
-            elif isinstance(s, ArrayAssign):
-                copy = ArrayAssign(s.array, s.kernel, s.reads_, s.work)
-            elif isinstance(s, CompBlock):
-                copy = CompBlock(
-                    s.name, s.work, s.ops_per_iter, s.arrays, s.reads_, s.writes_, s.kernel
-                )
-            elif isinstance(s, CollectiveStmt):
-                copy = CollectiveStmt(
-                    s.op, s.nbytes, s.root, s.array, s.contrib, s.result_var, s.reduce_kind
-                )
-            elif isinstance(s, DelayStmt):
-                copy = DelayStmt(s.amount, s.task)
-            elif isinstance(s, ReadParams):
-                copy = ReadParams(s.names)
-            elif isinstance(s, AllocStmt):
-                # the dummy communication buffer is no longer referenced
-                continue
-            else:
+                out.append(replace(s, then=xform(s.then), orelse=xform(s.orelse), origin=origin))
+            elif isinstance(s, (Assign, ArrayAssign, CompBlock, CollectiveStmt,
+                                DelayStmt, ReadParams)):
+                out.append(replace(s, origin=origin))
+            elif not isinstance(s, (WaitAllStmt, AllocStmt)):
                 raise TypeError(f"cannot abstract statement of kind {type(s).__name__}")
-            copy.origin = s.profile_key
-            out.append(copy)
+            # a wait has nothing left to wait for, and the dummy
+            # communication buffer is no longer referenced
         return out
 
-    abstract = program.copy_shell(body=xform(program.body))
-    abstract.meta["abstract_comm"] = machine.name
-    abstract.number()
+    abstract = replace(
+        program, body=xform(program.body),
+        meta={**program.meta, "abstract_comm": machine.name},
+    )
     abstract.validate()
     return abstract

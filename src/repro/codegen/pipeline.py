@@ -19,7 +19,7 @@ from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
 from ..obs.spans import TRACER
 from ..slicing.slicer import SliceResult, slice_program
-from ..stg.condense import CondensePlan, condense
+from ..stg.condense import CondensePlan, condense, merged_directives, profiled_probabilities
 from .simplify import generate_simplified
 
 __all__ = ["CompiledProgram", "compile_program"]
@@ -27,13 +27,13 @@ __all__ = ["CompiledProgram", "compile_program"]
 _log = get_logger("codegen")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledProgram:
     """The compiler's simplified program for one application (Fig. 2).
 
     The other output of Fig. 2, the timer version, is
     :func:`~repro.codegen.generate_instrumented`, which calibration
-    (:func:`repro.measure.measure_wparams`) builds for itself.
+    (:func:`repro.measure.measure_wparams`) keeps on the program.
     """
 
     original: Program
@@ -79,7 +79,24 @@ def compile_program(
     typically the calibration run itself); ``directives`` overrides
     probabilities per branch statement id (the paper's user-directive
     approach).
+
+    The result is kept on *program* (:meth:`~repro.ir.nodes.Program.
+    derived`) under its exact compiler input: the last two arguments,
+    the merged directives, and the probabilities condensation may read
+    from *profile* — those of the data-dependent branches no directive
+    covers.  Profiles that agree there share one :class:`CompiledProgram`.
     """
+    merged = merged_directives(program, directives)
+    key = (
+        "compiled", max_iterations, eliminate_dead_data, frozenset(merged.items()),
+        profiled_probabilities(program, profile, merged),
+    )
+    return program.derived(key, lambda p: _compile(
+        p, profile, directives, max_iterations, eliminate_dead_data,
+    ))
+
+
+def _compile(program, profile, directives, max_iterations, eliminate_dead_data):
     with TRACER.span("codegen.compile", program=program.name) as span:
         pinned: frozenset[int] = frozenset()
         for iteration in range(1, max_iterations + 1):

@@ -15,6 +15,8 @@ Produces the paper's Fig. 1(c) from Fig. 1(a):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..ir.nodes import (
     AllocStmt,
     ArrayAssign,
@@ -66,11 +68,15 @@ def generate_simplified(
     wnames = plan.w_params()
     if wnames:
         body.insert(0, ReadParams(wnames))
-    arrays = {name: decl for name, decl in program.arrays.items() if name in kept_arrays}
-    simplified = program.copy_shell(body=body, arrays=arrays)
-    simplified.meta["simplified_from"] = program.name
-    simplified.meta["regions"] = {r.name: str(r.cost) for r in plan.regions}
-    simplified.number()
+    simplified = replace(
+        program, body=body,
+        arrays={name: decl for name, decl in program.arrays.items() if name in kept_arrays},
+        meta={
+            **program.meta,
+            "simplified_from": program.name,
+            "regions": {r.name: str(r.cost) for r in plan.regions},
+        },
+    )
     simplified.validate()
     return simplified
 
@@ -103,27 +109,12 @@ def _kept_arrays(program: Program, plan: CondensePlan, sl: SliceResult) -> set[s
 def _copy_comm(s: Stmt, kept_arrays: set[str]) -> Stmt:
     """Fresh copy of a communication statement, with dead buffers
     redirected to the dummy buffer."""
-    def buf(name):
-        return name if (name is None or name in kept_arrays) else DUMMY_BUF
-
-    if isinstance(s, SendStmt):
-        copy = SendStmt(s.dest, s.nbytes, s.tag, buf(s.array))
-    elif isinstance(s, RecvStmt):
-        copy = RecvStmt(s.source, s.nbytes, s.tag, buf(s.array))
-    elif isinstance(s, IsendStmt):
-        copy = IsendStmt(s.dest, s.nbytes, s.tag, buf(s.array), s.handle_var)
-    elif isinstance(s, IrecvStmt):
-        copy = IrecvStmt(s.source, s.nbytes, s.tag, buf(s.array), s.handle_var)
-    elif isinstance(s, WaitAllStmt):
-        copy = WaitAllStmt(s.handle_vars)
-    elif isinstance(s, CollectiveStmt):
-        copy = CollectiveStmt(
-            s.op, s.nbytes, s.root, buf(s.array), s.contrib, s.result_var, s.reduce_kind
-        )
-    else:
+    if isinstance(s, WaitAllStmt):
+        return replace(s, origin=s.profile_key)
+    if not isinstance(s, (SendStmt, RecvStmt, IsendStmt, IrecvStmt, CollectiveStmt)):
         raise TypeError(f"not a communication statement: {s!r}")
-    copy.origin = s.profile_key
-    return copy
+    array = s.array if (s.array is None or s.array in kept_arrays) else DUMMY_BUF
+    return replace(s, array=array, origin=s.profile_key)
 
 
 def _strip_dead_payload(s: CollectiveStmt, sl: SliceResult) -> CollectiveStmt:
@@ -136,16 +127,9 @@ def _strip_dead_payload(s: CollectiveStmt, sl: SliceResult) -> CollectiveStmt:
 
 
 def _copy_leaf(s: Stmt) -> Stmt:
-    if isinstance(s, Assign):
-        copy = Assign(s.var, s.expr)
-    elif isinstance(s, ArrayAssign):
-        copy = ArrayAssign(s.array, s.kernel, s.reads_, s.work)
-    elif isinstance(s, CompBlock):
-        copy = CompBlock(s.name, s.work, s.ops_per_iter, s.arrays, s.reads_, s.writes_, s.kernel)
-    else:
+    if not isinstance(s, (Assign, ArrayAssign, CompBlock)):
         raise TypeError(f"cannot copy {type(s).__name__}")
-    copy.origin = s.profile_key
-    return copy
+    return replace(s, origin=s.profile_key)
 
 
 def _emit_items(items: list, sl: SliceResult, kept_arrays: set[str]) -> list[Stmt]:
@@ -158,18 +142,16 @@ def _emit_items(items: list, sl: SliceResult, kept_arrays: set[str]) -> list[Stm
             continue
         s = item.stmt
         if isinstance(s, For):
-            copy = For(s.var, s.lo, s.hi, _emit_items(item.body_plans[0], sl, kept_arrays))
-            copy.origin = s.profile_key
-            out.append(copy)
+            out.append(replace(
+                s, body=_emit_items(item.body_plans[0], sl, kept_arrays), origin=s.profile_key,
+            ))
         elif isinstance(s, If):
-            copy = If(
-                s.cond,
-                _emit_items(item.body_plans[0], sl, kept_arrays),
-                _emit_items(item.body_plans[1], sl, kept_arrays),
-                s.data_dependent,
-            )
-            copy.origin = s.profile_key
-            out.append(copy)
+            out.append(replace(
+                s,
+                then=_emit_items(item.body_plans[0], sl, kept_arrays),
+                orelse=_emit_items(item.body_plans[1], sl, kept_arrays),
+                origin=s.profile_key,
+            ))
         elif isinstance(s, CollectiveStmt):
             out.append(_copy_comm(_strip_dead_payload(s, sl), kept_arrays))
         elif s.is_comm():
@@ -189,7 +171,8 @@ def _emit_items(items: list, sl: SliceResult, kept_arrays: set[str]) -> list[Stm
 
 def _extract_exec_slice(stmts: list[Stmt], sl: SliceResult) -> list[Stmt]:
     """From a condensed region, keep just the sliced-in executable code
-    (and the control structure guarding it)."""
+    (and the control structure guarding it, built afresh: its copies
+    carry no origin)."""
     out: list[Stmt] = []
     for s in stmts:
         if isinstance(s, For):

@@ -10,6 +10,8 @@ computational task.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..ir.nodes import (
     ArrayAssign,
     Assign,
@@ -30,57 +32,38 @@ from ..ir.nodes import (
 
 __all__ = ["generate_instrumented"]
 
+#: the statement kinds of a source program (generated ones do not instrument)
+_LEAVES = (
+    Assign, ArrayAssign, CompBlock, SendStmt, RecvStmt, IsendStmt, IrecvStmt,
+    WaitAllStmt, CollectiveStmt,
+)
+
 
 def generate_instrumented(program: Program) -> Program:
     """The full program with ``timer_start``/``timer_stop`` around every
     computational task; measurements pool across call sites by task name."""
-    body = _instrument(program.body)
-    instr = program.copy_shell(body=body)
-    instr.meta["instrumented_from"] = program.name
-    instr.number()
+    instr = replace(
+        program, body=_instrument(program.body),
+        meta={**program.meta, "instrumented_from": program.name},
+    )
     instr.validate()
     return instr
 
 
-def _copy(s: Stmt) -> Stmt:
-    if isinstance(s, Assign):
-        return Assign(s.var, s.expr)
-    if isinstance(s, ArrayAssign):
-        return ArrayAssign(s.array, s.kernel, s.reads_, s.work)
-    if isinstance(s, CompBlock):
-        return CompBlock(s.name, s.work, s.ops_per_iter, s.arrays, s.reads_, s.writes_, s.kernel)
-    if isinstance(s, SendStmt):
-        return SendStmt(s.dest, s.nbytes, s.tag, s.array)
-    if isinstance(s, RecvStmt):
-        return RecvStmt(s.source, s.nbytes, s.tag, s.array)
-    if isinstance(s, IsendStmt):
-        return IsendStmt(s.dest, s.nbytes, s.tag, s.array, s.handle_var)
-    if isinstance(s, IrecvStmt):
-        return IrecvStmt(s.source, s.nbytes, s.tag, s.array, s.handle_var)
-    if isinstance(s, WaitAllStmt):
-        return WaitAllStmt(s.handle_vars)
-    if isinstance(s, CollectiveStmt):
-        return CollectiveStmt(s.op, s.nbytes, s.root, s.array, s.contrib, s.result_var, s.reduce_kind)
-    raise TypeError(f"cannot instrument statement of kind {type(s).__name__}")
-
-
-def _instrument(stmts: list[Stmt]) -> list[Stmt]:
+def _instrument(stmts: tuple[Stmt, ...]) -> list[Stmt]:
     out: list[Stmt] = []
     for s in stmts:
-        if isinstance(s, CompBlock):
-            copy = _copy(s)
-            copy.origin = s.profile_key
-            out.extend([StartTimer(s.name), copy, StopTimer(s.name)])
-        elif isinstance(s, For):
-            copy = For(s.var, s.lo, s.hi, _instrument(s.body))
-            copy.origin = s.profile_key
-            out.append(copy)
+        if isinstance(s, For):
+            out.append(replace(s, body=_instrument(s.body), origin=s.profile_key))
         elif isinstance(s, If):
-            copy = If(s.cond, _instrument(s.then), _instrument(s.orelse), s.data_dependent)
-            copy.origin = s.profile_key
-            out.append(copy)
+            out.append(replace(
+                s, then=_instrument(s.then), orelse=_instrument(s.orelse),
+                origin=s.profile_key,
+            ))
+        elif not isinstance(s, _LEAVES):
+            raise TypeError(f"cannot instrument statement of kind {type(s).__name__}")
+        elif isinstance(s, CompBlock):
+            out.extend([StartTimer(s.name), replace(s, origin=s.profile_key), StopTimer(s.name)])
         else:
-            copy = _copy(s)
-            copy.origin = s.profile_key
-            out.append(copy)
+            out.append(replace(s, origin=s.profile_key))
     return out

@@ -214,8 +214,8 @@ def _stmt_from_json(data) -> Stmt:
                 data["name"], expr_from_json(data["work"]),
                 ops_per_iter=data.get("ops_per_iter", 1.0),
                 arrays=tuple(data.get("arrays", ())),
-                reads=frozenset(data.get("reads", ())),
-                writes=frozenset(data.get("writes", ())),
+                reads_=frozenset(data.get("reads", ())),
+                writes_=frozenset(data.get("writes", ())),
             )
         if k == "for":
             return For(data["var"], expr_from_json(data["lo"]), expr_from_json(data["hi"]),
@@ -317,7 +317,6 @@ def program_from_json(data: dict) -> Program:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"malformed program object: {exc}") from None
-    prog.number()
     try:
         prog.validate()
     except ValueError as exc:

@@ -13,19 +13,21 @@ predicate holds.  Three reduction passes run to a joint fixpoint:
 3. **Constant shrinking** — message sizes and compute grains shrink
    toward small round values.
 
-Every candidate is re-validated (``number()`` + ``validate()``) before
-the predicate sees it; candidates that no longer form a valid program
-are rejected outright, so the minimizer can never "reduce" a divergence
-into a different bug class by emitting garbage.
+Candidates are new programs built with ``dataclasses.replace`` from the
+current best one, which the IR's immutability leaves untouched; a
+program numbers its statements as it is built.  Every candidate is
+re-validated before the predicate sees it; candidates that no longer
+form a valid program are rejected outright, so the minimizer can never
+"reduce" a divergence into a different bug class by emitting garbage.
 
-The result is small enough to read and commit: the acceptance bar in
-ISSUE.md (an injected divergence reduced to <= 25% of its original
-statement count) is covered by ``tests/gen/test_minimize.py``.
+The result is small enough to read and commit: an injected divergence
+reduces to at most 25% of its original statement count
+(``tests/gen/test_minimize.py``).
 """
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 from typing import Callable
 
 from ..ir.nodes import For, If, Program, Stmt, walk
@@ -39,28 +41,65 @@ def _count_stmts(program: Program) -> int:
 
 
 def _revalidate(program: Program) -> Program | None:
-    """Renumber + re-validate a candidate; None if it is no longer well-formed."""
+    """The candidate, or None if it is no longer well-formed."""
     if not program.body:
         return None
     try:
-        program.number()
         program.validate()
     except Exception:  # noqa: BLE001 - any validation failure disqualifies the candidate
         return None
     return program
 
 
-def _stmt_lists(program: Program) -> list[list[Stmt]]:
+#: A statement list's address: the sid of the statement owning it (None
+#: for the program body) and the field holding it.
+_Site = tuple[int | None, str]
+
+
+def _stmt_lists(program: Program) -> list[_Site]:
     """Every statement list in the program, outermost first."""
-    lists = [program.body]
+    sites: list[_Site] = [(None, "body")]
     for stmt in walk(program.body):
         if isinstance(stmt, For):
-            lists.append(stmt.body)
+            sites.append((stmt.sid, "body"))
         elif isinstance(stmt, If):
-            lists.append(stmt.then)
+            sites.append((stmt.sid, "then"))
             if stmt.orelse:
-                lists.append(stmt.orelse)
-    return lists
+                sites.append((stmt.sid, "orelse"))
+    return sites
+
+
+def _stmts_at(program: Program, site: _Site) -> tuple[Stmt, ...]:
+    owner, name = site
+    return program.body if owner is None else getattr(program.find(owner), name)
+
+
+def _substituted(stmts: tuple[Stmt, ...], sid: int, new: Stmt) -> tuple[Stmt, ...]:
+    """*stmts* with the statement numbered *sid*, at any depth, replaced by
+    *new*; a list that does not hold it comes back as the same object."""
+    out = []
+    for s in stmts:
+        if s.sid == sid:
+            s = new
+        elif s.sid < sid and s.block_fields:
+            blocks = {name: _substituted(getattr(s, name), sid, new) for name in s.block_fields}
+            if any(block is not getattr(s, name) for name, block in blocks.items()):
+                s = replace(s, **blocks)
+        out.append(s)
+    return stmts if all(a is b for a, b in zip(out, stmts)) else tuple(out)
+
+
+def _with_stmt(program: Program, new: Stmt) -> Program:
+    """*program* with its statement numbered ``new.sid`` replaced by *new*."""
+    return replace(program, body=_substituted(program.body, new.sid, new))
+
+
+def _with_stmts(program: Program, site: _Site, stmts: tuple[Stmt, ...]) -> Program:
+    """*program* with the statement list at *site* replaced by *stmts*."""
+    owner, name = site
+    if owner is None:
+        return replace(program, body=stmts)
+    return _with_stmt(program, replace(program.find(owner), **{name: stmts}))
 
 
 class _Minimizer:
@@ -95,23 +134,27 @@ class _Minimizer:
     def _delete_statements(self) -> bool:
         """One full ddmin sweep over every statement list; True if shrunk."""
         shrunk = False
-        # Address lists by index so each candidate mutates a fresh deepcopy
-        # of `best`; _stmt_lists order is deterministic (DFS, outermost
-        # first), so index i names the same list in the copy.
+        # Address lists by index: _stmt_lists order is deterministic (DFS,
+        # outermost first), so index i names the same list until a
+        # deletion removes a For/If before it.
         list_idx = 0
         while list_idx < len(_stmt_lists(self.best)):
-            chunk = max(len(_stmt_lists(self.best)[list_idx]) // 2, 1)
+            chunk = max(len(_stmts_at(self.best, _stmt_lists(self.best)[list_idx])) // 2, 1)
             while chunk >= 1:
                 progressed = False
                 start = 0
                 while True:
                     # An accepted deletion can remove a For/If and with it
                     # a nested list, so re-check the index every pass.
-                    lists = _stmt_lists(self.best)
-                    if list_idx >= len(lists) or start >= len(lists[list_idx]):
+                    sites = _stmt_lists(self.best)
+                    if list_idx >= len(sites):
                         break
-                    candidate = copy.deepcopy(self.best)
-                    del _stmt_lists(candidate)[list_idx][start : start + chunk]
+                    stmts = _stmts_at(self.best, sites[list_idx])
+                    if start >= len(stmts):
+                        break
+                    candidate = _with_stmts(
+                        self.best, sites[list_idx], stmts[:start] + stmts[start + chunk:]
+                    )
                     if self._try(candidate):
                         shrunk = progressed = True
                         # keep `start`: the next chunk slid into this slot
@@ -145,11 +188,7 @@ class _Minimizer:
                 for new_hi in (lo, lo + (hi - lo) // 2):
                     if new_hi >= hi:
                         continue
-                    candidate = copy.deepcopy(self.best)
-                    cand_loop = [
-                        s for s in walk(candidate.body) if isinstance(s, For)
-                    ][idx]
-                    cand_loop.hi = Const(new_hi)
+                    candidate = _with_stmt(self.best, replace(loop, hi=Const(new_hi)))
                     if self._try(candidate):
                         shrunk = True
                         break
@@ -164,21 +203,19 @@ class _Minimizer:
     def _shrink_constants(self) -> bool:
         shrunk = False
         attr_sites: list[tuple[int, str]] = []
-        for i, stmt in enumerate(walk(self.best.body)):
+        for stmt in walk(self.best.body):
             for attr in ("nbytes", "work"):
                 e = getattr(stmt, attr, None)
                 if isinstance(e, Const) and e.value > self._CONST_FLOOR:
-                    attr_sites.append((i, attr))
-        for site_i, attr in attr_sites:
+                    attr_sites.append((stmt.sid, attr))
+        for sid, attr in attr_sites:
             while True:
-                stmts = list(walk(self.best.body))
-                value = getattr(stmts[site_i], attr).value
+                stmt = self.best.find(sid)
+                value = getattr(stmt, attr).value
                 new_value = max(value // 4, self._CONST_FLOOR)
                 if new_value >= value:
                     break
-                candidate = copy.deepcopy(self.best)
-                cand_stmt = list(walk(candidate.body))[site_i]
-                setattr(cand_stmt, attr, Const(new_value))
+                candidate = _with_stmt(self.best, replace(stmt, **{attr: Const(new_value)}))
                 if not self._try(candidate):
                     break
                 shrunk = True
@@ -217,7 +254,7 @@ def minimize_program(
     ``max_checks`` bounds total predicate invocations across all passes.
     """
     original = _count_stmts(program)
-    work = _revalidate(copy.deepcopy(program))
+    work = _revalidate(program)
     if work is None:
         raise ValueError("cannot minimize: input program does not validate")
     if not reproduces(work):

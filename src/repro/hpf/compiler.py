@@ -55,10 +55,8 @@ def compile_hpf(hpf: HpfProgram) -> Program:
 
     tags = _TagAllocator()
     _emit_block(b, hpf.body, rows, cols_local, ghost, tags)
-    prog = b.build()
-    prog.meta["compiled_from_hpf"] = hpf.name
-    prog.meta["distribution"] = "(*, BLOCK)"
-    return prog
+    b.meta(compiled_from_hpf=hpf.name, distribution="(*, BLOCK)")
+    return b.build()
 
 
 class _TagAllocator:

@@ -44,16 +44,40 @@ myid = Var("myid")
 P = Var("P")
 
 
+class _OpenIf:
+    """An ``if_`` arm already closed, whose ``else_`` may still follow."""
+
+    __slots__ = ("sid", "cond", "then", "orelse", "data_dependent")
+
+    def __init__(self, sid: int, cond, then: tuple[Stmt, ...], data_dependent: bool):
+        self.sid = sid
+        self.cond = cond
+        self.then = then
+        self.orelse: tuple[Stmt, ...] | None = None
+        self.data_dependent = data_dependent
+
+    def build(self) -> If:
+        return If(self.cond, self.then, self.orelse or (), self.data_dependent, sid=self.sid)
+
+
 class ProgramBuilder:
-    """Accumulates statements into a :class:`Program`."""
+    """Accumulates statements into a :class:`Program`.
+
+    Each statement gets its depth-first ``sid`` as it is emitted (a loop
+    or branch reserves its own when its block opens), so the program
+    :meth:`build` returns holds the very statements the emit methods
+    returned.  An ``If`` is built once, when the statement after it, the
+    end of its enclosing block or its ``else_`` arm settles its arms.
+    """
 
     def __init__(self, name: str, params: tuple[str, ...] = ()):
         self.name = name
         self.params = tuple(params)
         self._arrays: dict[str, ArrayDecl] = {}
-        self._body: list[Stmt] = []
-        self._stack: list[list[Stmt]] = [self._body]
+        self._body: list = []
+        self._stack: list[list] = [self._body]
         self._meta: dict = {}
+        self._sids = 0
         self._built = False
 
     # -- declarations ---------------------------------------------------------
@@ -70,17 +94,28 @@ class ProgramBuilder:
         self._meta.update(kwargs)
 
     # -- statements ------------------------------------------------------------
-    def _emit(self, stmt: Stmt) -> Stmt:
+    def _next_sid(self) -> int:
+        sid = self._sids
+        self._sids += 1
+        return sid
+
+    def _emit(self, kind: type[Stmt], *args, **kwargs) -> Stmt:
+        stmt = kind(*args, sid=self._next_sid(), **kwargs)
         self._stack[-1].append(stmt)
         return stmt
 
+    @staticmethod
+    def _settled(block: list) -> tuple[Stmt, ...]:
+        """A closed block's statements, with its open ifs built."""
+        return tuple(s.build() if isinstance(s, _OpenIf) else s for s in block)
+
     def assign(self, var: str, expr: ExprLike) -> Stmt:
         """Emit ``var = expr``."""
-        return self._emit(Assign(var, expr))
+        return self._emit(Assign, var, expr)
 
     def array_assign(self, array: str, kernel, reads=frozenset(), work: ExprLike = 0) -> Stmt:
         """Emit computation of a small materialized array."""
-        return self._emit(ArrayAssign(array, kernel, reads, work))
+        return self._emit(ArrayAssign, array, kernel, reads, work)
 
     def compute(
         self,
@@ -100,37 +135,35 @@ class ProgramBuilder:
         kernel function then lowers to the compiled backend (see
         :class:`~repro.ir.nodes.CompBlock`).
         """
-        return self._emit(
-            CompBlock(name, work, ops_per_iter, arrays, reads, writes, kernel)
-        )
+        return self._emit(CompBlock, name, work, ops_per_iter, arrays, reads, writes, kernel)
 
     def send(self, dest: ExprLike, nbytes: ExprLike, tag: int = 0, array: str | None = None) -> Stmt:
         """Emit a point-to-point send."""
-        return self._emit(SendStmt(dest, nbytes, tag, array))
+        return self._emit(SendStmt, dest, nbytes, tag, array)
 
     def recv(self, source: ExprLike, nbytes: ExprLike, tag: int = 0, array: str | None = None) -> Stmt:
         """Emit a point-to-point receive."""
-        return self._emit(RecvStmt(source, nbytes, tag, array))
+        return self._emit(RecvStmt, source, nbytes, tag, array)
 
     def isend(self, dest: ExprLike, nbytes: ExprLike, tag: int = 0,
               array: str | None = None, handle: str = "req") -> Stmt:
         """Emit a non-blocking send binding its handle to *handle*."""
-        return self._emit(IsendStmt(dest, nbytes, tag, array, handle))
+        return self._emit(IsendStmt, dest, nbytes, tag, array, handle)
 
     def irecv(self, source: ExprLike, nbytes: ExprLike, tag: int = 0,
               array: str | None = None, handle: str = "req") -> Stmt:
         """Emit a non-blocking receive binding its handle to *handle*."""
-        return self._emit(IrecvStmt(source, nbytes, tag, array, handle))
+        return self._emit(IrecvStmt, source, nbytes, tag, array, handle)
 
     def waitall(self, *handles: str) -> Stmt:
         """Emit a wait for the named handles (unbound names are skipped)."""
-        return self._emit(WaitAllStmt(tuple(handles)))
+        return self._emit(WaitAllStmt, tuple(handles))
 
     def barrier(self) -> Stmt:
-        return self._emit(CollectiveStmt("barrier"))
+        return self._emit(CollectiveStmt, "barrier")
 
     def bcast(self, nbytes: ExprLike, root: ExprLike = 0, array: str | None = None) -> Stmt:
-        return self._emit(CollectiveStmt("bcast", nbytes, root, array))
+        return self._emit(CollectiveStmt, "bcast", nbytes, root, array)
 
     def allreduce(
         self,
@@ -140,9 +173,8 @@ class ProgramBuilder:
         reduce_kind: str = "sum",
     ) -> Stmt:
         return self._emit(
-            CollectiveStmt(
-                "allreduce", nbytes, contrib=contrib, result_var=result_var, reduce_kind=reduce_kind
-            )
+            CollectiveStmt, "allreduce", nbytes,
+            contrib=contrib, result_var=result_var, reduce_kind=reduce_kind,
         )
 
     def reduce(
@@ -154,65 +186,65 @@ class ProgramBuilder:
         reduce_kind: str = "sum",
     ) -> Stmt:
         return self._emit(
-            CollectiveStmt(
-                "reduce", nbytes, root, contrib=contrib, result_var=result_var, reduce_kind=reduce_kind
-            )
+            CollectiveStmt, "reduce", nbytes, root,
+            contrib=contrib, result_var=result_var, reduce_kind=reduce_kind,
         )
 
     def collective(self, op: str, nbytes: ExprLike = 0, root: ExprLike = 0, array: str | None = None) -> Stmt:
         """Emit an arbitrary collective (gather/scatter/alltoall ...)."""
-        return self._emit(CollectiveStmt(op, nbytes, root, array))
+        return self._emit(CollectiveStmt, op, nbytes, root, array)
 
     # -- structure ---------------------------------------------------------------
     @contextmanager
     def loop(self, var: str, lo: ExprLike, hi: ExprLike):
         """``for var = lo, hi`` (inclusive bounds) around the with-block."""
-        body: list[Stmt] = []
+        sid = self._next_sid()
+        body: list = []
         self._stack.append(body)
         try:
             yield
         finally:
             self._stack.pop()
-        self._emit(For(var, lo, hi, body))
+        self._stack[-1].append(For(var, lo, hi, self._settled(body), sid=sid))
 
     @contextmanager
     def if_(self, cond, data_dependent: bool = False):
         """``if cond`` around the with-block (attach ``else_`` right after)."""
-        then: list[Stmt] = []
+        sid = self._next_sid()
+        then: list = []
         self._stack.append(then)
         try:
             yield
         finally:
             self._stack.pop()
-        self._emit(If(cond, then, [], data_dependent))
+        self._stack[-1].append(_OpenIf(sid, cond, self._settled(then), data_dependent))
 
     @contextmanager
     def else_(self):
         """Else-arm for the immediately preceding ``if_``."""
         prev = self._stack[-1][-1] if self._stack[-1] else None
-        if not isinstance(prev, If):
+        if not isinstance(prev, _OpenIf):
             raise ValueError("else_() must immediately follow an if_()")
-        if getattr(prev, "_else_attached", False):
+        if prev.orelse is not None:
             raise ValueError("this if_() already has an else arm")
-        prev._else_attached = True
-        body: list[Stmt] = []
+        prev.orelse = ()
+        body: list = []
         self._stack.append(body)
         try:
             yield
         finally:
             self._stack.pop()
-        prev.orelse = body
+        prev.orelse = self._settled(body)
 
     # -- completion -----------------------------------------------------------------
     def build(self, validate: bool = True) -> Program:
-        """Finalize: number statements, validate, return the Program."""
+        """Finalize: validate and return the Program."""
         if self._built:
             raise RuntimeError("build() called twice on the same builder")
         if len(self._stack) != 1:
             raise RuntimeError("unclosed loop()/if_() context")
         self._built = True
-        prog = Program(self.name, self.params, self._arrays, self._body, self._meta)
-        prog.number()
+        prog = Program(self.name, self.params, self._arrays, self._settled(self._body), self._meta)
         if validate:
             prog.validate()
         return prog

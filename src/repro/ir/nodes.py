@@ -9,6 +9,14 @@ generation (``repro.codegen``) all operate on it; and the interpreter
 (``repro.ir.interp``) executes any IR program — original, instrumented
 or simplified — on the simulation kernel.
 
+The IR is a value.  Statements and programs are frozen dataclasses:
+statement lists are tuples, a program's ``arrays`` and ``meta`` are
+read-only mappings, and a statement's ``sid`` and ``origin`` are fixed
+when the program that holds it is built.  A pass that changes a program
+builds a new one (``dataclasses.replace``), so whatever is derived from
+a program object stays valid for as long as the object lives — which is
+why the object can keep it (:meth:`Program.derived`).
+
 Statement kinds
 ---------------
 ``Assign``        scalar assignment (grid coordinates, block sizes ...)
@@ -28,11 +36,11 @@ Statement kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping
 
 from ..symbolic import BoolExpr, Expr, as_bool_expr, as_expr
-from ..symbolic.expr import ExprLike
 
 __all__ = [
     "ArrayDecl",
@@ -61,6 +69,9 @@ __all__ = [
 
 #: Variables every process has implicitly (set by mpi_comm_rank/size).
 BUILTIN_VARS = frozenset({"myid", "P"})
+
+# Field coercion for the frozen dataclasses' __post_init__.
+_set = object.__setattr__
 
 
 class IRValidationError(ValueError):
@@ -91,18 +102,23 @@ class ArrayDecl:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stmt:
-    """Base statement. ``sid`` is assigned by :meth:`Program.number`.
+    """Base statement.  ``sid`` is its depth-first index in its program.
 
     ``origin`` links a statement in a *generated* program (instrumented
     or simplified) back to the statement it was copied from in the
     source program, so branch profiles and directives keyed on source
-    statement ids apply across program versions.
+    statement ids apply across program versions.  Both are keyword-only
+    and excluded from equality; a :class:`Program` renumbers any
+    statement whose ``sid`` is not its position.
     """
 
-    sid: int = field(default=-1, init=False, compare=False)
-    origin: int = field(default=-1, init=False, compare=False)
+    #: names of the fields holding nested statement tuples
+    block_fields: ClassVar[tuple[str, ...]] = ()
+
+    sid: int = field(default=-1, kw_only=True, compare=False)
+    origin: int = field(default=-1, kw_only=True, compare=False)
 
     @property
     def profile_key(self) -> int:
@@ -118,26 +134,24 @@ class Stmt:
         """Scalar variables and array names this statement writes."""
         return frozenset()
 
-    def children(self) -> tuple[list["Stmt"], ...]:
+    def children(self) -> tuple[tuple["Stmt", ...], ...]:
         """Nested statement lists (loops/branches)."""
-        return ()
+        return tuple(getattr(self, name) for name in self.block_fields)
 
     def is_comm(self) -> bool:
         """Communication statements must survive simplification verbatim."""
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assign(Stmt):
     """``var = expr`` over scalars (always cheap; candidate for slicing)."""
 
     var: str
     expr: Expr
 
-    def __init__(self, var: str, expr: ExprLike):
-        super().__init__()
-        self.var = var
-        self.expr = as_expr(expr)
+    def __post_init__(self):
+        _set(self, "expr", as_expr(self.expr))
 
     def reads(self):
         return self.expr.free_vars()
@@ -146,7 +160,7 @@ class Assign(Stmt):
         return frozenset({self.var})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrayAssign(Stmt):
     """Compute a small (materialized) array with an attached kernel.
 
@@ -158,14 +172,11 @@ class ArrayAssign(Stmt):
     array: str
     kernel: Callable[[dict, dict], None]
     reads_: frozenset[str]
-    work: Expr
+    work: Expr = 0
 
-    def __init__(self, array: str, kernel, reads: frozenset[str] | set[str], work: ExprLike = 0):
-        super().__init__()
-        self.array = array
-        self.kernel = kernel
-        self.reads_ = frozenset(reads)
-        self.work = as_expr(work)
+    def __post_init__(self):
+        _set(self, "reads_", frozenset(self.reads_))
+        _set(self, "work", as_expr(self.work))
 
     def reads(self):
         return self.reads_ | self.work.free_vars()
@@ -174,7 +185,7 @@ class ArrayAssign(Stmt):
         return frozenset({self.array})
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompBlock(Stmt):
     """A sequential computational task (one STG compute node).
 
@@ -203,24 +214,12 @@ class CompBlock(Stmt):
     writes_: frozenset[str] = frozenset()
     kernel: Callable[[dict, dict], None] | None = None
 
-    def __init__(
-        self,
-        name: str,
-        work: ExprLike,
-        ops_per_iter: float = 1.0,
-        arrays: tuple[str, ...] = (),
-        reads: frozenset[str] | set[str] = frozenset(),
-        writes: frozenset[str] | set[str] = frozenset(),
-        kernel=None,
-    ):
-        super().__init__()
-        self.name = name
-        self.work = as_expr(work)
-        self.ops_per_iter = float(ops_per_iter)
-        self.arrays = tuple(arrays)
-        self.reads_ = frozenset(reads)
-        self.writes_ = frozenset(writes)
-        self.kernel = kernel
+    def __post_init__(self):
+        _set(self, "work", as_expr(self.work))
+        _set(self, "ops_per_iter", float(self.ops_per_iter))
+        _set(self, "arrays", tuple(self.arrays))
+        _set(self, "reads_", frozenset(self.reads_))
+        _set(self, "writes_", frozenset(self.writes_))
 
     def reads(self):
         return self.reads_ | self.work.free_vars() | frozenset(self.arrays)
@@ -229,21 +228,21 @@ class CompBlock(Stmt):
         return self.writes_ | frozenset(self.arrays)
 
 
-@dataclass
+@dataclass(frozen=True)
 class For(Stmt):
     """Counted loop ``for var = lo, hi`` (inclusive, Fortran-style)."""
+
+    block_fields: ClassVar[tuple[str, ...]] = ("body",)
 
     var: str
     lo: Expr
     hi: Expr
-    body: list[Stmt]
+    body: tuple[Stmt, ...]
 
-    def __init__(self, var: str, lo: ExprLike, hi: ExprLike, body: list[Stmt]):
-        super().__init__()
-        self.var = var
-        self.lo = as_expr(lo)
-        self.hi = as_expr(hi)
-        self.body = body
+    def __post_init__(self):
+        _set(self, "lo", as_expr(self.lo))
+        _set(self, "hi", as_expr(self.hi))
+        _set(self, "body", tuple(self.body))
 
     def reads(self):
         return self.lo.free_vars() | self.hi.free_vars()
@@ -251,11 +250,8 @@ class For(Stmt):
     def writes(self):
         return frozenset({self.var})
 
-    def children(self):
-        return (self.body,)
 
-
-@dataclass
+@dataclass(frozen=True)
 class If(Stmt):
     """Two-armed branch.
 
@@ -266,26 +262,23 @@ class If(Stmt):
     directive (the precise approach).
     """
 
+    block_fields: ClassVar[tuple[str, ...]] = ("then", "orelse")
+
     cond: BoolExpr
-    then: list[Stmt]
-    orelse: list[Stmt]
+    then: tuple[Stmt, ...]
+    orelse: tuple[Stmt, ...] = ()
     data_dependent: bool = False
 
-    def __init__(self, cond, then: list[Stmt], orelse: list[Stmt] | None = None, data_dependent: bool = False):
-        super().__init__()
-        self.cond = as_bool_expr(cond)
-        self.then = then
-        self.orelse = orelse if orelse is not None else []
-        self.data_dependent = data_dependent
+    def __post_init__(self):
+        _set(self, "cond", as_bool_expr(self.cond))
+        _set(self, "then", tuple(self.then))
+        _set(self, "orelse", tuple(self.orelse) if self.orelse is not None else ())
 
     def reads(self):
         return self.cond.free_vars()
 
-    def children(self):
-        return (self.then, self.orelse)
 
-
-@dataclass
+@dataclass(frozen=True)
 class SendStmt(Stmt):
     """Point-to-point send of ``nbytes`` (symbolic) to rank ``dest``."""
 
@@ -294,12 +287,9 @@ class SendStmt(Stmt):
     tag: int = 0
     array: str | None = None  # the buffer array referenced by the call
 
-    def __init__(self, dest: ExprLike, nbytes: ExprLike, tag: int = 0, array: str | None = None):
-        super().__init__()
-        self.dest = as_expr(dest)
-        self.nbytes = as_expr(nbytes)
-        self.tag = tag
-        self.array = array
+    def __post_init__(self):
+        _set(self, "dest", as_expr(self.dest))
+        _set(self, "nbytes", as_expr(self.nbytes))
 
     def reads(self):
         r = self.dest.free_vars() | self.nbytes.free_vars()
@@ -311,7 +301,7 @@ class SendStmt(Stmt):
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecvStmt(Stmt):
     """Point-to-point receive from rank ``source`` (symbolic)."""
 
@@ -320,12 +310,9 @@ class RecvStmt(Stmt):
     tag: int = 0
     array: str | None = None
 
-    def __init__(self, source: ExprLike, nbytes: ExprLike, tag: int = 0, array: str | None = None):
-        super().__init__()
-        self.source = as_expr(source)
-        self.nbytes = as_expr(nbytes)
-        self.tag = tag
-        self.array = array
+    def __post_init__(self):
+        _set(self, "source", as_expr(self.source))
+        _set(self, "nbytes", as_expr(self.nbytes))
 
     def reads(self):
         return self.source.free_vars() | self.nbytes.free_vars()
@@ -337,7 +324,7 @@ class RecvStmt(Stmt):
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsendStmt(Stmt):
     """Non-blocking send; the handle is bound to ``handle_var``."""
 
@@ -347,14 +334,9 @@ class IsendStmt(Stmt):
     array: str | None = None
     handle_var: str = "req"
 
-    def __init__(self, dest: ExprLike, nbytes: ExprLike, tag: int = 0,
-                 array: str | None = None, handle_var: str = "req"):
-        super().__init__()
-        self.dest = as_expr(dest)
-        self.nbytes = as_expr(nbytes)
-        self.tag = tag
-        self.array = array
-        self.handle_var = handle_var
+    def __post_init__(self):
+        _set(self, "dest", as_expr(self.dest))
+        _set(self, "nbytes", as_expr(self.nbytes))
 
     def reads(self):
         r = self.dest.free_vars() | self.nbytes.free_vars()
@@ -369,7 +351,7 @@ class IsendStmt(Stmt):
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrecvStmt(Stmt):
     """Non-blocking receive; the handle is bound to ``handle_var``."""
 
@@ -379,14 +361,9 @@ class IrecvStmt(Stmt):
     array: str | None = None
     handle_var: str = "req"
 
-    def __init__(self, source: ExprLike, nbytes: ExprLike, tag: int = 0,
-                 array: str | None = None, handle_var: str = "req"):
-        super().__init__()
-        self.source = as_expr(source)
-        self.nbytes = as_expr(nbytes)
-        self.tag = tag
-        self.array = array
-        self.handle_var = handle_var
+    def __post_init__(self):
+        _set(self, "source", as_expr(self.source))
+        _set(self, "nbytes", as_expr(self.nbytes))
 
     def reads(self):
         return self.source.free_vars() | self.nbytes.free_vars()
@@ -401,7 +378,7 @@ class IrecvStmt(Stmt):
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaitAllStmt(Stmt):
     """Wait for the non-blocking operations bound to ``handle_vars``.
 
@@ -413,9 +390,8 @@ class WaitAllStmt(Stmt):
 
     handle_vars: tuple[str, ...]
 
-    def __init__(self, handle_vars: tuple[str, ...]):
-        super().__init__()
-        self.handle_vars = tuple(handle_vars)
+    def __post_init__(self):
+        _set(self, "handle_vars", tuple(self.handle_vars))
 
     def reads(self):
         # handle variables are deliberately NOT reported as reads: they may
@@ -427,7 +403,7 @@ class WaitAllStmt(Stmt):
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollectiveStmt(Stmt):
     """A collective operation.
 
@@ -440,33 +416,20 @@ class CollectiveStmt(Stmt):
     """
 
     op: str
-    nbytes: Expr
-    root: Expr
+    nbytes: Expr = 0
+    root: Expr = 0
     array: str | None = None
     contrib: Expr | None = None
     result_var: str | None = None
     reduce_kind: str = "sum"  # sum | max | min
 
-    def __init__(
-        self,
-        op: str,
-        nbytes: ExprLike = 0,
-        root: ExprLike = 0,
-        array: str | None = None,
-        contrib: ExprLike | None = None,
-        result_var: str | None = None,
-        reduce_kind: str = "sum",
-    ):
-        super().__init__()
-        self.op = op
-        self.nbytes = as_expr(nbytes)
-        self.root = as_expr(root)
-        self.array = array
-        self.contrib = as_expr(contrib) if contrib is not None else None
-        self.result_var = result_var
-        if reduce_kind not in ("sum", "max", "min"):
-            raise IRValidationError(f"unknown reduce_kind {reduce_kind!r}")
-        self.reduce_kind = reduce_kind
+    def __post_init__(self):
+        _set(self, "nbytes", as_expr(self.nbytes))
+        _set(self, "root", as_expr(self.root))
+        if self.contrib is not None:
+            _set(self, "contrib", as_expr(self.contrib))
+        if self.reduce_kind not in ("sum", "max", "min"):
+            raise IRValidationError(f"unknown reduce_kind {self.reduce_kind!r}")
 
     def reads(self):
         r = self.nbytes.free_vars() | self.root.free_vars()
@@ -483,7 +446,7 @@ class CollectiveStmt(Stmt):
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelayStmt(Stmt):
     """Generated: advance the clock by ``amount`` (a scaling function
     over retained variables and measured ``w_i`` parameters)."""
@@ -491,16 +454,14 @@ class DelayStmt(Stmt):
     amount: Expr
     task: str
 
-    def __init__(self, amount: ExprLike, task: str):
-        super().__init__()
-        self.amount = as_expr(amount)
-        self.task = task
+    def __post_init__(self):
+        _set(self, "amount", as_expr(self.amount))
 
     def reads(self):
         return self.amount.free_vars()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReadParams(Stmt):
     """Generated: rank 0 reads the named ``w_i`` parameters from the
     parameter file and broadcasts them (the paper's
@@ -508,9 +469,8 @@ class ReadParams(Stmt):
 
     names: tuple[str, ...]
 
-    def __init__(self, names: tuple[str, ...]):
-        super().__init__()
-        self.names = tuple(names)
+    def __post_init__(self):
+        _set(self, "names", tuple(self.names))
 
     def writes(self):
         return frozenset(self.names)
@@ -519,29 +479,21 @@ class ReadParams(Stmt):
         return True  # performs a broadcast
 
 
-@dataclass
+@dataclass(frozen=True)
 class StartTimer(Stmt):
     """Generated: start the instrumentation timer for ``task``."""
 
     task: str
 
-    def __init__(self, task: str):
-        super().__init__()
-        self.task = task
 
-
-@dataclass
+@dataclass(frozen=True)
 class StopTimer(Stmt):
     """Generated: stop the instrumentation timer for ``task``."""
 
     task: str
 
-    def __init__(self, task: str):
-        super().__init__()
-        self.task = task
 
-
-@dataclass
+@dataclass(frozen=True)
 class AllocStmt(Stmt):
     """Generated: allocate a named buffer of ``nbytes`` (symbolic) —
     the dummy communication buffer of the simplified program."""
@@ -549,10 +501,8 @@ class AllocStmt(Stmt):
     name: str
     nbytes: Expr
 
-    def __init__(self, name: str, nbytes: ExprLike):
-        super().__init__()
-        self.name = name
-        self.nbytes = as_expr(nbytes)
+    def __post_init__(self):
+        _set(self, "nbytes", as_expr(self.nbytes))
 
     def reads(self):
         return self.nbytes.free_vars()
@@ -566,7 +516,7 @@ class AllocStmt(Stmt):
 # ---------------------------------------------------------------------------
 
 
-def walk(stmts: list[Stmt]) -> Iterator[Stmt]:
+def walk(stmts: Iterable[Stmt]) -> Iterator[Stmt]:
     """Depth-first iteration over a statement list."""
     for s in stmts:
         yield s
@@ -574,27 +524,73 @@ def walk(stmts: list[Stmt]) -> Iterator[Stmt]:
             yield from walk(block)
 
 
-@dataclass
+def _numbered(stmts: Iterable[Stmt], sid: int) -> tuple[tuple[Stmt, ...], int]:
+    """*stmts* with depth-first ids from *sid* on, and the next free id.
+
+    A statement that already carries its id, as do its nested lists, is
+    kept; any other becomes a renumbered copy.  An unchanged tuple comes
+    back as the same object.
+    """
+    out = []
+    changed = not isinstance(stmts, tuple)
+    for s in stmts:
+        own, sid = sid, sid + 1
+        blocks = {}
+        for name in s.block_fields:
+            block = getattr(s, name)
+            numbered, sid = _numbered(block, sid)
+            if numbered is not block:
+                blocks[name] = numbered
+        if blocks or s.sid != own:
+            s = replace(s, sid=own, **blocks)
+            changed = True
+        out.append(s)
+    return (tuple(out) if changed else stmts), sid
+
+
+@dataclass(frozen=True)
 class Program:
     """A complete message-passing program.
 
     ``params`` are the input variables (problem size, iteration counts);
     ``myid`` and ``P`` are implicit.  ``arrays`` declare per-process
     data.  ``meta`` carries app-specific annotations (e.g. branch
-    elimination directives).
+    elimination directives).  Construction numbers the statements
+    depth-first and makes ``arrays`` and ``meta`` read-only copies.
     """
 
     name: str
     params: tuple[str, ...]
-    arrays: dict[str, ArrayDecl]
-    body: list[Stmt]
-    meta: dict[str, Any] = field(default_factory=dict)
+    arrays: Mapping[str, ArrayDecl]
+    body: tuple[Stmt, ...]
+    meta: Mapping[str, Any] = field(default_factory=dict)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def number(self) -> "Program":
-        """Assign depth-first statement ids; returns self for chaining."""
-        for i, s in enumerate(walk(self.body)):
-            s.sid = i
-        return self
+    def __post_init__(self):
+        _set(self, "params", tuple(self.params))
+        _set(self, "arrays", MappingProxyType(dict(self.arrays)))
+        _set(self, "meta", MappingProxyType(dict(self.meta)))
+        _set(self, "body", _numbered(self.body, 0)[0])
+
+    def __reduce__(self):
+        # pickles and deep copies rebuild the program; derived artifacts
+        # are not carried along
+        return (type(self), (self.name, self.params, dict(self.arrays),
+                             self.body, dict(self.meta)))
+
+    def derived(self, key, make: Callable[["Program"], Any]) -> Any:
+        """``make(self)``, computed once per *key* and kept on this object.
+
+        The program cannot change, so an artifact derived from it stays
+        valid as long as the object lives and is dropped with it.  *key*
+        must name everything *make* reads besides the program.
+        """
+        memo = self._derived
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = make(self)
+            return value
 
     def statements(self) -> Iterator[Stmt]:
         """All statements, depth-first."""
@@ -617,7 +613,7 @@ class Program:
         declared = set(self.arrays)
         defined = set(self.params) | BUILTIN_VARS
 
-        def check_block(stmts: list[Stmt], scope: set[str]) -> set[str]:
+        def check_block(stmts: tuple[Stmt, ...], scope: set[str]) -> set[str]:
             for s in stmts:
                 arrays_touched = set()
                 if isinstance(s, CompBlock):
@@ -653,13 +649,3 @@ class Program:
             return scope
 
         check_block(self.body, set(defined))
-
-    def copy_shell(self, body: list[Stmt], arrays: dict[str, ArrayDecl] | None = None) -> "Program":
-        """A new program with the same name/params but different body."""
-        return Program(
-            name=self.name,
-            params=self.params,
-            arrays=dict(self.arrays if arrays is None else arrays),
-            body=body,
-            meta=dict(self.meta),
-        )

@@ -163,7 +163,13 @@ def program_fingerprint(program: Program) -> str:
     The printed IR omits comp-block kernel callables, so each kernel
     block also adds its callable's ``module.qualname`` and its declared
     reads and writes: programs that differ only there lower differently.
+    Computed once per program object and kept on it, so a cache hit
+    prints nothing.
     """
+    return program.derived("fingerprint", _fingerprint)
+
+
+def _fingerprint(program: Program) -> str:
     text = format_program(program)
     for stmt in walk(program.body):
         if type(stmt) is CompBlock and stmt.kernel is not None:
@@ -374,7 +380,7 @@ class _Lowerer:
             elif isinstance(stmt, CompBlock) and stmt.kernel is not None:
                 self.has_kernels = True
         # Working-set caches are keyed by statement sid in the interpreter;
-        # replicate the keying (including collisions on unnumbered trees).
+        # replicate the keying.
         self._ws_names: dict[int, str] = {}
         # Kernel callables the module imports: (module, name) -> alias.
         self._kernels: dict[tuple[str, str], str] = {}

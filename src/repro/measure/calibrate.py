@@ -32,7 +32,7 @@ from ..obs.logging import get_logger
 from ..obs.spans import TRACER
 from ..sim.engine import ExecMode, Simulator
 
-__all__ = ["Calibration", "measure_wparams"]
+__all__ = ["Calibration", "measure_wparams", "timer_version"]
 
 _log = get_logger("measure")
 
@@ -78,6 +78,12 @@ class Calibration:
         )
 
 
+def timer_version(program: Program) -> Program:
+    """*program*'s timer version (Fig. 2), generated once per program
+    object and kept on it."""
+    return program.derived("timer", generate_instrumented)
+
+
 def measure_wparams(
     program: Program,
     inputs: dict[str, float],
@@ -101,7 +107,7 @@ def measure_wparams(
     with TRACER.span(
         "measure.calibrate", program=program.name, nprocs=nprocs, seed=seed
     ) as span:
-        instrumented = generate_instrumented(program)
+        instrumented = timer_version(program)
         collector = MeasurementCollector()
         profile = BranchProfile()
         factory = make_factory(instrumented, inputs, collector=collector, profile=profile)

@@ -42,7 +42,10 @@ from ..ir.nodes import (
 )
 from ..symbolic import Cond, Const, Expr, Sum, Var, as_expr
 
-__all__ = ["Region", "PlanRetain", "PlanRegion", "CondensePlan", "condense", "w_param"]
+__all__ = [
+    "Region", "PlanRetain", "PlanRegion", "CondensePlan", "condense", "w_param",
+    "merged_directives", "profiled_probabilities",
+]
 
 
 def w_param(task: str) -> str:
@@ -103,6 +106,28 @@ class CondensePlan:
         return None
 
 
+def merged_directives(program: Program, directives: dict[int, float] | None) -> dict[int, float]:
+    """The branch directives condensation applies: the program's
+    ``eliminate_branches`` meta, overridden by *directives*."""
+    return dict(program.meta.get("eliminate_branches", {})) | dict(directives or {})
+
+
+def _profiled(profile: BranchProfile | None, sid: int) -> float:
+    return profile.probability(sid) if profile else 0.5
+
+
+def profiled_probabilities(
+    program: Program, profile: BranchProfile | None, directives: dict[int, float]
+) -> tuple[tuple[int, float], ...]:
+    """``(sid, probability)`` of each data-dependent branch of *program*
+    that no directive in (merged) *directives* covers: everything
+    condensation may read from *profile*."""
+    return tuple(
+        (s.sid, _profiled(profile, s.sid)) for s in program.statements()
+        if isinstance(s, If) and s.data_dependent and s.sid not in directives
+    )
+
+
 def condense(
     program: Program,
     profile: BranchProfile | None = None,
@@ -116,7 +141,7 @@ def condense(
     executed).  ``directives`` overrides branch probabilities per the
     paper's precise approach; otherwise ``profile`` supplies them.
     """
-    directives = dict(program.meta.get("eliminate_branches", {})) | dict(directives or {})
+    directives = merged_directives(program, directives)
     pinned = frozenset(pinned)
     builder = _Condenser(profile, directives, pinned)
     root = builder.plan_block(program.body)
@@ -177,7 +202,7 @@ class _Condenser:
             if s.data_dependent:
                 p = self.directives.get(s.sid)
                 if p is None:
-                    p = self.profile.probability(s.sid) if self.profile else 0.5
+                    p = _profiled(self.profile, s.sid)
                 self._elim_candidates.append(s.sid)
                 return as_expr(p) * then + as_expr(1.0 - p) * orelse
             return Cond.make(s.cond, then, orelse)

@@ -459,9 +459,11 @@ def warm_calibration_key(
 
     This is exactly the tuple
     :meth:`~repro.workflow.pipeline.ModelingWorkflow.prime` requires
-    the caller to vouch for: same app, machine, calibration
-    configuration and seed → bit-identical calibration (the engine is
-    deterministic), so the cache can never serve a stale front half.
+    the caller of its one argument, the calibration, to vouch for: same
+    app, machine, calibration configuration and seed → bit-identical
+    calibration (the engine is deterministic), so the store can never
+    serve a stale one.  The compiled program is not stored: the
+    program object keeps it in memory.
     """
     return content_hash(
         {

@@ -1049,9 +1049,11 @@ def _cli_resolver(app: str):
     """Default application resolver: the :data:`repro.apps.APPS` registry.
 
     Each app's program is built once per process, keyed by its builder,
-    and every caller shares that one object (with its per-expression
-    evaluators and its compiled-kernel cache entry).  Nothing mutates a
-    built program: instrumenting, compiling and minimizing all copy it.
+    and every caller shares that one object, with its per-expression
+    evaluators and what it keeps of its derivations: fingerprint, timer
+    version and compiled forms.  Sharing is safe because the IR is
+    immutable (:mod:`repro.ir.nodes`): instrumenting, compiling and
+    minimizing build new programs.
     """
     try:
         builder, default_inputs = APPS[app]

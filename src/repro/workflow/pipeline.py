@@ -70,21 +70,18 @@ class ModelingWorkflow:
         """The cached calibration, or ``None`` if none has run yet."""
         return self._calibration
 
-    def prime(self, calibration: Calibration | None = None,
-              compiled: CompiledProgram | None = None) -> None:
-        """Inject precomputed front-half artifacts (warm start).
+    def prime(self, calibration: Calibration) -> None:
+        """Inject a precomputed calibration (warm start).
 
-        A primed calibration (and optionally the compiled program)
-        skips the measurement run — the expensive front half of the
-        Fig. 2 pipeline — entirely.  The caller vouches that the
-        artifacts were produced for this exact (program, machine,
+        A primed calibration skips the measurement run — the expensive
+        front half of the Fig. 2 pipeline — entirely.  The caller vouches
+        that it was measured for this exact (program, machine,
         calibration configuration, seed); the serving layer keys its
-        warm cache by precisely that tuple.
+        warm cache by precisely that tuple.  The compiled program needs
+        no priming: the program keeps it (:func:`~repro.codegen.
+        compile_program`).
         """
-        if calibration is not None:
-            self._calibration = calibration
-        if compiled is not None:
-            self._compiled = compiled
+        self._calibration = calibration
 
     @property
     def compiled(self) -> CompiledProgram:

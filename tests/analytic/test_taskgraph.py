@@ -1,5 +1,7 @@
 """Tests for the dynamic-task-graph analytical predictor."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analytic import analytic_predict, taskgraph_predict
@@ -87,8 +89,7 @@ class TestErrors:
         b = ProgramBuilder("w", params=())
         b.send(dest=(myid + 1) % P, nbytes=8, tag=0)
         prog = b.build()
-        prog.body.append(RecvStmt(source=-1, nbytes=8, tag=0))
-        prog.number()
+        prog = replace(prog, body=(*prog.body, RecvStmt(source=-1, nbytes=8, tag=0)))
         with pytest.raises(ValueError, match="wildcard|fully-specified"):
             taskgraph_predict(prog, {}, 2, TESTING_MACHINE)
 

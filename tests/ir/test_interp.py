@@ -1,5 +1,7 @@
 """Integration tests: IR interpreter running on the simulation kernel."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,28 +165,21 @@ class TestCollectivesAndReductions:
 
 class TestGeneratedStatements:
     def test_delay_stmt(self):
-        b = ProgramBuilder("d")
-        prog = b.build()
-        prog.body.append(DelayStmt(Var("w_t") * 100, task="t"))
-        prog.body.insert(0, ReadParams(("w_t",)))
-        prog.number()
+        prog = replace(ProgramBuilder("d").build(), body=(
+            ReadParams(("w_t",)), DelayStmt(Var("w_t") * 100, task="t"),
+        ))
         res = run(prog, 2, {}, wparams={"w_t": 0.01})
         assert all(p.compute_time == pytest.approx(1.0) for p in res.stats.procs)
 
     def test_read_params_missing_raises(self):
-        b = ProgramBuilder("d")
-        prog = b.build()
-        prog.body.append(ReadParams(("w_t",)))
-        prog.number()
+        prog = replace(ProgramBuilder("d").build(), body=(ReadParams(("w_t",)),))
         with pytest.raises(InterpreterError, match="parameter file lacks"):
             run(prog, 1, {}, wparams={})
 
     def test_negative_delay_clamped(self):
-        b = ProgramBuilder("d")
-        prog = b.build()
-        prog.body.insert(0, ReadParams(("w_t",)))
-        prog.body.append(DelayStmt(Var("w_t") * -5, task="t"))
-        prog.number()
+        prog = replace(ProgramBuilder("d").build(), body=(
+            ReadParams(("w_t",)), DelayStmt(Var("w_t") * -5, task="t"),
+        ))
         res = run(prog, 1, {}, wparams={"w_t": 1.0})
         assert res.stats.procs[0].compute_time == 0.0
 
@@ -192,9 +187,7 @@ class TestGeneratedStatements:
         b = ProgramBuilder("t")
         b.compute("task1", work=1000)
         prog = b.build()
-        prog.body.insert(0, StartTimer("task1"))
-        prog.body.append(StopTimer("task1"))
-        prog.number()
+        prog = replace(prog, body=(StartTimer("task1"), *prog.body, StopTimer("task1")))
         coll = MeasurementCollector()
         run(prog, 1, {}, collector=coll, mode=ExecMode.MEASURED)
         assert coll.samples("task1") == 1
@@ -202,10 +195,7 @@ class TestGeneratedStatements:
         assert coll.w("task1") == pytest.approx(M.cpu.time_per_op, rel=0.01)
 
     def test_stop_without_start_raises(self):
-        b = ProgramBuilder("t")
-        prog = b.build()
-        prog.body.append(StopTimer("x"))
-        prog.number()
+        prog = replace(ProgramBuilder("t").build(), body=(StopTimer("x"),))
         with pytest.raises(InterpreterError, match="without timer_start"):
             run(prog, 1, {})
 

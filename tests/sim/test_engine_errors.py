@@ -1,5 +1,7 @@
 """Error-path tests for the simulation kernel (defensive behaviour)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import mpi
@@ -234,9 +236,6 @@ class TestExceptionPropagation:
         from repro.ir import InterpreterError, ProgramBuilder, make_factory
         from repro.ir.nodes import StopTimer
 
-        b = ProgramBuilder("bad")
-        prog = b.build()
-        prog.body.append(StopTimer("never_started"))
-        prog.number()
+        prog = replace(ProgramBuilder("bad").build(), body=(StopTimer("never_started"),))
         with pytest.raises(InterpreterError):
             run(1, make_factory(prog, {}))

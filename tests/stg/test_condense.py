@@ -1,5 +1,7 @@
 """Unit tests for task-graph condensation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ir import BranchProfile, ProgramBuilder, myid, P
@@ -133,8 +135,7 @@ class TestBranches:
             b.compute("fixup", work=N)
         prog = b.build()
         branch = prog.body[0]
-        prog.meta["eliminate_branches"] = {branch.sid: 0.25}
-        plan = condense(prog)
+        plan = condense(replace(prog, meta={"eliminate_branches": {branch.sid: 0.25}}))
         val = plan.regions[0].cost.evaluate({"N": 100, "w_fixup": 1.0})
         assert val == pytest.approx(25.0)
 

@@ -76,9 +76,35 @@ class TestCommands:
                      "--machine", "SGI-Origin-2000", "--set", "n=256"]) == 0
         assert "SGI-Origin-2000" in capsys.readouterr().out
 
-    def test_unknown_machine(self):
-        with pytest.raises(KeyError, match="unknown machine"):
-            main(["memory", "tomcatv", "--procs", "4", "--machine", "Cray-T3E"])
+    def test_unknown_machine(self, capsys):
+        assert main(["memory", "tomcatv", "--procs", "4", "--machine", "Cray-T3E"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown machine 'Cray-T3E'; known machines: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "tomcatv", "--nprocs", "4"],
+        ["validate", "tomcatv", "--procs", "4", "--calib-procs", "4"],
+        ["compile", "tomcatv"],
+        ["calibrate", "tomcatv", "--calib-procs", "2"],
+        ["fuzz", "--seeds", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_machine_in_every_command(self, argv, tmp_path, capsys, monkeypatch):
+        """One line and exit 2 before anything runs: no run reaches the
+        campaign runner, and nothing is written."""
+        from repro.workflow.campaign import CampaignRunner
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(CampaignRunner, "run_one", no_run)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--machine", "Cray-T3E"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown machine 'Cray-T3E'; known machines: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCalibrate:

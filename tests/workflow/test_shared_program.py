@@ -1,21 +1,27 @@
 """Each app is built once per process, and sharing it changes no result.
 
 The default resolver hands every caller one program object per app, so
-a serve miss reuses the program, its per-expression evaluators and its
-compiled kernels.  For each ``repro serve`` app in each estimator, a
-serve miss, a serve hit and an inline ``execute_request`` (what
-``repro query`` runs without a server or store) on the interpreter,
-from a freshly built program, must return byte-identical results.
-Calibrating, compiling and running the shared program in every mode,
-with and without a fault plan, must leave it unchanged.
+a serve miss reuses the program, its per-expression evaluators, its
+compiled kernels and what it keeps of its derivations.  For each
+``repro serve`` app in each estimator, a serve miss, a serve hit and an
+inline ``execute_request`` (what ``repro query`` runs without a server
+or store) on the interpreter, from a freshly built program, must return
+byte-identical results.  Calibrating, compiling and running the shared
+program in every mode, with and without a fault plan, must leave it
+unchanged, and a later ``am`` miss of an app derives nothing again.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.api import RunRequest, RunResult, canonical_json
 from repro.apps import APPS
+from repro.codegen import pipeline as codegen_pipeline
 from repro.ir.printer import format_program
+from repro.kernel import lower
 from repro.kernel.lower import program_fingerprint
+from repro.measure import calibrate
 from repro.serve import SimulationService
 from repro.store import ResultStore
 from repro.workflow import campaign
@@ -82,6 +88,7 @@ def test_shared_program_changes_no_result(tmp_path, builds):
     assert builds == dict.fromkeys(SERVE_APPS, 1)
     for app, program in shared.items():
         assert campaign._cli_resolver(app)[0] is program
+        # format_program reads nothing the program keeps
         assert (format_program(program), program_fingerprint(program)) == before[app]
 
     campaign._BUILT.clear()
@@ -90,3 +97,38 @@ def test_shared_program_changes_no_result(tmp_path, builds):
                               backend="interpreted")
         assert canonical_json(RunResult.from_record(rec).to_json()) == want, (app, mode)
     assert builds == dict.fromkeys(SERVE_APPS, 2)
+
+
+def test_second_am_miss_derives_nothing(tmp_path, builds, monkeypatch):
+    """The fingerprints, the timer version and the compiled program of a
+    later ``am`` miss, calibrated afresh at other inputs, come from the
+    program objects: no IR is printed, instrumented or condensed."""
+    app = "sample_nearest_neighbor"
+    nprocs, inputs = SERVE_APPS[app]
+
+    def miss(service, grain):
+        run = RunRequest(app=app, mode="am", nprocs=nprocs, seed=1,
+                         inputs=tuple(sorted({**inputs, "grain": grain}.items())))
+        response = service.handle_run({"run": run.to_json(), "calib_procs": CALIB_PROCS})
+        assert response["cached"] is False
+        assert response["result"]["outcome"] == "ok", response["result"]
+
+    calls = Counter()
+    for module, name in ((lower, "format_program"), (calibrate, "generate_instrumented"),
+                         (codegen_pipeline, "condense")):
+        def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    store = ResultStore(tmp_path / "store")
+    try:
+        service = SimulationService(store, backend="auto")
+        miss(service, 20000)
+        assert set(calls) == {"format_program", "generate_instrumented", "condense"}
+        calls.clear()
+        miss(service, 30000)
+    finally:
+        store.close()
+    assert calls == {}
