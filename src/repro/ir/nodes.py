@@ -135,8 +135,8 @@ class Stmt:
         return frozenset()
 
     def children(self) -> tuple[tuple["Stmt", ...], ...]:
-        """Nested statement lists (loops/branches)."""
-        return tuple(getattr(self, name) for name in self.block_fields)
+        """Nested statement lists (loops/branches), in ``block_fields`` order."""
+        return ()
 
     def is_comm(self) -> bool:
         """Communication statements must survive simplification verbatim."""
@@ -250,6 +250,9 @@ class For(Stmt):
     def writes(self):
         return frozenset({self.var})
 
+    def children(self):
+        return (self.body,)
+
 
 @dataclass(frozen=True)
 class If(Stmt):
@@ -276,6 +279,9 @@ class If(Stmt):
 
     def reads(self):
         return self.cond.free_vars()
+
+    def children(self):
+        return (self.then, self.orelse)
 
 
 @dataclass(frozen=True)
@@ -535,17 +541,24 @@ def _numbered(stmts: Iterable[Stmt], sid: int) -> tuple[tuple[Stmt, ...], int]:
     changed = not isinstance(stmts, tuple)
     for s in stmts:
         own, sid = sid, sid + 1
-        blocks = {}
-        for name in s.block_fields:
-            block = getattr(s, name)
+        fields = {}
+        for name, block in zip(s.block_fields, s.children()):
             numbered, sid = _numbered(block, sid)
             if numbered is not block:
-                blocks[name] = numbered
-        if blocks or s.sid != own:
-            s = replace(s, sid=own, **blocks)
+                fields[name] = numbered
+        if fields or s.sid != own:
+            s = _copy_with(s, sid=own, **fields)
             changed = True
         out.append(s)
     return (tuple(out) if changed else stmts), sid
+
+
+def _copy_with(stmt: Stmt, **fields) -> Stmt:
+    """A new *stmt* with *fields* changed.  Like ``dataclasses.replace``,
+    without re-running the field coercion the values already passed."""
+    new = object.__new__(type(stmt))
+    new.__dict__.update(stmt.__dict__, **fields)
+    return new
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,11 @@ Event traces need the interpreter, whose compute and delay requests a
 trace records: a traced run interprets the program instead (see
 :class:`repro.sim.engine.Simulator`).  A module lives only in the
 process that lowered it: :func:`kernel_for` caches each variant by
-fingerprint, and nothing writes generated code to disk.
+fingerprint, and nothing writes generated code to disk.  The IR is
+immutable, so a program object computes its fingerprint once and keeps
+it (:meth:`~repro.ir.nodes.Program.derived`): a cache hit prints no IR.
+:func:`clear_cache` empties the modules; a program's fingerprint dies
+with the program.
 
 Anything the emitter cannot reproduce bit-for-bit raises
 :class:`UnsupportedConstructError`; ``backend="auto"`` catches it and
