@@ -36,7 +36,7 @@ Statement kinds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping
 
