@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.ir import BranchProfile, ProgramBuilder, myid, P
+from repro.ir import BranchProfile, ProgramBuilder, myid
 from repro.stg import PlanRegion, PlanRetain, condense, w_param
 from repro.symbolic import Gt, Var
 
