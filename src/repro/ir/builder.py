@@ -17,6 +17,7 @@ this builder; nesting uses context managers::
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import count
 
 from ..symbolic import Var
 from ..symbolic.expr import ExprLike
@@ -77,7 +78,7 @@ class ProgramBuilder:
         self._body: list = []
         self._stack: list[list] = [self._body]
         self._meta: dict = {}
-        self._sids = 0
+        self._sids = count()  # depth-first statement ids
         self._built = False
 
     # -- declarations ---------------------------------------------------------
@@ -94,13 +95,8 @@ class ProgramBuilder:
         self._meta.update(kwargs)
 
     # -- statements ------------------------------------------------------------
-    def _next_sid(self) -> int:
-        sid = self._sids
-        self._sids += 1
-        return sid
-
     def _emit(self, kind: type[Stmt], *args, **kwargs) -> Stmt:
-        stmt = kind(*args, sid=self._next_sid(), **kwargs)
+        stmt = kind(*args, sid=next(self._sids), **kwargs)
         self._stack[-1].append(stmt)
         return stmt
 
@@ -198,7 +194,7 @@ class ProgramBuilder:
     @contextmanager
     def loop(self, var: str, lo: ExprLike, hi: ExprLike):
         """``for var = lo, hi`` (inclusive bounds) around the with-block."""
-        sid = self._next_sid()
+        sid = next(self._sids)
         body: list = []
         self._stack.append(body)
         try:
@@ -210,7 +206,7 @@ class ProgramBuilder:
     @contextmanager
     def if_(self, cond, data_dependent: bool = False):
         """``if cond`` around the with-block (attach ``else_`` right after)."""
-        sid = self._next_sid()
+        sid = next(self._sids)
         then: list = []
         self._stack.append(then)
         try:
