@@ -34,18 +34,21 @@ import json
 import os
 import sys
 
-from dataclasses import replace
-
 from . import __version__
-from .apps import APPS
-from .codegen import compile_program
-from .ir import format_program
-from .machine import get_machine
-from .parallel import estimate_program_memory
-from .stg import synthesize_stg
-from .workflow import format_bytes, format_table, format_validation
+
+# Only the standard library loads with the parser: each command imports
+# what it runs, so ``--version`` and ``--help`` load no simulator.
 
 __all__ = ["main", "APPS"]
+
+
+def __getattr__(name):
+    if name == "APPS":  # the application registry, loaded on first use
+        from .apps import APPS
+
+        globals()["APPS"] = APPS
+        return APPS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -233,6 +236,7 @@ def _run(args, requests, *, report=(), **context):
 
 
 def cmd_apps(args) -> int:
+    from .apps import APPS
     from .workflow.campaign import _cli_resolver
 
     print("available applications:")
@@ -243,6 +247,9 @@ def cmd_apps(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from .codegen import compile_program
+    from .ir import format_program
+
     program, _ = _app(args)
     compiled = compile_program(program)
     print(compiled.summary())
@@ -253,11 +260,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_stg(args) -> int:
+    from .stg import synthesize_stg, write_dot
+
     program, _ = _app(args)
     stg = synthesize_stg(program)
     if args.dot:
-        from .stg import write_dot
-
         write_dot(stg, args.dot)
         print(f"DOT written to {args.dot}")
     else:
@@ -273,7 +280,7 @@ def cmd_validate(args) -> int:
     of its point, never of execution order, so ``--jobs N`` prints the
     ``--jobs 1`` table.
     """
-    from .workflow import ValidationPoint, ValidationSeries
+    from .workflow import ValidationPoint, ValidationSeries, format_validation
 
     modes = ("measured", "am") if args.no_de else ("measured", "de", "am")
     cells = [(i, mode) for i in range(len(args.procs)) for mode in modes]
@@ -295,6 +302,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .workflow import format_bytes, format_table
     from .workflow.campaign import request_runner
 
     requests = [request_from_args(args, nprocs=p, mode="am") for p in args.procs]
@@ -348,6 +356,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_memory(args) -> int:
+    from .codegen import compile_program
+    from .machine import get_machine
+    from .parallel import estimate_program_memory
+    from .workflow import format_bytes, format_table
+
     program, default_inputs = _app(args)
     machine = get_machine(args.machine)
     compiled = compile_program(program)
@@ -423,6 +436,8 @@ def _parse_retry(spec: str) -> str:
 
 def _build_plan(args):
     """Assemble the FaultPlan from --plan JSON plus per-flag overrides."""
+    from dataclasses import replace
+
     from .sim.faults import FaultPlan
 
     if args.plan:
@@ -600,6 +615,8 @@ def _write_flight_dump(path: str, dump: dict) -> None:
 
 def cmd_campaign(args) -> int:
     """Run (or resume) a crash-safe multi-run experiment campaign."""
+    from dataclasses import replace
+
     from .api import ApiError
     from .obs import METRICS, TRACER
     from .workflow.campaign import (
@@ -972,7 +989,11 @@ def cmd_query(args) -> int:
             host, _, port = args.server.partition(":")
             client = ServiceClient(host or "127.0.0.1", int(port or 8642),
                                    tenant=args.tenant)
-            out = client._request("POST", "/v1/run", doc)
+            try:
+                out = client._request("POST", "/v1/run", doc)
+            except OSError as exc:  # refused, reset, timed out, no route
+                print(f"error: cannot reach server {args.server}: {exc}", file=sys.stderr)
+                return 2
         elif args.store:
             from .serve import SimulationService
             from .store import ResultStore
@@ -1019,6 +1040,8 @@ def cmd_query(args) -> int:
 
 def cmd_profile(args) -> int:
     """Profile one run: dual-clock spans, trace analyses, exports."""
+    from dataclasses import replace
+
     from .obs import (
         METRICS,
         TRACER,
@@ -1454,6 +1477,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "machine", None) is not None:
         # every command that takes --machine: one line and exit 2, as a
         # grid's unknown machine, before anything runs
+        from .machine import get_machine
+
         try:
             get_machine(args.machine)
         except KeyError as exc:

@@ -622,7 +622,14 @@ class Program:
         return [s for s in self.statements() if s.is_comm()]
 
     def validate(self) -> None:
-        """Check structural well-formedness; raises IRValidationError."""
+        """Check structural well-formedness; raises IRValidationError.
+
+        The check runs once per object: a program that passed it cannot
+        change, so it stays valid.  A failure is not kept.
+        """
+        self.derived("valid", Program._check)
+
+    def _check(self) -> None:
         declared = set(self.arrays)
         defined = set(self.params) | BUILTIN_VARS
 

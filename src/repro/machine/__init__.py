@@ -8,45 +8,14 @@ and host-machine parameters (memory, per-event costs) that bound and
 price the simulator's own execution.
 """
 
-from .cpu import CpuModel
-from .fitting import fit_cpu_params, fit_machine, fit_network_params
-from .network import COLLECTIVE_OPS, NetworkModel
-from .topology import TOPOLOGIES, hops, mean_hops
-from .params import (
-    GiB,
-    IBM_SP,
-    KiB,
-    MiB,
-    ORIGIN_2000,
-    TESTING_MACHINE,
-    CpuParams,
-    HostParams,
-    MachineParams,
-    NetworkParams,
-    PerturbationParams,
-    get_machine,
-)
+from .. import _lazy_package
 
-__all__ = [
-    "CpuModel",
-    "NetworkModel",
-    "COLLECTIVE_OPS",
-    "CpuParams",
-    "NetworkParams",
-    "PerturbationParams",
-    "HostParams",
-    "MachineParams",
-    "IBM_SP",
-    "ORIGIN_2000",
-    "TESTING_MACHINE",
-    "get_machine",
-    "fit_network_params",
-    "fit_cpu_params",
-    "fit_machine",
-    "hops",
-    "mean_hops",
-    "TOPOLOGIES",
-    "KiB",
-    "MiB",
-    "GiB",
-]
+__all__, __getattr__, __dir__ = _lazy_package(__name__, names={
+    ".cpu": ("CpuModel",),
+    ".network": ("NetworkModel", "COLLECTIVE_OPS"),
+    ".params": ("CpuParams", "NetworkParams", "PerturbationParams", "HostParams",
+                "MachineParams", "IBM_SP", "ORIGIN_2000", "TESTING_MACHINE",
+                "get_machine", "KiB", "MiB", "GiB"),
+    ".fitting": ("fit_network_params", "fit_cpu_params", "fit_machine"),
+    ".topology": ("hops", "mean_hops", "TOPOLOGIES"),
+})

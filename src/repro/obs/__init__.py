@@ -23,87 +23,25 @@ simulators are judged on their own time/memory trajectories):
   Perfetto timeline and aggregate metric snapshot.
 
 Surfaced on the command line as ``python -m repro profile`` and
-``python -m repro inspect``.
+``python -m repro inspect``.  Each name below loads its module on first
+use, so a run that only traces and counts never loads the analyses.
 """
 
-from .capsule import CAPSULE_FORMAT, TelemetryCapsule, capture_run, load_capsules
-from .comm_matrix import CommMatrix, comm_matrix, format_comm_matrix
-from .critical_path import (
-    CriticalPathReport,
-    PathStep,
-    critical_path,
-    format_critical_path,
-)
-from .logging import configure_logging, get_logger, verbosity_to_level
-from .metrics import (
-    METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    InMemorySink,
-    JsonlSink,
-    MetricsRegistry,
-    TableSink,
-)
-from .merge import (
-    aggregate_metrics,
-    format_campaign_timeline,
-    merge_capsules,
-    write_merged_perfetto,
-)
-from .perfetto import (
-    perfetto_document,
-    spans_to_events,
-    trace_to_events,
-    validate_perfetto,
-    write_perfetto,
-)
-from .scaling import (
-    ScalingEntry,
-    ScalingLossReport,
-    detect_scaling_loss,
-    format_scaling_loss,
-)
-from .spans import TRACER, Span, Tracer, format_spans
+from .. import _lazy_package
 
-__all__ = [
-    "TRACER",
-    "Tracer",
-    "Span",
-    "format_spans",
-    "METRICS",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "InMemorySink",
-    "JsonlSink",
-    "TableSink",
-    "get_logger",
-    "configure_logging",
-    "verbosity_to_level",
-    "perfetto_document",
-    "trace_to_events",
-    "spans_to_events",
-    "write_perfetto",
-    "validate_perfetto",
-    "critical_path",
-    "CriticalPathReport",
-    "PathStep",
-    "format_critical_path",
-    "detect_scaling_loss",
-    "ScalingEntry",
-    "ScalingLossReport",
-    "format_scaling_loss",
-    "comm_matrix",
-    "CommMatrix",
-    "format_comm_matrix",
-    "TelemetryCapsule",
-    "capture_run",
-    "load_capsules",
-    "CAPSULE_FORMAT",
-    "merge_capsules",
-    "aggregate_metrics",
-    "write_merged_perfetto",
-    "format_campaign_timeline",
-]
+__all__, __getattr__, __dir__ = _lazy_package(__name__, names={
+    ".spans": ("TRACER", "Tracer", "Span", "format_spans"),
+    ".metrics": ("METRICS", "MetricsRegistry", "Counter", "Gauge", "Histogram",
+                 "InMemorySink", "JsonlSink", "TableSink"),
+    ".logging": ("get_logger", "configure_logging", "verbosity_to_level"),
+    ".perfetto": ("perfetto_document", "trace_to_events", "spans_to_events",
+                  "write_perfetto", "validate_perfetto"),
+    ".critical_path": ("critical_path", "CriticalPathReport", "PathStep",
+                       "format_critical_path"),
+    ".scaling": ("detect_scaling_loss", "ScalingEntry", "ScalingLossReport",
+                 "format_scaling_loss"),
+    ".comm_matrix": ("comm_matrix", "CommMatrix", "format_comm_matrix"),
+    ".capsule": ("TelemetryCapsule", "capture_run", "load_capsules", "CAPSULE_FORMAT"),
+    ".merge": ("merge_capsules", "aggregate_metrics", "write_merged_perfetto",
+               "format_campaign_timeline"),
+})

@@ -1,95 +1,21 @@
 """MPI-Sim core: discrete-event kernel, statistics, memory, tracing, faults."""
 
-from .budget import BudgetExceededError, BudgetGuard
-from .engine import (
-    CollectiveMismatchError,
-    DeadlockError,
-    ExecMode,
-    SimResult,
-    Simulator,
-)
-from .flightrec import FLIGHT, FlightRecorder, format_flight_dump
-from .heartbeat import HEARTBEAT, HeartbeatEmitter
-from .faults import (
-    CrashFault,
-    DeadlockReport,
-    FaultPlan,
-    FaultState,
-    LinkDegradation,
-    RetryPolicy,
-    WaitInfo,
-)
-from .memory import MemoryReport, MemoryTracker
-from .requests import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Isend,
-    Irecv,
-    Wait,
-    RequestHandle,
-    Alloc,
-    Collective,
-    CollectiveResult,
-    Compute,
-    Delay,
-    Free,
-    Now,
-    ReceivedMessage,
-    Recv,
-    Request,
-    Send,
-    SendFailed,
-    TimedOut,
-)
-from .stats import ProcessStats, SimStats
-from .trace import Trace, TraceEvent
-from .trace_io import load_trace, save_trace
+from .. import _lazy_package
 
-__all__ = [
-    "Simulator",
-    "SimResult",
-    "ExecMode",
-    "DeadlockError",
-    "CollectiveMismatchError",
-    "BudgetExceededError",
-    "BudgetGuard",
-    "FLIGHT",
-    "FlightRecorder",
-    "format_flight_dump",
-    "HEARTBEAT",
-    "HeartbeatEmitter",
-    "FaultPlan",
-    "FaultState",
-    "CrashFault",
-    "LinkDegradation",
-    "RetryPolicy",
-    "DeadlockReport",
-    "WaitInfo",
-    "TimedOut",
-    "SendFailed",
-    "MemoryTracker",
-    "MemoryReport",
-    "ProcessStats",
-    "SimStats",
-    "Trace",
-    "TraceEvent",
-    "save_trace",
-    "load_trace",
-    "Request",
-    "Compute",
-    "Delay",
-    "Send",
-    "Recv",
-    "Isend",
-    "Irecv",
-    "Wait",
-    "RequestHandle",
-    "Collective",
-    "Alloc",
-    "Free",
-    "Now",
-    "ReceivedMessage",
-    "CollectiveResult",
-    "ANY_SOURCE",
-    "ANY_TAG",
-]
+__all__, __getattr__, __dir__ = _lazy_package(__name__, names={
+    ".engine": ("Simulator", "SimResult", "ExecMode", "DeadlockError",
+                "CollectiveMismatchError"),
+    ".budget": ("BudgetExceededError", "BudgetGuard"),
+    ".flightrec": ("FLIGHT", "FlightRecorder", "format_flight_dump"),
+    ".heartbeat": ("HEARTBEAT", "HeartbeatEmitter"),
+    ".faults": ("FaultPlan", "FaultState", "CrashFault", "LinkDegradation",
+                "RetryPolicy", "DeadlockReport", "WaitInfo"),
+    ".requests": ("TimedOut", "SendFailed", "Request", "Compute", "Delay", "Send",
+                  "Recv", "Isend", "Irecv", "Wait", "RequestHandle", "Collective",
+                  "Alloc", "Free", "Now", "ReceivedMessage", "CollectiveResult",
+                  "ANY_SOURCE", "ANY_TAG"),
+    ".memory": ("MemoryTracker", "MemoryReport"),
+    ".stats": ("ProcessStats", "SimStats"),
+    ".trace": ("Trace", "TraceEvent"),
+    ".trace_io": ("save_trace", "load_trace"),
+})

@@ -1,33 +1,12 @@
 """Static task graph: model, synthesis, condensation, dynamic expansion."""
 
-from .condense import (
-    CondensePlan,
-    PlanRegion,
-    PlanRetain,
-    Region,
-    condense,
-    w_param,
-)
-from .dynamic import critical_path, critical_path_length, trace_to_dag
-from .export import to_dot, write_dot
-from .graph import NODE_KINDS, STG, STGEdge, STGNode
-from .synthesis import synthesize_stg
+from .. import _lazy_package
 
-__all__ = [
-    "STG",
-    "STGNode",
-    "STGEdge",
-    "NODE_KINDS",
-    "synthesize_stg",
-    "condense",
-    "CondensePlan",
-    "Region",
-    "PlanRetain",
-    "PlanRegion",
-    "w_param",
-    "trace_to_dag",
-    "critical_path",
-    "critical_path_length",
-    "to_dot",
-    "write_dot",
-]
+__all__, __getattr__, __dir__ = _lazy_package(__name__, names={
+    ".graph": ("STG", "STGNode", "STGEdge", "NODE_KINDS"),
+    ".synthesis": ("synthesize_stg",),
+    ".condense": ("condense", "CondensePlan", "Region", "PlanRetain", "PlanRegion",
+                  "w_param"),
+    ".dynamic": ("trace_to_dag", "critical_path", "critical_path_length"),
+    ".export": ("to_dot", "write_dot"),
+})

@@ -94,7 +94,8 @@ RESPAWN_BACKOFF = 0.1
 #: predicate-call bound handed to the delta-debugger per poison spec
 MINIMIZE_CHECKS = 12
 
-#: seconds a reproducer probe subprocess may run before "hang"
+#: seconds a reproducer probe may go without a heartbeat before "hang"
+#: (twice that before its first beat, as a campaign worker gets)
 PROBE_TIMEOUT = 5.0
 
 
@@ -499,17 +500,17 @@ def run_supervised(config: CampaignConfig, pending, jobs: int, on_record,
 # -- poison forensics ----------------------------------------------------------
 
 
-def _probe_main(payload: bytes) -> None:
+def _probe_main(payload: bytes, conn) -> None:
     """Reproducer probe child: replay the cell on the candidate; die only
     if *it* kills us.
 
     The candidate runs through :meth:`CampaignRunner.run_one` on the
     campaign's own config — the cell's calibration, fault plan, timeout,
-    budgets and backend — with no retry sleeps.  Simulator-level
-    failures (deadlock, validation errors) are campaign outcomes, not
-    poison — they exit 0 here.  The failures this probe exists for —
-    hard process death, a wedge — either bypass ``except`` entirely or
-    trip the parent's join timeout.
+    budgets and backend — with no retry sleeps, and beats down *conn*
+    as a campaign worker does.  Simulator-level failures (deadlock,
+    validation errors) are campaign outcomes, not poison — they exit 0
+    here.  The failures this probe exists for — hard process death, a
+    wedge — either bypass ``except`` entirely or stop the beats.
     """
     _quiet_worker()
     try:
@@ -517,11 +518,17 @@ def _probe_main(payload: bytes) -> None:
 
         config, spec, candidate, resolver = pickle.loads(payload)
         _, default_inputs = resolver(spec.app)
-        CampaignRunner(
+        runner = CampaignRunner(
             config, out_dir=os.devnull,
             resolver=lambda app: (candidate, default_inputs),
             sleep=lambda seconds: None,
-        ).run_one(spec)
+        )
+        HEARTBEAT.configure(
+            lambda cursor: conn.send_bytes(b""), interval_events=HB_INTERVAL_EVENTS,
+            min_interval_s=HB_MIN_INTERVAL_S, run_id=spec.run_id,
+        )
+        HEARTBEAT.enable()
+        runner.run_one(spec)
     except BaseException:
         pass
     os._exit(0)
@@ -529,16 +536,33 @@ def _probe_main(payload: bytes) -> None:
 
 def _subprocess_probe(config: CampaignConfig, spec: RunRequest, candidate,
                       resolver, timeout: float) -> bool:
-    """Does *candidate* still crash or hang a fresh process?"""
+    """Does *candidate* still crash or hang a fresh process?
+
+    A hang is judged as :func:`run_supervised` judges a worker's: no
+    heartbeat for *timeout* seconds (twice that before the first beat).
+    A probe that keeps beating is slow, not hung, and runs to its end.
+    """
     payload = pickle.dumps((config, spec, candidate, resolver))
     ctx = multiprocessing.get_context()
-    proc = ctx.Process(target=_probe_main, args=(payload,), daemon=True)
+    beats, child_end = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_probe_main, args=(payload, child_end), daemon=True)
     proc.start()
-    proc.join(timeout)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(timeout=5)
-        return True  # the hang reproduces
+    child_end.close()
+    try:
+        deadline = timeout * 2
+        while beats.poll(deadline):
+            try:
+                beats.recv_bytes()
+            except EOFError:  # the probe exited
+                break
+            deadline = timeout
+        else:
+            proc.kill()
+            proc.join(timeout=5)
+            return True  # the hang reproduces
+    finally:
+        beats.close()
+    proc.join()
     return proc.exitcode != 0  # the crash reproduces
 
 

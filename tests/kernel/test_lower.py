@@ -82,6 +82,35 @@ class TestLowerProgram:
         assert source.count("_kf0(_kd, _arr)") == 2
 
 
+class TestValidateOnce:
+    """A program object is validated at most once, by whoever made it."""
+
+    def test_lowering_built_programs_validates_nothing_again(self, monkeypatch):
+        from repro.apps import build_sweep3d
+        from repro.codegen import compile_program
+        from repro.ir.nodes import Program
+
+        program = build_sweep3d()
+        simplified = compile_program(program).simplified
+        checked = []
+        real = Program._check
+        monkeypatch.setattr(Program, "_check",
+                            lambda prog: checked.append(prog.name) or real(prog))
+        lower_program(program)
+        lower_program(simplified)
+        assert checked == []
+
+    def test_an_unvalidated_invalid_program_is_rejected(self):
+        b = ProgramBuilder("lower_invalid")
+        b.compute("c", work=Var("undefined_n"))
+        program = b.build(validate=False)
+        for _ in range(2):  # a failed check is not kept
+            with pytest.raises(UnsupportedConstructError,
+                               match=r"^program does not validate: lower_invalid: "
+                                     r".*undefined variable\(s\) \['undefined_n'\]"):
+                lower_program(program)
+
+
 class TestCache:
     def test_kernel_for_caches_by_fingerprint(self):
         k1 = kernel_for(ring_program())

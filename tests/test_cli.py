@@ -413,6 +413,21 @@ class TestPredictMethods:
             main(["predict", "tomcatv", "--procs", "4", "--method", "psychic"])
 
 
+class TestQuery:
+    def test_server_that_is_down_is_one_line(self, capsys):
+        import socket
+
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            server = f"127.0.0.1:{sock.getsockname()[1]}"
+        assert main(["query", "sample_nearest_neighbor", "--nprocs", "4",
+                     "--server", server]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot reach server {server}: ")
+        assert len(captured.err.strip().splitlines()) == 1
+
+
 class TestCampaign:
     """The `repro campaign` subcommand: grids, resume, one-line errors."""
 

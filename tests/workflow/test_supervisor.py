@@ -24,7 +24,12 @@ import pytest
 import repro.workflow.pipeline as pipeline
 import repro.workflow.supervisor as supervisor
 from repro.sim.faults import FaultState
-from repro.workflow.campaign import QUARANTINE_DIR_NAME, _cli_resolver, expand_grid
+from repro.workflow.campaign import (
+    QUARANTINE_DIR_NAME,
+    CampaignRunner,
+    _cli_resolver,
+    expand_grid,
+)
 from repro.workflow.supervisor import minimize_poison
 
 from .test_parallel import run_campaign, tiny_grid
@@ -260,6 +265,41 @@ class TestProbeFidelity:
                                max_checks=2)
         assert "declined" in info["note"]  # a healthy run reproduces nothing
         assert log.read_text().split() == ["4"]
+
+
+class TestProbeHeartbeats:
+    """A probe's hang is judged by heartbeat staleness, not by its length."""
+
+    @pytest.fixture(autouse=True)
+    def _fast_beats(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "HB_INTERVAL_EVENTS", 1)
+        monkeypatch.setattr(supervisor, "HB_MIN_INTERVAL_S", 0.02)
+
+    def test_a_slow_healthy_cell_is_declined(self):
+        # about 2 s of simulation, four times the probe timeout, beating
+        config = expand_grid(tiny_grid(
+            nprocs=[4], inputs={"grain": 1000, "msg": 512, "iters": 12000}))
+        t0 = time.monotonic()
+        info = minimize_poison(config.request.runs[0], config, _cli_resolver,
+                               max_checks=2, probe_timeout=0.5)
+        assert time.monotonic() - t0 > 0.5  # the probe outlasted its timeout
+        assert info["minimized"] is False
+        assert "declined" in info["note"]
+
+    def test_a_probe_that_stops_beating_is_a_hang(self, monkeypatch):
+        def beat_then_wedge(runner, spec, index=0):
+            for events in range(1, 31):  # 0.6 s of beats, then silence
+                supervisor.HEARTBEAT.tick(events, 0.0)
+                time.sleep(0.02)
+            time.sleep(60)
+
+        monkeypatch.setattr(CampaignRunner, "run_one", beat_then_wedge)
+        config = expand_grid(tiny_grid(nprocs=[2]))
+        spec = config.request.runs[0]
+        t0 = time.monotonic()
+        assert supervisor._subprocess_probe(config, spec, _cli_resolver(spec.app)[0],
+                                            _cli_resolver, timeout=0.3)
+        assert time.monotonic() - t0 < 10
 
 
 def _children(pid: int) -> list[int]:
