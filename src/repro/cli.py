@@ -33,6 +33,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 
@@ -232,6 +233,21 @@ def _run(args, requests, *, report=(), **context):
     return records
 
 
+@contextmanager
+def _one_line_failure(request):
+    """Workflow calls a command makes for *request* off the request path:
+    a run the simulator refuses (``ValueError``: a backend that cannot
+    run the program, inputs the app rejects) ends the command with the
+    one line :func:`_run` prints for that request."""
+    from .workflow.campaign import _first_line
+
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"error: {request.describe()} finished error: "
+                         f"ValueError: {_first_line(exc)}") from None
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -316,14 +332,15 @@ def cmd_predict(args) -> int:
         from .analytic import analytic_predict, taskgraph_predict
 
         runner = request_runner(requests, args.machine, calib_procs=args.calib_procs)
+        predictor = taskgraph_predict if method == "taskgraph" else analytic_predict
         for p, request in zip(args.procs, requests):
-            wf = runner._workflow_for(request)
-            inputs = runner._resolved_inputs(request)
+            with _one_line_failure(request):
+                wf = runner._workflow_for(request)
+                pred = predictor(wf.compiled.simplified, runner._resolved_inputs(request),
+                                 p, wf.machine, wf.wparams)
             if method == "taskgraph":
-                pred = taskgraph_predict(wf.compiled.simplified, inputs, p, wf.machine, wf.wparams)
                 rows.append([p, pred.elapsed, f"{pred.nodes} tasks"])
             else:  # per-rank sum
-                pred = analytic_predict(wf.compiled.simplified, inputs, p, wf.machine, wf.wparams)
                 rows.append([p, pred.elapsed, f"imbalance {pred.imbalance:.2f}"])
     titles = {
         "am": "MPI-SIM-AM predictions",
@@ -348,7 +365,8 @@ def cmd_calibrate(args) -> int:
 
     request = request_from_args(args, nprocs=args.calib_procs, mode="am")
     runner = request_runner([request], args.machine, calib_procs=args.calib_procs)
-    cal = runner._workflow_for(request).calibrate()
+    with _one_line_failure(request):
+        cal = runner._workflow_for(request).calibrate()
     save_params(cal, args.output)
     print(cal)
     print(f"parameters written to {args.output}")
@@ -1073,7 +1091,8 @@ def cmd_profile(args) -> int:
     # the workflow the runner gives a run of this request.
     runner = request_runner([request], args.machine, calib_procs=args.calib_procs,
                             backend=args.backend)
-    wf = runner._workflow_for(request)
+    with _one_line_failure(request):
+        wf = runner._workflow_for(request)
     estimator = {
         "am": wf.run_am, "de": wf.run_de,
         "measured": lambda inputs, nprocs, **kw: wf.run_measured(
@@ -1089,12 +1108,13 @@ def cmd_profile(args) -> int:
     TRACER.enable()
     METRICS.enable()
     try:
-        result = run_at(args.nprocs)
-        scaling_traces = {args.nprocs: result.trace}
-        if args.scaling_loss:
-            for p in args.procs:
-                if p not in scaling_traces:
-                    scaling_traces[p] = run_at(p).trace
+        with _one_line_failure(request):
+            result = run_at(args.nprocs)
+            scaling_traces = {args.nprocs: result.trace}
+            if args.scaling_loss:
+                for p in args.procs:
+                    if p not in scaling_traces:
+                        scaling_traces[p] = run_at(p).trace
     finally:
         TRACER.disable()
         METRICS.disable()
@@ -1102,8 +1122,9 @@ def cmd_profile(args) -> int:
     backend_lines = []
     if args.backend in ("compiled", "auto"):
         # One untraced run: a traced run always interprets, so the run
-        # above did; this one takes the compiled driver, and its cache
-        # counters (reset first) describe it.
+        # above did; this one takes the compiled driver, and its counters
+        # (reset first) describe it.  The traced run lowered the program
+        # and kept the kernel on it, so this run counts a hit.
         import time as _time
 
         from .kernel import cache_stats, clear_cache

@@ -1,8 +1,7 @@
 """Compiled per-program kernel backend: the lowering pass.
 
 ``repro.kernel.lower`` turns a validated IR program into a generated
-Python module (content-addressed by the SHA-256 of its printed IR and
-of its comp blocks' kernel identities) with
+Python module, kept on the program object that it was lowered from, with
 one entry point, ``fast_gen``: a flat per-rank driver for the
 simulator's one event loop, :func:`repro.sim.loop.run`, which runs it
 bare or armed, with or without faults and timeouts.  A calibration
@@ -18,11 +17,9 @@ from .lower import (
     CompiledKernel,
     UnsupportedConstructError,
     cache_stats,
-    cached_kernels,
     clear_cache,
     kernel_for,
     lower_program,
-    program_fingerprint,
     record_fallback,
 )
 
@@ -30,10 +27,8 @@ __all__ = [
     "CompiledKernel",
     "UnsupportedConstructError",
     "cache_stats",
-    "cached_kernels",
     "clear_cache",
     "kernel_for",
     "lower_program",
-    "program_fingerprint",
     "record_fallback",
 ]

@@ -3,8 +3,7 @@
 The interpreted kernel (:mod:`repro.ir.interp`) walks the statement tree
 once per rank per run, paying a generator suspension plus a tree dispatch
 per statement.  This pass walks the tree **once per program** instead and
-emits flat Python source — one module per program, content-addressed by
-:func:`program_fingerprint` — with one entry point:
+emits flat Python source — one module per program — with one entry point:
 
 ``fast_gen(rank, size, inputs, wparams, rt, st)``
     The per-rank driver :func:`repro.sim.loop.run` resumes.  Compute,
@@ -27,13 +26,12 @@ emits flat Python source — one module per program, content-addressed by
 
 Event traces need the interpreter, whose compute and delay requests a
 trace records: a traced run interprets the program instead (see
-:class:`repro.sim.engine.Simulator`).  A module lives only in the
-process that lowered it: :func:`kernel_for` caches each variant by
-fingerprint, and nothing writes generated code to disk.  The IR is
-immutable, so a program object computes its fingerprint once and keeps
-it (:meth:`~repro.ir.nodes.Program.derived`): a cache hit prints no IR.
-:func:`clear_cache` empties the modules; a program's fingerprint dies
-with the program.
+:class:`repro.sim.engine.Simulator`).  The IR is immutable, so
+:func:`kernel_for` lowers each variant once per program object and keeps
+the module, or the reason it cannot lower, on the program
+(:meth:`~repro.ir.nodes.Program.derived`): a kernel dies with its
+program, and nothing writes generated code to disk.  :func:`clear_cache`
+only zeroes the counters.
 
 Anything the emitter cannot reproduce bit-for-bit raises
 :class:`UnsupportedConstructError`; ``backend="auto"`` catches it and
@@ -42,7 +40,6 @@ falls back to the interpreter for that program (with a logged reason).
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -68,7 +65,6 @@ from ..ir.nodes import (
     IRValidationError,
     walk,
 )
-from ..ir.printer import format_program
 from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
 from ..symbolic.boolean import And, BoolConst, BoolExpr, Cmp, Not, Or
@@ -90,12 +86,10 @@ from ..symbolic.extended import Cond, Sum
 __all__ = [
     "UnsupportedConstructError",
     "CompiledKernel",
-    "program_fingerprint",
     "lower_program",
     "kernel_for",
     "cache_stats",
     "clear_cache",
-    "cached_kernels",
 ]
 
 log = get_logger("kernel.lower")
@@ -107,16 +101,6 @@ class UnsupportedConstructError(Exception):
 
 # Builtin names the interpreter injects into every rank's environment.
 _BUILTINS = ("myid", "P")
-
-# In-process content-addressed cache: fingerprint -> CompiledKernel.
-# A measure variant is keyed by the fingerprint plus _MEASURE_KEY.
-_CACHE: dict[str, "CompiledKernel"] = {}
-
-# Remembered lowering failures: cache key -> UnsupportedConstructError
-# message, so a program that cannot lower is walked only once.
-_FAILED: dict[str, str] = {}
-
-_MEASURE_KEY = "+measure"
 
 # Plain aggregate counters (always on; published to METRICS when enabled).
 _STATS = {
@@ -143,7 +127,6 @@ def record_fallback(program_name: str, reason: str) -> None:
 def cache_stats() -> dict:
     """Snapshot of lowering/cache counters (for ``repro profile``)."""
     out = dict(_STATS)
-    out["cached_programs"] = len(_CACHE)
     # always 0 (nothing batches delay waves); benchmarks/e2e/tracing.py
     # reads the key
     out["waves"] = 0
@@ -151,39 +134,9 @@ def cache_stats() -> dict:
 
 
 def clear_cache() -> None:
-    _CACHE.clear()
-    _FAILED.clear()
+    """Zero the counters.  Kernels live on their programs, not here."""
     for key in _STATS:
         _STATS[key] = 0.0 if key == "lowering_seconds" else 0
-
-
-def cached_kernels() -> dict[str, "CompiledKernel"]:
-    return dict(_CACHE)
-
-
-def program_fingerprint(program: Program) -> str:
-    """Content address of a program: SHA-256 of its printed IR.
-
-    The printed IR omits comp-block kernel callables, so each kernel
-    block also adds its callable's ``module.qualname`` and its declared
-    reads and writes: programs that differ only there lower differently.
-    Computed once per program object and kept on it, so a cache hit
-    prints nothing.
-    """
-    return program.derived("fingerprint", _fingerprint)
-
-
-def _fingerprint(program: Program) -> str:
-    text = format_program(program)
-    for stmt in walk(program.body):
-        if type(stmt) is CompBlock and stmt.kernel is not None:
-            fn = stmt.kernel
-            text += (
-                f"\nkernel {stmt.name} {getattr(fn, '__module__', None)}."
-                f"{getattr(fn, '__qualname__', None)}"
-                f" reads={sorted(stmt.reads_)} writes={sorted(stmt.writes_)}"
-            )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -191,7 +144,6 @@ class CompiledKernel:
     """A lowered program: generated source plus its executable entry point."""
 
     program_name: str
-    fingerprint: str
     source: str
     lowering_seconds: float
     _ns: dict = field(repr=False, default_factory=dict)
@@ -201,53 +153,44 @@ class CompiledKernel:
         return self._ns["fast_gen"]
 
 
-def _execute_source(source: str, name: str, fingerprint: str, measure: bool) -> dict:
-    ns: dict = {}
-    tag = _MEASURE_KEY if measure else ""
-    code = compile(source, f"<repro.kernel:{name}:{fingerprint[:12]}{tag}>", "exec")
-    exec(code, ns)
-    return ns
-
-
 def kernel_for(program: Program, measure: bool = False) -> CompiledKernel:
-    """Lower *program* once per process, cached by its fingerprint.
+    """Lower *program* once and keep the module on it.
 
     *measure* selects the measure variant (see the module docstring),
-    cached under its own key next to the plain module.  A program that
+    kept under its own key next to the plain module.  A program that
     failed to lower raises the same :class:`UnsupportedConstructError`
-    again, from memory, until :func:`clear_cache`.
+    again, from what it keeps, without lowering again.
     """
-    fp = program_fingerprint(program)
-    key = fp + _MEASURE_KEY if measure else fp
-    hit = _CACHE.get(key)
-    if hit is not None:
+    hit = True
+
+    def lower(program: Program) -> CompiledKernel | str:
+        nonlocal hit
+        hit = False
+        _count("cache_misses")
+        try:
+            return lower_program(program, measure)
+        except UnsupportedConstructError as exc:
+            return str(exc)  # the message, not the exception and its frames
+
+    kept = program.derived(("kernel", measure), lower)
+    if hit:
         _count("cache_hits")
-        return hit
-    failed = _FAILED.get(key)
-    if failed is not None:
-        _count("cache_hits")
-        raise UnsupportedConstructError(failed)
-    _count("cache_misses")
-    try:
-        kernel = lower_program(program, fingerprint=fp, measure=measure)
-    except UnsupportedConstructError as exc:
-        _FAILED[key] = str(exc)
-        raise
-    _CACHE[key] = kernel
-    return kernel
+    if isinstance(kept, str):
+        raise UnsupportedConstructError(kept)
+    return kept
 
 
-def lower_program(program: Program, fingerprint: str | None = None,
-                  measure: bool = False) -> CompiledKernel:
-    """Lower one program to a generated module (no cache involvement)."""
+def lower_program(program: Program, measure: bool = False) -> CompiledKernel:
+    """Lower one program to a generated module (nothing kept)."""
     t0 = time.perf_counter()
     try:
         program.validate()
     except IRValidationError as exc:
         raise UnsupportedConstructError(f"program does not validate: {exc}") from exc
     source = _Lowerer(program, measure).emit_module()
-    fp = fingerprint if fingerprint is not None else program_fingerprint(program)
-    ns = _execute_source(source, program.name, fp, measure)
+    tag = "+measure" if measure else ""
+    ns: dict = {}
+    exec(compile(source, f"<repro.kernel:{program.name}{tag}>", "exec"), ns)
     dt = time.perf_counter() - t0
     _count("lowered")
     _count("lowering_seconds", dt)
@@ -255,7 +198,6 @@ def lower_program(program: Program, fingerprint: str | None = None,
         METRICS.histogram("kernel_lowering_time", "seconds spent lowering one program").observe(dt)
     return CompiledKernel(
         program_name=program.name,
-        fingerprint=fp,
         source=source,
         lowering_seconds=dt,
         _ns=ns,

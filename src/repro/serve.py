@@ -210,15 +210,11 @@ class SimulationService:
 
     def __init__(self, store: ResultStore, *, jobs: int = 1,
                  governor: TenantGovernor | None = None,
-                 resolver=None, default_machine: str = "IBM-SP",
-                 default_calib_procs: int | None = None,
-                 backend: str | None = None):
+                 resolver=None, backend: str | None = None):
         self.store = store
         self.jobs = jobs
         self.governor = governor
         self.resolver = resolver
-        self.default_machine = default_machine
-        self.default_calib_procs = default_calib_procs
         # execution policy, not identity: backend never feeds the
         # context hash — stored results are byte-identical either way
         self.backend = backend
@@ -243,8 +239,8 @@ class SimulationService:
         request = CampaignRequest.from_json({
             "kind": "campaign_request",
             "name": "adhoc",
-            "machine": context.get("machine", self.default_machine),
-            "calib_procs": context.get("calib_procs", self.default_calib_procs),
+            "machine": context.get("machine", "IBM-SP"),
+            "calib_procs": context.get("calib_procs"),
             **{k: v for k, v in context.items()
                if k not in ("machine", "calib_procs")},
         }, runs=(run,))

@@ -711,39 +711,6 @@ class CampaignRunner:
         _log.info("merged telemetry timeline written to %s",
                   self.merged_perfetto_path)
 
-    def _execute_one(self, spec: RunRequest, index: int) -> RunRecord:
-        """One grid cell, optionally captured into a telemetry capsule.
-
-        With telemetry off this is exactly :meth:`_run_attempts`.  With
-        it on, the attempt loop runs inside :class:`capture_run` (fresh
-        tracer/metrics state, restored afterwards) with the flight
-        recorder armed; the finished capsule rides back to the parent on
-        the record's transient ``capsule`` field — dict, not dataclass,
-        so it pickles cheaply out of pool workers.
-        """
-        if not self.telemetry:
-            rec = self._run_attempts(spec, index)
-            rec.calibration = self._measured_calibration(spec)
-            return rec
-        from ..obs.capsule import capture_run
-
-        with capture_run(
-            spec.run_id, app=spec.app, mode=spec.mode, nprocs=spec.nprocs,
-            seed=spec.seed,
-        ) as cap:
-            FLIGHT.enable()
-            try:
-                rec = self._run_attempts(spec, index)
-            finally:
-                FLIGHT.disable()
-        rec.calibration = self._measured_calibration(spec)
-        capsule = cap.finish(
-            outcome=rec.outcome, stats=rec.stats, elapsed=rec.elapsed,
-            flight=rec.flight,
-        )
-        rec.capsule = {"type": "capsule", **capsule.to_json()}
-        return rec
-
     def _run_attempts(self, spec: RunRequest, index: int) -> RunRecord:
         """One grid cell: budgets, bounded retry, outcome classification."""
         request = self.config.request
@@ -833,9 +800,35 @@ class CampaignRunner:
 
         The public single-run entry point used by :meth:`run_cells` and
         the supervised workers; applies the same budgets, retries and
-        outcome classification as a full campaign.
+        outcome classification as a full campaign.  With telemetry off
+        this is :meth:`_run_attempts`.  With it on, the attempt loop
+        runs inside :class:`capture_run` (fresh tracer/metrics state,
+        restored afterwards) with the flight recorder armed; the
+        finished capsule rides back to the parent on the record's
+        transient ``capsule`` field — dict, not dataclass, so it pickles
+        cheaply out of pool workers.
         """
-        return self._execute_one(spec, index)
+        if not self.telemetry:
+            rec = self._run_attempts(spec, index)
+        else:
+            from ..obs.capsule import capture_run
+
+            with capture_run(
+                spec.run_id, app=spec.app, mode=spec.mode, nprocs=spec.nprocs,
+                seed=spec.seed,
+            ) as cap:
+                FLIGHT.enable()
+                try:
+                    rec = self._run_attempts(spec, index)
+                finally:
+                    FLIGHT.disable()
+            capsule = cap.finish(
+                outcome=rec.outcome, stats=rec.stats, elapsed=rec.elapsed,
+                flight=rec.flight,
+            )
+            rec.capsule = {"type": "capsule", **capsule.to_json()}
+        rec.calibration = self._measured_calibration(spec)
+        return rec
 
     def _calib_key(self, spec: RunRequest) -> tuple:
         """The calibration-group key for *spec* (see :meth:`_workflow_for`).
@@ -1050,8 +1043,8 @@ def _cli_resolver(app: str):
 
     Each app's program is built once per process, keyed by its builder,
     and every caller shares that one object, with its per-expression
-    evaluators and what it keeps of its derivations: fingerprint, timer
-    version and compiled forms.  Sharing is safe because the IR is
+    evaluators and what it keeps of its derivations: timer version,
+    compiled forms and lowered kernels.  Sharing is safe because the IR is
     immutable (:mod:`repro.ir.nodes`): instrumenting, compiling and
     minimizing build new programs.
     """

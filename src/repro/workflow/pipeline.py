@@ -49,7 +49,6 @@ class ModelingWorkflow:
 
     def __post_init__(self):
         self._calibration: Calibration | None = None
-        self._compiled: CompiledProgram | None = None
 
     # -- calibration ---------------------------------------------------------
     def calibrate(self) -> Calibration:
@@ -85,14 +84,13 @@ class ModelingWorkflow:
 
     @property
     def compiled(self) -> CompiledProgram:
-        """The compiled application (branch profile from calibration)."""
-        if self._compiled is None:
-            cal = self.calibrate()
-            with TRACER.span("workflow.compile", program=self.program.name):
-                self._compiled = compile_program(
-                    self.program, profile=cal.profile, directives=self.directives
-                )
-        return self._compiled
+        """The compiled application (branch profile from calibration),
+        kept on the program (:func:`~repro.codegen.compile_program`)."""
+        cal = self.calibrate()
+        with TRACER.span("workflow.compile", program=self.program.name):
+            return compile_program(
+                self.program, profile=cal.profile, directives=self.directives
+            )
 
     @property
     def wparams(self) -> dict[str, float]:

@@ -2,9 +2,9 @@
 
 Over programs drawn from the ``repro.gen`` grammar: assigning any field
 of a statement or a program raises, and so do extending a statement
-list and writing ``arrays`` or ``meta``.  The fingerprint, timer version
-and simplified program a program keeps must print exactly what an
-uncached derivation from a freshly generated equal program prints.
+list and writing ``arrays`` or ``meta``.  The timer version and
+simplified program a program keeps must print exactly what an uncached
+derivation from a freshly generated equal program prints.
 """
 
 import dataclasses
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.codegen import compile_program, generate_instrumented
 from repro.gen import GrammarConfig, generate_program
 from repro.ir import format_program, walk
-from repro.kernel.lower import program_fingerprint
 from repro.measure.calibrate import timer_version
 
 GRAMMAR = GrammarConfig(max_stmts=16)
@@ -52,17 +51,14 @@ def test_nothing_mutates_a_built_program(seed):
 @given(seed=seeds)
 def test_kept_derivations_print_as_fresh_ones(seed):
     prog = generate_program(seed, GRAMMAR).program
-    fingerprint = program_fingerprint(prog)
     timer = timer_version(prog)
     compiled = compile_program(prog)
     # kept: asking again derives nothing
-    assert program_fingerprint(prog) is fingerprint
     assert timer_version(prog) is timer
     assert compile_program(prog) is compiled
 
     fresh = generate_program(seed, GRAMMAR).program
     assert fresh is not prog and fresh == prog
-    assert program_fingerprint(fresh) == fingerprint
     assert format_program(timer) == format_program(generate_instrumented(fresh))
     assert (format_program(compiled.simplified)
             == format_program(compile_program(fresh).simplified))

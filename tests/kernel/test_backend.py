@@ -18,7 +18,7 @@ from repro.apps import build_sweep3d, sweep3d_inputs
 from repro.ir import make_factory
 from repro.ir.builder import P, ProgramBuilder, myid
 from repro.ir.printer import format_program
-from repro.kernel import clear_cache, program_fingerprint
+from repro.kernel import clear_cache
 from repro.machine import IBM_SP, TESTING_MACHINE
 from repro.sim import ExecMode, FaultPlan, Simulator
 from repro.symbolic import Gt, Var
@@ -164,15 +164,21 @@ def test_sweep3d_full_program_compiles(nprocs, mode, feature):
 @pytest.mark.parametrize("change", [
     {"kernel": set_flag_inverted},
     {"reads": frozenset({"myid", "P"})},
-    {"writes": frozenset({"flag", "i"})},
+    {"writes": frozenset({"flag", "myid"})},
 ], ids=["kernel", "reads", "writes"])
-def test_fingerprint_covers_kernel_blocks(change):
-    """The printed IR omits a block's kernel, so the fingerprint adds it."""
+def test_programs_that_print_alike_run_their_own_kernels(change):
+    """The printed IR omits a block's kernel, reads and writes; each
+    program lowers its own, so compiled runs match the interpreter."""
     base = {"kernel": set_flag, "reads": frozenset({"myid"}), "writes": frozenset({"flag"})}
-    before, after = kernel_program(**base), kernel_program(**{**base, **change})
-    assert format_program(before) == format_program(after)
-    assert program_fingerprint(before) == program_fingerprint(kernel_program(**base))
-    assert program_fingerprint(before) != program_fingerprint(after)
+    programs = kernel_program(**base), kernel_program(**{**base, **change})
+    assert format_program(programs[0]) == format_program(programs[1])
+    for program in programs:
+        interp, compiled = (
+            Simulator(8, make_factory(program, {"iters": 3}), M, mode=ExecMode.DE,
+                      backend=backend).run()
+            for backend in ("interpreted", "compiled")
+        )
+        assert fingerprint(compiled) == fingerprint(interp)
 
 
 @pytest.mark.parametrize("backend", ["interpreted", "compiled"])

@@ -1,4 +1,7 @@
-"""Lowering and the content-addressed in-process caches."""
+"""Lowering, and the kernels a program keeps."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -8,11 +11,9 @@ from repro.ir.builder import P, ProgramBuilder, myid
 from repro.kernel import (
     UnsupportedConstructError,
     cache_stats,
-    cached_kernels,
     clear_cache,
     kernel_for,
     lower_program,
-    program_fingerprint,
     record_fallback,
 )
 from repro.symbolic import Var
@@ -44,23 +45,12 @@ def materialized_program():
     return b.build()
 
 
-class TestFingerprint:
-    def test_deterministic(self):
-        assert program_fingerprint(ring_program()) == program_fingerprint(ring_program())
-
-    def test_distinguishes_programs(self):
-        other = ProgramBuilder("lower_other")
-        other.compute("c", work=1)
-        assert program_fingerprint(ring_program()) != program_fingerprint(other.build())
-
-
 class TestLowerProgram:
     def test_source_has_one_entry_point(self):
         kernel = lower_program(ring_program())
         assert kernel.source.count("\ndef ") == 1
         assert "\ndef fast_gen(" in kernel.source
         assert kernel.program_name == "lower_ring"
-        assert kernel.fingerprint == program_fingerprint(ring_program())
         assert callable(kernel.fast_gen)
 
     def test_materialized_array_rejected(self):
@@ -112,36 +102,43 @@ class TestValidateOnce:
 
 
 class TestCache:
-    def test_kernel_for_caches_by_fingerprint(self):
-        k1 = kernel_for(ring_program())
-        k2 = kernel_for(ring_program())
+    def test_kernel_for_keeps_the_kernel_on_the_program(self):
+        program = ring_program()
+        k1 = kernel_for(program)
+        k2 = kernel_for(program)
         assert k1 is k2
         stats = cache_stats()
         assert stats["cache_misses"] == 1
         assert stats["cache_hits"] == 1
         assert stats["lowered"] == 1
-        assert stats["cached_programs"] == 1
-        assert k1.fingerprint in cached_kernels()
+
+    def test_a_kernel_dies_with_its_program(self):
+        program = ring_program()
+        kernel = weakref.ref(kernel_for(program))
+        del program
+        gc.collect()
+        assert kernel() is None
 
     def test_failed_lowering_remembered(self, monkeypatch):
-        # NAS SP's materialized arrays never lower: the second request
-        # answers from memory, with the same message, until clear_cache
+        # NAS SP's materialized arrays never lower: a second request on
+        # the same program answers from what it keeps, with the same
+        # message; a fresh build lowers again
         lowered = []
 
-        def counting(program, fingerprint=None, measure=False):
+        def counting(program, measure=False):
             lowered.append(program.name)
-            return lower_program(program, fingerprint, measure)
+            return lower_program(program, measure)
 
         monkeypatch.setattr(lower_mod, "lower_program", counting)
+        program = build_nas_sp()
         with pytest.raises(UnsupportedConstructError, match="materialized") as first:
-            kernel_for(build_nas_sp())
+            kernel_for(program)
         with pytest.raises(UnsupportedConstructError) as again:
-            kernel_for(build_nas_sp())
+            kernel_for(program)
         assert str(again.value) == str(first.value)
         assert lowered == ["nas_sp"]
         stats = cache_stats()
         assert (stats["cache_misses"], stats["cache_hits"]) == (1, 1)
-        clear_cache()
         with pytest.raises(UnsupportedConstructError):
             kernel_for(build_nas_sp())
         assert lowered == ["nas_sp", "nas_sp"]
@@ -149,12 +146,12 @@ class TestCache:
     def test_measure_variant_cached_beside_the_plain_kernel(self):
         """The calibration variant has its own key; the plain module
         emits none of its collector or profile calls."""
-        plain = kernel_for(ring_program())
-        measure = kernel_for(ring_program(), measure=True)
+        program = ring_program()
+        plain = kernel_for(program)
+        measure = kernel_for(program, measure=True)
         assert measure is not plain
-        assert measure.fingerprint == plain.fingerprint
-        assert kernel_for(ring_program(), measure=True) is measure
-        assert kernel_for(ring_program()) is plain
+        assert kernel_for(program, measure=True) is measure
+        assert kernel_for(program) is plain
         stats = cache_stats()
         assert (stats["cache_misses"], stats["cache_hits"]) == (2, 2)
         assert "def fast_gen(rank, size, inputs, wparams, _rt, _st, _mc, _bp):" in measure.source
@@ -165,8 +162,10 @@ class TestCache:
         assert cache_stats()["fallbacks"] == 1
 
     def test_clear_cache_resets(self):
-        kernel_for(ring_program())
+        program = ring_program()
+        kernel = kernel_for(program)
         clear_cache()
         stats = cache_stats()
-        assert stats["cached_programs"] == 0
-        assert stats["cache_misses"] == 0
+        assert (stats["lowered"], stats["cache_misses"], stats["cache_hits"]) == (0, 0, 0)
+        assert kernel_for(program) is kernel
+        assert cache_stats()["cache_hits"] == 1

@@ -395,6 +395,52 @@ class TestProfileCommand:
         assert "sim.run" in out
 
 
+class TestRefusedRunOneLine:
+    """A run the simulator refuses ends every command that makes it with
+    the one line a failed request prints, on the request path
+    (``predict --method am``) or off it, and writes nothing."""
+
+    COMPILED = ("backend='compiled' cannot run this program: array 'cell_size_x' "
+                "is materialized (data-dependent control flow)")
+    NOT_SQUARE = "NAS SP requires a square number of processes, got 3"
+
+    @pytest.mark.parametrize("argv, described, reason", [
+        (["profile", "nas_sp", "--nprocs", "4", "--backend", "compiled"],
+         "nas_sp/de P=4", COMPILED),
+        (["profile", "nas_sp", "--nprocs", "4", "--mode", "am", "--calib-procs", "4"],
+         "nas_sp/am P=4", COMPILED),
+        (["calibrate", "nas_sp", "--calib-procs", "4"], "nas_sp/am P=4", COMPILED),
+        (["predict", "nas_sp", "--procs", "4", "--calib-procs", "4", "--method", "sum"],
+         "nas_sp/am P=4", COMPILED),
+        (["predict", "nas_sp", "--procs", "4", "--calib-procs", "4",
+          "--method", "taskgraph"], "nas_sp/am P=4", COMPILED),
+        (["predict", "nas_sp", "--procs", "4", "--calib-procs", "4", "--method", "am"],
+         "nas_sp/am P=4", COMPILED),
+        (["profile", "nas_sp", "--nprocs", "3", "--backend", "interpreted"],
+         "nas_sp/de P=3", NOT_SQUARE),
+    ], ids=["profile", "profile-am", "calibrate", "predict-sum", "predict-taskgraph",
+            "predict-am", "profile-not-square"])
+    def test_one_line_and_exit_1(self, argv, described, reason, tmp_path, monkeypatch,
+                                 capsys):
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        # a string code is printed to stderr with exit status 1
+        assert ei.value.code == f"error: {described} finished error: ValueError: {reason}"
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_profile_instrumentation_disabled_after_the_failure(self, monkeypatch):
+        from repro.obs import METRICS, TRACER
+
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
+        with pytest.raises(SystemExit):
+            main(["profile", "nas_sp", "--nprocs", "4"])
+        assert TRACER.enabled is False
+        assert METRICS.enabled is False
+
+
 class TestPredictMethods:
     def test_taskgraph_method(self, capsys):
         assert main(["predict", "tomcatv", "--procs", "4", "--calib-procs", "4",

@@ -20,7 +20,6 @@ from repro.apps import APPS
 from repro.codegen import pipeline as codegen_pipeline
 from repro.ir.printer import format_program
 from repro.kernel import lower
-from repro.kernel.lower import program_fingerprint
 from repro.measure import calibrate
 from repro.serve import SimulationService
 from repro.store import ResultStore
@@ -65,7 +64,7 @@ def builds(monkeypatch):
 
 def test_shared_program_changes_no_result(tmp_path, builds):
     shared = {app: campaign._cli_resolver(app)[0] for app in SERVE_APPS}
-    before = {app: (format_program(p), program_fingerprint(p)) for app, p in shared.items()}
+    before = {app: format_program(p) for app, p in shared.items()}
 
     store = ResultStore(tmp_path / "store")
     service = SimulationService(store, backend="auto")
@@ -89,7 +88,7 @@ def test_shared_program_changes_no_result(tmp_path, builds):
     for app, program in shared.items():
         assert campaign._cli_resolver(app)[0] is program
         # format_program reads nothing the program keeps
-        assert (format_program(program), program_fingerprint(program)) == before[app]
+        assert format_program(program) == before[app]
 
     campaign._BUILT.clear()
     for (app, mode), want in served.items():
@@ -100,9 +99,9 @@ def test_shared_program_changes_no_result(tmp_path, builds):
 
 
 def test_second_am_miss_derives_nothing(tmp_path, builds, monkeypatch):
-    """The fingerprints, the timer version and the compiled program of a
+    """The kernels, the timer version and the compiled program of a
     later ``am`` miss, calibrated afresh at other inputs, come from the
-    program objects: no IR is printed, instrumented or condensed."""
+    program objects: nothing is lowered, instrumented or condensed."""
     app = "sample_nearest_neighbor"
     nprocs, inputs = SERVE_APPS[app]
 
@@ -114,7 +113,7 @@ def test_second_am_miss_derives_nothing(tmp_path, builds, monkeypatch):
         assert response["result"]["outcome"] == "ok", response["result"]
 
     calls = Counter()
-    for module, name in ((lower, "format_program"), (calibrate, "generate_instrumented"),
+    for module, name in ((lower, "lower_program"), (calibrate, "generate_instrumented"),
                          (codegen_pipeline, "condense")):
         def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -126,7 +125,7 @@ def test_second_am_miss_derives_nothing(tmp_path, builds, monkeypatch):
     try:
         service = SimulationService(store, backend="auto")
         miss(service, 20000)
-        assert set(calls) == {"format_program", "generate_instrumented", "condense"}
+        assert set(calls) == {"lower_program", "generate_instrumented", "condense"}
         calls.clear()
         miss(service, 30000)
     finally:
