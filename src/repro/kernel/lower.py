@@ -67,21 +67,6 @@ from ..ir.nodes import (
 )
 from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
-from ..symbolic.boolean import And, BoolConst, BoolExpr, Cmp, Not, Or
-from ..symbolic.expr import (
-    Add,
-    CeilDiv,
-    Const,
-    Div,
-    Expr,
-    FloorDiv,
-    Max,
-    Min,
-    Mod,
-    Mul,
-    Var,
-)
-from ..symbolic.extended import Cond, Sum
 
 __all__ = [
     "UnsupportedConstructError",
@@ -210,65 +195,10 @@ def lower_program(program: Program, measure: bool = False) -> CompiledKernel:
 
 
 def _mangle(name: str) -> str:
+    """The local a variable lives in: ``Expr.to_python`` renders reads with it."""
     if not name.isidentifier():
         raise UnsupportedConstructError(f"variable name {name!r} is not an identifier")
     return f"v_{name}"
-
-
-def _emit_expr(e: Expr) -> str:
-    """Emit *e* as flat Python over ``v_<name>`` locals.
-
-    Mirrors :meth:`Expr._emit` (the interpreter's compiled form) operator
-    for operator so scalar results are bit-identical.
-    """
-    ty = type(e)
-    if ty is Const:
-        return f"({e.value!r})"
-    if ty is Var:
-        return _mangle(e.name)
-    if ty is Add:
-        return "(" + " + ".join(_emit_expr(t) for t in e.args) + ")"
-    if ty is Mul:
-        return "(" + " * ".join(_emit_expr(t) for t in e.args) + ")"
-    if ty is Max:  # Max subclasses Min: test first
-        return "max(" + ", ".join(_emit_expr(t) for t in e.args) + ")"
-    if ty is Min:
-        return "min(" + ", ".join(_emit_expr(t) for t in e.args) + ")"
-    if ty is Div:
-        return f"({_emit_expr(e.a)} / {_emit_expr(e.b)})"
-    if ty is FloorDiv:
-        return f"_fd({_emit_expr(e.a)}, {_emit_expr(e.b)})"
-    if ty is CeilDiv:
-        return f"_cd({_emit_expr(e.a)}, {_emit_expr(e.b)})"
-    if ty is Mod:
-        return f"({_emit_expr(e.a)} % {_emit_expr(e.b)})"
-    if ty is Sum:
-        body = _emit_expr(e.body)
-        lo = _emit_expr(e.lo)
-        hi = _emit_expr(e.hi)
-        var = _mangle(e.var)
-        return f"sum({body} for {var} in range(int({lo}), int({hi}) + 1))"
-    if ty is Cond:
-        return (
-            f"(({_emit_expr(e.then)}) if ({_emit_bool(e.cond)}) "
-            f"else ({_emit_expr(e.orelse)}))"
-        )
-    raise UnsupportedConstructError(f"expression node {ty.__name__} is not lowerable")
-
-
-def _emit_bool(e: BoolExpr) -> str:
-    ty = type(e)
-    if ty is BoolConst:
-        return "True" if e.value else "False"
-    if ty is Cmp:
-        return f"({_emit_expr(e.a)} {e.op} {_emit_expr(e.b)})"
-    if ty is And:
-        return "(" + " and ".join(_emit_bool(t) for t in e.args) + ")"
-    if ty is Or:
-        return "(" + " or ".join(_emit_bool(t) for t in e.args) + ")"
-    if ty is Not:
-        return f"(not {_emit_bool(e.arg)})"
-    raise UnsupportedConstructError(f"boolean node {ty.__name__} is not lowerable")
 
 
 # --------------------------------------------------------------------------
@@ -333,16 +263,20 @@ class _Lowerer:
 
     # -- small helpers -----------------------------------------------------
 
-    def _check_expr_reads(self, *exprs) -> None:
-        for e in exprs:
-            if e is None:
-                continue
-            names = e.free_vars()
-            bad = names & self.handle_vars
-            if bad:
-                raise UnsupportedConstructError(
-                    f"handle variable(s) {sorted(bad)} read as scalars"
-                )
+    def _expr(self, e) -> str:
+        """*e* as Python over ``v_<name>`` locals: the text ``Expr.compile`` runs.
+
+        Refuses reads of handle variables and of arrays, which the
+        interpreter's env holds and these locals do not.
+        """
+        names = e.free_vars()
+        bad = names & self.handle_vars
+        if bad:
+            raise UnsupportedConstructError(f"handle variable(s) {sorted(bad)} read as scalars")
+        bad = names & self.program.arrays.keys()
+        if bad:
+            raise UnsupportedConstructError(f"array(s) {sorted(bad)} read in an expression")
+        return e.to_python(_mangle)
 
     def _ws_name(self, sid: int) -> str:
         name = self._ws_names.get(sid)
@@ -407,8 +341,7 @@ class _Lowerer:
                 raise UnsupportedConstructError(
                     f"array {decl.name!r} is materialized (data-dependent control flow)"
                 )
-            self._check_expr_reads(decl.size)
-            w.line(f"_n = int({_emit_expr(decl.size)})")
+            w.line(f"_n = int({self._expr(decl.size)})")
             w.line("if _n < 0:")
             w.line(
                 f'    raise InterpreterError(f"array {decl.name!r} '
@@ -453,8 +386,7 @@ class _Lowerer:
     def _emit_stmt(self, w: "_Writer", stmt) -> None:
         ty = type(stmt)
         if ty is Assign:
-            self._check_expr_reads(stmt.expr)
-            w.line(f"{_mangle(stmt.var)} = {_emit_expr(stmt.expr)}")
+            w.line(f"{_mangle(stmt.var)} = {self._expr(stmt.expr)}")
             return
         if ty is CompBlock:
             self._emit_comp(w, stmt)
@@ -463,17 +395,12 @@ class _Lowerer:
             self._emit_for(w, stmt)
             return
         if ty is If:
-            bad = stmt.cond.free_vars() & self.handle_vars
-            if bad:
-                raise UnsupportedConstructError(
-                    f"handle variable(s) {sorted(bad)} read as scalars"
-                )
             if self.measure:
-                w.line(f"_tk = bool({_emit_bool(stmt.cond)})")
+                w.line(f"_tk = bool({self._expr(stmt.cond)})")
                 w.line(f"_br({stmt.profile_key!r}, _tk)")
                 w.line("if _tk:")
             else:
-                w.line(f"if {_emit_bool(stmt.cond)}:")
+                w.line(f"if {self._expr(stmt.cond)}:")
             if stmt.then:
                 with w.indented():
                     for s in stmt.then:
@@ -523,8 +450,7 @@ class _Lowerer:
                 w.line(f"_re({stmt.task!r}, clock - _t0)")
             return
         if ty is AllocStmt:
-            self._check_expr_reads(stmt.nbytes)
-            w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
+            w.line(f"_nb = int({self._expr(stmt.nbytes)})")
             w.line("if _nb < 0:")
             w.line(f"    Alloc({stmt.name!r}, _nb)")
             self._emit_alloc(w, stmt.name)
@@ -575,9 +501,8 @@ class _Lowerer:
 
     def _emit_comp(self, w: "_Writer", stmt: CompBlock) -> None:
         kernel = self._kernel_alias(stmt) if stmt.kernel is not None else None
-        self._check_expr_reads(stmt.work)
         ws = self._ws_name(stmt.sid)
-        w.line(f"_w = {_emit_expr(stmt.work)}")
+        w.line(f"_w = {self._expr(stmt.work)}")
         w.line("if _w < 0:")
         w.line("    _w = 0")
         if kernel is not None:
@@ -616,9 +541,8 @@ class _Lowerer:
             w.line(f"_rw({stmt.name!r}, _w)")
 
     def _emit_send(self, w: "_Writer", stmt, blocking: bool) -> None:
-        self._check_expr_reads(stmt.dest, stmt.nbytes)
-        w.line(f"_d = int({_emit_expr(stmt.dest)})")
-        w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
+        w.line(f"_d = int({self._expr(stmt.dest)})")
+        w.line(f"_nb = int({self._expr(stmt.nbytes)})")
         tag = int(stmt.tag)
         w.line("if _d < 0 or not (0 <= _nb < _INF):")
         cls = "Send" if blocking else "Isend"
@@ -629,9 +553,8 @@ class _Lowerer:
         self._emit_yield(w, f"({1 if blocking else 3}, clock, _d, _nb, {tag!r}, None, None)")
 
     def _emit_recv(self, w: "_Writer", stmt, blocking: bool) -> None:
-        self._check_expr_reads(stmt.source, stmt.nbytes)
-        w.line(f"_s = int({_emit_expr(stmt.source)})")
-        w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
+        w.line(f"_s = int({self._expr(stmt.source)})")
+        w.line(f"_nb = int({self._expr(stmt.nbytes)})")
         tag = int(stmt.tag)
         w.line("if _s < 0 and _s != -1:")
         cls = "Recv" if blocking else "Irecv"
@@ -652,11 +575,10 @@ class _Lowerer:
             w.line(f"{_mangle(v)} = _UNSET")
 
     def _emit_collective(self, w: "_Writer", stmt: CollectiveStmt) -> None:
-        self._check_expr_reads(stmt.nbytes, stmt.root, stmt.contrib)
-        w.line(f"_nb = int({_emit_expr(stmt.nbytes)})")
-        w.line(f"_rt = int({_emit_expr(stmt.root)})")
+        w.line(f"_nb = int({self._expr(stmt.nbytes)})")
+        w.line(f"_rt = int({self._expr(stmt.root)})")
         if stmt.contrib is not None:
-            w.line(f"_cv = {_emit_expr(stmt.contrib)}")
+            w.line(f"_cv = {self._expr(stmt.contrib)}")
         else:
             w.line("_cv = None")
         rf = f"_RF[{stmt.reduce_kind!r}]" if stmt.op in ("reduce", "allreduce") else "None"
@@ -684,8 +606,7 @@ class _Lowerer:
             w.line(f"{_mangle(n)} = _rd[{n!r}]")
 
     def _emit_delay(self, w: "_Writer", stmt: DelayStmt) -> None:
-        self._check_expr_reads(stmt.amount)
-        w.line(f"_a = {_emit_expr(stmt.amount)}")
+        w.line(f"_a = {self._expr(stmt.amount)}")
         w.line("_dy = max(float(_a), 0.0)")
         w.line("if _dy < _INF:")
         with w.indented():
@@ -697,10 +618,9 @@ class _Lowerer:
         w.line(f"    Delay(seconds=_dy, task={stmt.task!r})")
 
     def _emit_for(self, w: "_Writer", stmt: For) -> None:
-        self._check_expr_reads(stmt.lo, stmt.hi)
         w.line(
             f"for {_mangle(stmt.var)} in "
-            f"range(int({_emit_expr(stmt.lo)}), int({_emit_expr(stmt.hi)}) + 1):"
+            f"range(int({self._expr(stmt.lo)}), int({self._expr(stmt.hi)}) + 1):"
         )
         with w.indented():
             for s in stmt.body:

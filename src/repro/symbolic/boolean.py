@@ -43,7 +43,7 @@ _OPS = {
 class BoolExpr:
     """Base class of symbolic boolean expressions."""
 
-    __slots__ = ("_hash", "_compiled", "_craw")
+    __slots__ = ("_hash", "_compiled")
 
     def _key(self):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -66,54 +66,15 @@ class BoolExpr:
     def evaluate(self, env: Mapping[str, Number]) -> bool:
         raise NotImplementedError
 
-    def compile(self):
-        """Cached closure evaluating this condition (see ``Expr.compile``)."""
-        try:
-            return self._compiled
-        except AttributeError:
-            pass
-        raw = self._compile_raw()
+    def to_python(self, name) -> str:
+        """The Python expression this condition evaluates to (see ``Expr.to_python``)."""
+        raise NotImplementedError
 
-        def fn(env, _raw=raw, _tree=self.evaluate):
-            try:
-                return _raw(env)
-            except KeyError:
-                # a raw arithmetic closure hit a missing binding: re-walk
-                # the tree for the precise UnboundVariableError
-                return _tree(env)
-
-        object.__setattr__(self, "_compiled", fn)
-        return fn
-
-    def _compile_raw(self):
-        """Cached unguarded closure (internal composition hook)."""
-        try:
-            return self._craw
-        except AttributeError:
-            pass
-        raw = self._compile()
-        object.__setattr__(self, "_craw", raw)
-        return raw
-
-    def _compile(self):
-        return self.evaluate
-
-    # caches hold closures; rebuild them instead of pickling (see Expr)
-    def __getstate__(self):
-        state = {}
-        for cls in type(self).__mro__:
-            for name in getattr(cls, "__slots__", ()):
-                if name in ("_hash", "_compiled", "_craw"):
-                    continue
-                try:
-                    state[name] = getattr(self, name)
-                except AttributeError:
-                    pass
-        return (None, state)
-
-    def __setstate__(self, state):
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+    # one compiler and one pickling for both kinds of node: the cached
+    # closure over to_python() text, rebuilt instead of pickled
+    compile = Expr.compile
+    __getstate__ = Expr.__getstate__
+    __setstate__ = Expr.__setstate__
 
     def subs(self, mapping) -> "BoolExpr":
         raise NotImplementedError
@@ -154,9 +115,8 @@ class BoolConst(BoolExpr):
     def evaluate(self, env):
         return self.value
 
-    def _compile(self):
-        value = self.value
-        return lambda env: value
+    def to_python(self, name):
+        return "True" if self.value else "False"
 
     def subs(self, mapping):
         return self
@@ -203,9 +163,8 @@ class Cmp(BoolExpr):
     def evaluate(self, env):
         return _OPS[self.op](self.a.evaluate(env), self.b.evaluate(env))
 
-    def _compile(self):
-        op, fa, fb = _OPS[self.op], self.a._compile_raw(), self.b._compile_raw()
-        return lambda env: op(fa(env), fb(env))
+    def to_python(self, name):
+        return f"({self.a.to_python(name)} {self.op} {self.b.to_python(name)})"
 
     def subs(self, mapping):
         return Cmp.make(self.op, self.a.subs(mapping), self.b.subs(mapping))
@@ -265,6 +224,9 @@ class _Junction(BoolExpr):
     def free_vars(self):
         return frozenset().union(*(a.free_vars() for a in self.args))
 
+    def to_python(self, name):
+        return "(" + f" {self.SYMBOL} ".join(a.to_python(name) for a in self.args) + ")"
+
     def __str__(self):
         return f" {self.SYMBOL} ".join(
             f"({a})" if isinstance(a, _Junction) else str(a) for a in self.args
@@ -281,16 +243,6 @@ class And(_Junction):
     def evaluate(self, env):
         return all(a.evaluate(env) for a in self.args)
 
-    def _compile(self):
-        fns = tuple(a._compile_raw() for a in self.args)
-        if len(fns) == 2:
-            fa, fb = fns
-            return lambda env: fa(env) and fb(env)
-        if len(fns) == 3:
-            fa, fb, fc = fns
-            return lambda env: fa(env) and fb(env) and fc(env)
-        return lambda env: all(f(env) for f in fns)
-
 
 class Or(_Junction):
     """Logical disjunction."""
@@ -301,16 +253,6 @@ class Or(_Junction):
 
     def evaluate(self, env):
         return any(a.evaluate(env) for a in self.args)
-
-    def _compile(self):
-        fns = tuple(a._compile_raw() for a in self.args)
-        if len(fns) == 2:
-            fa, fb = fns
-            return lambda env: fa(env) or fb(env)
-        if len(fns) == 3:
-            fa, fb, fc = fns
-            return lambda env: fa(env) or fb(env) or fc(env)
-        return lambda env: any(f(env) for f in fns)
 
 
 class Not(BoolExpr):
@@ -345,9 +287,8 @@ class Not(BoolExpr):
     def evaluate(self, env):
         return not self.arg.evaluate(env)
 
-    def _compile(self):
-        fa = self.arg._compile_raw()
-        return lambda env: not fa(env)
+    def to_python(self, name):
+        return f"(not {self.arg.to_python(name)})"
 
     def subs(self, mapping):
         return Not.make(self.arg.subs(mapping))

@@ -71,10 +71,10 @@ class Expr:
     """Base class of all symbolic arithmetic expressions.
 
     Subclasses must implement :meth:`_key`, :meth:`evaluate`,
-    :meth:`subs`, :meth:`free_vars` and ``__str__``.
+    :meth:`to_python`, :meth:`subs`, :meth:`free_vars` and ``__str__``.
     """
 
-    __slots__ = ("_hash", "_compiled", "_craw")
+    __slots__ = ("_hash", "_compiled")
 
     # -- structural identity ------------------------------------------------
     def _key(self):  # pragma: no cover - abstract
@@ -120,7 +120,8 @@ class Expr:
             return self._compiled
         except AttributeError:
             pass
-        raw = self._compile_raw()
+        text = "lambda env: " + self.to_python(_env_read)
+        raw = eval(text, dict(_HELPERS))  # noqa: PGH001 - controlled codegen
 
         def fn(env, _raw=raw, _tree=self.evaluate):
             try:
@@ -133,22 +134,17 @@ class Expr:
         object.__setattr__(self, "_compiled", fn)
         return fn
 
-    def _compile_raw(self):
-        """The bare compiled closure, without the missing-binding guard.
+    def to_python(self, name) -> str:
+        """The Python expression this node evaluates to, as source text.
 
-        Internal composition hook (:meth:`compile`, the boolean layer):
-        a raw closure raises ``KeyError`` on an unbound variable, so it
-        must only run under a top-level wrapper that falls back to the
-        tree walk for the precise :class:`UnboundVariableError`.
+        ``name(var)`` renders a read of variable *var*; a :class:`Sum`
+        binds its index as the local ``v_<var>``.  The text calls
+        ``_fd``/``_cd`` for floor/ceiling division (:data:`_HELPERS`).
+        :meth:`compile` reads variables from ``env`` and the compiled
+        kernel (:mod:`repro.kernel.lower`) from ``v_<var>`` locals, so
+        both run this one text.
         """
-        try:
-            return self._craw
-        except AttributeError:
-            pass
-        ns: dict = {"_fd": FloorDiv._apply, "_cd": CeilDiv._apply}
-        raw = eval("lambda env: " + _emit(self, ns), ns)  # noqa: PGH001 - controlled codegen
-        object.__setattr__(self, "_craw", raw)
-        return raw
+        raise NotImplementedError
 
     def subs(self, mapping: Mapping[str, ExprLike]) -> "Expr":
         """Substitute variables by expressions, returning a new expression."""
@@ -205,13 +201,13 @@ class Expr:
         return f"{type(self).__name__}<{self}>"
 
     # -- pickling -------------------------------------------------------------
-    # Caches (_hash, _fvs, _compiled, _craw) are rebuilt on demand; the
-    # compiled ones hold unpicklable closures, so state excludes them all.
+    # Caches (_hash, _fvs, _compiled) are rebuilt on demand; the compiled
+    # one holds an unpicklable closure, so state excludes them all.
     def __getstate__(self):
         state = {}
         for cls in type(self).__mro__:
             for name in getattr(cls, "__slots__", ()):
-                if name in ("_hash", "_fvs", "_compiled", "_craw"):
+                if name in ("_hash", "_fvs", "_compiled"):
                     continue
                 try:
                     state[name] = getattr(self, name)
@@ -251,6 +247,12 @@ class Const(Expr):
     def evaluate(self, env):
         return self.value
 
+    def to_python(self, name):
+        v = self.value
+        if isinstance(v, float) and not math.isfinite(v):
+            return f"float({str(v)!r})"  # repr(inf) is not Python source
+        return f"({v!r})"
+
     def subs(self, mapping):
         return self
 
@@ -286,6 +288,9 @@ class Var(Expr):
             return env[self.name]
         except KeyError:
             raise UnboundVariableError([self.name]) from None
+
+    def to_python(self, name):
+        return name(self.name)
 
     def subs(self, mapping):
         if self.name in mapping:
@@ -360,6 +365,9 @@ class _NAry(Expr):
         if len(flat) == 1:
             return flat[0]
         return cls(flat)
+
+    def to_python(self, name):
+        return "(" + f" {self.SYMBOL} ".join(a.to_python(name) for a in self.args) + ")"
 
     def subs(self, mapping):
         return type(self).make(*(a.subs(mapping) for a in self.args))
@@ -455,6 +463,9 @@ class Min(_NAry):
     def evaluate(self, env):
         return min(a.evaluate(env) for a in self.args)
 
+    def to_python(self, name):
+        return f"{self.SYMBOL}(" + ", ".join(a.to_python(name) for a in self.args) + ")"
+
     def __str__(self):
         return f"min({', '.join(str(a) for a in self.args)})"
 
@@ -519,6 +530,9 @@ class _Binary(Expr):
     def evaluate(self, env):
         return type(self)._apply(self.a.evaluate(env), self.b.evaluate(env))
 
+    def to_python(self, name):
+        return f"({self.a.to_python(name)} {self.SYMBOL} {self.b.to_python(name)})"
+
     def subs(self, mapping):
         return type(self).make(self.a.subs(mapping), self.b.subs(mapping))
 
@@ -553,6 +567,9 @@ class FloorDiv(_Binary):
             return a // b
         return math.floor(a / b)
 
+    def to_python(self, name):
+        return f"_fd({self.a.to_python(name)}, {self.b.to_python(name)})"
+
 
 class CeilDiv(_Binary):
     """Ceiling division — block sizes like ``b = ceil(N / P)``."""
@@ -565,6 +582,9 @@ class CeilDiv(_Binary):
         if isinstance(a, int) and isinstance(b, int):
             return -((-a) // b)
         return math.ceil(a / b)
+
+    def to_python(self, name):
+        return f"_cd({self.a.to_python(name)}, {self.b.to_python(name)})"
 
     def __str__(self):
         return f"ceil({self.a} / {self.b})"
@@ -581,37 +601,14 @@ class Mod(_Binary):
         return a % b
 
 
-def _emit(node: Expr, ns: dict) -> str:
-    """Source fragment evaluating *node* against a dict named ``env``.
+#: the functions :meth:`Expr.to_python` text calls (the kernel module
+#: binds the same two names)
+_HELPERS = {"_fd": FloorDiv._apply, "_cd": CeilDiv._apply}
 
-    Helper of :meth:`Expr.compile`.  Known node kinds lower to flat
-    arithmetic; anything else (extended nodes like ``Sum`` / ``Cond``)
-    falls back to a captured reference to its own ``evaluate``.
-    """
-    ty = type(node)
-    if ty is Const:
-        return f"({node.value!r})"
-    if ty is Var:
-        return f"env[{node.name!r}]"
-    if ty is Add:
-        return "(" + " + ".join(_emit(a, ns) for a in node.args) + ")"
-    if ty is Mul:
-        return "(" + " * ".join(_emit(a, ns) for a in node.args) + ")"
-    if ty is Max:  # before Min: Max subclasses Min
-        return "max(" + ", ".join(_emit(a, ns) for a in node.args) + ")"
-    if ty is Min:
-        return "min(" + ", ".join(_emit(a, ns) for a in node.args) + ")"
-    if ty is Div:
-        return f"({_emit(node.a, ns)} / {_emit(node.b, ns)})"
-    if ty is FloorDiv:
-        return f"_fd({_emit(node.a, ns)}, {_emit(node.b, ns)})"
-    if ty is CeilDiv:
-        return f"_cd({_emit(node.a, ns)}, {_emit(node.b, ns)})"
-    if ty is Mod:
-        return f"({_emit(node.a, ns)} % {_emit(node.b, ns)})"
-    ref = f"_r{len(ns)}"
-    ns[ref] = node.evaluate
-    return f"{ref}(env)"
+
+def _env_read(var: str) -> str:
+    """How :meth:`Expr.compile` text reads *var*: from its ``env`` argument."""
+    return f"env[{var!r}]"
 
 
 def ceil_div(a: ExprLike, b: ExprLike) -> Expr:

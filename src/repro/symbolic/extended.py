@@ -62,6 +62,9 @@ class Index(Expr):
         i = int(self.index.evaluate(env))
         return arr[i]
 
+    def to_python(self, name):
+        return f"{name(self.base)}[int({self.index.to_python(name)})]"
+
     def subs(self, mapping):
         # the array itself cannot be substituted by an expression,
         # only re-indexed
@@ -80,6 +83,9 @@ class Sum(Expr):
     __slots__ = ("var", "lo", "hi", "body")
 
     def __init__(self, var: str, lo: Expr, hi: Expr, body: Expr):
+        if not isinstance(var, str) or not var.isidentifier():
+            # the index is bound as the Python local v_<var> (to_python)
+            raise TypeError(f"summation index must be an identifier, got {var!r}")
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -108,14 +114,22 @@ class Sum(Expr):
     def evaluate(self, env):
         lo = int(self.lo.evaluate(env))
         hi = int(self.hi.evaluate(env))
-        if hi < lo:
-            return 0
         scope = dict(env)
-        total = 0
-        for i in range(lo, hi + 1):
-            scope[self.var] = i
-            total += self.body.evaluate(scope)
-        return total
+        var, body = self.var, self.body.evaluate
+
+        def term(i):
+            scope[var] = i
+            return body(scope)
+
+        # the builtin sum, as to_python's text sums: one float order on
+        # every Python (3.12's sum() compensates float rounding)
+        return sum(map(term, range(lo, hi + 1)))
+
+    def to_python(self, name):
+        index = f"v_{self.var}"
+        body = self.body.to_python(lambda v: index if v == self.var else name(v))
+        lo, hi = self.lo.to_python(name), self.hi.to_python(name)
+        return f"sum({body} for {index} in range(int({lo}), int({hi}) + 1))"
 
     def subs(self, mapping):
         # the bound variable is shadowed inside the body
@@ -164,6 +178,12 @@ class Cond(Expr):
         if self.cond.evaluate(env):
             return self.then.evaluate(env)
         return self.orelse.evaluate(env)
+
+    def to_python(self, name):
+        return (
+            f"(({self.then.to_python(name)}) if ({self.cond.to_python(name)}) "
+            f"else ({self.orelse.to_python(name)}))"
+        )
 
     def subs(self, mapping):
         return Cond.make(

@@ -4,38 +4,62 @@ AM-mode runs evaluate condensed scaling functions per delayed task;
 ``compile()`` lowers an expression tree to one Python closure.  The
 contract: the closure computes *exactly* what ``evaluate`` computes —
 same values, same errors — and is cached, composable, and rebuilt
-transparently after pickling.
+transparently after pickling.  The compiled kernel runs the same
+``to_python`` text over ``v_<name>`` locals, and must agree too.
 """
 
+import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernel.lower import _mangle
 from repro.symbolic import (
     And,
+    CeilDiv,
+    Cmp,
+    Cond,
     Const,
+    Div,
     Eq,
     FloorDiv,
     Ge,
+    Index,
     Lt,
     Max,
     Min,
     Mod,
     Not,
     Or,
+    Sum,
     UnboundVariableError,
     Var,
     ceil_div,
 )
 
 VARS = ("N", "P", "b", "myid")
+#: the summation index: also bound in env, so a Sum shadows it
+INDEX = "k"
+ARRAY = "cs"
+ARRAY_LEN = 8
 
 
 @st.composite
 def envs(draw):
     return {name: draw(st.integers(min_value=1, max_value=1000)) for name in VARS}
+
+
+@st.composite
+def array_envs(draw):
+    env = draw(envs())
+    env[INDEX] = draw(st.integers(min_value=-5, max_value=5))
+    env[ARRAY] = np.array(
+        draw(st.lists(st.integers(-20, 20), min_size=ARRAY_LEN, max_size=ARRAY_LEN)), dtype=float
+    )
+    return env
 
 
 def exprs(max_leaves=6):
@@ -56,6 +80,68 @@ def exprs(max_leaves=6):
     return st.recursive(leaf, extend, max_leaves=max_leaves)
 
 
+def conds(children):
+    """Conditions over *children*: Cmp, And, Or and Not."""
+    cmp = st.builds(Cmp, st.sampled_from(("<", "<=", ">", ">=", "==", "!=")), children, children)
+    pairs = st.tuples(cmp, cmp)
+    return st.one_of(
+        cmp,
+        pairs.map(lambda ab: And.make(*ab)),
+        pairs.map(lambda ab: Or.make(*ab)),
+        pairs.map(lambda ab: Not.make(Or.make(*ab))),
+    )
+
+
+def full_exprs(max_leaves=8):
+    """Every node kind: division family, Sum, Cond and Index besides the above."""
+    leaf = st.one_of(
+        st.integers(min_value=-50, max_value=50).map(Const),
+        st.sampled_from((*VARS, INDEX)).map(Var),
+    )
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            pairs.map(lambda ab: ab[0] + ab[1]),
+            pairs.map(lambda ab: ab[0] * ab[1]),
+            pairs.map(lambda ab: Min.make(*ab)),
+            pairs.map(lambda ab: Max.make(*ab)),
+            # the constructors, not make(): a constant divisor may be 0
+            *(st.builds(op, children, children) for op in (Div, FloorDiv, CeilDiv, Mod)),
+            # at most six terms (hi is capped at lo + 5), each reading the index
+            st.tuples(st.integers(-3, 3), children, children).map(
+                lambda t: Sum.make(INDEX, t[0], Min.make(t[1], t[0] + 5), t[2] + Var(INDEX))
+            ),
+            st.builds(Cond, conds(children), children, children),
+            children.map(lambda i: Index(ARRAY, Mod(i, Const(ARRAY_LEN)))),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=max_leaves)
+
+
+def _outcome(fn, *args):
+    """What *fn* returns, or the type of what it raises."""
+    try:
+        return ("value", fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return ("raises", type(exc))
+
+
+def _same(x, y):
+    if x[0] == "value" and y[0] == "value":
+        a, b = x[1], y[1]
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return x == y
+
+
+def _kernel_fn(e):
+    """*e*'s kernel text as the body of a function of ``v_<name>`` locals."""
+    params = ", ".join(_mangle(n) for n in (*VARS, INDEX, ARRAY))
+    ns = {"_fd": FloorDiv._apply, "_cd": CeilDiv._apply}
+    exec(f"def kernel({params}):\n    return {e.to_python(_mangle)}", ns)
+    return lambda env: ns["kernel"](*(env[n] for n in (*VARS, INDEX, ARRAY)))
+
+
 N, P, b = Var("N"), Var("P"), Var("b")
 
 
@@ -64,6 +150,24 @@ class TestExprCompile:
     @settings(max_examples=200)
     def test_compiled_matches_evaluate(self, e, env):
         assert e.compile()(env) == e.evaluate(env)
+
+    @given(full_exprs(), array_envs())
+    @settings(max_examples=300)
+    def test_compiled_and_kernel_text_match_evaluate(self, e, env):
+        with np.errstate(all="ignore"):
+            expected = _outcome(e.evaluate, env)
+            assert _same(_outcome(e.compile(), env), expected)
+            assert _same(_outcome(_kernel_fn(e), env), expected)
+
+    @given(conds(full_exprs(max_leaves=4)), array_envs())
+    @settings(max_examples=200)
+    def test_compiled_conditions_match_evaluate(self, c, env):
+        with np.errstate(all="ignore"):
+            expected = _outcome(c.evaluate, env)
+            for fn in (c.compile(), _kernel_fn(c)):
+                got = _outcome(fn, env)
+                assert got[0] == expected[0]
+                assert (bool(got[1]) == expected[1]) if got[0] == "value" else got == expected
 
     def test_division_family_matches_evaluate(self):
         env = {"N": 17, "P": 5}
