@@ -29,11 +29,11 @@ or ``from repro import Simulator`` imports what that name needs.
 ``repro.ir``          message-passing program IR + interpreter
 ``repro.mpi``         virtual MPI API and message matching
 ``repro.sim``         the discrete-event simulation kernel (MPI-Sim)
-``repro.stg``         static task graph: synthesis, condensation, dynamic
+``repro.stg``         static task graph: synthesis, condensation, DOT export
 ``repro.slicing``     program slicing
 ``repro.codegen``     simplified / instrumented program generation
 ``repro.measure``     w_i measurement and parameter files
-``repro.apps``        Sweep3D, NAS SP, Tomcatv, SAMPLE
+``repro.apps``        Sweep3D, NAS SP, Tomcatv, SAMPLE; the app registry
 ``repro.workflow``    the Fig. 2 pipeline, validation, reporting
 ``repro.parallel``    host-machine performance and memory-feasibility model
 ``repro.hpf``         mini-HPF front-end (the dhpf substrate)

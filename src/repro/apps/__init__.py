@@ -56,8 +56,32 @@ APPS = {
     ),
 }
 
+#: builder -> the program it built: each app is built once per process
+_BUILT: dict = {}
+
+
+def resolve_app(app: str):
+    """``(program, default_inputs)`` of *app*: its :data:`APPS` entry, built once.
+
+    The resolver of the CLI, the campaign runner and ``repro serve``.
+    Each app's program is built once per process, keyed by its builder,
+    and every caller shares that one object, with its per-expression
+    evaluators and what it keeps of its derivations: timer version,
+    compiled forms and lowered kernels.  Sharing is safe because the IR is
+    immutable (:mod:`repro.ir.nodes`): instrumenting, compiling and
+    minimizing build new programs.  An app :data:`APPS` does not name
+    raises :class:`KeyError`.
+    """
+    builder, default_inputs = APPS[app]
+    program = _BUILT.get(builder)
+    if program is None:
+        program = _BUILT[builder] = builder()
+    return program, default_inputs
+
+
 __all__ = [
     "APPS",
+    "resolve_app",
     "build_sweep3d",
     "sweep3d_inputs",
     "sweep3d_per_proc_inputs",

@@ -183,14 +183,13 @@ def _budget_kwargs(args) -> dict:
 
 def _app(args):
     """``(program, default_inputs)`` of the app *args* names, from the
-    campaign runner's resolver.  An unknown app or a bad ``--set`` ends
+    app registry's resolver.  An unknown app or a bad ``--set`` ends
     the command with one line, before anything runs."""
-    from .workflow.campaign import CampaignError, _cli_resolver
+    from .apps import APPS, resolve_app
 
-    try:
-        resolved = _cli_resolver(args.app)
-    except CampaignError:
-        raise SystemExit(f"unknown app {args.app!r}; run 'python -m repro apps'") from None
+    if args.app not in APPS:
+        raise SystemExit(f"unknown app {args.app!r}; run 'python -m repro apps'")
+    resolved = resolve_app(args.app)
     _parse_overrides(getattr(args, "set", None))
     return resolved
 
@@ -252,12 +251,11 @@ def _one_line_failure(request):
 
 
 def cmd_apps(args) -> int:
-    from .apps import APPS
-    from .workflow.campaign import _cli_resolver
+    from .apps import APPS, resolve_app
 
     print("available applications:")
     for name in sorted(APPS):
-        prog = _cli_resolver(name)[0]
+        prog = resolve_app(name)[0]
         print(f"  {name:26s} params: {', '.join(prog.params)}")
     return 0
 
@@ -1087,6 +1085,10 @@ def cmd_profile(args) -> int:
         args.metrics = args.metrics or str(out_dir / "metrics.jsonl")
         args.trace = args.trace or str(out_dir / "trace.jsonl.gz")
         args.stats = args.stats or str(out_dir / "stats.csv")
+    if args.backend in ("compiled", "auto"):
+        from .kernel import cache_stats, clear_cache
+
+        clear_cache()  # the backend line counts the lowering this command does
     # The traced runs stay direct calls (a request carries no trace), on
     # the workflow the runner gives a run of this request.
     runner = request_runner([request], args.machine, calib_procs=args.calib_procs,
@@ -1122,21 +1124,20 @@ def cmd_profile(args) -> int:
     backend_lines = []
     if args.backend in ("compiled", "auto"):
         # One untraced run: a traced run always interprets, so the run
-        # above did; this one takes the compiled driver, and its counters
-        # (reset first) describe it.  The traced run lowered the program
-        # and kept the kernel on it, so this run counts a hit.
+        # above did; this one takes the compiled driver, and active=
+        # names what it ran.  The counters cover the whole command: the
+        # traced run lowered the program and kept the kernel (or the
+        # refusal) on it, which this run finds as a hit.
         import time as _time
 
-        from .kernel import cache_stats, clear_cache
-
-        clear_cache()
+        fallbacks = cache_stats()["fallbacks"]
         inputs = inputs_at(args.nprocs)
         t0 = _time.perf_counter()
         fast = estimator(inputs, args.nprocs)
         fast_wall = _time.perf_counter() - t0
         ks = cache_stats()
         active = "compiled"
-        if args.backend == "auto" and ks["fallbacks"]:
+        if args.backend == "auto" and ks["fallbacks"] > fallbacks:
             active = "interpreted (auto fell back)"
         backend_lines = [
             f"  backend: requested={args.backend} active={active}; "

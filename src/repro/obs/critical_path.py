@@ -49,28 +49,6 @@ class CriticalPathReport:
         return len(self.steps)
 
 
-def _program_order_pred(trace: Trace) -> dict[int, int | None]:
-    """Same-process gating predecessor per event (completion order).
-
-    Non-blocking kernel completions occupy the host when they occur but
-    do not order the process's own subsequent events — only the matching
-    wait joins them — so they never become a program-order predecessor
-    (mirrors :mod:`repro.parallel.hostmodel`).
-    """
-    per_proc: dict[int, list[TraceEvent]] = {}
-    for ev in trace.events:
-        per_proc.setdefault(ev.proc, []).append(ev)
-    pred: dict[int, int | None] = {}
-    for events in per_proc.values():
-        events.sort(key=lambda e: (e.end, e.eid))
-        prev = None
-        for ev in events:
-            pred[ev.eid] = prev
-            if not ev.nonblocking:
-                prev = ev.eid
-    return pred
-
-
 def critical_path(trace: Trace) -> CriticalPathReport:
     """Walk the gating chain back from the last event to finish.
 
@@ -81,11 +59,8 @@ def critical_path(trace: Trace) -> CriticalPathReport:
     """
     if not trace.events:
         return CriticalPathReport(steps=(), total=0.0, by_kind={}, by_proc={})
-    pred = _program_order_pred(trace)
-    coll_members: dict[int, list[TraceEvent]] = {}
-    for ev in trace.events:
-        if ev.coll_id is not None:
-            coll_members.setdefault(ev.coll_id, []).append(ev)
+    pred = trace.program_predecessors()
+    coll_members = trace.collectives()
 
     def candidates(ev: TraceEvent):
         p = pred[ev.eid]

@@ -76,33 +76,18 @@ def simulate_host_execution(
     def host_of(proc: int) -> int:
         return proc * n_hosts // nprocs
 
-    # per-process program order = virtual completion order (non-blocking
+    # per-process program order is virtual completion order (non-blocking
     # completions slot in when their message arrives, which is exactly
-    # when the kernel handles them)
+    # when the kernel handles them), and so is each host's queue
+    proc_pred = trace.program_predecessors()
     order_key = {ev.eid: (ev.end, ev.eid) for ev in trace.events}
-    per_proc: dict[int, list] = {}
-    for ev in trace.events:
-        per_proc.setdefault(ev.proc, []).append(ev)
-    proc_pred: dict[int, int | None] = {}
-    for events in per_proc.values():
-        events.sort(key=lambda e: order_key[e.eid])
-        prev = None
-        for ev in events:
-            proc_pred[ev.eid] = prev
-            if not ev.nonblocking:
-                prev = ev.eid
-
-    # per-host queues in virtual-timestamp order
     queues: list[list] = [[] for _ in range(n_hosts)]
     for ev in trace.events:
         queues[host_of(ev.proc)].append(ev)
     for q in queues:
         q.sort(key=lambda e: order_key[e.eid])
 
-    coll_members: dict[int, list] = {}
-    for ev in trace.events:
-        if ev.coll_id is not None:
-            coll_members.setdefault(ev.coll_id, []).append(ev)
+    coll_members = trace.collectives()
     coll_release: dict[int, float] = {}
 
     done: dict[int, float] = {}

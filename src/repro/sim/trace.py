@@ -63,5 +63,32 @@ class Trace:
             out[ev.proc].append(ev)
         return out
 
+    def program_predecessors(self) -> dict[int, int | None]:
+        """Each event's same-process gating predecessor, by event id.
+
+        Program order is completion order, ``(end, eid)``.  A non-blocking
+        completion occupies the host when it occurs but does not order
+        the process's own subsequent events (only the matching wait joins
+        it), so it is never a predecessor.  The critical path
+        (:mod:`repro.obs.critical_path`) and the host replay
+        (:mod:`repro.parallel.hostmodel`) both walk this order.
+        """
+        pred: dict[int, int | None] = {}
+        for events in self.by_proc():
+            prev = None
+            for ev in sorted(events, key=lambda e: (e.end, e.eid)):
+                pred[ev.eid] = prev
+                if not ev.nonblocking:
+                    prev = ev.eid
+        return pred
+
+    def collectives(self) -> dict[int, list[TraceEvent]]:
+        """The member events of each collective, by ``coll_id``, in event order."""
+        members: dict[int, list[TraceEvent]] = {}
+        for ev in self.events:
+            if ev.coll_id is not None:
+                members.setdefault(ev.coll_id, []).append(ev)
+        return members
+
     def total_host_cost(self) -> float:
         return sum(ev.host_cost for ev in self.events)

@@ -1,4 +1,4 @@
-"""Static task graph: model, synthesis, condensation, dynamic expansion."""
+"""Static task graph: model, synthesis, condensation, DOT export."""
 
 from .. import _lazy_package
 
@@ -7,6 +7,5 @@ __all__, __getattr__, __dir__ = _lazy_package(__name__, names={
     ".synthesis": ("synthesize_stg",),
     ".condense": ("condense", "CondensePlan", "Region", "PlanRetain", "PlanRegion",
                   "w_param"),
-    ".dynamic": ("trace_to_dag", "critical_path", "critical_path_length"),
     ".export": ("to_dot", "write_dot"),
 })

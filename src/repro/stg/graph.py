@@ -14,12 +14,8 @@ nodes carry pattern and volume information.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..symbolic import Expr, ProcessSet, RankMapping
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["STGNode", "STGEdge", "STG", "NODE_KINDS"]
 
@@ -102,17 +98,6 @@ class STG:
 
     def communication_edges(self) -> list[STGEdge]:
         return [e for e in self.edges if e.kind == "communication"]
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export for analysis/visualization (POEMS-style tooling hook)."""
-        import networkx as nx
-
-        g = nx.MultiDiGraph(name=self.program_name)
-        for n in self.nodes:
-            g.add_node(n.nid, kind=n.kind, label=n.label, pset=str(n.pset))
-        for e in self.edges:
-            g.add_edge(e.src, e.dst, kind=e.kind)
-        return g
 
     def __str__(self):
         lines = [f"STG({self.program_name}): {len(self.nodes)} nodes, {len(self.edges)} edges"]

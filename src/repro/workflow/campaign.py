@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..api import ApiError, CampaignRequest, RunRequest, canonical_json
-from ..apps import APPS
+from ..apps import APPS, resolve_app
 from ..machine import get_machine
 from ..measure import Calibration
 from ..obs.logging import get_logger
@@ -475,7 +475,7 @@ class CampaignRunner:
                  progress=None):
         self.config = config
         self.out_dir = Path(out_dir)
-        self.resolver = resolver if resolver is not None else _cli_resolver
+        self.resolver = resolver if resolver is not None else _grid_resolver
         self.sleep = sleep
         self.telemetry = telemetry
         self.progress = progress
@@ -1034,30 +1034,12 @@ def execute_request(request: RunRequest, machine: str = "IBM-SP",
     return run_requests([request], machine, **context)[0]
 
 
-#: builder -> the program it built: each app is built once per process
-_BUILT: dict = {}
-
-
-def _cli_resolver(app: str):
-    """Default application resolver: the :data:`repro.apps.APPS` registry.
-
-    Each app's program is built once per process, keyed by its builder,
-    and every caller shares that one object, with its per-expression
-    evaluators and what it keeps of its derivations: timer version,
-    compiled forms and lowered kernels.  Sharing is safe because the IR is
-    immutable (:mod:`repro.ir.nodes`): instrumenting, compiling and
-    minimizing build new programs.
-    """
-    try:
-        builder, default_inputs = APPS[app]
-    except KeyError:
-        raise CampaignError(
-            f"unknown app {app!r} in grid; run 'python -m repro apps'"
-        ) from None
-    program = _BUILT.get(builder)
-    if program is None:
-        program = _BUILT[builder] = builder()
-    return program, default_inputs
+def _grid_resolver(app: str):
+    """The runner's default resolver: :func:`repro.apps.resolve_app`, with
+    an app the registry does not name a :class:`CampaignError`."""
+    if app not in APPS:
+        raise CampaignError(f"unknown app {app!r} in grid; run 'python -m repro apps'")
+    return resolve_app(app)
 
 
 class _signal_trap:

@@ -623,7 +623,7 @@ def _write_quarantine(quarantine_dir: Path, config: CampaignConfig,
                       flight: dict | None, cursor: dict | None,
                       resolver) -> None:
     """Write ``quarantine/<run_id>.json``: spec, forensics, reproducer."""
-    from .campaign import _cli_resolver
+    from ..apps import resolve_app
 
     quarantine_dir.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -636,7 +636,7 @@ def _write_quarantine(quarantine_dir: Path, config: CampaignConfig,
         "cursor": cursor,
         "flight": flight,
         "reproducer": minimize_poison(
-            spec, config, resolver if resolver is not None else _cli_resolver,
+            spec, config, resolver if resolver is not None else resolve_app,
         ),
     }
     path = quarantine_dir / f"{spec.run_id}.json"

@@ -88,11 +88,6 @@ class TestSynthesis:
         stg = synthesize_stg(b.build())
         assert len(stg.nodes_of_kind("collective")) == 1
 
-    def test_networkx_export(self):
-        g = synthesize_stg(shift_program()).to_networkx()
-        assert g.number_of_nodes() == len(synthesize_stg(shift_program()).nodes)
-        assert g.number_of_edges() > 0
-
     def test_str_smoke(self):
         text = str(synthesize_stg(shift_program()))
         assert "STG(shift)" in text and "send" in text

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
+from repro import apps
 from repro.cli import APPS, build_parser, main
 
 
@@ -386,6 +389,26 @@ class TestProfileCommand:
         assert main(["profile", self.APP, *self.SMALL]) == 0
         assert TRACER.enabled is False
         assert METRICS.enabled is False
+
+    @pytest.mark.parametrize("app, backend, active, lowered", [
+        ("sample_wavefront", "compiled", "compiled", 1),
+        ("sample_wavefront", "auto", "compiled", 1),
+        ("nas_sp", "auto", "interpreted (auto fell back)", 0),
+    ], ids=["wavefront-compiled", "wavefront-auto", "nas_sp-auto"])
+    def test_backend_line_counts_the_lowering_the_command_did(
+            self, app, backend, active, lowered, monkeypatch, capsys):
+        """``active=`` names what the untraced run ran; the counters cover
+        the whole command, whose traced run lowers a fresh program (or
+        keeps its refusal), which the untraced run then finds."""
+        monkeypatch.setattr(apps, "_BUILT", {})
+        assert main(["profile", app, "--nprocs", "4", "--backend", backend]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if "backend:" in x)
+        m = re.fullmatch(r"  backend: requested=(\S+) active=(.+); lowered (\d+) "
+                         r"program\(s\) in (\d+\.\d) ms, cache (.+)", line)
+        assert m, line
+        assert m.group(1, 2, 5) == (backend, active, "1 hit(s) / 1 miss(es)")
+        assert int(m.group(3)) == lowered
+        assert (float(m.group(4)) > 0) == (lowered > 0)
 
     def test_am_mode(self, capsys):
         assert main(["profile", "tomcatv", "--nprocs", "4", "--mode", "am",

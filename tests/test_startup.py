@@ -1,9 +1,11 @@
 """Start-up cost: what each entry point loads.
 
 ``import repro`` loads no subpackage, the parser alone loads only
-``repro`` and ``repro.cli``, and the commands that simulate leave the
-modules they never run unloaded.  scipy and networkx load only inside
-the functions that call them.  Every case runs in a fresh interpreter.
+``repro`` and ``repro.cli``, the commands that only read or compile a
+program load neither the campaign runner nor the simulator, and the
+commands that simulate leave the modules they never run unloaded.  scipy
+loads only inside the functions that call it, and networkx not at all.
+Every case runs in a fresh interpreter.
 """
 
 import json
@@ -78,7 +80,7 @@ def test_import_repro_loads_no_subpackage():
 def test_import_leaves_scipy_and_networkx_unloaded():
     """Not even importing every module loads them."""
     modules = loaded_by(EVERY_MODULE + PRINT_MODULES)
-    assert "repro.stg.dynamic" in modules
+    assert "repro.obs.critical_path" in modules
     assert not {m for m in modules if m.split(".")[0] in ("scipy", "networkx")}
 
 
@@ -88,6 +90,16 @@ def test_the_parser_loads_only_the_cli(argv):
     modules = loaded_by_cli(*argv)
     assert repro_modules(modules) == {"repro", "repro.cli"}
     assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv", [["apps"], ["compile", "sample_wavefront"],
+                                  ["stg", "sample_wavefront"]], ids=" ".join)
+def test_reading_a_program_loads_no_runner_or_simulator(argv):
+    """The app registry resolves apps: these commands build programs
+    without loading the campaign runner or the simulator."""
+    modules = loaded_by_cli(*argv)
+    assert "repro.apps" in modules
+    assert not {"repro.workflow", "repro.workflow.campaign", "repro.sim.engine"} & modules
 
 
 def test_a_campaign_cell_loads_nothing_it_never_runs(tmp_path):

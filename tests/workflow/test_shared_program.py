@@ -16,14 +16,14 @@ from collections import Counter
 import pytest
 
 from repro.api import RunRequest, RunResult, canonical_json
-from repro.apps import APPS
+from repro import apps
+from repro.apps import APPS, resolve_app
 from repro.codegen import pipeline as codegen_pipeline
 from repro.ir.printer import format_program
 from repro.kernel import lower
 from repro.measure import calibrate
 from repro.serve import SimulationService
 from repro.store import ResultStore
-from repro.workflow import campaign
 from repro.workflow.campaign import execute_request
 
 #: app -> (ranks, inputs): small versions of ``repro serve`` requests
@@ -58,12 +58,12 @@ def builds(monkeypatch):
             return builder()
 
         monkeypatch.setitem(APPS, app, (counting, default_inputs))
-    monkeypatch.setattr(campaign, "_BUILT", {})
+    monkeypatch.setattr(apps, "_BUILT", {})
     return calls
 
 
 def test_shared_program_changes_no_result(tmp_path, builds):
-    shared = {app: campaign._cli_resolver(app)[0] for app in SERVE_APPS}
+    shared = {app: resolve_app(app)[0] for app in SERVE_APPS}
     before = {app: format_program(p) for app, p in shared.items()}
 
     store = ResultStore(tmp_path / "store")
@@ -86,11 +86,11 @@ def test_shared_program_changes_no_result(tmp_path, builds):
 
     assert builds == dict.fromkeys(SERVE_APPS, 1)
     for app, program in shared.items():
-        assert campaign._cli_resolver(app)[0] is program
+        assert resolve_app(app)[0] is program
         # format_program reads nothing the program keeps
         assert format_program(program) == before[app]
 
-    campaign._BUILT.clear()
+    apps._BUILT.clear()
     for (app, mode), want in served.items():
         rec = execute_request(request(app, mode), calib_procs=CALIB_PROCS,
                               backend="interpreted")

@@ -23,11 +23,11 @@ import pytest
 
 import repro.workflow.pipeline as pipeline
 import repro.workflow.supervisor as supervisor
+from repro.apps import resolve_app
 from repro.sim.faults import FaultState
 from repro.workflow.campaign import (
     QUARANTINE_DIR_NAME,
     CampaignRunner,
-    _cli_resolver,
     expand_grid,
 )
 from repro.workflow.supervisor import minimize_poison
@@ -212,7 +212,7 @@ class TestMinimizePoison:
         return self.config.request.runs[0]
 
     def test_reproducing_failure_is_minimized(self):
-        info = minimize_poison(self.spec(), self.config, _cli_resolver,
+        info = minimize_poison(self.spec(), self.config, resolve_app,
                                probe=lambda candidate: True)
         assert info["minimized"] is True
         assert info["final_stmts"] <= info["original_stmts"]
@@ -220,7 +220,7 @@ class TestMinimizePoison:
         assert isinstance(info["program"], str) and info["program"]
 
     def test_non_reproducing_failure_is_declined_with_note(self):
-        info = minimize_poison(self.spec(), self.config, _cli_resolver,
+        info = minimize_poison(self.spec(), self.config, resolve_app,
                                probe=lambda candidate: False)
         assert info["minimized"] is False
         assert "declined" in info["note"]
@@ -245,7 +245,7 @@ class TestProbeFidelity:
         config = expand_grid(tiny_grid(
             nprocs=[4], fault_plans=[{"seed": 3, "message_loss": 0.1}]))
         spec = config.request.runs[0]
-        info = minimize_poison(spec, config, _cli_resolver, max_checks=4)
+        info = minimize_poison(spec, config, resolve_app, max_checks=4)
         assert info["minimized"] is True, info.get("note")
         assert info["final_stmts"] < info["original_stmts"]
 
@@ -261,7 +261,7 @@ class TestProbeFidelity:
 
         monkeypatch.setattr(pipeline, "measure_wparams", spy)
         config = expand_grid(tiny_grid(modes=["am"], nprocs=[8], calib_procs=4))
-        info = minimize_poison(config.request.runs[0], config, _cli_resolver,
+        info = minimize_poison(config.request.runs[0], config, resolve_app,
                                max_checks=2)
         assert "declined" in info["note"]  # a healthy run reproduces nothing
         assert log.read_text().split() == ["4"]
@@ -280,7 +280,7 @@ class TestProbeHeartbeats:
         config = expand_grid(tiny_grid(
             nprocs=[4], inputs={"grain": 1000, "msg": 512, "iters": 12000}))
         t0 = time.monotonic()
-        info = minimize_poison(config.request.runs[0], config, _cli_resolver,
+        info = minimize_poison(config.request.runs[0], config, resolve_app,
                                max_checks=2, probe_timeout=0.5)
         assert time.monotonic() - t0 > 0.5  # the probe outlasted its timeout
         assert info["minimized"] is False
@@ -297,8 +297,8 @@ class TestProbeHeartbeats:
         config = expand_grid(tiny_grid(nprocs=[2]))
         spec = config.request.runs[0]
         t0 = time.monotonic()
-        assert supervisor._subprocess_probe(config, spec, _cli_resolver(spec.app)[0],
-                                            _cli_resolver, timeout=0.3)
+        assert supervisor._subprocess_probe(config, spec, resolve_app(spec.app)[0],
+                                            resolve_app, timeout=0.3)
         assert time.monotonic() - t0 < 10
 
 
