@@ -25,7 +25,7 @@ scaling functions of condensed tasks (Sec. 3 of the paper):
 from __future__ import annotations
 
 from .boolean import BoolExpr, as_bool_expr
-from .expr import Expr, ExprLike, UnboundVariableError, Var, as_expr
+from .expr import Expr, ExprLike, UnboundVariableError, as_expr
 
 __all__ = ["Index", "Sum", "Cond"]
 

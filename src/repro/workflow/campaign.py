@@ -1035,8 +1035,8 @@ def execute_request(request: RunRequest, machine: str = "IBM-SP",
 
 
 def _grid_resolver(app: str):
-    """The runner's default resolver: :func:`repro.apps.resolve_app`, with
-    an app the registry does not name a :class:`CampaignError`."""
+    """The runner's default resolver: :func:`repro.apps.resolve_app`, which
+    raises :class:`CampaignError` for an app the registry does not name."""
     if app not in APPS:
         raise CampaignError(f"unknown app {app!r} in grid; run 'python -m repro apps'")
     return resolve_app(app)

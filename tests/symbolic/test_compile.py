@@ -169,6 +169,15 @@ class TestExprCompile:
                 assert got[0] == expected[0]
                 assert (bool(got[1]) == expected[1]) if got[0] == "value" else got == expected
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+    def test_non_finite_constants_compile(self, value):
+        # repr(inf) is not Python source: the text must not read it as a name
+        e = Const(value) + N
+        env = {name: 1 for name in (*VARS, INDEX)} | {ARRAY: np.zeros(ARRAY_LEN)}
+        expected = _outcome(e.evaluate, env)
+        assert _same(_outcome(e.compile(), env), expected)
+        assert _same(_outcome(_kernel_fn(e), env), expected)
+
     def test_division_family_matches_evaluate(self):
         env = {"N": 17, "P": 5}
         for e in (N / P, FloorDiv.make(N, P), ceil_div(N, P), Mod.make(N, P)):
