@@ -5,6 +5,8 @@ communication programs; the kernel must satisfy conservation and
 determinism invariants regardless of pattern, sizes or interleaving.
 """
 
+from graphlib import TopologicalSorter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,28 +127,13 @@ def test_measured_mode_reproducible_and_bounded(phases, nprocs, seed):
 @settings(max_examples=20, deadline=None)
 def test_trace_dependencies_are_acyclic_and_complete(phases, nprocs):
     res = Simulator(nprocs, program_for(phases), M, mode=ExecMode.DE, collect_trace=True).run()
-    # program order plus message dependencies: Kahn's algorithm drains
-    # every event exactly when the graph has no cycle
-    succs = {ev.eid: [] for ev in res.trace.events}
+    # program order plus message dependencies; static_order() raises
+    # CycleError on a cycle
+    preds = {ev.eid: set(ev.deps) for ev in res.trace.events}
     for events in res.trace.by_proc():
         for a, b in zip(events, events[1:]):
-            succs[a.eid].append(b.eid)
-    for ev in res.trace.events:
-        for dep in ev.deps:
-            succs[dep].append(ev.eid)
-    indegree = dict.fromkeys(succs, 0)
-    for targets in succs.values():
-        for t in targets:
-            indegree[t] += 1
-    ready = [eid for eid, n in indegree.items() if n == 0]
-    drained = 0
-    while ready:
-        drained += 1
-        for t in succs[ready.pop()]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                ready.append(t)
-    assert drained == len(res.trace.events)
+            preds[b.eid].add(a.eid)
+    assert len(list(TopologicalSorter(preds).static_order())) == len(res.trace.events)
     recv_events = [e for e in res.trace.events if e.kind == "recv"]
     assert all(e.deps for e in recv_events)  # every receive knows its sender
 

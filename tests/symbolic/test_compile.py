@@ -49,35 +49,12 @@ ARRAY_LEN = 8
 
 @st.composite
 def envs(draw):
-    return {name: draw(st.integers(min_value=1, max_value=1000)) for name in VARS}
-
-
-@st.composite
-def array_envs(draw):
-    env = draw(envs())
+    env = {name: draw(st.integers(min_value=1, max_value=1000)) for name in VARS}
     env[INDEX] = draw(st.integers(min_value=-5, max_value=5))
     env[ARRAY] = np.array(
         draw(st.lists(st.integers(-20, 20), min_size=ARRAY_LEN, max_size=ARRAY_LEN)), dtype=float
     )
     return env
-
-
-def exprs(max_leaves=6):
-    leaf = st.one_of(
-        st.integers(min_value=-50, max_value=50).map(Const),
-        st.sampled_from(VARS).map(Var),
-    )
-
-    def extend(children):
-        return st.one_of(
-            st.tuples(children, children).map(lambda ab: ab[0] + ab[1]),
-            st.tuples(children, children).map(lambda ab: ab[0] - ab[1]),
-            st.tuples(children, children).map(lambda ab: ab[0] * ab[1]),
-            st.tuples(children, children).map(lambda ab: Min.make(ab[0], ab[1])),
-            st.tuples(children, children).map(lambda ab: Max.make(ab[0], ab[1])),
-        )
-
-    return st.recursive(leaf, extend, max_leaves=max_leaves)
 
 
 def conds(children):
@@ -92,8 +69,8 @@ def conds(children):
     )
 
 
-def full_exprs(max_leaves=8):
-    """Every node kind: division family, Sum, Cond and Index besides the above."""
+def exprs(max_leaves=8):
+    """Every node kind: arithmetic, the division family, Sum, Cond and Index."""
     leaf = st.one_of(
         st.integers(min_value=-50, max_value=50).map(Const),
         st.sampled_from((*VARS, INDEX)).map(Var),
@@ -103,6 +80,7 @@ def full_exprs(max_leaves=8):
         pairs = st.tuples(children, children)
         return st.one_of(
             pairs.map(lambda ab: ab[0] + ab[1]),
+            pairs.map(lambda ab: ab[0] - ab[1]),
             pairs.map(lambda ab: ab[0] * ab[1]),
             pairs.map(lambda ab: Min.make(*ab)),
             pairs.map(lambda ab: Max.make(*ab)),
@@ -119,10 +97,11 @@ def full_exprs(max_leaves=8):
     return st.recursive(leaf, extend, max_leaves=max_leaves)
 
 
-def _outcome(fn, *args):
-    """What *fn* returns, or the type of what it raises."""
+def _outcome(fn, env):
+    """What *fn* returns for *env*, or the type of what it raises."""
     try:
-        return ("value", fn(*args))
+        with np.errstate(all="ignore"):
+            return ("value", fn(env))
     except (ArithmeticError, ValueError) as exc:
         return ("raises", type(exc))
 
@@ -147,27 +126,12 @@ N, P, b = Var("N"), Var("P"), Var("b")
 
 class TestExprCompile:
     @given(exprs(), envs())
-    @settings(max_examples=200)
-    def test_compiled_matches_evaluate(self, e, env):
-        assert e.compile()(env) == e.evaluate(env)
-
-    @given(full_exprs(), array_envs())
     @settings(max_examples=300)
-    def test_compiled_and_kernel_text_match_evaluate(self, e, env):
-        with np.errstate(all="ignore"):
-            expected = _outcome(e.evaluate, env)
-            assert _same(_outcome(e.compile(), env), expected)
-            assert _same(_outcome(_kernel_fn(e), env), expected)
-
-    @given(conds(full_exprs(max_leaves=4)), array_envs())
-    @settings(max_examples=200)
-    def test_compiled_conditions_match_evaluate(self, c, env):
-        with np.errstate(all="ignore"):
-            expected = _outcome(c.evaluate, env)
-            for fn in (c.compile(), _kernel_fn(c)):
-                got = _outcome(fn, env)
-                assert got[0] == expected[0]
-                assert (bool(got[1]) == expected[1]) if got[0] == "value" else got == expected
+    def test_compiled_matches_evaluate(self, e, env):
+        # compile(), evaluate() and the kernel's text agree on every node kind
+        expected = _outcome(e.evaluate, env)
+        assert _same(_outcome(e.compile(), env), expected)
+        assert _same(_outcome(_kernel_fn(e), env), expected)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
     def test_non_finite_constants_compile(self, value):
@@ -226,6 +190,15 @@ class TestBoolExprCompile:
     def test_compiled_matches_evaluate(self, env):
         for c in self.CASES:
             assert c.compile()(env) == c.evaluate(env)
+
+    @given(conds(exprs(max_leaves=4)), envs())
+    @settings(max_examples=200)
+    def test_drawn_conditions_match_evaluate(self, c, env):
+        expected = _outcome(c.evaluate, env)
+        for fn in (c.compile(), _kernel_fn(c)):
+            got = _outcome(fn, env)
+            assert got[0] == expected[0]
+            assert (bool(got[1]) == expected[1]) if got[0] == "value" else got == expected
 
     def test_closure_is_cached(self):
         c = And.make(Lt(N, P), Ge(b, Const(1)))
