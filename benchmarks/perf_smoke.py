@@ -138,7 +138,7 @@ def _ir_sweep3d():
 
 def _sweep3d_am():
     factory, nprocs, machine, mode = _ir_sweep3d()
-    return lambda: Simulator(nprocs, factory, machine, mode=mode)
+    return lambda: Simulator(nprocs, factory, machine, mode=mode, backend="interpreted")
 
 
 def _ir_sim(ir_setup, backend):
@@ -181,7 +181,7 @@ def check_identity(label: str) -> None:
     """Both backends must produce byte-identical statistics on the IR
     workload before either is worth timing."""
     factory, nprocs, machine, mode = WORKLOADS[label]["identity"]()
-    interp = Simulator(nprocs, factory, machine, mode=mode).run()
+    interp = Simulator(nprocs, factory, machine, mode=mode, backend="interpreted").run()
     compiled = Simulator(nprocs, factory, machine, mode=mode, backend="compiled").run()
     if _stats_fingerprint(interp) != _stats_fingerprint(compiled):
         raise SystemExit(

@@ -82,7 +82,7 @@ def test_micro_interpreter_am_run(benchmark):
     def run():
         return Simulator(
             16, make_factory(compiled.simplified, inputs, wparams=w), IBM_SP,
-            mode=ExecMode.AM,
+            mode=ExecMode.AM, backend="interpreted",
         ).run()
 
     result = bench_timed(benchmark, run)

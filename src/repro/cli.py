@@ -162,14 +162,13 @@ def add_seed_arg(parser, help_: str | None = None) -> None:
                              "(reproducibility)")
 
 
-def add_backend_arg(parser, default: str | None = None) -> None:
+def add_backend_arg(parser) -> None:
     """``--backend``: simulation-kernel choice (results byte-identical)."""
     parser.add_argument("--backend", choices=("interpreted", "compiled", "auto"),
-                        default=default,
                         help="simulation kernel: generator interpreter, "
                              "per-program compiled event loop, or auto with "
                              "per-program fallback (results are byte-identical; "
-                             "default interpreted, or $REPRO_BACKEND)")
+                             "default auto, or $REPRO_BACKEND)")
 
 
 def _budget_kwargs(args) -> dict:
@@ -1016,9 +1015,7 @@ def cmd_query(args) -> int:
 
             store = ResultStore(args.store)
             try:
-                out = SimulationService(
-                    store, jobs=args.jobs, backend=args.backend,
-                ).handle_run(doc)
+                out = SimulationService(store, jobs=args.jobs).handle_run(doc)
             finally:
                 store.close()
         else:  # no cache anywhere: execute inline
@@ -1026,7 +1023,6 @@ def cmd_query(args) -> int:
 
             rec = execute_request(
                 run, machine=args.machine, calib_procs=args.calib_procs,
-                backend=args.backend,
                 **_budget_kwargs(args),
             )
             out = {"result": RunResult.from_record(rec).to_json(),
@@ -1071,6 +1067,7 @@ def cmd_profile(args) -> int:
         format_spans,
         write_perfetto,
     )
+    from .kernel import cache_stats, clear_cache
     from .workflow.campaign import request_runner
 
     request = request_from_args(args, nprocs=args.nprocs, mode=args.mode)
@@ -1085,14 +1082,10 @@ def cmd_profile(args) -> int:
         args.metrics = args.metrics or str(out_dir / "metrics.jsonl")
         args.trace = args.trace or str(out_dir / "trace.jsonl.gz")
         args.stats = args.stats or str(out_dir / "stats.csv")
-    if args.backend in ("compiled", "auto"):
-        from .kernel import cache_stats, clear_cache
-
-        clear_cache()  # the backend line counts the lowering this command does
+    clear_cache()  # the backend line counts the lowering this command does
     # The traced runs stay direct calls (a request carries no trace), on
     # the workflow the runner gives a run of this request.
-    runner = request_runner([request], args.machine, calib_procs=args.calib_procs,
-                            backend=args.backend)
+    runner = request_runner([request], args.machine, calib_procs=args.calib_procs)
     with _one_line_failure(request):
         wf = runner._workflow_for(request)
     estimator = {
@@ -1101,17 +1094,17 @@ def cmd_profile(args) -> int:
             inputs, nprocs, seed=request.seed, **kw),
     }[args.mode]
 
-    def inputs_at(nprocs: int) -> dict:
-        return runner._resolved_inputs(replace(request, nprocs=nprocs))
-
     def run_at(nprocs: int):
-        return estimator(inputs_at(nprocs), nprocs, collect_trace=True)
+        inputs = runner._resolved_inputs(replace(request, nprocs=nprocs))
+        return estimator(inputs, nprocs, collect_trace=True)
 
     TRACER.enable()
     METRICS.enable()
     try:
         with _one_line_failure(request):
             result = run_at(args.nprocs)
+            # the last run so far is this one: any calibration ran before it
+            run_span = [sp for sp in TRACER.spans if sp.name == "sim.run"][-1]
             scaling_traces = {args.nprocs: result.trace}
             if args.scaling_loss:
                 for p in args.procs:
@@ -1121,36 +1114,17 @@ def cmd_profile(args) -> int:
         TRACER.disable()
         METRICS.disable()
 
-    backend_lines = []
-    if args.backend in ("compiled", "auto"):
-        # One untraced run: a traced run always interprets, so the run
-        # above did; this one takes the compiled driver, and active=
-        # names what it ran.  The counters cover the whole command: the
-        # traced run lowered the program and kept the kernel (or the
-        # refusal) on it, which this run finds as a hit.
-        import time as _time
-
-        fallbacks = cache_stats()["fallbacks"]
-        inputs = inputs_at(args.nprocs)
-        t0 = _time.perf_counter()
-        fast = estimator(inputs, args.nprocs)
-        fast_wall = _time.perf_counter() - t0
-        ks = cache_stats()
-        active = "compiled"
-        if args.backend == "auto" and ks["fallbacks"] > fallbacks:
-            active = "interpreted (auto fell back)"
-        backend_lines = [
-            f"  backend: requested={args.backend} active={active}; "
-            f"lowered {ks['lowered']} program(s) in {ks['lowering_seconds'] * 1e3:.1f} ms, "
-            f"cache {ks['cache_hits']} hit(s) / {ks['cache_misses']} miss(es)",
-            f"  fast run: {fast.stats.total_events} events in {fast_wall:.3f} s wall "
-            f"({fast.stats.total_events / fast_wall:,.0f} events/s)",
-        ]
+    # the kernel the traced run ran, and the lowering the command did
+    ks = cache_stats()
+    active = run_span.attrs["backend"]
+    if "fallback" in run_span.attrs:
+        active += f" (fell back: {run_span.attrs['fallback']})"
 
     print(f"Profile: {args.app} ({args.mode}, {args.nprocs} procs, {args.machine})")
     print(f"  {result.stats.summary()}")
-    for line in backend_lines:
-        print(line)
+    print(f"  backend: active={active}; "
+          f"lowered {ks['lowered']} program(s) in {ks['lowering_seconds'] * 1e3:.1f} ms, "
+          f"cache {ks['cache_hits']} hit(s) / {ks['cache_misses']} miss(es)")
     print()
     print(format_spans(TRACER.spans))
     if args.critical_path:
@@ -1396,7 +1370,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tenant name sent as X-Tenant (admission control)")
     q.add_argument("--json", action="store_true",
                    help="print the raw JSON response document")
-    add_backend_arg(q)
     q.set_defaults(fn=cmd_query)
 
     ins = sub.add_parser(
@@ -1484,7 +1457,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--out", metavar="DIR",
                       help="collect all artifacts (Perfetto, metrics, trace, "
                            "stats CSV) under DIR with a manifest.json")
-    add_backend_arg(prof)
     return parser
 
 

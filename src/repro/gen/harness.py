@@ -173,9 +173,7 @@ def _backend_divergence(
     Two things count: different statistics bytes, or the compiled path
     crashing on a program the interpreted kernel just completed.  A
     strict ``compiled`` backend refusing a non-lowerable program is not
-    a divergence — ``auto`` covers that program via its fallback.  (A
-    traced run always interprets, so comparing traces would compare the
-    interpreter with itself.)
+    a divergence — ``auto`` covers that program via its fallback.
     """
     try:
         wf = _workflow(program, inputs, config, seed, backend=config.backend)
@@ -235,7 +233,8 @@ def run_case(
         )
 
     try:
-        wf = _workflow(program, inputs, config, seed)
+        # the interpreter is the reference every other backend is held to
+        wf = _workflow(program, inputs, config, seed, backend="interpreted")
         measured = wf.run_measured(inputs, config.nprocs, seed=seed + 101)
         de = wf.run_de(inputs, config.nprocs)
         am = wf.run_am(inputs, config.nprocs)
@@ -283,7 +282,7 @@ def run_case(
 
     if config.check_replay:
         try:
-            wf2 = _workflow(program, inputs, config, seed)
+            wf2 = _workflow(program, inputs, config, seed, backend="interpreted")
             measured2 = wf2.run_measured(inputs, config.nprocs, seed=seed + 101)
             de2 = wf2.run_de(inputs, config.nprocs)
             am2 = wf2.run_am(inputs, config.nprocs)

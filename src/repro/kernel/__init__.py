@@ -6,11 +6,14 @@ one entry point, ``fast_gen``: a flat per-rank driver for the
 simulator's one event loop, :func:`repro.sim.loop.run`, which runs it
 bare or armed, with or without faults and timeouts.  A calibration
 run binds the module's measure variant, which also feeds the run's
-``MeasurementCollector`` and ``BranchProfile``.
+``MeasurementCollector`` and ``BranchProfile``; a run that collects an
+event trace binds its traced variant, which records the compute and
+delay events the interpreter records.
 
-Select it per run with ``Simulator(..., backend="compiled")`` (or
-``"auto"``, which falls back per-program on unsupported constructs).
-Runs that collect a trace interpret the program under either.
+Every :class:`~repro.sim.engine.Simulator` run uses it by default
+(``backend="auto"``, which falls back per program on unsupported
+constructs); ``backend="interpreted"`` or ``REPRO_BACKEND=interpreted``
+selects the interpreter, the reference it is tested against.
 """
 
 from .lower import (

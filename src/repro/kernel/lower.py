@@ -24,18 +24,24 @@ emits flat Python source — one module per program — with one entry point:
     ``profile.record`` at each ``If``.  The plain module never emits
     them.
 
-Event traces need the interpreter, whose compute and delay requests a
-trace records: a traced run interprets the program instead (see
-:class:`repro.sim.engine.Simulator`).  The IR is immutable, so
-:func:`kernel_for` lowers each variant once per program object and keeps
-the module, or the reason it cannot lower, on the program
-(:meth:`~repro.ir.nodes.Program.derived`): a kernel dies with its
-program, and nothing writes generated code to disk.  :func:`clear_cache`
-only zeroes the counters.
+``fast_gen(..., trace_add)``
+    The traced variant (``trace=True``), for a run that collects an
+    event trace: the same code plus one ``trace_add`` call per compute
+    and delay event, where the Request driver of :mod:`repro.sim.loop`
+    records it and with the same fields.  It takes the trace's ``add``
+    after the measure variant's arguments, if any.  The plain and
+    measure modules never emit it, so untraced runs pay nothing.
+
+The IR is immutable, so :func:`kernel_for` lowers each variant once per
+program object, on first use, and keeps the module, or the reason it
+cannot lower, on the program (:meth:`~repro.ir.nodes.Program.derived`):
+a kernel dies with its program, and nothing writes generated code to
+disk.  :func:`clear_cache` only zeroes the counters.
 
 Anything the emitter cannot reproduce bit-for-bit raises
-:class:`UnsupportedConstructError`; ``backend="auto"`` catches it and
-falls back to the interpreter for that program (with a logged reason).
+:class:`UnsupportedConstructError`; ``backend="auto"`` (the default)
+catches it and falls back to the interpreter for that program (with a
+logged reason).
 """
 
 from __future__ import annotations
@@ -138,13 +144,14 @@ class CompiledKernel:
         return self._ns["fast_gen"]
 
 
-def kernel_for(program: Program, measure: bool = False) -> CompiledKernel:
+def kernel_for(program: Program, measure: bool = False, trace: bool = False) -> CompiledKernel:
     """Lower *program* once and keep the module on it.
 
-    *measure* selects the measure variant (see the module docstring),
-    kept under its own key next to the plain module.  A program that
-    failed to lower raises the same :class:`UnsupportedConstructError`
-    again, from what it keeps, without lowering again.
+    *measure* and *trace* select the measure and traced variants (see
+    the module docstring), each kept under its own key next to the plain
+    module.  A program that failed to lower raises the same
+    :class:`UnsupportedConstructError` again, from what it keeps,
+    without lowering again.
     """
     hit = True
 
@@ -153,11 +160,11 @@ def kernel_for(program: Program, measure: bool = False) -> CompiledKernel:
         hit = False
         _count("cache_misses")
         try:
-            return lower_program(program, measure)
+            return lower_program(program, measure, trace)
         except UnsupportedConstructError as exc:
             return str(exc)  # the message, not the exception and its frames
 
-    kept = program.derived(("kernel", measure), lower)
+    kept = program.derived(("kernel", measure, trace), lower)
     if hit:
         _count("cache_hits")
     if isinstance(kept, str):
@@ -165,15 +172,15 @@ def kernel_for(program: Program, measure: bool = False) -> CompiledKernel:
     return kept
 
 
-def lower_program(program: Program, measure: bool = False) -> CompiledKernel:
+def lower_program(program: Program, measure: bool = False, trace: bool = False) -> CompiledKernel:
     """Lower one program to a generated module (nothing kept)."""
     t0 = time.perf_counter()
     try:
         program.validate()
     except IRValidationError as exc:
         raise UnsupportedConstructError(f"program does not validate: {exc}") from exc
-    source = _Lowerer(program, measure).emit_module()
-    tag = "+measure" if measure else ""
+    source = _Lowerer(program, measure, trace).emit_module()
+    tag = ("+measure" if measure else "") + ("+trace" if trace else "")
     ns: dict = {}
     exec(compile(source, f"<repro.kernel:{program.name}{tag}>", "exec"), ns)
     dt = time.perf_counter() - t0
@@ -238,12 +245,15 @@ class _Lowerer:
     """Walks a validated program once, emitting its ``fast_gen``.
 
     With *measure* it emits the measure variant: the same code plus the
-    interpreter's collector and profile calls.
+    interpreter's collector and profile calls.  With *trace* it emits
+    the traced variant: the same code plus the Request driver's compute
+    and delay trace events.
     """
 
-    def __init__(self, program: Program, measure: bool = False):
+    def __init__(self, program: Program, measure: bool = False, trace: bool = False):
         self.program = program
         self.measure = measure
+        self.trace = trace
         # Names a handle variable: these must never be read as scalars
         # (the interpreter pops them from env; locals cannot replicate that).
         self.handle_vars: set[str] = set()
@@ -294,10 +304,12 @@ class _Lowerer:
         for (module, name), alias in self._kernels.items():
             parts.append(f"from {module} import {name} as {alias}")
         parts.append("")
+        args = "rank, size, inputs, wparams, _rt, _st"
         if self.measure:
-            parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st, _mc, _bp):")
-        else:
-            parts.append("def fast_gen(rank, size, inputs, wparams, _rt, _st):")
+            args += ", _mc, _bp"
+        if self.trace:
+            args += ", _tra"
+        parts.append(f"def fast_gen({args}):")
         parts.extend(fast_lines)
         parts.append("")
         return "\n".join(parts)
@@ -531,9 +543,16 @@ class _Lowerer:
             w.line(f"if 0 <= _ops < _INF and 0 <= {ws} < _INF:")
             with w.indented():
                 w.line(f"_dt = _tt(_ops, {ws})")
+                if self.trace:
+                    w.line("_ts = clock")
                 w.line("clock += _dt")
                 w.line("ct += _dt")
-                w.line("hc += _ops * _CHF + _EVOH")
+                if self.trace:
+                    w.line("_hx = _ops * _CHF + _EVOH")
+                    w.line("hc += _hx")
+                    w.line('_tra(proc=rank, kind="compute", start=_ts, end=clock, host_cost=_hx)')
+                else:
+                    w.line("hc += _ops * _CHF + _EVOH")
                 w.line("ev += 1")
             w.line("else:")
             w.line(f"    Compute(ops=_ops, working_set_bytes={ws}, task={stmt.name!r})")
@@ -610,10 +629,14 @@ class _Lowerer:
         w.line("_dy = max(float(_a), 0.0)")
         w.line("if _dy < _INF:")
         with w.indented():
+            if self.trace:
+                w.line("_ts = clock")
             w.line("clock += _dy")
             w.line("ct += _dy")
             w.line("hc += _DHC")
             w.line("ev += 1")
+            if self.trace:
+                w.line('_tra(proc=rank, kind="delay", start=_ts, end=clock, host_cost=_DHC)')
         w.line("else:")
         w.line(f"    Delay(seconds=_dy, task={stmt.task!r})")
 

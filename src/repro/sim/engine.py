@@ -28,9 +28,11 @@ live-but-blocked processes, the deadlock watchdog raises
 per-rank wait-chain diagnosis — instead of a bare error.
 
 :class:`Simulator` sets a run up and picks each rank's driver: the
-compiled ``fast_gen`` of a program the compiled backend lowers, or the
-Request driver over the program's generators.  Every run then drains
-through the one event loop, :func:`repro.sim.loop.run`.
+compiled ``fast_gen`` of every program that lowers, traced runs
+included, or the Request driver over the generators of one that does
+not (NAS SP's materialized arrays, raw :mod:`repro.mpi.api` programs).
+Every run then drains through the one event loop,
+:func:`repro.sim.loop.run`.
 """
 
 from __future__ import annotations
@@ -126,16 +128,17 @@ class Simulator:
         partial :class:`SimStats`, so a livelocked or pathological
         configuration terminates cleanly instead of hanging the caller.
     backend:
-        ``"interpreted"`` (default) walks the IR per rank per run;
-        ``"compiled"`` lowers the program once via :mod:`repro.kernel`
-        and errors if it cannot; ``"auto"`` tries the compiled backend
-        and falls back per-program with a logged reason.  Under either,
-        a run with ``collect_trace`` interprets the program
-        (``backend_fallback_reason`` says why).  A calibration run, whose
-        factory carries a ``MeasurementCollector`` or ``BranchProfile``,
-        lowers to the kernel's measure variant.  ``None`` reads
-        ``REPRO_BACKEND`` from the environment.  Results are
-        byte-identical across backends.
+        ``"auto"`` (default) lowers the program once via
+        :mod:`repro.kernel` and falls back to the interpreter for a
+        program that does not lower, with a logged reason
+        (``backend_fallback_reason``); ``"compiled"`` errors instead of
+        falling back; ``"interpreted"`` walks the IR per rank per run,
+        the reference the compiled kernel is tested against.  A
+        calibration run, whose factory carries a ``MeasurementCollector``
+        or ``BranchProfile``, lowers to the kernel's measure variant, and
+        a run with ``collect_trace`` to its traced variant.  ``None``
+        reads ``REPRO_BACKEND`` from the environment.  Results and traces
+        are byte-identical across backends.
     """
 
     def __init__(
@@ -185,7 +188,7 @@ class Simulator:
         self._budget = guard if guard.active else None
 
         if backend is None:
-            backend = os.environ.get("REPRO_BACKEND") or "interpreted"
+            backend = os.environ.get("REPRO_BACKEND") or "auto"
         if backend not in ("interpreted", "compiled", "auto"):
             raise ValueError(
                 f"backend must be 'interpreted', 'compiled' or 'auto', got {backend!r}"
@@ -203,12 +206,11 @@ class Simulator:
         """Bind the compiled kernel of *program_factory* if it can serve this run.
 
         ``requested`` is ``"compiled"`` (a program that does not lower
-        raises) or ``"auto"`` (it falls back with a logged reason).  Under
-        either, a run that collects a trace falls back as well: the
-        compiled program folds compute and delay into arithmetic and never
-        yields them.  A factory with a ``MeasurementCollector`` or a
-        ``BranchProfile`` attached binds the kernel's measure variant,
-        which feeds them as the interpreter does.
+        raises) or ``"auto"`` (it falls back with a logged reason).  A
+        factory with a ``MeasurementCollector`` or a ``BranchProfile``
+        attached binds the kernel's measure variant, which feeds them as
+        the interpreter does; a run that collects a trace binds the
+        traced variant, which records its compute and delay events.
         """
         from ..kernel import lower as _lower
 
@@ -217,19 +219,17 @@ class Simulator:
         profile = getattr(program_factory, "_repro_profile", None)
         measure = collector is not None or profile is not None
         reason = None
-        kernel = None
         if program is None:
             reason = "factory is not an IR program factory (raw generator function)"
         else:
             try:
-                kernel = _lower.kernel_for(program, measure=measure)
+                kernel = _lower.kernel_for(program, measure=measure,
+                                           trace=self.trace is not None)
             except _lower.UnsupportedConstructError as exc:
                 reason = str(exc)
-        if kernel is None and requested == "compiled":
-            raise ValueError(f"backend='compiled' cannot run this program: {reason}")
-        if reason is None and self.trace is not None:
-            reason = "an event trace is collected (compute and delay events need the interpreter)"
         if reason is not None:
+            if requested == "compiled":
+                raise ValueError(f"backend='compiled' cannot run this program: {reason}")
             _lower.record_fallback(
                 program.name if program is not None else "<raw factory>", reason
             )
@@ -245,6 +245,8 @@ class Simulator:
                 MeasurementCollector() if collector is None else collector,
                 BranchProfile() if profile is None else profile,
             )
+        if self.trace is not None:
+            self._kernel_args += (self.trace.add,)
         self.backend = "compiled"
 
     # -- public API ----------------------------------------------------------
@@ -270,7 +272,10 @@ class Simulator:
         # (the default) not even a no-op span object is built
         if not (TRACER.enabled or METRICS.enabled):
             return self._execute()
-        with TRACER.span("sim.run", mode=self.mode.value, nprocs=self.nprocs) as span:
+        with TRACER.span("sim.run", mode=self.mode.value, nprocs=self.nprocs,
+                         backend=self.backend) as span:
+            if self.backend_fallback_reason is not None:
+                span.set(fallback=self.backend_fallback_reason)
             result = self._execute()
             span.set_virtual(0.0, result.stats.elapsed)
             span.set(

@@ -376,8 +376,8 @@ def run(sim) -> SimStats:
     kernel = sim._kernel
     payloads = kernel is None  # result objects only for Request programs
     if kernel is not None:
-        inputs, wparams, *measure = sim._kernel_args
-        gens = [kernel.fast_gen(r, nprocs, inputs, wparams, rt, st[r], *measure)
+        inputs, wparams, *variant = sim._kernel_args  # measure/traced variant arguments
+        gens = [kernel.fast_gen(r, nprocs, inputs, wparams, rt, st[r], *variant)
                 for r in range(nprocs)]
     else:
         gens = [request_driver(g, r, rt, st[r], memory.free, trace)

@@ -981,7 +981,6 @@ def request_runner(
     retries: int = 0,
     retry_policy: str | None = None,
     resolver=None,
-    backend: str | None = None,
 ) -> CampaignRunner:
     """A journal-less runner for *requests* under one execution context.
 
@@ -997,7 +996,7 @@ def request_runner(
         max_virtual_time=max_virtual_time, max_wall_seconds=max_wall_seconds,
         retries=retries, retry_policy=retry_policy,
     )
-    config = CampaignConfig(request, calib_from_spec=True, backend=backend)
+    config = CampaignConfig(request, calib_from_spec=True)
     return CampaignRunner(config, out_dir=os.devnull, resolver=resolver)
 
 

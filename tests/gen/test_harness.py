@@ -14,6 +14,7 @@ from repro.gen.generator import (
 )
 from repro.gen.harness import DiffConfig, check_program, classify_faulty, run_case
 from repro.ir.builder import ProgramBuilder
+from repro.sim import ExecMode, Simulator
 from repro.symbolic import Const, Eq, Var
 
 CFG = DiffConfig()
@@ -52,6 +53,29 @@ class TestValidPrograms:
 
         verdict = check_program(generate_program(0), CFG)
         json.dumps(verdict.to_record())
+
+    def test_references_run_on_the_interpreter(self, monkeypatch):
+        """Under ``--backend compiled`` the measured, DE and AM references
+        (and their replays) run on the interpreter by name, not on the
+        default, which compiles; only the differential re-runs compile."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        ran = []
+        init = Simulator.__init__
+
+        def recording(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            ran.append((sim.mode, sim.backend))
+
+        monkeypatch.setattr(Simulator, "__init__", recording)
+        gp = generate_program(0)
+        verdict = run_case(gp.program, gp.inputs, DiffConfig(backend="compiled"), seed=gp.seed)
+        assert verdict.ok, verdict.detail
+        # the differential re-runs DE, then AM after its calibration run
+        reference, differential = ran[:-3], ran[-3:]
+        assert {mode for mode, _ in reference} == set(ExecMode)
+        assert {backend for _, backend in reference} == {"interpreted"}
+        assert differential == [(ExecMode.DE, "compiled"), (ExecMode.MEASURED, "compiled"),
+                                (ExecMode.AM, "compiled")]
 
     def test_deadlocking_program_flagged_not_raised(self):
         b = ProgramBuilder("orphan_recv")

@@ -2,11 +2,12 @@
 
 Every assertion here compares the *serialized* per-rank statistics (and,
 where collected, the trace event list) — the compiled backend's contract
-is byte-identity, not approximate agreement.  Faults and timeouts run on
-the compiled driver too; only trace collection needs the interpreter, so
-a compiled request for a traced run interprets the program and says why.
-Comp blocks with a Python kernel compile when the kernel is a top-level
-function with declared reads; both backends then call it alike.
+is byte-identity, not approximate agreement.  Faults, timeouts and trace
+collection run on the compiled driver too, and the reference every
+compiled run is held to is named ``backend="interpreted"``: the default,
+``auto``, compiles.  Comp blocks with a Python kernel compile when the
+kernel is a top-level function with declared reads; both backends then
+call it alike.
 """
 
 import json
@@ -99,17 +100,18 @@ FACTORIES = [ring, nonblocking, collective, kernel_block]
 @pytest.mark.parametrize("make", FACTORIES, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("mode", [ExecMode.DE, ExecMode.AM])
 def test_stats_identical(make, mode):
-    interp = Simulator(8, make(), M, mode=mode).run()
+    interp = Simulator(8, make(), M, mode=mode, backend="interpreted").run()
     compiled = Simulator(8, make(), M, mode=mode, backend="compiled").run()
     assert fingerprint(interp) == fingerprint(compiled)
 
 
 @pytest.mark.parametrize("make", FACTORIES, ids=lambda f: f.__name__)
 def test_traces_identical(make):
-    interp = Simulator(8, make(), M, mode=ExecMode.DE, collect_trace=True).run()
+    interp = Simulator(8, make(), M, mode=ExecMode.DE, collect_trace=True,
+                       backend="interpreted").run()
     sim = Simulator(8, make(), M, mode=ExecMode.DE, collect_trace=True, backend="compiled")
-    assert sim.backend == "interpreted"
-    assert "trace" in sim.backend_fallback_reason
+    assert sim.backend == "compiled"
+    assert sim.backend_fallback_reason is None
     compiled = sim.run()
     assert repr(interp.trace.events) == repr(compiled.trace.events)
     assert fingerprint(interp) == fingerprint(compiled)
@@ -122,15 +124,11 @@ def test_traces_identical(make):
     ("trace", {"collect_trace": True}),
 ])
 def test_engine_only_features_fall_back(backend, feature, kw):
-    """Only trace collection still interprets; faults and timeouts compile."""
+    """No engine feature falls back: faults, timeouts and traces compile."""
     sim = Simulator(4, ring(), M, mode=ExecMode.DE, backend=backend, **kw)
-    if feature == "trace":
-        assert sim.backend == "interpreted"
-        assert feature in sim.backend_fallback_reason
-    else:
-        assert sim.backend == "compiled"
-        assert sim.backend_fallback_reason is None
-    interp = Simulator(4, ring(), M, mode=ExecMode.DE, **kw).run()
+    assert sim.backend == "compiled"
+    assert sim.backend_fallback_reason is None
+    interp = Simulator(4, ring(), M, mode=ExecMode.DE, backend="interpreted", **kw).run()
     assert fingerprint(sim.run()) == fingerprint(interp)
 
 
@@ -215,7 +213,7 @@ class TestAuto:
     def test_auto_compiles_ir_programs(self):
         sim = Simulator(4, ring(), M, mode=ExecMode.DE, backend="auto")
         assert sim.backend == "compiled"
-        interp = Simulator(4, ring(), M, mode=ExecMode.DE).run()
+        interp = Simulator(4, ring(), M, mode=ExecMode.DE, backend="interpreted").run()
         assert fingerprint(sim.run()) == fingerprint(interp)
 
     def test_auto_falls_back_for_raw_generators(self):
@@ -235,7 +233,7 @@ class TestAuto:
         sim = Simulator(2, factory, M, mode=ExecMode.DE, backend="auto")
         assert sim.backend == "interpreted"
         assert "materialized" in sim.backend_fallback_reason
-        interp = Simulator(2, factory, M, mode=ExecMode.DE).run()
+        interp = Simulator(2, factory, M, mode=ExecMode.DE, backend="interpreted").run()
         assert fingerprint(sim.run()) == fingerprint(interp)
 
     @pytest.mark.parametrize("kernel, reads", [
@@ -250,7 +248,7 @@ class TestAuto:
         sim = Simulator(2, factory, M, mode=ExecMode.DE, backend="auto")
         assert sim.backend == "interpreted"
         assert "carries a Python kernel callable" in sim.backend_fallback_reason
-        interp = Simulator(2, factory, M, mode=ExecMode.DE).run()
+        interp = Simulator(2, factory, M, mode=ExecMode.DE, backend="interpreted").run()
         assert fingerprint(sim.run()) == fingerprint(interp)
 
 
@@ -270,3 +268,12 @@ class TestErrors:
         monkeypatch.setenv("REPRO_BACKEND", "compiled")
         sim = Simulator(4, ring(), M, mode=ExecMode.DE)
         assert sim.backend == "compiled"
+
+    @pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
+    def test_default_compiles_what_lowers(self, collect_trace, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        sim = Simulator(4, ring(), M, mode=ExecMode.DE, collect_trace=collect_trace)
+        assert (sim.backend, sim.backend_fallback_reason) == ("compiled", None)
+        monkeypatch.setenv("REPRO_BACKEND", "interpreted")
+        sim = Simulator(4, ring(), M, mode=ExecMode.DE, collect_trace=collect_trace)
+        assert (sim.backend, sim.backend_fallback_reason) == ("interpreted", None)

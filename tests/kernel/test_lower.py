@@ -125,9 +125,9 @@ class TestCache:
         # message; a fresh build lowers again
         lowered = []
 
-        def counting(program, measure=False):
+        def counting(program, measure=False, trace=False):
             lowered.append(program.name)
-            return lower_program(program, measure)
+            return lower_program(program, measure, trace)
 
         monkeypatch.setattr(lower_mod, "lower_program", counting)
         program = build_nas_sp()
@@ -156,6 +156,22 @@ class TestCache:
         assert (stats["cache_misses"], stats["cache_hits"]) == (2, 2)
         assert "def fast_gen(rank, size, inputs, wparams, _rt, _st, _mc, _bp):" in measure.source
         assert "_mc" not in plain.source and "_bp" not in plain.source
+
+    def test_traced_variant_cached_beside_the_others(self):
+        """A traced run's variant has its own key, lowered on first use;
+        neither the plain nor the measure module records trace events."""
+        program = ring_program()
+        plain = kernel_for(program)
+        measure = kernel_for(program, measure=True)
+        traced = kernel_for(program, trace=True)
+        both = kernel_for(program, measure=True, trace=True)
+        assert len({id(k) for k in (plain, measure, traced, both)}) == 4
+        assert kernel_for(program, trace=True) is traced
+        stats = cache_stats()
+        assert (stats["cache_misses"], stats["cache_hits"]) == (4, 1)
+        assert "def fast_gen(rank, size, inputs, wparams, _rt, _st, _tra):" in traced.source
+        assert "_rt, _st, _mc, _bp, _tra):" in both.source
+        assert "_tra" not in plain.source and "_tra" not in measure.source
 
     def test_record_fallback_counts(self):
         record_fallback("prog", "because")

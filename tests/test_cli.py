@@ -390,25 +390,36 @@ class TestProfileCommand:
         assert TRACER.enabled is False
         assert METRICS.enabled is False
 
-    @pytest.mark.parametrize("app, backend, active, lowered", [
-        ("sample_wavefront", "compiled", "compiled", 1),
-        ("sample_wavefront", "auto", "compiled", 1),
-        ("nas_sp", "auto", "interpreted (auto fell back)", 0),
-    ], ids=["wavefront-compiled", "wavefront-auto", "nas_sp-auto"])
+    NAS_SP_FALLBACK = ("interpreted (fell back: array 'cell_size_x' is materialized "
+                       "(data-dependent control flow))")
+
+    @pytest.mark.parametrize("app, env, active, lowered, cache", [
+        ("sample_wavefront", "interpreted", "interpreted", 0, "0 hit(s) / 0 miss(es)"),
+        ("sample_wavefront", "compiled", "compiled", 1, "0 hit(s) / 1 miss(es)"),
+        ("sample_wavefront", None, "compiled", 1, "0 hit(s) / 1 miss(es)"),
+        ("nas_sp", "interpreted", "interpreted", 0, "0 hit(s) / 0 miss(es)"),
+        ("nas_sp", None, NAS_SP_FALLBACK, 0, "0 hit(s) / 1 miss(es)"),
+    ], ids=["wavefront-interpreted", "wavefront-compiled", "wavefront-auto",
+            "nas_sp-interpreted", "nas_sp-auto"])
     def test_backend_line_counts_the_lowering_the_command_did(
-            self, app, backend, active, lowered, monkeypatch, capsys):
-        """``active=`` names what the untraced run ran; the counters cover
-        the whole command, whose traced run lowers a fresh program (or
-        keeps its refusal), which the untraced run then finds."""
+            self, app, env, active, lowered, cache, monkeypatch, capsys):
+        """``active=`` names the kernel the traced run ran, read from its
+        ``sim.run`` span; the counters cover the whole command, whose
+        traced run lowers a fresh program (or keeps its refusal).  Under
+        ``REPRO_BACKEND=compiled`` NAS SP refuses (TestRefusedRunOneLine)."""
         monkeypatch.setattr(apps, "_BUILT", {})
-        assert main(["profile", app, "--nprocs", "4", "--backend", backend]) == 0
+        if env is None:
+            monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", env)
+        assert main(["profile", app, "--nprocs", "4"]) == 0
         line = next(x for x in capsys.readouterr().out.splitlines() if "backend:" in x)
-        m = re.fullmatch(r"  backend: requested=(\S+) active=(.+); lowered (\d+) "
+        m = re.fullmatch(r"  backend: active=(.+); lowered (\d+) "
                          r"program\(s\) in (\d+\.\d) ms, cache (.+)", line)
         assert m, line
-        assert m.group(1, 2, 5) == (backend, active, "1 hit(s) / 1 miss(es)")
-        assert int(m.group(3)) == lowered
-        assert (float(m.group(4)) > 0) == (lowered > 0)
+        assert m.group(1, 4) == (active, cache)
+        assert int(m.group(2)) == lowered
+        assert (float(m.group(3)) > 0) == (lowered > 0)
 
     def test_am_mode(self, capsys):
         assert main(["profile", "tomcatv", "--nprocs", "4", "--mode", "am",
@@ -428,8 +439,7 @@ class TestRefusedRunOneLine:
     NOT_SQUARE = "NAS SP requires a square number of processes, got 3"
 
     @pytest.mark.parametrize("argv, described, reason", [
-        (["profile", "nas_sp", "--nprocs", "4", "--backend", "compiled"],
-         "nas_sp/de P=4", COMPILED),
+        (["profile", "nas_sp", "--nprocs", "4"], "nas_sp/de P=4", COMPILED),
         (["profile", "nas_sp", "--nprocs", "4", "--mode", "am", "--calib-procs", "4"],
          "nas_sp/am P=4", COMPILED),
         (["calibrate", "nas_sp", "--calib-procs", "4"], "nas_sp/am P=4", COMPILED),
@@ -439,8 +449,7 @@ class TestRefusedRunOneLine:
           "--method", "taskgraph"], "nas_sp/am P=4", COMPILED),
         (["predict", "nas_sp", "--procs", "4", "--calib-procs", "4", "--method", "am"],
          "nas_sp/am P=4", COMPILED),
-        (["profile", "nas_sp", "--nprocs", "3", "--backend", "interpreted"],
-         "nas_sp/de P=3", NOT_SQUARE),
+        (["profile", "nas_sp", "--nprocs", "3"], "nas_sp/de P=3", NOT_SQUARE),
     ], ids=["profile", "profile-am", "calibrate", "predict-sum", "predict-taskgraph",
             "predict-am", "profile-not-square"])
     def test_one_line_and_exit_1(self, argv, described, reason, tmp_path, monkeypatch,

@@ -62,7 +62,7 @@ def builds(monkeypatch):
     return calls
 
 
-def test_shared_program_changes_no_result(tmp_path, builds):
+def test_shared_program_changes_no_result(tmp_path, builds, monkeypatch):
     shared = {app: resolve_app(app)[0] for app in SERVE_APPS}
     before = {app: format_program(p) for app, p in shared.items()}
 
@@ -91,9 +91,9 @@ def test_shared_program_changes_no_result(tmp_path, builds):
         assert format_program(program) == before[app]
 
     apps._BUILT.clear()
+    monkeypatch.setenv("REPRO_BACKEND", "interpreted")
     for (app, mode), want in served.items():
-        rec = execute_request(request(app, mode), calib_procs=CALIB_PROCS,
-                              backend="interpreted")
+        rec = execute_request(request(app, mode), calib_procs=CALIB_PROCS)
         assert canonical_json(RunResult.from_record(rec).to_json()) == want, (app, mode)
     assert builds == dict.fromkeys(SERVE_APPS, 2)
 

@@ -85,7 +85,7 @@ def am_miss(grain: int) -> None:
     it, compiles and simulates, as a ``repro serve`` miss does."""
     request = RunRequest(app=MISS_APP, mode="am", nprocs=MISS_NPROCS, seed=SEED,
                          inputs=(("grain", grain), ("iters", 3), ("msg", 2048)))
-    runner = request_runner([request], calib_procs=MISS_CALIB_PROCS, backend="auto")
+    runner = request_runner([request], calib_procs=MISS_CALIB_PROCS)
     record = runner.run_one(request)
     assert record.outcome == "ok", record.error
 
