@@ -37,7 +37,6 @@ from ..sim.requests import (
     Irecv,
     Isend,
     Now,
-    ReceivedMessage,
     Recv,
     RequestHandle,
     Send,
@@ -67,6 +66,49 @@ class AnalyticPrediction:
         return self.elapsed / mean if mean > 0 else 1.0
 
 
+def isolated_requests(
+    program: Program,
+    inputs: dict,
+    nprocs: int,
+    wparams: dict[str, float] | None = None,
+):
+    """Every rank's requests, rank after rank, each rank run on its own.
+
+    Yields ``(rank, request, hid)``, where *hid* numbers the handle of a
+    non-blocking send or receive as the event loop would (from 1 on each
+    rank) and is ``None`` for any other request.  No partner answers, so
+    the walk hands the interpreter the replies it reads: each handle, the
+    parameter dict for the parameter broadcast (a non-root rank never
+    sees root's payload), no data for other collectives and a zero
+    clock.  Both analytic predictors price this walk.
+    """
+    factory = make_factory(program, inputs, wparams=wparams)
+    for rank in range(nprocs):
+        gen = factory(rank, nprocs)
+        value = None
+        hid = 0
+        while True:
+            try:
+                req = gen.send(value)
+            except StopIteration:
+                break
+            value = None
+            ty = type(req)
+            if ty is Isend or ty is Irecv:
+                hid += 1
+                value = RequestHandle(hid, "send" if ty is Isend else "recv")
+                yield rank, req, hid
+                continue
+            yield rank, req, None
+            if ty is Collective:
+                data = None
+                if req.op == "bcast":
+                    data = req.data if req.data is not None else dict(wparams or {})
+                value = CollectiveResult(data, 0.0)
+            elif ty is Now:
+                value = 0.0
+
+
 def analytic_predict(
     program: Program,
     inputs: dict,
@@ -77,70 +119,23 @@ def analytic_predict(
     """Price *program* rank by rank with closed-form models only."""
     cpu = CpuModel(machine.cpu)
     net = NetworkModel(machine.net)
-    factory = make_factory(program, inputs, wparams=wparams)
-    totals, computes, comms = [], [], []
-    for rank in range(nprocs):
-        t_comp = 0.0
-        t_comm = 0.0
-        gen = factory(rank, nprocs)
-        value = None
-        hid = 0
-        try:
-            while True:
-                req = gen.send(value)
-                value = None
-                ty = type(req)
-                if ty is Compute:
-                    t_comp += cpu.task_time(req.ops, req.working_set_bytes)
-                elif ty is Delay:
-                    t_comp += req.seconds
-                elif ty is Send:
-                    t_comm += net.send_overhead(req.nbytes)
-                elif ty is Recv:
-                    n = req.nbytes_hint
-                    t_comm += net.transit_time(n) + net.recv_overhead(n)
-                    value = ReceivedMessage(data=None, nbytes=n, source=0, tag=req.tag, now=0.0)
-                elif ty is Isend:
-                    t_comm += net.send_overhead(req.nbytes)
-                    hid += 1
-                    value = RequestHandle(hid, "send")
-                elif ty is Irecv:
-                    # the message cost is charged here; Wait is then free
-                    n = req.nbytes_hint
-                    t_comm += net.transit_time(n) + net.recv_overhead(n)
-                    hid += 1
-                    value = RequestHandle(hid, "recv")
-                elif ty is Wait:
-                    value = [
-                        ReceivedMessage(data=None, nbytes=0, source=0, tag=0, now=0.0)
-                        if h.kind == "recv"
-                        else 0.0
-                        for h in req.handles
-                    ]
-                elif ty is Collective:
-                    t_comm += net.collective_time(req.op, req.nbytes, nprocs)
-                    value = CollectiveResult(data=_collective_stub(req, wparams), now=0.0)
-                elif ty in (Alloc, Free):
-                    pass
-                elif ty is Now:
-                    value = t_comp + t_comm
-                else:
-                    raise TypeError(f"analytic predictor cannot price {req!r}")
-        except StopIteration:
-            pass
-        totals.append(t_comp + t_comm)
-        computes.append(t_comp)
-        comms.append(t_comm)
-    return AnalyticPrediction(tuple(totals), tuple(computes), tuple(comms))
-
-
-def _collective_stub(req: Collective, wparams: dict | None):
-    """A result payload good enough for the simplified programs: the
-    parameter broadcast needs its dict back on every rank (the executor
-    runs each rank in isolation, so non-root ranks never see root's
-    payload); everything else is timing-only."""
-    if req.op == "bcast":
-        if req.data is not None:
-            return req.data
-        return dict(wparams or {})
-    return None
+    computes = [0.0] * nprocs
+    comms = [0.0] * nprocs
+    for rank, req, _ in isolated_requests(program, inputs, nprocs, wparams):
+        ty = type(req)
+        if ty is Compute:
+            computes[rank] += cpu.task_time(req.ops, req.working_set_bytes)
+        elif ty is Delay:
+            computes[rank] += req.seconds
+        elif ty is Send or ty is Isend:
+            comms[rank] += net.send_overhead(req.nbytes)
+        elif ty is Recv or ty is Irecv:
+            # the message cost is charged here; Wait is then free
+            n = req.nbytes_hint
+            comms[rank] += net.transit_time(n) + net.recv_overhead(n)
+        elif ty is Collective:
+            comms[rank] += net.collective_time(req.op, req.nbytes, nprocs)
+        elif ty not in (Wait, Alloc, Free, Now):
+            raise TypeError(f"analytic predictor cannot price {req!r}")
+    totals = tuple(comp + comm for comp, comm in zip(computes, comms))
+    return AnalyticPrediction(totals, tuple(computes), tuple(comms))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir.interp import make_factory
 from ..ir.nodes import Program
 from ..machine import CpuModel, MachineParams, NetworkModel
 from ..sim.requests import (
@@ -28,19 +27,17 @@ from ..sim.requests import (
     ANY_TAG,
     Alloc,
     Collective,
-    CollectiveResult,
     Compute,
     Delay,
     Free,
     Irecv,
     Isend,
     Now,
-    ReceivedMessage,
     Recv,
-    RequestHandle,
     Send,
     Wait,
 )
+from .predictor import isolated_requests
 
 __all__ = ["TaskGraphPrediction", "taskgraph_predict"]
 
@@ -74,7 +71,6 @@ def taskgraph_predict(
     """Expand *program*'s dynamic task graph and take its longest path."""
     cpu = CpuModel(machine.cpu)
     net = NetworkModel(machine.net)
-    factory = make_factory(program, inputs, wparams=wparams)
 
     nodes: list[_Node] = []
     last_of_rank: list[int | None] = [None] * nprocs
@@ -119,69 +115,41 @@ def taskgraph_predict(
         else:
             pending_recvs.setdefault(key, []).append(nid)
 
-    for rank in range(nprocs):
-        gen = factory(rank, nprocs)
-        value = None
-        hid = 0
-        handle_nodes: dict[int, int] = {}
-        coll_count = 0
-        try:
-            while True:
-                req = gen.send(value)
-                value = None
-                ty = type(req)
-                if ty is Compute:
-                    new_node(rank, cpu.task_time(req.ops, req.working_set_bytes))
-                elif ty is Delay:
-                    new_node(rank, req.seconds)
-                elif ty is Send:
-                    nid = new_node(rank, net.send_overhead(req.nbytes))
-                    match_send(rank, req.dest, req.tag, req.nbytes, nid)
-                elif ty is Recv:
-                    nid = new_node(rank, net.recv_overhead(req.nbytes_hint))
-                    match_recv(rank, req.source, req.tag, nid)
-                    value = ReceivedMessage(None, req.nbytes_hint, req.source, req.tag, 0.0)
-                elif ty is Isend:
-                    nid = new_node(rank, net.send_overhead(req.nbytes))
-                    match_send(rank, req.dest, req.tag, req.nbytes, nid)
-                    hid += 1
-                    handle_nodes[hid] = nid
-                    value = RequestHandle(hid, "send")
-                elif ty is Irecv:
-                    # off-chain node: the completion joins at the Wait
-                    nid = new_node(rank, net.recv_overhead(req.nbytes_hint), chain=False)
-                    if last_of_rank[rank] is not None:
-                        nodes[nid].deps.append((last_of_rank[rank], 0.0))
-                    match_recv(rank, req.source, req.tag, nid)
-                    hid += 1
-                    handle_nodes[hid] = nid
-                    value = RequestHandle(hid, "recv")
-                elif ty is Wait:
-                    nid = new_node(rank, 0.0)
-                    results = []
-                    for h in req.handles:
-                        nodes[nid].deps.append((handle_nodes.pop(h.hid), 0.0))
-                        results.append(
-                            ReceivedMessage(None, 0, 0, 0, 0.0) if h.kind == "recv" else 0.0
-                        )
-                    value = results
-                elif ty is Collective:
-                    nid = new_node(rank, 0.0)
-                    colls.setdefault(coll_count, []).append(nid)
-                    coll_meta[coll_count] = (
-                        req.op,
-                        max(req.nbytes, coll_meta.get(coll_count, ("", 0))[1]),
-                    )
-                    coll_count += 1
-                    value = CollectiveResult(_stub(req, wparams), 0.0)
-                elif ty in (Alloc, Free):
-                    pass
-                elif ty is Now:
-                    value = 0.0
-                else:
-                    raise TypeError(f"task-graph predictor cannot expand {req!r}")
-        except StopIteration:
-            pass
+    handle_nodes: dict[tuple[int, int], int] = {}  # (rank, hid) -> node id
+    coll_count = [0] * nprocs  # collectives each rank has issued
+    for rank, req, hid in isolated_requests(program, inputs, nprocs, wparams):
+        ty = type(req)
+        if ty is Compute:
+            new_node(rank, cpu.task_time(req.ops, req.working_set_bytes))
+        elif ty is Delay:
+            new_node(rank, req.seconds)
+        elif ty is Send or ty is Isend:
+            nid = new_node(rank, net.send_overhead(req.nbytes))
+            match_send(rank, req.dest, req.tag, req.nbytes, nid)
+            if hid is not None:
+                handle_nodes[rank, hid] = nid
+        elif ty is Recv:
+            nid = new_node(rank, net.recv_overhead(req.nbytes_hint))
+            match_recv(rank, req.source, req.tag, nid)
+        elif ty is Irecv:
+            # off-chain node: the completion joins at the Wait
+            nid = new_node(rank, net.recv_overhead(req.nbytes_hint), chain=False)
+            if last_of_rank[rank] is not None:
+                nodes[nid].deps.append((last_of_rank[rank], 0.0))
+            match_recv(rank, req.source, req.tag, nid)
+            handle_nodes[rank, hid] = nid
+        elif ty is Wait:
+            nid = new_node(rank, 0.0)
+            for h in req.handles:
+                nodes[nid].deps.append((handle_nodes.pop((rank, h.hid)), 0.0))
+        elif ty is Collective:
+            idx = coll_count[rank]
+            coll_count[rank] += 1
+            nid = new_node(rank, 0.0)
+            colls.setdefault(idx, []).append(nid)
+            coll_meta[idx] = (req.op, max(req.nbytes, coll_meta.get(idx, ("", 0))[1]))
+        elif ty not in (Alloc, Free, Now):
+            raise TypeError(f"task-graph predictor cannot expand {req!r}")
 
     unmatched = sum(len(v) for v in pending_sends.values()) + sum(
         len(v) for v in pending_recvs.values()
@@ -232,9 +200,3 @@ def taskgraph_predict(
     return TaskGraphPrediction(
         elapsed=elapsed, nodes=len(nodes), messages=messages, critical_rank=critical_rank
     )
-
-
-def _stub(req: Collective, wparams):
-    if req.op == "bcast":
-        return req.data if req.data is not None else dict(wparams or {})
-    return None
