@@ -24,7 +24,6 @@ The capture records ``time.time()`` at the same instant, letting
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path

@@ -116,11 +116,6 @@ class BudgetGuard:
             "wall_seconds": wall,
         }
 
-    def note_event(self, t: float) -> tuple[str, float, float] | None:
-        """Account one kernel event at virtual time *t*; see :meth:`violation`."""
-        self.events += 1
-        return self.violation(t)
-
     def violation(self, t: float) -> tuple[str, float, float] | None:
         """The first budget a run at ``events`` events and virtual time *t*
         exceeds, as ``(kind, limit, observed)``, else ``None``.

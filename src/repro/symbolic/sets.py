@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 
 from .boolean import TRUE, BoolExpr, Ge, Le, as_bool_expr
-from .expr import Expr, ExprLike, Number, Var, as_expr
+from .expr import ExprLike, Number, Var, as_expr
 
 __all__ = ["ProcessSet", "RankMapping", "all_processes", "RANK"]
 

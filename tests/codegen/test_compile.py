@@ -28,7 +28,6 @@ from repro.ir import (
 )
 from repro.machine import TESTING_MACHINE
 from repro.sim import ExecMode, Simulator
-from repro.stg import condense
 from repro.symbolic import Gt, Lt, Max, Min, Var, ceil_div
 
 N = Var("N")

@@ -19,7 +19,6 @@ from repro.codegen import compile_program, generate_instrumented
 from repro.ir import MeasurementCollector, ProgramBuilder, make_factory, myid, P
 from repro.machine import NetworkModel, TESTING_MACHINE
 from repro.sim import ExecMode, Simulator
-from repro.stg import condense, w_param
 from repro.symbolic import Eq, Gt, Lt, Mod, Var
 
 M = TESTING_MACHINE

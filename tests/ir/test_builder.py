@@ -3,7 +3,6 @@
 import pytest
 
 from repro.ir import (
-    CompBlock,
     For,
     If,
     IRValidationError,

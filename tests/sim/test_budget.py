@@ -47,17 +47,19 @@ class TestGuardValidation:
     def test_guard_reports_first_violation(self):
         guard = BudgetGuard(max_events=2, max_virtual_time=10.0)
         guard.start()
-        assert guard.note_event(0.5) is None
-        assert guard.note_event(0.6) is None
-        kind, limit, observed = guard.note_event(0.7)
+        guard.events = 2
+        assert guard.violation(0.6) is None
+        guard.events = 3
+        kind, limit, observed = guard.violation(0.7)
         assert kind == "events" and limit == 2.0 and observed == 3.0
 
-    def test_note_event_without_start_arms_wall_clock_lazily(self):
+    def test_violation_without_start_arms_wall_clock_lazily(self):
         # a direct caller that skips start() must not get a spurious
         # wall_time violation measured from the perf_counter epoch
         guard = BudgetGuard(max_wall_seconds=60.0)
-        assert guard.note_event(0.0) is None
-        assert guard._wall_start is not None  # armed at the first event
+        guard.events = 1
+        assert guard.violation(0.0) is None
+        assert guard._wall_start is not None  # armed at the first check
 
 
 class TestEventsBudget:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir import BranchProfile, ProgramBuilder, myid, P
+from repro.ir import BranchProfile, ProgramBuilder, myid
 from repro.stg import condense, w_param
 from repro.symbolic import Gt, Var
 
