@@ -1,4 +1,10 @@
-"""Integration tests: IR interpreter running on the simulation kernel."""
+"""Integration tests: IR interpreter running on the simulation kernel.
+
+Every run names ``backend="interpreted"``: the interpreter is the
+reference the compiled kernel is held to, and the default compiles
+whatever lowers.  The two error tests also hold the kernel to the
+interpreter's message.
+"""
 
 from dataclasses import replace
 
@@ -22,9 +28,9 @@ N = Var("N")
 M = TESTING_MACHINE
 
 
-def run(prog, nprocs, inputs, mode=ExecMode.DE, **kw):
+def run(prog, nprocs, inputs, mode=ExecMode.DE, backend="interpreted", **kw):
     factory = make_factory(prog, inputs, **kw)
-    return Simulator(nprocs, factory, M, mode=mode).run()
+    return Simulator(nprocs, factory, M, mode=mode, backend=backend).run()
 
 
 def build_shift():
@@ -172,8 +178,9 @@ class TestGeneratedStatements:
 
     def test_read_params_missing_raises(self):
         prog = replace(ProgramBuilder("d").build(), body=(ReadParams(("w_t",)),))
-        with pytest.raises(InterpreterError, match="parameter file lacks"):
-            run(prog, 1, {}, wparams={})
+        for backend in ("interpreted", "compiled"):
+            with pytest.raises(InterpreterError, match="parameter file lacks"):
+                run(prog, 1, {}, wparams={}, backend=backend)
 
     def test_negative_delay_clamped(self):
         prog = replace(ProgramBuilder("d").build(), body=(
@@ -195,8 +202,9 @@ class TestGeneratedStatements:
 
     def test_stop_without_start_raises(self):
         prog = replace(ProgramBuilder("t").build(), body=(StopTimer("x"),))
-        with pytest.raises(InterpreterError, match="without timer_start"):
-            run(prog, 1, {})
+        for backend in ("interpreted", "compiled"):
+            with pytest.raises(InterpreterError, match="without timer_start"):
+                run(prog, 1, {}, backend=backend)
 
 
 class TestErrors:

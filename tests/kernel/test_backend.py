@@ -124,12 +124,17 @@ def test_traces_identical(make):
     ("trace", {"collect_trace": True}),
 ])
 def test_engine_only_features_fall_back(backend, feature, kw):
-    """No engine feature falls back: faults, timeouts and traces compile."""
+    """The features that once sent a run to the interpreter (hence the
+    name) no longer do: fault plans, timeouts and traces compile, on
+    ``compiled`` and on the default, and match the interpreter."""
     sim = Simulator(4, ring(), M, mode=ExecMode.DE, backend=backend, **kw)
     assert sim.backend == "compiled"
     assert sim.backend_fallback_reason is None
     interp = Simulator(4, ring(), M, mode=ExecMode.DE, backend="interpreted", **kw).run()
-    assert fingerprint(sim.run()) == fingerprint(interp)
+    compiled = sim.run()
+    assert fingerprint(compiled) == fingerprint(interp)
+    if compiled.trace is not None:
+        assert repr(compiled.trace.events) == repr(interp.trace.events)
 
 
 SWEEP_FEATURES = {

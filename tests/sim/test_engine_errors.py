@@ -238,4 +238,4 @@ class TestExceptionPropagation:
 
         prog = replace(ProgramBuilder("bad").build(), body=(StopTimer("never_started"),))
         with pytest.raises(InterpreterError):
-            run(1, make_factory(prog, {}))
+            run(1, make_factory(prog, {}), backend="interpreted")
