@@ -8,7 +8,6 @@ dominates.  Reproduced shape: AM error at the communication-heavy end
 exceeds the compute-heavy end for both patterns.
 """
 
-import pytest
 from _common import emit, run_experiment, shape_note
 
 from repro.workflow import format_table

@@ -10,7 +10,7 @@ machine (and total problem) grows, with measured values at small scale.
 
 from _common import emit, run_experiment, shape_note
 
-from repro.apps import build_sweep3d, sweep3d_per_proc_inputs
+from repro.apps import sweep3d_per_proc_inputs
 from repro.machine import IBM_SP, MiB
 from repro.parallel import estimate_program_memory, max_feasible_procs
 from repro.workflow import format_table

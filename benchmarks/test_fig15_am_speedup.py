@@ -9,7 +9,7 @@ decreased computation to communication ratio in the application."
 from _common import emit, run_experiment, shape_note
 
 from repro.workflow import format_table
-from test_fig14_parallel_performance import HOSTS, fig14_data  # noqa: F401
+from test_fig14_parallel_performance import fig14_data  # noqa: F401
 
 
 def test_fig15_am_speedup(benchmark, fig14_data):  # noqa: F811

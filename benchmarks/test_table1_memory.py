@@ -14,7 +14,6 @@ effect; totals including the kernel's per-thread state are also
 reported.  One row is cross-checked against a live simulation.
 """
 
-import pytest
 from _common import emit, run_experiment, shape_note
 
 from repro.apps import (

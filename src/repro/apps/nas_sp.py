@@ -43,19 +43,25 @@ SOLVE_OPS = 22.0  # per cell per direction: forward elim + back subst
 ADD_OPS = 5.0  # solution update per cell
 
 
-def _cell_size_kernel(axis_param: str, parts_param: str, target: str):
-    """Kernel computing the NPB-style cell-size table for one axis:
-    sizes differ by at most one (remainder spread over low coords)."""
+def _fill_cell_sizes(arr, total, parts) -> None:
+    """The NPB-style cell-size table for one axis: sizes differ by at
+    most one (remainder spread over low coords)."""
+    parts = int(parts)
+    base, rem = divmod(int(total), parts)
+    for i in range(parts):
+        arr[i] = base + (1 if i < rem else 0)
 
-    def kernel(env, arrays):
-        total = int(env[axis_param])
-        parts = int(env[parts_param])
-        base, rem = divmod(total, parts)
-        arr = arrays[target]
-        for i in range(parts):
-            arr[i] = base + (1 if i < rem else 0)
 
-    return kernel
+# The ArrayAssign kernels: top-level functions with declared reads
+# (``nx``, ``q``), so the compiled kernel imports them by name.
+
+
+def cell_size_x_kernel(env, arrays):
+    _fill_cell_sizes(arrays["cell_size_x"], env["nx"], env["q"])
+
+
+def cell_size_y_kernel(env, arrays):
+    _fill_cell_sizes(arrays["cell_size_y"], env["nx"], env["q"])
 
 
 def build_nas_sp() -> "Program":
@@ -81,8 +87,8 @@ def build_nas_sp() -> "Program":
     b.array("cell_size_y", size=q, itemsize=8, materialize=True)
 
     ip, jp = grid_coords(b, q)
-    b.array_assign("cell_size_x", _cell_size_kernel("nx", "q", "cell_size_x"), reads={"nx", "q"}, work=q)
-    b.array_assign("cell_size_y", _cell_size_kernel("nx", "q", "cell_size_y"), reads={"nx", "q"}, work=q)
+    b.array_assign("cell_size_x", cell_size_x_kernel, reads={"nx", "q"}, work=q)
+    b.array_assign("cell_size_y", cell_size_y_kernel, reads={"nx", "q"}, work=q)
     csx = Index.make("cell_size_x", ip)
     csy = Index.make("cell_size_y", jp)
     cells = csx * csy * nx

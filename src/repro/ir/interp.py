@@ -261,19 +261,20 @@ def _working_set(state: _State, block: CompBlock) -> float:
     return ws
 
 
-def _call_kernel(block: CompBlock, env: dict, arrays: dict) -> None:
-    """Run *block*'s kernel as the compiled backend does.
+def _call_kernel(kernel, reads: frozenset, writes, env: dict, arrays: dict) -> None:
+    """Run a comp block's or an ``ArrayAssign``'s kernel as the compiled
+    backend does.
 
-    A block that declares its reads hands the kernel a dict of exactly
-    those scalars and copies back exactly its declared writes; one that
-    declares none hands it the whole environment.
+    A kernel with declared *reads* gets a dict of exactly those names,
+    and exactly its declared *writes* are copied back from it; one that
+    declares none gets the whole environment (and does not lower).
     """
-    if not block.reads_:
-        block.kernel(env, arrays)
+    if not reads:
+        kernel(env, arrays)
         return
-    kenv = {n: env[n] for n in sorted(block.reads_)}
-    block.kernel(kenv, arrays)
-    for n in sorted(block.writes_):
+    kenv = {n: env[n] for n in sorted(reads)}
+    kernel(kenv, arrays)
+    for n in sorted(writes):
         env[n] = kenv[n]
 
 
@@ -301,7 +302,7 @@ def _exec(stmts: list[Stmt], state: _State):
             if work < 0:
                 work = 0
             if s.kernel is not None:
-                _call_kernel(s, env, state.arrays)
+                _call_kernel(s.kernel, s.reads_, s.writes_, env, state.arrays)
             if work > 0:
                 yield Compute(
                     ops=work * s.ops_per_iter,
@@ -367,7 +368,7 @@ def _exec(stmts: list[Stmt], state: _State):
                 raise InterpreterError(
                     f"ArrayAssign target {s.array!r} is not a materialized array"
                 )
-            s.kernel(env, state.arrays)
+            _call_kernel(s.kernel, s.reads_, (), env, state.arrays)
             work = _cfn(s.work)(env)
             if work > 0:
                 yield Compute(ops=float(work), working_set_bytes=state.sizes[s.array])

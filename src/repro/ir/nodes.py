@@ -165,8 +165,15 @@ class ArrayAssign(Stmt):
     """Compute a small (materialized) array with an attached kernel.
 
     ``kernel(env, arrays)`` must fill ``arrays[array]``; ``reads_``
-    declares its inputs (scalars and other arrays).  ``work`` prices the
-    computation (usually negligible).
+    declares its inputs (scalars and materialized arrays).  ``work``,
+    evaluated after the kernel runs, prices the computation (usually
+    negligible).
+
+    The kernel contract is a comp block's: when ``reads_`` is declared,
+    ``env`` holds exactly those names, and nothing is copied back from
+    it; such a statement lowers to the compiled backend if its kernel
+    is a top-level function.  With no declared reads the kernel gets
+    the whole environment, which only the interpreter has.
     """
 
     array: str

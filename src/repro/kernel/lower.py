@@ -32,6 +32,15 @@ emits flat Python source — one module per program — with one entry point:
     after the measure variant's arguments, if any.  The plain and
     measure modules never emit it, so untraced runs pay nothing.
 
+Materialized arrays (NAS SP's per-rank cell sizes, Sec. 3.3 of the
+paper) are per-rank NumPy arrays that the generated code owns: each is
+created where the interpreter creates it, bound to its ``v_<name>``
+local for ``Index`` reads and kept in the per-rank array dict the
+kernels receive.  An ``ArrayAssign`` calls its kernel like a comp
+block's, with exactly its declared reads, and prices its work inline.
+A kernel lowers only as a top-level function with declared reads, so
+the module imports it by name.
+
 The IR is immutable, so :func:`kernel_for` lowers each variant once per
 program object, on first use, and keeps the module, or the reason it
 cannot lower, on the program (:meth:`~repro.ir.nodes.Program.derived`):
@@ -39,9 +48,11 @@ a kernel dies with its program, and nothing writes generated code to
 disk.  :func:`clear_cache` only zeroes the counters.
 
 Anything the emitter cannot reproduce bit-for-bit raises
-:class:`UnsupportedConstructError`; ``backend="auto"`` (the default)
-catches it and falls back to the interpreter for that program (with a
-logged reason).
+:class:`UnsupportedConstructError`: a lambda, closure or method kernel,
+a kernel without declared reads, an ``ArrayAssign`` to an array that is
+not materialized, or a read of a handle variable or of an array that is
+not materialized.  ``backend="auto"`` (the default) catches it and falls
+back to the interpreter for that program (with a logged reason).
 """
 
 from __future__ import annotations
@@ -257,6 +268,10 @@ class _Lowerer:
         # Names a handle variable: these must never be read as scalars
         # (the interpreter pops them from env; locals cannot replicate that).
         self.handle_vars: set[str] = set()
+        # Arrays the interpreter backs with NumPy; the others are only
+        # accounted for, so the generated code has no value to read.
+        self.materialized = {a.name for a in program.arrays.values() if a.materialize}
+        self.unread_arrays = set(program.arrays) - self.materialized
         self.has_kernels = False
         for stmt in walk(program.body):
             if isinstance(stmt, (IsendStmt, IrecvStmt)):
@@ -276,16 +291,19 @@ class _Lowerer:
     def _expr(self, e) -> str:
         """*e* as Python over ``v_<name>`` locals: the text ``Expr.compile`` runs.
 
-        Refuses reads of handle variables and of arrays, which the
-        interpreter's env holds and these locals do not.
+        Refuses reads of handle variables, which the interpreter pops
+        from its env and these locals cannot, and of arrays that are not
+        materialized, which have no values on either side.
         """
         names = e.free_vars()
         bad = names & self.handle_vars
         if bad:
             raise UnsupportedConstructError(f"handle variable(s) {sorted(bad)} read as scalars")
-        bad = names & self.program.arrays.keys()
+        bad = names & self.unread_arrays
         if bad:
-            raise UnsupportedConstructError(f"array(s) {sorted(bad)} read in an expression")
+            raise UnsupportedConstructError(
+                f"array(s) {sorted(bad)} read in an expression but not materialized"
+            )
         return e.to_python(_mangle)
 
     def _ws_name(self, sid: int) -> str:
@@ -301,6 +319,8 @@ class _Lowerer:
         prog = self.program
         fast_lines = self._emit_gen()
         parts = [_PREAMBLE.format(name=prog.name)]
+        if self.materialized:
+            parts.append("from numpy import zeros")
         for (module, name), alias in self._kernels.items():
             parts.append(f"from {module} import {name} as {alias}")
         parts.append("")
@@ -343,16 +363,23 @@ class _Lowerer:
             w.line(f"{_mangle(name)} = _UNSET")
         for ws in dict.fromkeys(self._collect_ws_names(prog)):
             w.line(f"{ws} = None")
-        if self.has_kernels:
-            # the interpreter's per-rank materialized-array dict, which is
-            # empty here: lowering refuses materialized arrays
+        if self.has_kernels or self.materialized:
+            # the interpreter's per-rank dict of materialized arrays, the
+            # one every kernel receives (an ArrayAssign lowers only into
+            # a materialized array); the prologue fills it
             w.line("_arr = {}")
         # Array declaration prologue (interp order: program.arrays.values()).
+        # A size may read a materialized array declared before it (still
+        # zeros); one declared later is unbound in the interpreter's env,
+        # which its locals cannot mirror.
+        later = set(self.materialized)
         for decl in prog.arrays.values():
-            if decl.materialize:
+            early = decl.size.free_vars() & later
+            if early:
                 raise UnsupportedConstructError(
-                    f"array {decl.name!r} is materialized (data-dependent control flow)"
+                    f"array {decl.name!r} size reads array(s) {sorted(early)} declared later"
                 )
+            later.discard(decl.name)
             w.line(f"_n = int({self._expr(decl.size)})")
             w.line("if _n < 0:")
             w.line(
@@ -362,6 +389,8 @@ class _Lowerer:
             w.line(f"_nb = _n * {decl.itemsize!r}")
             w.line(f"_sz[{decl.name!r}] = _nb")
             self._emit_alloc(w, decl.name)
+            if decl.materialize:
+                w.line(f"{_mangle(decl.name)} = _arr[{decl.name!r}] = zeros(_n)")
         for stmt in prog.body:
             self._emit_stmt(w, stmt)
         self._flush(w)
@@ -469,9 +498,8 @@ class _Lowerer:
             w.line(f"_sz[{stmt.name!r}] = _nb")
             return
         if ty is ArrayAssign:
-            raise UnsupportedConstructError(
-                f"ArrayAssign to {stmt.array!r} requires materialized arrays"
-            )
+            self._emit_array_assign(w, stmt)
+            return
         raise UnsupportedConstructError(f"statement kind {ty.__name__} is not lowerable")
 
     # -- individual statements ---------------------------------------------
@@ -481,46 +509,54 @@ class _Lowerer:
         w.line("ev += 1")
         w.line(f"_alloc(rank, {name!r}, _nb)")
 
-    def _kernel_alias(self, stmt: CompBlock) -> str:
-        """The module-level name the generated code calls *stmt*'s kernel by.
+    def _kernel_alias(self, what: str, fn, reads: frozenset,
+                      writes: frozenset = frozenset()) -> str:
+        """The module-level name the generated code calls kernel *fn* by.
 
-        Only a top-level function (its ``__module__``/``__qualname__``
-        resolve back to it) with declared reads lowers: the module imports
-        it by name, and the call sees exactly the declared scalars.
+        *what* names the statement that carries it.  Only a top-level
+        function (its ``__module__``/``__qualname__`` resolve back to it)
+        with declared reads lowers: the module imports it by name, and
+        the call sees exactly the declared reads, which may name
+        materialized arrays but no handle and no other array.
         """
-        fn = stmt.kernel
         module = getattr(fn, "__module__", None)
         name = getattr(fn, "__qualname__", None)
         if (
-            not stmt.reads_
+            not reads
             or not isinstance(name, str)
             or not name.isidentifier()
             or getattr(sys.modules.get(module), name, None) is not fn
         ):
-            raise UnsupportedConstructError(
-                f"comp block {stmt.name!r} carries a Python kernel callable"
-            )
-        bad = (stmt.reads_ | stmt.writes_) & (self.handle_vars | set(self.program.arrays))
+            raise UnsupportedConstructError(f"{what} carries a Python kernel callable")
+        bad = (reads | writes) & (self.handle_vars | self.unread_arrays)
         if bad:
             raise UnsupportedConstructError(
-                f"comp block {stmt.name!r} kernel reads or writes "
-                f"handle or array name(s) {sorted(bad)}"
+                f"{what} kernel reads or writes handle or array name(s) {sorted(bad)}"
             )
         alias = self._kernels.get((module, name))
         if alias is None:
             alias = self._kernels[(module, name)] = f"_kf{len(self._kernels)}"
         return alias
 
+    @staticmethod
+    def _reads_dict(reads: frozenset) -> str:
+        """The dict of a kernel's declared reads, in the interpreter's order."""
+        items = ", ".join(f"{n!r}: {_mangle(n)}" for n in sorted(reads))
+        return f"{{{items}}}"
+
     def _emit_comp(self, w: "_Writer", stmt: CompBlock) -> None:
-        kernel = self._kernel_alias(stmt) if stmt.kernel is not None else None
+        kernel = None
+        if stmt.kernel is not None:
+            kernel = self._kernel_alias(
+                f"comp block {stmt.name!r}", stmt.kernel, stmt.reads_, stmt.writes_
+            )
         ws = self._ws_name(stmt.sid)
         w.line(f"_w = {self._expr(stmt.work)}")
         w.line("if _w < 0:")
         w.line("    _w = 0")
         if kernel is not None:
             # the interpreter's call: declared reads in, declared writes out
-            items = ", ".join(f"{n!r}: {_mangle(n)}" for n in sorted(stmt.reads_))
-            w.line(f"_kd = {{{items}}}")
+            w.line(f"_kd = {self._reads_dict(stmt.reads_)}")
             w.line(f"{kernel}(_kd, _arr)")
             for n in sorted(stmt.writes_):
                 w.line(f"{_mangle(n)} = _kd[{n!r}]")
@@ -540,24 +576,49 @@ class _Lowerer:
                 else:
                     w.line(f"{ws} = 0.0")
             w.line(f"_ops = _w * {stmt.ops_per_iter!r}")
-            w.line(f"if 0 <= _ops < _INF and 0 <= {ws} < _INF:")
-            with w.indented():
-                w.line(f"_dt = _tt(_ops, {ws})")
-                if self.trace:
-                    w.line("_ts = clock")
-                w.line("clock += _dt")
-                w.line("ct += _dt")
-                if self.trace:
-                    w.line("_hx = _ops * _CHF + _EVOH")
-                    w.line("hc += _hx")
-                    w.line('_tra(proc=rank, kind="compute", start=_ts, end=clock, host_cost=_hx)')
-                else:
-                    w.line("hc += _ops * _CHF + _EVOH")
-                w.line("ev += 1")
-            w.line("else:")
-            w.line(f"    Compute(ops=_ops, working_set_bytes={ws}, task={stmt.name!r})")
+            self._emit_compute(w, ws, stmt.name)
         if self.measure:
             w.line(f"_rw({stmt.name!r}, _w)")
+
+    def _emit_array_assign(self, w: "_Writer", stmt: ArrayAssign) -> None:
+        """Fill a materialized array, then price the work as the
+        interpreter does: ``float(work)`` ops over the array's bytes,
+        no task, and nothing when the work is not positive."""
+        if stmt.array not in self.materialized:
+            raise UnsupportedConstructError(
+                f"ArrayAssign target {stmt.array!r} is not a materialized array"
+            )
+        kernel = self._kernel_alias(f"ArrayAssign to {stmt.array!r}", stmt.kernel, stmt.reads_)
+        w.line(f"{kernel}({self._reads_dict(stmt.reads_)}, _arr)")
+        w.line(f"_w = {self._expr(stmt.work)}")
+        w.line("if _w > 0:")
+        with w.indented():
+            w.line("_ops = float(_w)")
+            w.line(f"_ws = _sz[{stmt.array!r}]")
+            self._emit_compute(w, "_ws")
+
+    def _emit_compute(self, w: "_Writer", ws: str, task: str | None = None) -> None:
+        """Charge ``_ops`` operations over working set *ws* as the Request
+        driver charges a ``Compute`` of *task*: one event and no yield.
+        Values the request would refuse construct it, so it raises its
+        own error."""
+        w.line(f"if 0 <= _ops < _INF and 0 <= {ws} < _INF:")
+        with w.indented():
+            w.line(f"_dt = _tt(_ops, {ws})")
+            if self.trace:
+                w.line("_ts = clock")
+            w.line("clock += _dt")
+            w.line("ct += _dt")
+            if self.trace:
+                w.line("_hx = _ops * _CHF + _EVOH")
+                w.line("hc += _hx")
+                w.line('_tra(proc=rank, kind="compute", start=_ts, end=clock, host_cost=_hx)')
+            else:
+                w.line("hc += _ops * _CHF + _EVOH")
+            w.line("ev += 1")
+        w.line("else:")
+        task_kw = f", task={task!r}" if task is not None else ""
+        w.line(f"    Compute(ops=_ops, working_set_bytes={ws}{task_kw})")
 
     def _emit_send(self, w: "_Writer", stmt, blocking: bool) -> None:
         w.line(f"_d = int({self._expr(stmt.dest)})")

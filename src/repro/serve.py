@@ -609,6 +609,29 @@ def _stop_on_signals(stopping: threading.Event):
             signal.signal(signum, handler)
 
 
+#: ``mallopt`` parameter number of the arena cap (glibc's malloc.h)
+_M_ARENA_MAX = -8
+
+
+def _one_malloc_arena() -> None:
+    """Cap glibc's malloc at one arena; a no-op where libc has no ``mallopt``.
+
+    Each accept thread would otherwise allocate from an arena of its
+    own, and misses spread over all of them.  Under the GIL the threads
+    never allocate in parallel, so extra arenas only add resident memory
+    (a cold miss lowers and compiles kernels, a transient of a few MB).
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
 def run_server(store_dir: str | Path, *, host: str = "127.0.0.1",
                port: int = 8642, jobs: int = 1, max_bytes: int | None = None,
                max_inflight: int = 4, events_per_second: float | None = None,
@@ -629,6 +652,7 @@ def run_server(store_dir: str | Path, *, host: str = "127.0.0.1",
         store, jobs=jobs, governor=governor, resolver=resolver, backend=backend)
     server = ReproServer(service, host=host, port=port, threads=max_inflight + 1)
     try:
+        _one_malloc_arena()  # before start() creates the threads
         server.start()
         # the handlers stay in place while the server drains: a second
         # SIGTERM must not kill the requests the first one lets finish

@@ -233,7 +233,8 @@ class TestErrors:
 
         b = ProgramBuilder("aa", params=("N",))
         b.array("cs", size=4, itemsize=8, materialize=True)
-        b.array_assign("cs", kern, reads={"N"}, work=4)
+        # the kernel sees only its declared reads, as a comp block's does
+        b.array_assign("cs", kern, reads={"N", "P"}, work=4)
         from repro.symbolic import Index
 
         b.compute("use", work=Index.make("cs", 0) * 10)

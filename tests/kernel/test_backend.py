@@ -5,9 +5,10 @@ where collected, the trace event list) — the compiled backend's contract
 is byte-identity, not approximate agreement.  Faults, timeouts and trace
 collection run on the compiled driver too, and the reference every
 compiled run is held to is named ``backend="interpreted"``: the default,
-``auto``, compiles.  Comp blocks with a Python kernel compile when the
-kernel is a top-level function with declared reads; both backends then
-call it alike.
+``auto``, compiles.  Comp blocks and ``ArrayAssign`` statements with a
+Python kernel compile when the kernel is a top-level function with
+declared reads; both backends then call it alike.  Materialized arrays
+(NAS SP's cell sizes) are NumPy arrays the generated code owns.
 """
 
 import json
@@ -15,14 +16,16 @@ import json
 import pytest
 
 from repro import mpi
-from repro.apps import build_sweep3d, sweep3d_inputs
+from repro.apps import build_nas_sp, build_sweep3d, sweep3d_inputs
+from repro.codegen import compile_program
 from repro.ir import make_factory
 from repro.ir.builder import P, ProgramBuilder, myid
 from repro.ir.printer import format_program
 from repro.kernel import clear_cache
 from repro.machine import IBM_SP, TESTING_MACHINE
+from repro.measure import measure_wparams
 from repro.sim import ExecMode, FaultPlan, Simulator
-from repro.symbolic import Gt, Var
+from repro.symbolic import Gt, Index, Var
 
 M = TESTING_MACHINE
 
@@ -76,6 +79,10 @@ def set_flag_inverted(env, arrays):
 
 def reads_undeclared(env, arrays):
     env["flag"] = env["myid"] + env["P"]
+
+
+def fill_hist(env, arrays):
+    arrays["hist"][:] = env["myid"] + 1
 
 
 def kernel_program(kernel, reads=frozenset({"myid"}), writes=frozenset({"flag"})):
@@ -164,6 +171,53 @@ def test_sweep3d_full_program_compiles(nprocs, mode, feature):
     assert stats("compiled") == stats("interpreted")
 
 
+def sp_inputs(q):
+    """NAS SP inputs on a q x q grid; 14 points split unevenly for q > 2."""
+    return {"nx": 14, "q": q, "niter": 2}
+
+
+@pytest.fixture(scope="module")
+def nas_sp():
+    """NAS SP's original and simplified programs, and an interpreted
+    4-rank calibration of the simplified one's parameters."""
+    program = build_nas_sp()
+    wparams = measure_wparams(program, sp_inputs(2), 4, IBM_SP, seed=3,
+                              backend="interpreted").wparams
+    return {ExecMode.DE: program, ExecMode.MEASURED: program,
+            ExecMode.AM: compile_program(program).simplified}, wparams
+
+
+NAS_SP_CASES = [
+    (nprocs, mode, feature)
+    for nprocs in (4, 9, 16)
+    for mode in (ExecMode.DE, ExecMode.MEASURED, ExecMode.AM)
+    for feature in SWEEP_FEATURES
+] + [(9, ExecMode.DE, "trace"), (9, ExecMode.AM, "trace")]
+
+
+@pytest.mark.parametrize("nprocs, mode, feature", NAS_SP_CASES,
+                         ids=[f"{n}-{m.name.lower()}-{f}" for n, m, f in NAS_SP_CASES])
+def test_nas_sp_compiles(nprocs, mode, feature, nas_sp):
+    """NAS SP's cell sizes live in materialized arrays that ``ArrayAssign``
+    kernels fill and loop bounds and message sizes read, so its original
+    program (DE, MEASURED) and simplified program (AM) lower and match
+    the interpreter byte for byte, traces included."""
+    programs, wparams = nas_sp
+    kw = {"collect_trace": True} if feature == "trace" else SWEEP_FEATURES[feature]
+
+    def run(backend):
+        factory = make_factory(programs[mode], sp_inputs(int(nprocs ** 0.5)), wparams)
+        sim = Simulator(nprocs, factory, IBM_SP, mode=mode, seed=7, backend=backend, **kw)
+        assert (sim.backend, sim.backend_fallback_reason) == (backend, None)
+        result = sim.run()
+        trace = repr(result.trace.events) if result.trace is not None else None
+        return json.dumps(result.stats.to_dict(include_procs=True), sort_keys=True), trace
+
+    compiled, interp = run("compiled"), run("interpreted")
+    assert compiled == interp
+    assert (compiled[1] is None) == (feature != "trace")
+
+
 @pytest.mark.parametrize("change", [
     {"kernel": set_flag_inverted},
     {"reads": frozenset({"myid", "P"})},
@@ -231,13 +285,17 @@ class TestAuto:
         sim.run()  # and it still runs
 
     def test_auto_falls_back_for_unlowerable_ir(self):
-        b = ProgramBuilder("auto_materialized")
+        """An ``ArrayAssign`` kernel that declares no reads gets the whole
+        environment, which only the interpreter has."""
+        b = ProgramBuilder("auto_unlowerable")
         b.array("hist", 16, materialize=True)
-        b.compute("bin", work=10, writes={"hist"})
+        b.array_assign("hist", fill_hist, work=8)
+        b.compute("bin", work=Index.make("hist", 0) * 10, arrays=("hist",))
         factory = make_factory(b.build(), {})
         sim = Simulator(2, factory, M, mode=ExecMode.DE, backend="auto")
         assert sim.backend == "interpreted"
-        assert "materialized" in sim.backend_fallback_reason
+        assert sim.backend_fallback_reason == (
+            "ArrayAssign to 'hist' carries a Python kernel callable")
         interp = Simulator(2, factory, M, mode=ExecMode.DE, backend="interpreted").run()
         assert fingerprint(sim.run()) == fingerprint(interp)
 

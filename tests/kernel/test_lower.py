@@ -6,7 +6,6 @@ import weakref
 import pytest
 
 import repro.kernel.lower as lower_mod
-from repro.apps import build_nas_sp
 from repro.ir.builder import P, ProgramBuilder, myid
 from repro.kernel import (
     UnsupportedConstructError,
@@ -45,6 +44,24 @@ def materialized_program():
     return b.build()
 
 
+def fill_hist(env, arrays):
+    arrays["hist"][:] = env["myid"]
+
+
+def array_assign_program(kernel=fill_hist, reads=frozenset({"myid"}), materialize=True):
+    b = ProgramBuilder("lower_array_assign")
+    b.array("hist", 16, materialize=materialize)
+    b.array_assign("hist", kernel, reads=reads, work=4)
+    return b.build()
+
+
+def lambda_kernel_program():
+    b = ProgramBuilder("lower_lambda_kernel")
+    b.compute("c", work=10, reads={"myid"}, writes={"flag"},
+              kernel=lambda env, arrays: env.update(flag=1))
+    return b.build()
+
+
 class TestLowerProgram:
     def test_source_has_one_entry_point(self):
         kernel = lower_program(ring_program())
@@ -53,9 +70,45 @@ class TestLowerProgram:
         assert kernel.program_name == "lower_ring"
         assert callable(kernel.fast_gen)
 
-    def test_materialized_array_rejected(self):
-        with pytest.raises(UnsupportedConstructError, match="materialized"):
-            lower_program(materialized_program())
+    def test_materialized_array_lowers(self):
+        """A materialized array is a NumPy array the module creates and
+        owns; only a program that has one imports ``zeros``."""
+        source = lower_program(materialized_program()).source
+        assert "from numpy import zeros\n" in source
+        assert "v_hist = _arr['hist'] = zeros(_n)" in source
+        assert "zeros" not in lower_program(ring_program()).source
+
+    def test_array_assign_imports_its_kernel_by_name(self):
+        source = lower_program(array_assign_program()).source
+        assert f"from {__name__} import fill_hist as _kf0\n" in source
+        assert "_kf0({'myid': v_myid}, _arr)" in source
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"reads": frozenset()}, "ArrayAssign to 'hist' carries a Python kernel callable"),
+        ({"kernel": lambda env, arrays: None}, "carries a Python kernel callable"),
+        ({"materialize": False}, "ArrayAssign target 'hist' is not a materialized array"),
+    ], ids=["no-declared-reads", "lambda", "not-materialized"])
+    def test_array_assign_rejected(self, kw, match):
+        with pytest.raises(UnsupportedConstructError, match=match):
+            lower_program(array_assign_program(**kw))
+
+    def test_array_size_read_before_the_array_exists_rejected(self):
+        from repro.symbolic import Index
+
+        b = ProgramBuilder("lower_size_order")
+        b.array("a", Index.make("b", 0) + 1, materialize=True)
+        b.array("b", 4, materialize=True)
+        with pytest.raises(UnsupportedConstructError, match=r"'a' size reads .*\['b'\]"):
+            lower_program(b.build())
+
+    def test_unmaterialized_array_read_rejected(self):
+        from repro.symbolic import Index
+
+        b = ProgramBuilder("lower_unmaterialized_read")
+        b.array("data", 16)
+        b.compute("c", work=Index.make("data", 0))
+        with pytest.raises(UnsupportedConstructError, match=r"\['data'\] read in an expression"):
+            lower_program(b.build())
 
     def test_python_kernel_callable_rejected(self):
         b = ProgramBuilder("lower_pykernel")
@@ -120,9 +173,9 @@ class TestCache:
         assert kernel() is None
 
     def test_failed_lowering_remembered(self, monkeypatch):
-        # NAS SP's materialized arrays never lower: a second request on
-        # the same program answers from what it keeps, with the same
-        # message; a fresh build lowers again
+        # a lambda kernel never lowers: a second request on the same
+        # program answers from what it keeps, with the same message; a
+        # fresh build lowers again
         lowered = []
 
         def counting(program, measure=False, trace=False):
@@ -130,18 +183,18 @@ class TestCache:
             return lower_program(program, measure, trace)
 
         monkeypatch.setattr(lower_mod, "lower_program", counting)
-        program = build_nas_sp()
-        with pytest.raises(UnsupportedConstructError, match="materialized") as first:
+        program = lambda_kernel_program()
+        with pytest.raises(UnsupportedConstructError, match="kernel callable") as first:
             kernel_for(program)
         with pytest.raises(UnsupportedConstructError) as again:
             kernel_for(program)
         assert str(again.value) == str(first.value)
-        assert lowered == ["nas_sp"]
+        assert lowered == ["lower_lambda_kernel"]
         stats = cache_stats()
         assert (stats["cache_misses"], stats["cache_hits"]) == (1, 1)
         with pytest.raises(UnsupportedConstructError):
-            kernel_for(build_nas_sp())
-        assert lowered == ["nas_sp", "nas_sp"]
+            kernel_for(lambda_kernel_program())
+        assert lowered == ["lower_lambda_kernel"] * 2
 
     def test_measure_variant_cached_beside_the_plain_kernel(self):
         """The calibration variant has its own key; the plain module

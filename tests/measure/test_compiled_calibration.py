@@ -11,6 +11,7 @@ must give byte-identical coefficients, rate statistics, sample counts,
 branch profiles and run statistics.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -26,6 +27,7 @@ from repro.ir.interp import (
     MeasurementCollector,
     make_factory,
 )
+from repro.ir.nodes import ArrayAssign
 from repro.machine import IBM_SP
 from repro.measure import measure_wparams
 from repro.sim import ExecMode, Simulator
@@ -85,7 +87,7 @@ def app_inputs(app, nprocs):
 
 
 LOWERING_APPS = ("sweep3d", "sample_wavefront", "sample_nearest_neighbor",
-                 "tomcatv", "tomcatv_hpf")
+                 "tomcatv", "tomcatv_hpf", "nas_sp")
 
 
 @pytest.mark.parametrize("nprocs", [4, 16])
@@ -99,15 +101,31 @@ def test_apps_calibrate_identically(app, nprocs):
     assert got == reference
 
 
-def test_nas_sp_calibration_falls_back_under_auto():
-    """Materialized arrays do not lower; ``auto`` interprets, alike."""
+def unlowerable_nas_sp():
+    """NAS SP with its cell-size kernels wrapped in lambdas, which the
+    compiled kernel cannot import by name."""
     program = APPS["nas_sp"][0]()
+    body = tuple(
+        dataclasses.replace(s, kernel=lambda env, arrays, k=s.kernel: k(env, arrays))
+        if isinstance(s, ArrayAssign) else s
+        for s in program.body
+    )
+    return dataclasses.replace(program, body=body)
+
+
+REFUSED = "ArrayAssign to 'cell_size_x' carries a Python kernel callable"
+
+
+def test_nas_sp_calibration_compiles_under_auto():
+    """NAS SP's materialized arrays lower; ``auto`` compiles its timer
+    version, and a program that cannot lower falls back, alike."""
     inputs = app_inputs("nas_sp", 4)
-    _, _, reference = calibrate(program, inputs, 4, "interpreted")
-    backend, reason, got = calibrate(program, inputs, 4, "auto")
-    assert backend == "interpreted"
-    assert "materialized" in reason
-    assert got == reference
+    for program, kernel, fell_back in ((APPS["nas_sp"][0](), "compiled", None),
+                                       (unlowerable_nas_sp(), "interpreted", REFUSED)):
+        _, _, reference = calibrate(program, inputs, 4, "interpreted")
+        backend, reason, got = calibrate(program, inputs, 4, "auto")
+        assert (backend, reason) == (kernel, fell_back)
+        assert got == reference
 
 
 def as_bytes(cal):
@@ -115,22 +133,26 @@ def as_bytes(cal):
 
 
 def test_measure_wparams_honours_its_backend():
-    """No pin: ``compiled`` raises on a program that cannot lower, and
-    ``auto`` gives the interpreter's calibration."""
+    """No pin: ``compiled`` calibrates NAS SP as the interpreter does and
+    raises on a program that cannot lower, and ``auto`` gives the
+    interpreter's calibration."""
     program = APPS["nas_sp"][0]()
     inputs = app_inputs("nas_sp", 4)
-    with pytest.raises(ValueError, match="materialized"):
-        measure_wparams(program, inputs, 4, IBM_SP, backend="compiled")
-    assert as_bytes(measure_wparams(program, inputs, 4, IBM_SP, backend="auto")) == \
-        as_bytes(measure_wparams(program, inputs, 4, IBM_SP, backend="interpreted"))
+    reference = as_bytes(measure_wparams(program, inputs, 4, IBM_SP, backend="interpreted"))
+    assert as_bytes(measure_wparams(program, inputs, 4, IBM_SP, backend="compiled")) == reference
+    assert as_bytes(measure_wparams(program, inputs, 4, IBM_SP, backend="auto")) == reference
+    with pytest.raises(ValueError, match=REFUSED):
+        measure_wparams(unlowerable_nas_sp(), inputs, 4, IBM_SP, backend="compiled")
 
 
 def test_workflow_calibrates_on_its_backend():
-    def workflow(app, backend):
-        return ModelingWorkflow(APPS[app][0](), IBM_SP, calib_inputs=app_inputs(app, 4),
-                                calib_nprocs=4, seed=2, backend=backend)
+    def workflow(app, backend, program=None):
+        return ModelingWorkflow(program or APPS[app][0](), IBM_SP,
+                                calib_inputs=app_inputs(app, 4), calib_nprocs=4, seed=2,
+                                backend=backend)
 
-    with pytest.raises(ValueError, match="materialized"):
-        workflow("nas_sp", "compiled").calibrate()
-    assert as_bytes(workflow("sweep3d", "compiled").calibrate()) == \
-        as_bytes(workflow("sweep3d", "interpreted").calibrate())
+    with pytest.raises(ValueError, match=REFUSED):
+        workflow("nas_sp", "compiled", unlowerable_nas_sp()).calibrate()
+    for app in ("sweep3d", "nas_sp"):
+        assert as_bytes(workflow(app, "compiled").calibrate()) == \
+            as_bytes(workflow(app, "interpreted").calibrate())

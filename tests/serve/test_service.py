@@ -402,6 +402,28 @@ class _Server:
         self.thread.join(15)
 
 
+def test_run_server_caps_malloc_arenas_before_its_threads(tmp_path, monkeypatch):
+    """Each accept thread would keep a glibc malloc arena of its own;
+    run_server caps malloc at one arena before it starts them."""
+    calls = []
+    start = ReproServer.start
+    monkeypatch.setattr(repro.serve, "_one_malloc_arena", lambda: calls.append("arena"))
+    monkeypatch.setattr(ReproServer, "start",
+                        lambda self: calls.append("start") or start(self))
+    srv = _Server(tmp_path)
+    srv.stop()
+    assert not srv.thread.is_alive()
+    assert calls == ["arena", "start"]
+
+
+def test_one_malloc_arena_is_a_no_op_without_mallopt(monkeypatch):
+    import ctypes
+
+    repro.serve._one_malloc_arena()  # this libc's mallopt, or none
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without it
+    repro.serve._one_malloc_arena()
+
+
 def test_http_round_trip_and_stats(tmp_path):
     srv = _Server(tmp_path)
     try:

@@ -92,13 +92,23 @@ def test_a_second_open_store_is_refused(tmp_path):
     again.close()
 
 
+def _signal_then_sleep(running) -> None:
+    running.set()
+    time.sleep(60)
+
+
 def test_a_forked_child_does_not_hold_the_lock(tmp_path):
     """A supervised --jobs worker is a forked child: it must not keep
     the store locked once its parent has closed the store (or died)."""
     store = ResultStore(tmp_path)
-    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+    ctx = multiprocessing.get_context("fork")
+    running = ctx.Event()
+    child = ctx.Process(target=_signal_then_sleep, args=(running,))
     child.start()
     try:
+        # the child drops its copy of the lock in its at-fork hook, which
+        # has run by the time its target does
+        assert running.wait(30)
         store.close()
         ResultStore(tmp_path).close()  # the live child holds no lock
     finally:

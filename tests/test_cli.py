@@ -7,6 +7,8 @@ import pytest
 from repro import apps
 from repro.cli import APPS, build_parser, main
 
+from .measure.test_compiled_calibration import REFUSED, unlowerable_nas_sp
+
 
 class TestParser:
     def test_requires_command(self):
@@ -390,23 +392,20 @@ class TestProfileCommand:
         assert TRACER.enabled is False
         assert METRICS.enabled is False
 
-    NAS_SP_FALLBACK = ("interpreted (fell back: array 'cell_size_x' is materialized "
-                       "(data-dependent control flow))")
-
     @pytest.mark.parametrize("app, env, active, lowered, cache", [
         ("sample_wavefront", "interpreted", "interpreted", 0, "0 hit(s) / 0 miss(es)"),
         ("sample_wavefront", "compiled", "compiled", 1, "0 hit(s) / 1 miss(es)"),
         ("sample_wavefront", None, "compiled", 1, "0 hit(s) / 1 miss(es)"),
         ("nas_sp", "interpreted", "interpreted", 0, "0 hit(s) / 0 miss(es)"),
-        ("nas_sp", None, NAS_SP_FALLBACK, 0, "0 hit(s) / 1 miss(es)"),
+        ("nas_sp", None, "compiled", 1, "0 hit(s) / 1 miss(es)"),
     ], ids=["wavefront-interpreted", "wavefront-compiled", "wavefront-auto",
             "nas_sp-interpreted", "nas_sp-auto"])
     def test_backend_line_counts_the_lowering_the_command_did(
             self, app, env, active, lowered, cache, monkeypatch, capsys):
         """``active=`` names the kernel the traced run ran, read from its
         ``sim.run`` span; the counters cover the whole command, whose
-        traced run lowers a fresh program (or keeps its refusal).  Under
-        ``REPRO_BACKEND=compiled`` NAS SP refuses (TestRefusedRunOneLine)."""
+        traced run lowers a fresh program.  A program that cannot lower
+        is refused under ``REPRO_BACKEND=compiled`` (TestRefusedRunOneLine)."""
         monkeypatch.setattr(apps, "_BUILT", {})
         if env is None:
             monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -432,23 +431,30 @@ class TestProfileCommand:
 class TestRefusedRunOneLine:
     """A run the simulator refuses ends every command that makes it with
     the one line a failed request prints, on the request path
-    (``predict --method am``) or off it, and writes nothing."""
+    (``predict --method am``) or off it, and writes nothing.  Every
+    shipped app lowers, so the compiled refusals run an app registered
+    here whose kernels cannot."""
 
-    COMPILED = ("backend='compiled' cannot run this program: array 'cell_size_x' "
-                "is materialized (data-dependent control flow)")
+    COMPILED = f"backend='compiled' cannot run this program: {REFUSED}"
     NOT_SQUARE = "NAS SP requires a square number of processes, got 3"
 
+    @pytest.fixture(autouse=True)
+    def _unlowerable_app(self, monkeypatch):
+        monkeypatch.setitem(apps.APPS, "unlowerable_sp",
+                            (unlowerable_nas_sp, apps.APPS["nas_sp"][1]))
+
     @pytest.mark.parametrize("argv, described, reason", [
-        (["profile", "nas_sp", "--nprocs", "4"], "nas_sp/de P=4", COMPILED),
-        (["profile", "nas_sp", "--nprocs", "4", "--mode", "am", "--calib-procs", "4"],
-         "nas_sp/am P=4", COMPILED),
-        (["calibrate", "nas_sp", "--calib-procs", "4"], "nas_sp/am P=4", COMPILED),
-        (["predict", "nas_sp", "--procs", "4", "--calib-procs", "4", "--method", "sum"],
-         "nas_sp/am P=4", COMPILED),
-        (["predict", "nas_sp", "--procs", "4", "--calib-procs", "4",
-          "--method", "taskgraph"], "nas_sp/am P=4", COMPILED),
-        (["predict", "nas_sp", "--procs", "4", "--calib-procs", "4", "--method", "am"],
-         "nas_sp/am P=4", COMPILED),
+        (["profile", "unlowerable_sp", "--nprocs", "4"], "unlowerable_sp/de P=4", COMPILED),
+        (["profile", "unlowerable_sp", "--nprocs", "4", "--mode", "am", "--calib-procs", "4"],
+         "unlowerable_sp/am P=4", COMPILED),
+        (["calibrate", "unlowerable_sp", "--calib-procs", "4"], "unlowerable_sp/am P=4",
+         COMPILED),
+        (["predict", "unlowerable_sp", "--procs", "4", "--calib-procs", "4",
+          "--method", "sum"], "unlowerable_sp/am P=4", COMPILED),
+        (["predict", "unlowerable_sp", "--procs", "4", "--calib-procs", "4",
+          "--method", "taskgraph"], "unlowerable_sp/am P=4", COMPILED),
+        (["predict", "unlowerable_sp", "--procs", "4", "--calib-procs", "4",
+          "--method", "am"], "unlowerable_sp/am P=4", COMPILED),
         (["profile", "nas_sp", "--nprocs", "3"], "nas_sp/de P=3", NOT_SQUARE),
     ], ids=["profile", "profile-am", "calibrate", "predict-sum", "predict-taskgraph",
             "predict-am", "profile-not-square"])
@@ -468,7 +474,7 @@ class TestRefusedRunOneLine:
 
         monkeypatch.setenv("REPRO_BACKEND", "compiled")
         with pytest.raises(SystemExit):
-            main(["profile", "nas_sp", "--nprocs", "4"])
+            main(["profile", "unlowerable_sp", "--nprocs", "4"])
         assert TRACER.enabled is False
         assert METRICS.enabled is False
 

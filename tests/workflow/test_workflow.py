@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.apps import build_sample, build_sweep3d, build_tomcatv, sweep3d_inputs, tomcatv_inputs
+from repro.apps import (
+    build_nas_sp,
+    build_sample,
+    build_sweep3d,
+    build_tomcatv,
+    sp_inputs,
+    sweep3d_inputs,
+    tomcatv_inputs,
+)
 from repro.machine import IBM_SP
 from repro.sim import ExecMode
 from repro.workflow import (
@@ -14,12 +22,15 @@ from repro.workflow import (
 )
 
 
-#: app -> (program builder, inputs at P ranks): reduced paper configurations
+#: app -> (program builder, inputs at P ranks, rank counts): reduced paper
+#: configurations (NAS SP at the paper's class A, on square grids)
 PAPER_APPS = {
-    "sweep3d": (build_sweep3d, lambda p: sweep3d_inputs(48, 48, 48, p)),
+    "sweep3d": (build_sweep3d, lambda p: sweep3d_inputs(48, 48, 48, p), (4, 8, 16)),
     "sample_wavefront": (
         lambda: build_sample("wavefront"), lambda p: {"grain": 20000, "msg": 2048, "iters": 4},
+        (4, 8, 16),
     ),
+    "nas_sp": (build_nas_sp, lambda p: sp_inputs("A", p, niter=2), (4, 9, 16)),
 }
 
 
@@ -61,14 +72,14 @@ class TestWorkflow:
     @pytest.mark.parametrize("backend", ["interpreted", "auto"])
     @pytest.mark.parametrize("app", sorted(PAPER_APPS))
     def test_am_error_structure(self, app, backend):
-        """The paper's error structure on Sweep3D and SAMPLE, calibrated at
-        4 ranks, on both kernels: AM within 17% of measurement, and DE no
-        further from it than AM."""
-        build, inputs = PAPER_APPS[app]
+        """The paper's error structure on Sweep3D, SAMPLE and NAS SP,
+        calibrated at 4 ranks, on both kernels: AM within 17% of
+        measurement, and DE no further from it than AM."""
+        build, inputs, ranks = PAPER_APPS[app]
         flow = ModelingWorkflow(build(), IBM_SP, calib_inputs=inputs(4), calib_nprocs=4,
                                 backend=backend)
         am_errs, de_errs = [], []
-        for nprocs in (4, 8, 16):
+        for nprocs in ranks:
             measured = flow.run_measured(inputs(nprocs), nprocs).elapsed
             for errs, run in ((am_errs, flow.run_am), (de_errs, flow.run_de)):
                 errs.append(abs(run(inputs(nprocs), nprocs).elapsed - measured) / measured)
