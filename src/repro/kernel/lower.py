@@ -11,10 +11,11 @@ emits flat Python source — one module per program — with one entry point:
     calls, and only communication points yield, with the op tuples of
     :mod:`repro.sim.loop` (not request objects).  The generator first
     stops at a bare ``yield``; the loop's priming resume sends it the
-    start time.  At every yield it flushes its clock, event count,
-    compute time and host cost to ``st``, which keeps per-rank stats in
-    exactly the interpreter's floating-point order and exact between
-    events (a tripped budget reads them mid-run).
+    start time.  At every yield it flushes its clock, event count and
+    compute time to ``st``, and it adds host costs to ``st`` as it goes,
+    which keeps per-rank stats in exactly the interpreter's
+    floating-point order and exact between events (a tripped budget
+    reads them mid-run).
 
 ``fast_gen(rank, size, inputs, wparams, rt, st, collector, profile)``
     The measure variant (``measure=True``), for a calibration run: the
@@ -40,6 +41,22 @@ kernels receive.  An ``ArrayAssign`` calls its kernel like a comp
 block's, with exactly its declared reads, and prices its work inline.
 A kernel lowers only as a top-level function with declared reads, so
 the module imports it by name.
+
+Loop-invariant code is hoisted.  Inside a ``For``, an operand (an
+expression, an ``If`` condition, a send, recv, collective, delay or comp
+block operand, an inner loop's bounds) whose variables no enclosing loop
+assigns is evaluated once, into a local, before the outermost loop it is
+invariant in.  A loop assigns its variable and, in its body, loop
+variables, ``Assign`` targets, kernel writes, collective results,
+broadcast parameters and handle variables; a kernel call (a comp
+block's or an ``ArrayAssign``'s) may write any materialized array, so an
+``Index`` read of one is not invariant in its loop.  One site keeps one
+local per distinct computation; a closed operand, a lone variable or
+literal and a lone comparison stay in place.  A site whose evaluation
+raises leaves its locals unbound; the statement then evaluates its
+operands again in place, in the interpreter's order (:func:`again_in`),
+so every error, its event count and its partial stats stay where they
+were.
 
 The IR is immutable, so :func:`kernel_for` lowers each variant once per
 program object, on first use, and keeps the module, or the reason it
@@ -84,6 +101,7 @@ from ..ir.nodes import (
 )
 from ..obs.logging import get_logger
 from ..obs.metrics import METRICS
+from ..symbolic import BoolConst, Cmp, Const, Var
 
 __all__ = [
     "UnsupportedConstructError",
@@ -212,11 +230,79 @@ def lower_program(program: Program, measure: bool = False, trace: bool = False) 
 # --------------------------------------------------------------------------
 
 
+def _assign(target: str, text: str, clamp: bool = False, depth: int = 0) -> list[str]:
+    """``target = text`` (then, with *clamp*, ``0`` for a negative value),
+    as lines indented *depth* levels."""
+    pad = "    " * depth
+    lines = [f"{pad}{target} = {text}"]
+    if clamp:
+        lines += [f"{pad}if {target} < 0:", f"{pad}    {target} = 0"]
+    return lines
+
+
 def _mangle(name: str) -> str:
     """The local a variable lives in: ``Expr.to_python`` renders reads with it."""
     if not name.isidentifier():
         raise UnsupportedConstructError(f"variable name {name!r} is not an identifier")
     return f"v_{name}"
+
+
+def again_in(ns: dict):
+    """A generated module's ``_again(text, frame)``: a statement's hoisted
+    operands, evaluated in place because their hoisted evaluation raised.
+    *text* is their expression and *frame* the generator's ``locals()``;
+    the text is compiled on first use and kept with the module, and it
+    reads the frame's variables over the module's namespace *ns*."""
+    codes: dict = {}
+
+    def again(text: str, frame: dict):
+        code = codes.get(text)
+        if code is None:
+            code = codes[text] = compile(text, "<repro.kernel: hoisted operand>", "eval")
+        # one namespace, so a generator expression in the text sees the
+        # frame's variables too
+        return eval(code, {**ns, **frame})  # noqa: PGH001 - generated text
+
+    return again
+
+
+# The generated modules call these where the interpreter raises, so each
+# carries its check once, not once per statement.
+
+
+def need_params(program: str, wparams, names: tuple) -> None:
+    """A ``ReadParams``: raise the interpreter's error if the parameter
+    file *wparams* of *program* lacks any of *names*."""
+    if not all(n in wparams for n in names):
+        from ..ir.interp import InterpreterError
+
+        raise InterpreterError(
+            f"{program}: parameter file lacks {[n for n in names if n not in wparams]}; "
+            "run the timer-instrumented version first (Fig. 2 workflow)"
+        )
+
+
+def working_set(sizes: dict, arrays: tuple, task: str) -> float:
+    """A comp block's working set: the bytes of its *arrays*, summed as
+    the interpreter sums them."""
+    try:
+        return float(sum(sizes[a] for a in arrays))
+    except KeyError as e:
+        from ..ir.interp import InterpreterError
+
+        raise InterpreterError(
+            f"task {task!r} references undeclared array {e.args[0]!r}"
+        ) from None
+
+
+def stop_timer(timers: dict, task: str) -> float:
+    """A ``StopTimer``: the start time of *task*'s running timer."""
+    try:
+        return timers.pop(task)
+    except KeyError:
+        from ..ir.interp import InterpreterError
+
+        raise InterpreterError(f"timer_stop({task!r}) without timer_start") from None
 
 
 # --------------------------------------------------------------------------
@@ -241,12 +327,19 @@ from repro.sim.requests import (
     Recv,
     Send,
 )
+from repro.kernel.lower import (
+    again_in as _again_in,
+    need_params as _need,
+    stop_timer as _stop,
+    working_set as _wset,
+)
 from repro.symbolic.expr import CeilDiv as _CeilDiv, FloorDiv as _FloorDiv
 
 _fd = _FloorDiv._apply
 _cd = _CeilDiv._apply
 _INF = math.inf
 _UNSET = object()
+_again = _again_in(globals())
 
 PROGRAM = {name!r}
 '''
@@ -273,18 +366,32 @@ class _Lowerer:
         self.materialized = {a.name for a in program.arrays.values() if a.materialize}
         self.unread_arrays = set(program.arrays) - self.materialized
         self.has_kernels = False
+        # the per-rank array sizes are kept only for the statements that
+        # read them back: comp blocks over arrays and ArrayAssign pricing
+        self.reads_sizes = False
+        self.has_timers = False
         for stmt in walk(program.body):
             if isinstance(stmt, (IsendStmt, IrecvStmt)):
                 self.handle_vars.add(stmt.handle_var)
             elif isinstance(stmt, WaitAllStmt):
                 self.handle_vars.update(stmt.handle_vars)
-            elif isinstance(stmt, CompBlock) and stmt.kernel is not None:
-                self.has_kernels = True
+            elif isinstance(stmt, CompBlock):
+                self.has_kernels = self.has_kernels or stmt.kernel is not None
+                self.reads_sizes = self.reads_sizes or bool(stmt.arrays)
+            elif isinstance(stmt, ArrayAssign):
+                self.reads_sizes = True
+            elif isinstance(stmt, (StartTimer, StopTimer)):
+                self.has_timers = True
         # Working-set caches are keyed by statement sid in the interpreter;
         # replicate the keying.
         self._ws_names: dict[int, str] = {}
         # Kernel callables the module imports: (module, name) -> alias.
         self._kernels: dict[tuple[str, str], str] = {}
+        # The For statements enclosing the one being emitted, outermost
+        # first, and the count of hoisted locals so far.
+        self.loops: list[_Loop] = []
+        self._assigned_by: dict[int, frozenset] = {}  # For sid -> _assigned()
+        self._hoisted = 0
 
     # -- small helpers -----------------------------------------------------
 
@@ -305,6 +412,124 @@ class _Lowerer:
                 f"array(s) {sorted(bad)} read in an expression but not materialized"
             )
         return e.to_python(_mangle)
+
+    # -- loop-invariant code motion -----------------------------------------
+
+    def _assigned(self, stmt: For) -> frozenset:
+        """Every name the loop *stmt* may assign: its variable, and in
+        its body loop variables, ``Assign`` targets, kernel writes,
+        collective results, broadcast parameters and handle variables.
+        A kernel call (a comp block's or an ``ArrayAssign``'s) receives
+        the per-rank array dict, so it may write any materialized array.
+        Kept per loop: an enclosing loop's set holds its inner loops'."""
+        names = self._assigned_by.get(stmt.sid)
+        if names is not None:
+            return names
+        names = {stmt.var}
+        stack = list(stmt.body)
+        while stack:
+            s = stack.pop()
+            if type(s) is For:
+                names |= self._assigned(s)
+                continue
+            names |= s.writes()
+            if type(s) is WaitAllStmt:
+                names.update(s.handle_vars)
+            elif type(s) is ArrayAssign or (type(s) is CompBlock and s.kernel is not None):
+                names |= self.materialized
+            for block in s.children():
+                stack += block
+        names = self._assigned_by[stmt.sid] = frozenset(names)
+        return names
+
+    @staticmethod
+    def _reads(e) -> frozenset | None:
+        """The variables *e* reads, or ``None`` when evaluating it costs
+        about what reading a hoisted local costs: a lone variable or
+        literal, or a lone comparison."""
+        if isinstance(e, (Var, Const, BoolConst, Cmp)):
+            return None
+        return e.free_vars()
+
+    def _site(self, free: frozenset | None) -> "_Loop | None":
+        """The outermost enclosing loop that assigns none of *free*, or
+        ``None`` to keep the operand in place: *free* is ``None``, or
+        empty (a closed operand, which would only add a fallback to
+        compile and a slot to every rank's frame)."""
+        if free:
+            for loop in self.loops:
+                if loop.assigned.isdisjoint(free):
+                    return loop
+        return None
+
+    def _let(self, w: "_Writer", *operands: tuple) -> None:
+        """Emit one statement's operands in order, each ``(target, text,
+        free)`` or ``(target, text, free, clamp)``: ``target = text``,
+        then with *clamp* ``0`` for a negative value.
+
+        Inside loops, an operand's *text*, which reads the variables
+        *free*, is evaluated once, into a local, before the outermost
+        enclosing loop that assigns none of them (:meth:`_site`); the
+        statement reads the local.  A closed text, or ``None`` for
+        *free*, stays in place.  A site's evaluation that raises leaves
+        all its locals unbound, and the statement then evaluates the text
+        again in place (:func:`again_in`), so the error and the partial
+        stats it leaves are the unhoisted ones.
+        """
+        if not self.loops:
+            for op in operands:
+                w.lines += _assign(op[0], op[1], len(op) > 3 and op[3], w.depth)
+            return
+        run = []  # hoisted operands not yet emitted: (target, local, text, clamp)
+        for op in operands:
+            target, text, free = op[:3]
+            clamp = len(op) > 3 and op[3]
+            local = self._hoist(text, free, clamp)
+            if local is not None:
+                run.append((target, local, text, clamp))
+                continue
+            self._emit_run(w, run)
+            w.lines += _assign(target, text, clamp, w.depth)
+        self._emit_run(w, run)
+
+    @staticmethod
+    def _emit_run(w: "_Writer", run: list) -> None:
+        """Read a run of hoisted operands from their locals, or evaluate
+        their texts again, in order, in one call: one line each, so the
+        ``try`` costs no NOP."""
+        if not run:
+            return
+        values = ", ".join(f"0 if (_x := {text}) < 0 else _x" if clamp else text
+                           for _, _, text, clamp in run)
+        if len(run) > 1:
+            values = f"({values})"
+        w.line("try: " + "; ".join(f"{t} = {h}" for t, h, *_ in run))
+        w.line(f"except NameError: {', '.join(t for t, *_ in run)} = _again({values!r}, locals())")
+        run.clear()
+
+    def _hoist(self, text: str, free: frozenset | None, clamp: bool) -> str | None:
+        """The local that holds *text* (clamped with *clamp*) before its
+        site, or ``None`` to evaluate it in place.  A site keeps one local
+        per distinct computation."""
+        site = self._site(free)
+        if site is None:
+            return None
+        local = site.locals.get((text, clamp))
+        if local is None:
+            local = site.locals[text, clamp] = f"_h{self._hoisted}"
+            self._hoisted += 1
+            site.hoists += _assign(local, text, clamp)
+        return local
+
+    def _values(self, w: "_Writer", *operands: tuple) -> list[str]:
+        """The texts to use for *operands*, each ``(temp, text, free)``:
+        the texts themselves if none is hoisted, else every *temp*, bound
+        in order by :meth:`_let`, so they are evaluated in the
+        interpreter's order."""
+        if all(self._site(free) is None for _, _, free in operands):
+            return [text for _, text, _ in operands]
+        self._let(w, *operands)
+        return [temp for temp, _, _ in operands]
 
     def _ws_name(self, sid: int) -> str:
         name = self._ws_names.get(sid)
@@ -344,7 +569,6 @@ class _Lowerer:
             w.line("_br = _bp.record")
         w.line("ev = 0")
         w.line("ct = 0.0")
-        w.line("hc = 0.0")
         # handle ids are assigned in program order on both sides, so the
         # generator mirrors the loop's per-rank counter and never
         # needs the id sent back through the resume value
@@ -357,8 +581,10 @@ class _Lowerer:
         w.line("v_myid = rank")
         w.line("v_P = size")
         w.line("_wp = wparams")
-        w.line("_sz = {}")
-        w.line("_tm = {}")
+        if self.reads_sizes:
+            w.line("_sz = {}")
+        if self.has_timers:
+            w.line("_tm = {}")
         for name in sorted(self.handle_vars):
             w.line(f"{_mangle(name)} = _UNSET")
         for ws in dict.fromkeys(self._collect_ws_names(prog)):
@@ -387,7 +613,8 @@ class _Lowerer:
                 'has negative size {_n}")'
             )
             w.line(f"_nb = _n * {decl.itemsize!r}")
-            w.line(f"_sz[{decl.name!r}] = _nb")
+            if self.reads_sizes:
+                w.line(f"_sz[{decl.name!r}] = _nb")
             self._emit_alloc(w, decl.name)
             if decl.materialize:
                 w.line(f"{_mangle(decl.name)} = _arr[{decl.name!r}] = zeros(_n)")
@@ -406,28 +633,27 @@ class _Lowerer:
     # -- yield plumbing ----------------------------------------------------
 
     def _flush(self, w: "_Writer") -> None:
-        # Every per-rank cell, so stats are exact between any two events
-        # (the partial stats of a tripped budget).
-        # host_cost is shared: the loop adds message costs between yields,
-        # so it accumulates in the interpreter's float order.
+        # Every driver-owned per-rank cell, so stats are exact between any
+        # two events (the partial stats of a tripped budget).  The host
+        # cost is shared: compute and delay add theirs to _st[4] directly,
+        # between the loop's message costs, in the interpreter's float
+        # order.
         w.line("_st[0] = clock")
         w.line("_st[1] = ev")
         w.line("_st[2] = ct")
-        w.line("_st[4] = hc")
 
     def _emit_yield(self, w: "_Writer", op: str, target: str = "clock") -> None:
-        """One yield to the loop: count it, flush, suspend, reload."""
+        """One yield to the loop: count it, flush, suspend."""
         w.line("ev += 1")
         self._flush(w)
         w.line(f"{target} = yield {op}")
-        w.line("hc = _st[4]")
 
     # -- statement dispatch ------------------------------------------------
 
     def _emit_stmt(self, w: "_Writer", stmt) -> None:
         ty = type(stmt)
         if ty is Assign:
-            w.line(f"{_mangle(stmt.var)} = {self._expr(stmt.expr)}")
+            self._let(w, (_mangle(stmt.var), self._expr(stmt.expr), self._reads(stmt.expr)))
             return
         if ty is CompBlock:
             self._emit_comp(w, stmt)
@@ -436,12 +662,13 @@ class _Lowerer:
             self._emit_for(w, stmt)
             return
         if ty is If:
+            cond = self._expr(stmt.cond)
             if self.measure:
-                w.line(f"_tk = bool({self._expr(stmt.cond)})")
+                self._let(w, ("_tk", f"bool({cond})", stmt.cond.free_vars()))
                 w.line(f"_br({stmt.profile_key!r}, _tk)")
                 w.line("if _tk:")
             else:
-                w.line(f"if {self._expr(stmt.cond)}:")
+                w.line(f"if {self._values(w, ('_c', cond, self._reads(stmt.cond)))[0]}:")
             if stmt.then:
                 with w.indented():
                     for s in stmt.then:
@@ -478,24 +705,19 @@ class _Lowerer:
             w.line(f"_tm[{stmt.task!r}] = clock")
             return
         if ty is StopTimer:
-            w.line("try:")
-            w.line(f"    _t0 = _tm.pop({stmt.task!r})")
-            w.line("except KeyError:")
-            w.line(
-                f'    raise InterpreterError("timer_stop({stmt.task!r}) '
-                'without timer_start") from None'
-            )
+            w.line(f"_t0 = _stop(_tm, {stmt.task!r})")
             w.line("clock += _TIC")
             w.line("ev += 1")
             if self.measure:
                 w.line(f"_re({stmt.task!r}, clock - _t0)")
             return
         if ty is AllocStmt:
-            w.line(f"_nb = int({self._expr(stmt.nbytes)})")
+            self._let(w, ("_nb", f"int({self._expr(stmt.nbytes)})", stmt.nbytes.free_vars()))
             w.line("if _nb < 0:")
             w.line(f"    Alloc({stmt.name!r}, _nb)")
             self._emit_alloc(w, stmt.name)
-            w.line(f"_sz[{stmt.name!r}] = _nb")
+            if self.reads_sizes:
+                w.line(f"_sz[{stmt.name!r}] = _nb")
             return
         if ty is ArrayAssign:
             self._emit_array_assign(w, stmt)
@@ -551,9 +773,7 @@ class _Lowerer:
                 f"comp block {stmt.name!r}", stmt.kernel, stmt.reads_, stmt.writes_
             )
         ws = self._ws_name(stmt.sid)
-        w.line(f"_w = {self._expr(stmt.work)}")
-        w.line("if _w < 0:")
-        w.line("    _w = 0")
+        self._let(w, ("_w", self._expr(stmt.work), self._reads(stmt.work), True))
         if kernel is not None:
             # the interpreter's call: declared reads in, declared writes out
             w.line(f"_kd = {self._reads_dict(stmt.reads_)}")
@@ -565,14 +785,7 @@ class _Lowerer:
             w.line(f"if {ws} is None:")
             with w.indented():
                 if stmt.arrays:
-                    refs = " + ".join(f"_sz[{a!r}]" for a in stmt.arrays)
-                    w.line("try:")
-                    w.line(f"    {ws} = float({refs})")
-                    w.line("except KeyError as _e:")
-                    w.line(
-                        f'    raise InterpreterError(f"task {stmt.name!r} references '
-                        'undeclared array {_e.args[0]!r}") from None'
-                    )
+                    w.line(f"{ws} = _wset(_sz, {tuple(stmt.arrays)!r}, {stmt.name!r})")
                 else:
                     w.line(f"{ws} = 0.0")
             w.line(f"_ops = _w * {stmt.ops_per_iter!r}")
@@ -590,7 +803,7 @@ class _Lowerer:
             )
         kernel = self._kernel_alias(f"ArrayAssign to {stmt.array!r}", stmt.kernel, stmt.reads_)
         w.line(f"{kernel}({self._reads_dict(stmt.reads_)}, _arr)")
-        w.line(f"_w = {self._expr(stmt.work)}")
+        self._let(w, ("_w", self._expr(stmt.work), self._reads(stmt.work)))
         w.line("if _w > 0:")
         with w.indented():
             w.line("_ops = float(_w)")
@@ -611,18 +824,18 @@ class _Lowerer:
             w.line("ct += _dt")
             if self.trace:
                 w.line("_hx = _ops * _CHF + _EVOH")
-                w.line("hc += _hx")
+                w.line("_st[4] += _hx")
                 w.line('_tra(proc=rank, kind="compute", start=_ts, end=clock, host_cost=_hx)')
             else:
-                w.line("hc += _ops * _CHF + _EVOH")
+                w.line("_st[4] += _ops * _CHF + _EVOH")
             w.line("ev += 1")
         w.line("else:")
         task_kw = f", task={task!r}" if task is not None else ""
         w.line(f"    Compute(ops=_ops, working_set_bytes={ws}{task_kw})")
 
     def _emit_send(self, w: "_Writer", stmt, blocking: bool) -> None:
-        w.line(f"_d = int({self._expr(stmt.dest)})")
-        w.line(f"_nb = int({self._expr(stmt.nbytes)})")
+        self._let(w, ("_d", f"int({self._expr(stmt.dest)})", stmt.dest.free_vars()),
+                  ("_nb", f"int({self._expr(stmt.nbytes)})", stmt.nbytes.free_vars()))
         tag = int(stmt.tag)
         w.line("if _d < 0 or not (0 <= _nb < _INF):")
         cls = "Send" if blocking else "Isend"
@@ -633,8 +846,8 @@ class _Lowerer:
         self._emit_yield(w, f"({1 if blocking else 3}, clock, _d, _nb, {tag!r}, None, None)")
 
     def _emit_recv(self, w: "_Writer", stmt, blocking: bool) -> None:
-        w.line(f"_s = int({self._expr(stmt.source)})")
-        w.line(f"_nb = int({self._expr(stmt.nbytes)})")
+        self._let(w, ("_s", f"int({self._expr(stmt.source)})", stmt.source.free_vars()),
+                  ("_nb", f"int({self._expr(stmt.nbytes)})", stmt.nbytes.free_vars()))
         tag = int(stmt.tag)
         w.line("if _s < 0 and _s != -1:")
         cls = "Recv" if blocking else "Irecv"
@@ -655,46 +868,45 @@ class _Lowerer:
             w.line(f"{_mangle(v)} = _UNSET")
 
     def _emit_collective(self, w: "_Writer", stmt: CollectiveStmt) -> None:
-        w.line(f"_nb = int({self._expr(stmt.nbytes)})")
-        w.line(f"_rt = int({self._expr(stmt.root)})")
+        operands = [("_nb", f"int({self._expr(stmt.nbytes)})", stmt.nbytes.free_vars()),
+                    ("_rt", f"int({self._expr(stmt.root)})", stmt.root.free_vars())]
         if stmt.contrib is not None:
-            w.line(f"_cv = {self._expr(stmt.contrib)}")
-        else:
-            w.line("_cv = None")
+            operands.append(("_cv", self._expr(stmt.contrib), self._reads(stmt.contrib)))
+        self._let(w, *operands)
+        cv = "None" if stmt.contrib is None else "_cv"
         rf = f"_RF[{stmt.reduce_kind!r}]" if stmt.op in ("reduce", "allreduce") else "None"
         w.line("if not (0 <= _nb < _INF) or _rt < 0:")
         w.line(f"    Collective(op={stmt.op!r}, nbytes=_nb, root=_rt)")
-        self._emit_yield(w, f"(6, clock, {stmt.op!r}, _nb, _rt, _cv, {rf}, None)", "_tmp")
-        w.line("clock = _tmp[0]")
+        # resumed with (time, result): unpacked at once, so no frame
+        # keeps the tuple
         if stmt.result_var is not None:
-            w.line(f"{_mangle(stmt.result_var)} = _tmp[1]")
+            target = f"clock, {_mangle(stmt.result_var)}"
+        else:
+            target = "clock, _"
+        self._emit_yield(w, f"(6, clock, {stmt.op!r}, _nb, _rt, {cv}, {rf}, None)", target)
 
     def _emit_read_params(self, w: "_Writer", stmt: ReadParams) -> None:
         names = tuple(stmt.names)
-        w.line(f"_ms = [n for n in {names!r} if n not in _wp]")
-        w.line("if _ms:")
-        w.line(
-            '    raise InterpreterError(f"{PROGRAM}: parameter file lacks {_ms}; '
-            'run the timer-instrumented version first (Fig. 2 workflow)")'
-        )
+        w.line(f"_need(PROGRAM, _wp, {names!r})")
         nbytes = 8 * len(names)
-        w.line(f"_pl = {{n: _wp[n] for n in {names!r}}} if v_myid == 0 else None")
-        self._emit_yield(w, f'(6, clock, "bcast", {nbytes!r}, 0, _pl, None, None)', "_tmp")
-        w.line("clock = _tmp[0]")
-        w.line("_rd = _tmp[1]")
+        payload = ", ".join(f"{n!r}: _wp[{n!r}]" for n in names)
+        self._emit_yield(
+            w, f'(6, clock, "bcast", {nbytes!r}, 0, {{{payload}}} if v_myid == 0 else None, '
+            'None, None)', "clock, _rd")
         for n in names:
             w.line(f"{_mangle(n)} = _rd[{n!r}]")
+        w.line("del _rd")  # the root's payload, which every rank would keep
 
     def _emit_delay(self, w: "_Writer", stmt: DelayStmt) -> None:
-        w.line(f"_a = {self._expr(stmt.amount)}")
-        w.line("_dy = max(float(_a), 0.0)")
+        self._let(w, ("_dy", f"max(float({self._expr(stmt.amount)}), 0.0)",
+                      stmt.amount.free_vars()))
         w.line("if _dy < _INF:")
         with w.indented():
             if self.trace:
                 w.line("_ts = clock")
             w.line("clock += _dy")
             w.line("ct += _dy")
-            w.line("hc += _DHC")
+            w.line("_st[4] += _DHC")
             w.line("ev += 1")
             if self.trace:
                 w.line('_tra(proc=rank, kind="delay", start=_ts, end=clock, host_cost=_DHC)')
@@ -702,22 +914,44 @@ class _Lowerer:
         w.line(f"    Delay(seconds=_dy, task={stmt.task!r})")
 
     def _emit_for(self, w: "_Writer", stmt: For) -> None:
-        w.line(
-            f"for {_mangle(stmt.var)} in "
-            f"range(int({self._expr(stmt.lo)}), int({self._expr(stmt.hi)}) + 1):"
-        )
-        with w.indented():
-            for s in stmt.body:
-                self._emit_stmt(w, s)
+        # the bounds are operands of the code around the loop
+        lo, hi = self._values(w, ("_lo", f"int({self._expr(stmt.lo)})", stmt.lo.free_vars()),
+                              ("_hi", f"int({self._expr(stmt.hi)}) + 1", stmt.hi.free_vars()))
+        loop = _Loop(self._assigned(stmt))
+        body = _Writer(w.depth + 1)
+        self.loops.append(loop)
+        for s in stmt.body:
+            self._emit_stmt(body, s)
+        self.loops.pop()
+        if loop.hoists:
+            w.line("try:")
+            w.lines += (f"{'    ' * (w.depth + 1)}{line}" for line in loop.hoists)
+            w.line("except Exception:")
+            # all unbound, also those an enclosing loop's earlier trip bound
+            names = list(loop.locals.values())
+            w.line(f"    {' = '.join(names)} = None")
+            w.line(f"    del {', '.join(names)}")
+        w.line(f"for {_mangle(stmt.var)} in range({lo}, {hi}):")
+        w.lines += body.lines
+
+
+class _Loop:
+    """A ``For`` whose body is being emitted: the names it may assign,
+    and the lines that compute its hoisted locals before it."""
+
+    def __init__(self, assigned: frozenset):
+        self.assigned = assigned
+        self.hoists: list[str] = []
+        self.locals: dict[tuple[str, bool], str] = {}  # (text, clamp) -> local
 
 
 class _Writer:
-    def __init__(self):
+    def __init__(self, depth: int = 1):
         self.lines: list[str] = []
-        self._depth = 1
+        self.depth = depth
 
     def line(self, text: str) -> None:
-        self.lines.append("    " * self._depth + text)
+        self.lines.append("    " * self.depth + text)
 
     def indented(self):
         return _Indent(self)
@@ -728,9 +962,9 @@ class _Indent:
         self.w = writer
 
     def __enter__(self):
-        self.w._depth += 1
+        self.w.depth += 1
         return self.w
 
     def __exit__(self, *exc):
-        self.w._depth -= 1
+        self.w.depth -= 1
         return False

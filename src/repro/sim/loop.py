@@ -39,6 +39,13 @@ one transfer completion.  Their fault steps run only under a fault plan,
 their trace steps only when a trace is collected, and the completion
 builds a ``ReceivedMessage`` only for the Request driver.
 
+A resumed rank's next op that is due at the current time runs in the
+resume's own iteration when the resume is the live bucket's last code:
+that is exactly the event the next iteration would drain.  It counts as
+drained (``drained`` goes up by one), so the fault key below is
+unchanged, and an armed loop counts, records and fires it as its own
+event.  A same-time op that is not last is appended to the live bucket.
+
 Fault draws are keyed by the count of events queued so far plus sends
 and receives posted so far (``drained + Σ len(live buckets) + mseq``),
 computed only for a send under a fault plan.  The same plan, program and
@@ -355,6 +362,7 @@ def run(sim) -> SimStats:
     MHB = host.message_overhead + host.event_overhead
     MHPB = host.message_per_byte
     EAGER = sim.machine.net.eager_limit
+    ANYSRC, ANYTAG = ANY_SOURCE, ANY_TAG
     memory = sim.memory
     trace = sim.trace
     fs = sim._fault_state
@@ -362,8 +370,9 @@ def run(sim) -> SimStats:
 
     # the per-rank stat rows both drivers flush at each yield:
     # [clock, events, compute_time, comm_time, host_cost].  Indexes 0/1/2
-    # are driver-owned, 3 loop-owned, 4 shared (reloaded after every
-    # yield), which keeps every float accumulation in one order
+    # are driver-owned, 3 loop-owned, 4 shared (fast_gen adds to it in
+    # place, the Request driver reloads it after every yield), which
+    # keeps every float accumulation in one order
     st = [[0.0, 0, 0.0, 0.0, 0.0] for _ in range(nprocs)]
     rt = (
         sim.cpu.task_time,
@@ -714,15 +723,30 @@ def run(sim) -> SimStats:
                         continue
                     pend[rank] = op
                     at = op[1]
-                    b = bget(at)
-                    if b is None:
-                        buckets[at] = [rank * 4 + 1]
-                        heappush(timeheap, at)
-                    else:
-                        b.append(rank * 4 + 1)
-                    continue
-                # communication event at time t
-                op = pend[rank]
+                    if at != t:
+                        b = bget(at)
+                        if b is None:
+                            buckets[at] = [rank * 4 + 1]
+                            heappush(timeheap, at)
+                        else:
+                            b.append(rank * 4 + 1)
+                        continue
+                    if bucket[-1] != code:
+                        bucket.append(rank * 4 + 1)
+                        continue
+                    # the op is due now and this resume is the bucket's last
+                    # code (a rank has one queued code at a time), so its
+                    # event would be drained next: run it here, as that event
+                    drained += 1
+                    if armed:
+                        events += 1
+                        if record is not None:
+                            record((t, rank, _KIND[op[0]]))
+                        if events >= due:
+                            due = fire(events, t)
+                else:
+                    # communication event at time t
+                    op = pend[rank]
                 o = op[0]
                 if o == 1 or o == 3:  # send / isend
                     dst = op[2]
@@ -732,10 +756,10 @@ def run(sim) -> SimStats:
                             f"rank {rank} sends to nonexistent rank {dst} "
                             f"(world size {nprocs})"
                         )
-                    overhead = ov_cache.get(nbytes)
-                    if overhead is None:
-                        overhead = ov_cache[nbytes] = send_overhead(nbytes)
-                    cost = MHB + nbytes * MHPB
+                    oc = ov_cache.get(nbytes)
+                    if oc is None:
+                        oc = ov_cache[nbytes] = (send_overhead(nbytes), MHB + nbytes * MHPB)
+                    overhead, cost = oc
                     if o == 3:
                         next_hid[rank] += 1
                         hid = next_hid[rank]
@@ -800,8 +824,8 @@ def run(sim) -> SimStats:
                         tag = op[4]
                         for j, pr in enumerate(rq):
                             pso = pr[0]
-                            if (pso == ANY_SOURCE or pso == rank) and (
-                                pr[1] == ANY_TAG or pr[1] == tag
+                            if (pso == ANYSRC or pso == rank) and (
+                                pr[1] == ANYTAG or pr[1] == tag
                             ):
                                 matched = rq.pop(j)
                                 break
@@ -848,8 +872,8 @@ def run(sim) -> SimStats:
                     mq = q_msgs[rank]
                     if mq:
                         for j, m in enumerate(mq):
-                            if (source == ANY_SOURCE or source == m[0]) and (
-                                tag == ANY_TAG or tag == m[1]
+                            if (source == ANYSRC or source == m[0]) and (
+                                tag == ANYTAG or tag == m[1]
                             ):
                                 msg = mq.pop(j)
                                 break
@@ -862,10 +886,10 @@ def run(sim) -> SimStats:
                     dst = rank
                     posted_at = t
                     nbytes = msg[2]
-                    overhead = ov_cache.get(nbytes)  # recv_overhead == send_overhead
-                    if overhead is None:
-                        overhead = ov_cache[nbytes] = send_overhead(nbytes)
-                    cost = MHB + nbytes * MHPB
+                    oc = ov_cache.get(nbytes)  # recv_overhead == send_overhead
+                    if oc is None:
+                        oc = ov_cache[nbytes] = (send_overhead(nbytes), MHB + nbytes * MHPB)
+                    overhead, cost = oc
                 else:
                     if o == 5:  # waitall
                         st[rank][4] += EVOH
@@ -910,7 +934,12 @@ def run(sim) -> SimStats:
                     else:
                         if start > send_time:
                             st[src][3] += start - send_time
-                        push(start, src * 4)
+                        b = bget(start)
+                        if b is None:
+                            buckets[start] = [src * 4]
+                            heappush(timeheap, start)
+                        else:
+                            b.append(src * 4)
                 completion = (posted_at if posted_at > ready else ready) + overhead
                 mrecv[dst] += 1
                 drow = st[dst]

@@ -9,7 +9,9 @@ scaling functions of condensed tasks (Sec. 3 of the paper):
   the executable symbolic scaling expressions, including references to
   such arrays, in the simplified code and evaluate them at execution
   time."  Evaluation environments may therefore bind names to sequences
-  (NumPy arrays) as well as numbers.
+  (NumPy arrays) as well as numbers.  A read is the element as a Python
+  ``float``, so arithmetic over it, and every clock it feeds, stays in
+  Python floats.
 
 * :class:`Sum` — symbolic summation over a loop variable; the cost of a
   condensed loop nest whose body cost varies with the loop index.  When
@@ -60,10 +62,10 @@ class Index(Expr):
         except KeyError:
             raise UnboundVariableError([self.base]) from None
         i = int(self.index.evaluate(env))
-        return arr[i]
+        return float(arr[i])
 
     def to_python(self, name):
-        return f"{name(self.base)}[int({self.index.to_python(name)})]"
+        return f"float({name(self.base)}[int({self.index.to_python(name)})])"
 
     def subs(self, mapping):
         # the array itself cannot be substituted by an expression,

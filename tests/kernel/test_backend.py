@@ -218,6 +218,20 @@ def test_nas_sp_compiles(nprocs, mode, feature, nas_sp):
     assert (compiled[1] is None) == (feature != "trace")
 
 
+@pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+@pytest.mark.parametrize("mode", [ExecMode.DE, ExecMode.AM])
+def test_nas_sp_stats_are_python_floats(backend, mode, nas_sp):
+    """A cell-size read is a Python float, not a NumPy scalar, so NAS SP's
+    clocks and every float in its stats are plain floats on both backends."""
+    programs, wparams = nas_sp
+    factory = make_factory(programs[mode], sp_inputs(3), wparams)
+    stats = Simulator(9, factory, IBM_SP, mode=mode, seed=7, backend=backend).run().stats
+    assert type(stats.elapsed) is float
+    for proc in stats.procs:
+        for name in ("compute_time", "comm_time", "finish_time", "host_cost"):
+            assert type(getattr(proc, name)) is float, (proc.rank, name)
+
+
 @pytest.mark.parametrize("change", [
     {"kernel": set_flag_inverted},
     {"reads": frozenset({"myid", "P"})},

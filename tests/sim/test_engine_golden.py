@@ -9,10 +9,12 @@ program that lowers, against the same digests.
 
 The scenarios cover each fault-plan shape (loss with and without retry,
 duplication, send failure, per-link loss, degradation, crashes that end
-in deadlock), per-op and default timeouts on send, recv, isend and irecv
-(including timeouts that lose the race to a match), traced Sweep3D and
-SAMPLE runs, the group collectives, and 20 generated programs under a
-seeded random fault plan in all three execution modes.
+in deadlock), a Sweep3D-shaped grid of blocking rendezvous stages under
+loss, duplication and a default timeout, per-op and default timeouts on
+send, recv, isend and irecv (including timeouts that lose the race to a
+match), traced Sweep3D and SAMPLE runs, the group collectives, and 20
+generated programs under a seeded random fault plan in all three
+execution modes.
 
 Regenerate the digests only for a deliberate, documented change of
 semantics::
@@ -182,6 +184,31 @@ def degradation_rendezvous_link(backend):
         LinkDegradation(0.0, 0.05, latency_factor=3.0, bandwidth_factor=0.5, src=1),
         LinkDegradation(0.01, 1.0, latency_factor=2.0, dst=0)))
     return raw(4, ring(4, BIG, nonblocking=True), faults=plan)
+
+
+def stage_grid(px=3, py=3, stages=4):
+    """A Sweep3D stage on a *px* x *py* grid, *stages* times: blocking
+    rendezvous recvs from the west and north neighbours, a delay, then
+    blocking rendezvous sends east and south."""
+    def prog(rank, size, log):
+        i, j = rank % px, rank // px
+        for _ in range(stages):
+            if i > 0:
+                log.append((rank, (yield mpi.recv(source=rank - 1))))
+            if j > 0:
+                log.append((rank, (yield mpi.recv(source=rank - px))))
+            yield mpi.delay(1e-4)
+            if i < px - 1:
+                log.append((rank, (yield mpi.send(dest=rank + 1, nbytes=BIG))))
+            if j < py - 1:
+                log.append((rank, (yield mpi.send(dest=rank + px, nbytes=BIG))))
+    return prog
+
+
+@scenario()
+def sweep_stage_loss_dup_timeout(backend):
+    return raw(9, stage_grid(), faults=FaultPlan(seed=11, message_loss=0.4, duplication=0.3),
+               retry=RetryPolicy(max_attempts=2, backoff=1e-4), default_timeout=0.02)
 
 
 @scenario()

@@ -7,19 +7,22 @@ version.  This probe calibrates Sweep3D at 16 ranks, runs one untraced
 256-rank AM run as a warm-up (it lowers and caches the kernel), then
 counts the bytecodes of one more such run with ``sys.settrace`` and
 ``f_trace_opcodes``, twice: bare, and with the flight recorder and the
-heartbeat armed as a supervised campaign worker arms them.  It also
-counts one ``am`` miss in an already-warm process, as ``repro serve``
-runs it: a SAMPLE nearest-neighbour request at 8 ranks with 4
-calibration ranks through ``request_runner(...).run_one``, after one
-such miss at other inputs has built the program and derived what it
-keeps.  It prints one JSON line::
+heartbeat armed as a supervised campaign worker arms them.  It counts
+one 256-rank DE run of Sweep3D's original program the same way (``de``:
+comp blocks, the flux-fixup kernel call and task-time pricing, after a
+warm-up run that lowers it).  It also counts one ``am`` miss in an
+already-warm process, as ``repro serve`` runs it: a SAMPLE
+nearest-neighbour request at 8 ranks with 4 calibration ranks through
+``request_runner(...).run_one``, after one such miss at other inputs has
+built the program and derived what it keeps.  It prints one JSON line::
 
     PYTHONPATH=src python tools/opcount.py
 
 Counts from different CPython versions are not comparable: compare two
-commits by running the probe on both with one interpreter.  The bare
-and ``am`` miss counts repeat exactly; the armed one can move by a few
-hundred, because whether a due heartbeat emits depends on wall time.
+commits by running the probe on both with one interpreter.  The bare,
+``de`` and ``am`` miss counts repeat exactly; the armed one can move by
+a few hundred, because whether a due heartbeat emits depends on wall
+time.
 """
 
 import json
@@ -99,15 +102,23 @@ def main() -> None:
     def run():
         return wf.run_am(inputs, NPROCS)
 
+    def run_de():
+        return wf.run_de(inputs, NPROCS)
+
     events = run().stats.total_events  # warm-up: lowers and caches the kernel
     bare = count_bytecodes(run)
     armed = count_bytecodes(lambda: armed_run(run))
+    de_events = run_de().stats.total_events  # warm-up: lowers the original program
+    de = count_bytecodes(run_de)
     am_miss(20000)  # warm-up: builds the app and derives what it keeps
     print(json.dumps({
         "workload": f"sweep3d_am_{NPROCS}",
         "events": events,
         "bare": bare,
         "armed": armed,
+        "de_workload": f"sweep3d_de_{NPROCS}",
+        "de_events": de_events,
+        "de": de,
         "am_miss_workload": f"{MISS_APP}_am_{MISS_NPROCS}",
         "am_miss": count_bytecodes(lambda: am_miss(30000)),
         "python": platform.python_version(),
